@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DivisorContainsZero, InvalidInterval
 
-__all__ = ["Interval", "ZERO", "hausdorff", "signed_diff"]
+__all__ = ["Interval", "ZERO", "dominant_diff", "hausdorff", "signed_diff"]
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,10 @@ def signed_diff(a: Interval, b: Interval) -> float:
     difference wins, so degenerate intervals collapse to ordinary
     subtraction. Comparisons are exact: equal intervals yield 0.0.
     """
-    dl = a.lo - b.lo
-    dh = a.hi - b.hi
+    return dominant_diff(a.lo - b.lo, a.hi - b.hi)
+
+
+def dominant_diff(dl: float, dh: float) -> float:
+    """``signed_diff`` from its endpoint differences dl = a.lo - b.lo and
+    dh = a.hi - b.hi, for callers that keep endpoints as plain floats."""
     return dh if abs(dh) >= abs(dl) else dl

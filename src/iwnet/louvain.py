@@ -2,10 +2,14 @@
 
 Three strategies share one greedy two-phase loop:
 
-* ``classic-interval`` (CL): gains are full interval-modularity
-  differences under pairwise-adjusted expectations (the reduced local
-  form is not valid for intervals), and communities aggregate by
-  interval summation;
+* ``classic-interval`` (CL): gains are exact interval-modularity
+  differences under pairwise-adjusted expectations, and communities
+  aggregate by interval summation. The adjusted expected block of a
+  community depends only on its own strength and the network totals,
+  so Q is a sum of per-community terms; each community keeps its
+  observed diagonal block and strength, updated in O(deg) per move, and
+  a move is priced from the terms of the communities it changes. The
+  pairwise reduced form 2(o_rs - e_rs) is not valid for intervals;
 * ``hybrid`` (HL): gains use the reduced scalar form on the current
   network's midpoints, and communities aggregate by the min-max
   envelope, after which the modularity is recomputed (it may drop);
@@ -19,12 +23,13 @@ so identical inputs produce byte-identical traces.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
-from .errors import EmptyNetwork, IterationLimit, ZeroTotalWeight
-from .interval import Interval
+from .errors import EmptyNetwork, IterationLimit, ZeroInAdjustedTotal, ZeroTotalWeight
+from .interval import Interval, dominant_diff
 from .modularity import (
     q_interval_communities,
     q_max_interval_adjusted,
@@ -122,8 +127,30 @@ class LouvainRun:
     trace: tuple[str, ...]
 
 
+_NO_LINK = (0.0, 0.0)
+_EMPTY = (0.0, 0.0, 0.0, 0.0, 0, 0)
+
+
+def _shifted(c: tuple, x: tuple, k: tuple[float, float], sign: int) -> tuple:
+    """Summary of community c after vertex x joins (sign 1) or leaves (sign -1)
+    it; k is the link weight between them."""
+    return (
+        c[0] + sign * (2.0 * k[0] + x[0]),
+        c[1] + sign * (2.0 * k[1] + x[1]),
+        *(a + sign * b for a, b in zip(c[2:], x[2:])),
+    )
+
+
 class _PassState:
-    """Mutable community bookkeeping for one optimization phase."""
+    """Mutable community bookkeeping for one optimization phase.
+
+    For the interval gain every community (and every vertex, as the
+    singleton it would form) is summarized as ``(o_lo, o_hi, s_lo, s_hi,
+    n_lo, n_hi)``: its observed diagonal block, its strength, and how many
+    members have a positive lower / upper strength. The counts make the
+    zero tests of the adjusted totals exact, whatever rounding the
+    incremental strength sums carry.
+    """
 
     def __init__(self, net: IWNetwork, strategy: Strategy, partition: Partition | None = None):
         self.net = net
@@ -131,36 +158,64 @@ class _PassState:
         n = net.n
         if partition is None:
             partition = Partition.singletons(n)
-        self.comm_of = list(partition.assignment)
-        n_comms = partition.n_communities
-        self.members: list[list[int]] = [[] for _ in range(n_comms)]
-        for v, c in enumerate(self.comm_of):
-            self.members[c].append(v)
         self.neigh = [net.neighbors(i) for i in range(n)]
-        if not strategy.interval_gain:
+        if strategy.interval_gain:
+            self.vsum = [self._vertex_summary(v) for v in range(n)]
+            self.totals = tuple(sum(x[k] for x in self.vsum) for k in range(2, 6))
+            self.csum = [_EMPTY] * partition.n_communities
+        else:
             self.mid = net.midpoints()
             self.s = [sum(row) for row in self.mid]
             self.two_w = sum(self.s)
+        self.comm_of = [-1] * n
+        self.members: list[list[int]] = [[] for _ in range(partition.n_communities)]
+        for v, c in enumerate(partition.assignment):
+            self.place(v, c)
+
+    def _vertex_summary(self, v: int) -> tuple:
+        row = self.net.weights[v]
+        s_lo = s_hi = 0.0
+        for u in self.neigh[v]:
+            s_lo += row[u].lo
+            s_hi += row[u].hi
+        loop = row[v]
+        return (loop.lo, loop.hi, s_lo, s_hi, int(s_lo > 0.0), int(s_hi > 0.0))
+
+    def _links(self, v: int) -> dict[int, tuple[float, float]]:
+        """Interval weight from v into each community of its neighbors (self-loop excluded)."""
+        links: dict[int, tuple[float, float]] = {}
+        row = self.net.weights[v]
+        for u in self.neigh[v]:
+            if u != v:
+                c = self.comm_of[u]
+                k_lo, k_hi = links.get(c, _NO_LINK)
+                links[c] = (k_lo + row[u].lo, k_hi + row[u].hi)
+        return links
+
+    def _term(self, c: tuple) -> float:
+        """D(o_rr, e_rr) of one community given its summary.
+
+        The adjusted expected block depends only on the community's own
+        strength and the network totals, which no move changes, so Q_cl is
+        the sum of this term over the communities.
+        """
+        o_lo, o_hi, s_lo, s_hi, n_lo, n_hi = c
+        t_lo, t_hi, t_nlo, t_nhi = self.totals
+        # adj_max = others_hi + s_lo and adj_min = others_lo + s_hi are sums of
+        # non-negative strengths: zero exactly when every addend is zero
+        if (n_hi == t_nhi and n_lo == 0) or (n_lo == t_nlo and n_hi == 0):
+            raise ZeroInAdjustedTotal(
+                f"adjusted total for a community of strength [{s_lo}, {s_hi}] contains zero"
+            )
+        adj_max = t_hi - s_hi + s_lo
+        adj_min = t_lo - s_lo + s_hi
+        return dominant_diff(o_lo - s_lo * s_lo / adj_max, o_hi - s_hi * s_hi / adj_min)
 
     def label(self, cid: int) -> str:
         return ",".join(self.net.labels[v] for v in self.members[cid])
 
     def comms(self) -> list[list[int]]:
         return [m for m in self.members if m]
-
-    def _comms_with_isolated(self, v: int) -> list[list[int]]:
-        return self.comms() + [[v]]
-
-    def _comms_with(self, v: int, cid: int) -> list[list[int]]:
-        out = []
-        for c, m in enumerate(self.members):
-            if c == cid:
-                placed = list(m)
-                bisect.insort(placed, v)
-                out.append(placed)
-            elif m:
-                out.append(m)
-        return out
 
     def _gain_scalar(self, v: int, cid: int) -> float:
         # reduced form 2(o_{v,C} - s_v s_C / 2w); v is already removed
@@ -170,6 +225,26 @@ class _PassState:
             o += self.mid[v][u]
             se += self.s[u]
         return 2.0 * (o - self.s[v] * se / self.two_w)
+
+    def _interval_pricer(self, v: int, own: int):
+        """Take v out of its community's summary and return the gain function.
+
+        The gain of the isolated v joining C is D(C + v) - D(C) - D({v}):
+        only the terms of the communities that change move.
+        """
+        links = self._links(v)
+        x = self.vsum[v]
+        if self.members[own]:
+            self.csum[own] = _shifted(self.csum[own], x, links.get(own, _NO_LINK), -1)
+        else:
+            self.csum[own] = _EMPTY  # drop the rounding residue of the removals
+        q_v = self._term(x)
+
+        def gain(cid: int) -> float:
+            c = self.csum[cid]
+            return self._term(_shifted(c, x, links.get(cid, _NO_LINK), 1)) - self._term(c) - q_v
+
+        return gain
 
     def evaluate(self, v: int) -> tuple[int, str, list[int], dict[int, float], float]:
         """Isolate v and price every candidate move.
@@ -189,32 +264,24 @@ class _PassState:
             if c not in cand_ids:
                 cand_ids.append(c)
 
-        gains: dict[int, float] = {}
         if self.strategy.interval_gain:
-            weights = self.net.weights
-            q_base = q_interval_communities(weights, self._comms_with_isolated(v))
-            for c in cand_ids:
-                if c == own and not self.members[own]:
-                    gains[c] = 0.0  # re-entering an emptied community is a no-op
-                else:
-                    gains[c] = (
-                        q_interval_communities(weights, self._comms_with(v, c)) - q_base
-                    )
-            if own in gains:
-                gain_own = gains[own]
-            elif not self.members[own]:
-                gain_own = 0.0
-            else:
-                gain_own = (
-                    q_interval_communities(weights, self._comms_with(v, own)) - q_base
-                )
+            gain = self._interval_pricer(v, own)
         else:
-            for c in cand_ids:
-                gains[c] = self._gain_scalar(v, c)
-            gain_own = gains[own] if own in gains else self._gain_scalar(v, own)
+            gain = functools.partial(self._gain_scalar, v)
+        gains: dict[int, float] = {}
+        for c in cand_ids:
+            # re-entering an emptied community is a no-op
+            gains[c] = 0.0 if c == own and not self.members[own] else gain(c)
+        if own in gains:
+            gain_own = gains[own]
+        else:
+            gain_own = gain(own) if self.members[own] else 0.0
         return own, own_label, cand_ids, gains, gain_own
 
     def place(self, v: int, cid: int) -> None:
+        if self.strategy.interval_gain:
+            link = self._links(v).get(cid, _NO_LINK)
+            self.csum[cid] = _shifted(self.csum[cid], self.vsum[v], link, 1)
         bisect.insort(self.members[cid], v)
         self.comm_of[v] = cid
 

@@ -269,9 +269,14 @@ def q_interval(
 
 
 def dq_interval(q_new: float, q_last: float) -> float:
-    """Interval modularity gain. Only the full difference is valid: the
-    scalar reduction to 2(o_rs - e_rs) does not survive interval
-    arithmetic."""
+    """Interval modularity gain as the full difference q_new - q_last.
+
+    The scalar pairwise reduction to 2(o_rs - e_rs) does not survive
+    interval arithmetic. An exact shortcut does: the adjusted expected
+    diagonal block of a community depends only on its own strength and
+    the network totals, so the gain equals the change in the terms of the
+    communities that differ, which is how the Louvain driver prices moves.
+    """
     return q_new - q_last
 
 

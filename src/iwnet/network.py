@@ -9,6 +9,7 @@ networks carry within-community weight as interval self-loops.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
@@ -283,6 +284,8 @@ def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
             hi = float(row[3])
         except ValueError:
             raise ParseError(lineno, f"non-numeric weight in {row[2]!r},{row[3]!r}") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ParseError(lineno, f"non-finite weight in {row[2]!r},{row[3]!r}")
         try:
             records.append(DirectedFlowRecord(src, dst, lo, hi))
         except (InvalidInterval, NegativeWeight) as exc:

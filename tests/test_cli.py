@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from iwnet import louvain
 from iwnet.cli import main
 
 from helpers import normalize_lines
@@ -173,6 +174,16 @@ class TestRunCommand:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["lo", "hi"])
+    def test_non_finite_weight_exit_1(self, capsys, tmp_path, bad, column):
+        lo, hi = (bad, "5") if column == "lo" else ("1", bad)
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"src,dst,lo,hi\nx,y,1,2\na,b,{lo},{hi}\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--input", str(path), "--method", "cl")
+        assert code == 1
+        assert "line 3" in err
+
     def test_bad_header_exit_1(self, capsys, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("from,to,lo,hi\na,b,1,2\n", encoding="utf-8")
@@ -201,6 +212,13 @@ class TestRunCommand:
         )
         assert code == 2
         assert "ZeroTotalWeight" in err
+
+    def test_iteration_limit_exit_2(self, capsys, toy_csv, monkeypatch):
+        # pass 1 on the reference network needs two sweeps
+        monkeypatch.setattr(louvain, "SWEEP_LIMIT", 1)
+        code, _, err = run_cli(capsys, "run", "--input", toy_csv, "--method", "cl")
+        assert code == 2
+        assert "IterationLimit" in err
 
     def test_empty_input_exit_2(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"

@@ -5,6 +5,7 @@ import pytest
 
 from iwnet import (
     CLASSIC_INTERVAL,
+    ZERO,
     HYBRID,
     Interval,
     IWNetwork,
@@ -17,10 +18,17 @@ from iwnet import (
     q_definitional,
     run,
 )
-from iwnet.errors import EmptyNetwork, ZeroTotalWeight
+from iwnet import louvain
+from iwnet.errors import EmptyNetwork, ZeroInAdjustedTotal, ZeroTotalWeight
+from iwnet.modularity import q_interval_communities
 
 from goldens import CL_REFERENCE_TRACE, HL_REFERENCE_TRACE
-from helpers import toy_network, normalize_lines, random_network
+from helpers import (
+    normalize_lines,
+    random_degenerate_network,
+    random_network,
+    toy_network,
+)
 
 
 class TestStrategy:
@@ -252,3 +260,122 @@ class TestDriverBehavior:
         b = run(net, MIDPOINT)
         assert a.final_partition == b.final_partition
         assert [r.modularity for r in a.passes] == [r.modularity for r in b.passes]
+
+    def test_midpoint_q_matches_networkx_at_scale(self):
+        # an independent reference well beyond the oracle's n <= 12
+        nx = pytest.importorskip("networkx")
+        for seed in (1, 2):
+            g = nx.planted_partition_graph(4, 50, 0.2, 0.02, seed=seed)
+            rng = random.Random(seed)
+            edges = []
+            for u, v in g.edges():
+                lo = rng.uniform(0.0, 5.0)
+                hi = lo + rng.uniform(0.0, 5.0)
+                edges.append((str(u), str(v), lo, hi))
+                g[u][v]["weight"] = Interval(lo, hi).midpoint
+            net = IWNetwork.from_edges([str(u) for u in g], edges)
+            result = run(net, MIDPOINT)
+            two_w = sum(map(sum, net.midpoints()))
+            ref = nx.community.modularity(
+                g, result.final_partition.communities, weight="weight"
+            )
+            assert result.final_partition.n_communities > 1
+            assert math.isclose(result.final_q / two_w, ref, rel_tol=1e-12)
+
+
+def _full_difference_gains(net, rest, v, cids):
+    """Reference gains of the isolated v joining each community in cids.
+
+    ``rest`` lists the members of every community id with v already
+    removed; a gain is q_interval_communities(v in C) minus
+    q_interval_communities(v isolated), both over the whole partition.
+    """
+    base = q_interval_communities(net.weights, [m for m in rest if m] + [[v]])
+    gains = {}
+    for c in cids:
+        if not rest[c]:
+            gains[c] = 0.0  # re-entering an emptied community
+            continue
+        comms = [sorted([*m, v]) if i == c else m for i, m in enumerate(rest) if m]
+        gains[c] = q_interval_communities(net.weights, comms) - base
+    return gains
+
+
+def _assert_gains_close(net, gains, ref):
+    # gains are differences of terms as large as the total weight
+    scale = net.total_weight().hi
+    for c, g in gains.items():
+        assert math.isclose(g, ref[c], rel_tol=1e-9, abs_tol=1e-9 * scale), (c, g, ref[c])
+
+
+def _zero_lower_bounds(net, rng, share):
+    """Copy of net with the lower bound of each edge set to 0 with probability share."""
+    w = [list(row) for row in net.weights]
+    for i in range(net.n):
+        for j in range(i, net.n):
+            if w[i][j] != ZERO and rng.random() < share:
+                w[i][j] = w[j][i] = Interval(0.0, w[i][j].hi)
+    return IWNetwork(net.labels, tuple(tuple(row) for row in w))
+
+
+class TestIntervalGainDifferential:
+    """Per-community interval gains against the full-difference reference."""
+
+    def test_evaluate_moves_on_random_partitions(self):
+        rng = random.Random(31)
+        nets = [random_network(rng, n, density=0.3) for n in (5, 9, 14, 20, 26, 30)]
+        nets += [random_degenerate_network(rng, n, density=0.3) for n in (6, 12, 24)]
+        for net in nets:
+            for _ in range(2):
+                k = rng.randrange(1, net.n + 1)
+                p = Partition(tuple(rng.randrange(k) for _ in range(net.n)))
+                for v in range(net.n):
+                    moves = dict(evaluate_moves(net, p, v, CLASSIC_INTERVAL))
+                    rest = [[u for u in m if u != v] for m in p.communities]
+                    ref = _full_difference_gains(net, rest, v, moves)
+                    _assert_gains_close(net, moves, ref)
+
+    def test_gains_during_full_runs(self, monkeypatch):
+        # every evaluation of a whole run, after many incremental updates,
+        # agrees with the reference; on zero lower bounds both raise together
+        checked = []
+        original = louvain._PassState.evaluate
+
+        def evaluate(state, v):
+            own = state.comm_of[v]
+            cids = {own} | {state.comm_of[u] for u in state.neigh[v] if u != v}
+            try:
+                result = original(state, v)
+            except ZeroInAdjustedTotal:
+                with pytest.raises(ZeroInAdjustedTotal):
+                    _full_difference_gains(state.net, state.members, v, cids)
+                checked.append(None)
+                raise
+            try:
+                ref = _full_difference_gains(state.net, state.members, v, cids)
+            except ZeroInAdjustedTotal:
+                pytest.fail("only the reference has a zero adjusted total")
+            _, _, _, gains, gain_own = result
+            _assert_gains_close(state.net, {**gains, own: gain_own}, ref)
+            checked.append(v)
+            return result
+
+        monkeypatch.setattr(louvain._PassState, "evaluate", evaluate)
+        rng = random.Random(32)
+        nets = [random_network(rng, rng.randrange(4, 17), density=0.4) for _ in range(8)]
+        nets += [random_degenerate_network(rng, rng.randrange(4, 17)) for _ in range(4)]
+        # with every lower bound zero a community holding every edge has a
+        # zero adjusted total and the run raises; rounded incremental
+        # strengths must not hide that
+        nets += [
+            _zero_lower_bounds(random_network(rng, rng.randrange(3, 10)), rng, share)
+            for share in (0.5,) * 6 + (1.0,) * 24
+        ]
+        raised = 0
+        for net in nets:
+            try:
+                run(net, CLASSIC_INTERVAL)
+            except ZeroInAdjustedTotal:
+                raised += 1
+        assert 0 < raised < 30
+        assert len(checked) > 300
