@@ -9,12 +9,15 @@ subdistributive law holds for multiplication over addition.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from typing import Iterable, TypeVar
 
 from .errors import DivisorContainsZero, InvalidInterval
 
-__all__ = ["Interval", "ZERO", "dominant_diff", "hausdorff", "signed_diff"]
+__all__ = ["Interval", "ZERO", "dominant_diff", "hausdorff", "seq_sum", "signed_diff"]
 
 
 @dataclass(frozen=True)
@@ -105,3 +108,16 @@ def dominant_diff(dl: float, dh: float) -> float:
     """``signed_diff`` from its endpoint differences dl = a.lo - b.lo and
     dh = a.hi - b.hi, for callers that keep endpoints as plain floats."""
     return dh if abs(dh) >= abs(dl) else dl
+
+
+N = TypeVar("N", float, Interval)
+
+
+def seq_sum(xs: Iterable[N], zero: N = 0.0) -> N:
+    """Left-to-right sum of floats or intervals, starting from ``zero``.
+
+    Every modularity sum goes through this one loop so that the scalar
+    and the interval tracks round alike; builtin ``sum()`` of floats uses
+    compensated summation from Python 3.12 on.
+    """
+    return functools.reduce(operator.add, xs, zero)

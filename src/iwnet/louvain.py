@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 from .errors import EmptyNetwork, IterationLimit, ZeroInAdjustedTotal, ZeroTotalWeight
-from .interval import Interval, dominant_diff
+from .interval import Interval, ZERO, dominant_diff, seq_sum
 from .modularity import (
     q_interval_communities,
     q_max_interval_adjusted,
-    q_max_scalar,
+    q_max_scalar_communities,
     q_scalar_communities,
 )
 from .network import IWNetwork, aggregate_minmax, aggregate_sum, format_matrix
@@ -81,12 +81,6 @@ class Strategy:
             raise ValueError(f"unknown strategy {name!r}") from None
 
     @property
-    def code(self) -> str:
-        return {"classic-interval": "cl", "hybrid": "hl", "midpoint": "midpoint"}[
-            self.name
-        ]
-
-    @property
     def interval_gain(self) -> bool:
         return self.name == "classic-interval"
 
@@ -124,7 +118,9 @@ class LouvainRun:
     final_q: float
     final_q_norm: float  # NaN when Q_max is zero
     final_q_max: float
-    trace: tuple[str, ...]
+    # log lines, with each network whose matrix the log shows in its place;
+    # emit_trace renders the matrices
+    trace: tuple[str | IWNetwork, ...]
 
 
 _NO_LINK = (0.0, 0.0)
@@ -158,38 +154,34 @@ class _PassState:
         n = net.n
         if partition is None:
             partition = Partition.singletons(n)
-        self.neigh = [net.neighbors(i) for i in range(n)]
+        self.neigh = net.rows
         if strategy.interval_gain:
             self.vsum = [self._vertex_summary(v) for v in range(n)]
-            self.totals = tuple(sum(x[k] for x in self.vsum) for k in range(2, 6))
+            # from 0, not 0.0: the counts stay ints, the float sums are the same
+            self.totals = tuple(seq_sum((x[k] for x in self.vsum), 0) for k in range(2, 6))
             self.csum = [_EMPTY] * partition.n_communities
         else:
-            self.mid = net.midpoints()
-            self.s = [sum(row) for row in self.mid]
-            self.two_w = sum(self.s)
+            self.mid = net.midpoint_rows()
+            self.s = [seq_sum(row.values()) for row in self.mid]
+            self.two_w = seq_sum(self.s)
         self.comm_of = [-1] * n
         self.members: list[list[int]] = [[] for _ in range(partition.n_communities)]
         for v, c in enumerate(partition.assignment):
             self.place(v, c)
 
     def _vertex_summary(self, v: int) -> tuple:
-        row = self.net.weights[v]
-        s_lo = s_hi = 0.0
-        for u in self.neigh[v]:
-            s_lo += row[u].lo
-            s_hi += row[u].hi
-        loop = row[v]
-        return (loop.lo, loop.hi, s_lo, s_hi, int(s_lo > 0.0), int(s_hi > 0.0))
+        s = self.net.strength(v)
+        loop = self.neigh[v].get(v, ZERO)
+        return (loop.lo, loop.hi, s.lo, s.hi, int(s.lo > 0.0), int(s.hi > 0.0))
 
     def _links(self, v: int) -> dict[int, tuple[float, float]]:
         """Interval weight from v into each community of its neighbors (self-loop excluded)."""
         links: dict[int, tuple[float, float]] = {}
-        row = self.net.weights[v]
-        for u in self.neigh[v]:
+        for u, w in self.neigh[v].items():
             if u != v:
                 c = self.comm_of[u]
                 k_lo, k_hi = links.get(c, _NO_LINK)
-                links[c] = (k_lo + row[u].lo, k_hi + row[u].hi)
+                links[c] = (k_lo + w.lo, k_hi + w.hi)
         return links
 
     def _term(self, c: tuple) -> float:
@@ -221,8 +213,9 @@ class _PassState:
         # reduced form 2(o_{v,C} - s_v s_C / 2w); v is already removed
         o = 0.0
         se = 0.0
+        row = self.mid[v]
         for u in self.members[cid]:
-            o += self.mid[v][u]
+            o += row.get(u, 0.0)
             se += self.s[u]
         return 2.0 * (o - self.s[v] * se / self.two_w)
 
@@ -287,7 +280,7 @@ class _PassState:
 
     def q_current(self) -> float:
         if self.strategy.interval_gain:
-            return q_interval_communities(self.net.weights, self.comms())
+            return q_interval_communities(self.net, self.comms())
         return q_scalar_communities(self.mid, self.comms())
 
 
@@ -321,7 +314,7 @@ def _fmt_gain(gain: float) -> str:
     return f"gain={sign}{abs(gain):.3f} ({mark})"
 
 
-def _optimize(state: _PassState, lines: list[str]) -> tuple[int, bool, float]:
+def _optimize(state: _PassState, lines: list[str | IWNetwork]) -> tuple[int, bool, float]:
     """Phase 1: greedy sweeps until one completes without a move.
 
     Returns (sweeps performed, whether any move happened, end modularity).
@@ -357,24 +350,24 @@ def _optimize(state: _PassState, lines: list[str]) -> tuple[int, bool, float]:
 
 
 def _degenerate_projection(net: IWNetwork) -> IWNetwork:
-    w = tuple(
-        tuple(Interval(c.midpoint, c.midpoint) for c in row) for row in net.weights
+    # a midpoint can round to 0.0 only on a subnormal edge, which then drops out
+    rows = tuple(
+        {j: Interval(m, m) for j, m in row.items() if m} for row in net.midpoint_rows()
     )
-    return IWNetwork(net.labels, w)
+    return IWNetwork(net.labels, rows)
 
 
 def _pass_end_q(strategy: Strategy, net: IWNetwork) -> float:
     singles = [[r] for r in range(net.n)]
     if strategy.interval_gain:
-        return q_interval_communities(net.weights, singles)
-    return q_scalar_communities(net.midpoints(), singles)
+        return q_interval_communities(net, singles)
+    return q_scalar_communities(net.midpoint_rows(), singles)
 
 
 def _q_max(strategy: Strategy, net: IWNetwork) -> float:
-    p = Partition.singletons(net.n)
     if strategy.interval_gain:
-        return q_max_interval_adjusted(net, p)
-    return q_max_scalar(net.midpoints(), p)
+        return q_max_interval_adjusted(net, Partition.singletons(net.n))
+    return q_max_scalar_communities(net.midpoint_rows(), [[r] for r in range(net.n)])
 
 
 def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainRun:
@@ -392,9 +385,7 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
         raise ZeroTotalWeight("network has no weight")
 
     work = _degenerate_projection(net) if strategy.name == "midpoint" else net
-    lines: list[str] = ["Initial Interval-Weighted Network:"]
-    lines += format_matrix(work)
-    lines.append("")
+    lines: list[str | IWNetwork] = ["Initial Interval-Weighted Network:", work, ""]
     lines.append(f"* Initial Modularity={_pass_end_q(strategy, work):.3f}")
 
     passes: list[PassRecord] = []
@@ -421,18 +412,15 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
         pass_q = _pass_end_q(strategy, agg)
         lines.append("")
         lines.append("New network: ---------------")
-        lines += format_matrix(agg)
+        lines.append(agg)
         lines.append(
             f"* End Pass number {pass_no} Modularity={pass_q:.3f} "
             f"Communities={' / '.join(agg.labels)}"
         )
         lines.append("---------------------------")
         passes.append(PassRecord(pass_no, iterations, p, pass_q, agg, True))
-        if agg.n == cur.n:
-            # phase 1 moved vertices without shrinking the network; repeating
-            # the pass would replay the same decisions forever
-            cur = agg
-            break
+        # a move only joins a neighbour's non-empty community, so the first move
+        # empties a singleton for good: agg.n < cur.n and the loop terminates
         cur = agg
 
     final_q = passes[-1].modularity
@@ -448,7 +436,7 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
     lines.append("---------------------------")
     lines.append("Final Interval-weighted network:")
     lines.append("")
-    lines += format_matrix(cur)
+    lines.append(cur)
 
     return LouvainRun(
         strategy=strategy,
@@ -498,4 +486,10 @@ def compose_partitions(run: LouvainRun) -> Partition:
 
 def emit_trace(run: LouvainRun) -> str:
     """Human-readable log of the whole run (one string, newline-joined)."""
-    return "\n".join(run.trace) + "\n"
+    lines: list[str] = []
+    for item in run.trace:
+        if isinstance(item, IWNetwork):
+            lines += format_matrix(item)
+        else:
+            lines.append(item)
+    return "\n".join(lines) + "\n"

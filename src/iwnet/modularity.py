@@ -10,16 +10,20 @@ Two parallel tracks are kept:
   observed and expected blocks is taken with the signed endpoint
   difference D.
 
-Partition-level quantities are evaluated blockwise on the super-vertex
-matrix implied by the partition; per-community totals accumulate
+Partition-level quantities collapse the partition's communities with
+``network.blocks`` (one pass over the neighbour maps) and are evaluated
+on the super-vertex rows; per-community totals accumulate
 others-first-then-own so the interval track degenerates bit for bit to
-the scalar track on degenerate networks.
+the scalar track on degenerate networks. The scalar track runs on
+neighbour maps of floats; its public functions take a dense matrix and
+convert it once.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     DegenerateDenominator,
@@ -27,8 +31,8 @@ from .errors import (
     ZeroInAdjustedTotal,
     ZeroTotalWeight,
 )
-from .interval import Interval, ZERO, signed_diff
-from .network import IWNetwork, aggregate_minmax, aggregate_sum
+from .interval import Interval, ZERO, seq_sum, signed_diff
+from .network import IWNetwork, aggregate_minmax, aggregate_sum, blocks
 from .partition import Partition
 
 __all__ = [
@@ -47,10 +51,12 @@ __all__ = [
     "q_interval_communities",
     "q_max_interval_adjusted",
     "q_max_scalar",
+    "q_max_scalar_communities",
     "q_norm_interval",
 ]
 
 Matrix = Sequence[Sequence[float]]
+Rows = Sequence[Mapping[int, float]]
 
 
 @dataclass(frozen=True)
@@ -65,29 +71,26 @@ class ExpectedTable:
     mode: str
     e: tuple[tuple[Interval, ...], ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.e)
+
+def _scalar_rows(mid: Matrix) -> list[dict[int, float]]:
+    """Neighbour maps of a dense scalar matrix (zero entries dropped)."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mid]
 
 
-def _row_sums(mid: Matrix) -> list[float]:
-    return [sum(row) for row in mid]
+def _row_sums(rows: Rows) -> list[float]:
+    return [seq_sum(row.values()) for row in rows]
 
 
 def expected_scalar(mid: Matrix) -> ExpectedTable:
     """Pairwise expected weights e_ij = s_i * s_j / 2w of a scalar matrix."""
-    s = _row_sums(mid)
-    two_w = sum(s)
+    s = _row_sums(_scalar_rows(mid))
+    two_w = seq_sum(s)
     if two_w <= 0:
         raise ZeroTotalWeight("total weight is zero")
     e = tuple(
         tuple(Interval(si * sj / two_w, si * sj / two_w) for sj in s) for si in s
     )
     return ExpectedTable("scalar", e)
-
-
-def _interval_strengths(net: IWNetwork) -> list[Interval]:
-    return [net.strength(i) for i in range(net.n)]
 
 
 def adjusted_total_bounds(
@@ -132,8 +135,8 @@ def _adjusted_expected(
 
 def expected_interval_adjusted(net: IWNetwork) -> ExpectedTable:
     """Adjusted expected interval weights for all vertex pairs."""
-    s = _interval_strengths(net)
     n = net.n
+    s = [net.strength(i) for i in range(n)]
     e = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -145,108 +148,78 @@ def expected_interval_adjusted(net: IWNetwork) -> ExpectedTable:
 # scalar modularity
 
 
-def _aggregate_scalar(mid: Matrix, comms: Sequence[Sequence[int]]) -> list[list[float]]:
-    # mirrored blocks, same traversal as the interval aggregation
-    q = len(comms)
-    out = [[0.0] * q for _ in range(q)]
-    for r in range(q):
-        for c in range(r, q):
-            acc = 0.0
-            for i in comms[r]:
-                for j in comms[c]:
-                    acc += mid[i][j]
-            out[r][c] = out[c][r] = acc
-    return out
-
-
-def _aggregate_interval(
-    weights: Sequence[Sequence[Interval]], comms: Sequence[Sequence[int]]
-) -> list[list[Interval]]:
-    q = len(comms)
-    out = [[ZERO] * q for _ in range(q)]
-    for r in range(q):
-        for c in range(r, q):
-            acc = ZERO
-            for i in comms[r]:
-                for j in comms[c]:
-                    acc = acc + weights[i][j]
-            out[r][c] = out[c][r] = acc
-    return out
-
-
-def _q_scalar_blocks(blocks: Sequence[Sequence[float]]) -> float:
-    q = len(blocks)
-    s = [sum(row) for row in blocks]
-    if sum(s) <= 0:
-        raise ZeroTotalWeight("total weight is zero")
-    total = 0.0
-    for r in range(q):
+def _expected_diag(s: Sequence[float]) -> list[float]:
+    """Expected diagonal block s_r^2 / 2w of each community, with 2w summed
+    over the other communities first and the community's own strength last."""
+    e = []
+    for r in range(len(s)):
         tw = 0.0
-        for l in range(q):
+        for l in range(len(s)):
             if l != r:
                 tw += s[l]
         tw += s[r]
-        total += blocks[r][r] - s[r] * s[r] / tw
+        e.append(s[r] * s[r] / tw)
+    return e
+
+
+def _q_scalar_blocks(rows: Rows) -> float:
+    s = _row_sums(rows)
+    if seq_sum(s) <= 0:
+        raise ZeroTotalWeight("total weight is zero")
+    total = 0.0
+    for r, e_rr in enumerate(_expected_diag(s)):
+        total += rows[r].get(r, 0.0) - e_rr
     return total
 
 
-def q_scalar_communities(mid: Matrix, comms: Sequence[Sequence[int]]) -> float:
-    """q_scalar over explicit community member lists (driver hot path)."""
-    return _q_scalar_blocks(_aggregate_scalar(mid, comms))
+def q_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> float:
+    """q_scalar of scalar neighbour maps over explicit, ascending member lists
+    (driver hot path)."""
+    return _q_scalar_blocks(blocks(rows, comms, operator.add, 0.0))
 
 
 def q_scalar(mid: Matrix, p: Partition) -> float:
     """Unnormalized scalar modularity of a partition (no 1/2w factor)."""
-    return q_scalar_communities(mid, p.communities)
+    return q_scalar_communities(_scalar_rows(mid), p.communities)
 
 
 def dq_scalar_full(mid: Matrix, p: Partition, r: int, s: int) -> float:
     """Gain of merging communities r and s, as Q(after) - Q(before)."""
     if r == s:
         raise SameCommunity(f"cannot merge community {r} with itself")
-    return q_scalar(mid, p.merge(r, s)) - q_scalar(mid, p)
+    rows = _scalar_rows(mid)
+    before = q_scalar_communities(rows, p.communities)
+    return q_scalar_communities(rows, p.merge(r, s).communities) - before
 
 
 def dq_scalar_reduced(mid: Matrix, p: Partition, r: int, s: int) -> float:
     """Gain of merging communities r and s via the local form 2(o_rs - e_rs)."""
     if r == s:
         raise SameCommunity(f"cannot merge community {r} with itself")
-    strengths = _row_sums(mid)
-    two_w = sum(strengths)
+    rows = _scalar_rows(mid)
+    strengths = _row_sums(rows)
+    two_w = seq_sum(strengths)
     if two_w <= 0:
         raise ZeroTotalWeight("total weight is zero")
     o_rs = 0.0
     for i in p.communities[r]:
         for j in p.communities[s]:
-            o_rs += mid[i][j]
-    s_r = sum(strengths[i] for i in p.communities[r])
-    s_s = sum(strengths[j] for j in p.communities[s])
+            o_rs += rows[i].get(j, 0.0)
+    s_r = seq_sum(strengths[i] for i in p.communities[r])
+    s_s = seq_sum(strengths[j] for j in p.communities[s])
     return 2.0 * (o_rs - s_r * s_s / two_w)
 
 
-def _q_max_scalar_blocks(blocks: Sequence[Sequence[float]]) -> float:
-    q = len(blocks)
-    total = 0.0
-    for row in blocks:
-        for x in row:
-            total += x
-    s = [sum(row) for row in blocks]
-    e_sum = 0.0
-    for r in range(q):
-        tw = 0.0
-        for l in range(q):
-            if l != r:
-                tw += s[l]
-        tw += s[r]
-        e_sum += s[r] * s[r] / tw
-    return total - e_sum
+def _q_max_scalar_blocks(rows: Rows) -> float:
+    total = seq_sum(x for row in rows for x in row.values())
+    return total - seq_sum(_expected_diag(_row_sums(rows)))
 
 
 def q_norm_scalar(mid: Matrix, p: Partition) -> float:
     """Normalized scalar modularity Q / (2w - sum of expected diagonal blocks)."""
-    blocks = _aggregate_scalar(mid, p.communities)
-    q = _q_scalar_blocks(blocks)
-    q_max = _q_max_scalar_blocks(blocks)
+    rows = blocks(_scalar_rows(mid), p.communities, operator.add, 0.0)
+    q = _q_scalar_blocks(rows)
+    q_max = _q_max_scalar_blocks(rows)
     if q_max == 0:
         raise DegenerateDenominator("Q_max is zero")
     return q / q_max
@@ -281,62 +254,53 @@ def dq_interval(q_new: float, q_last: float) -> float:
 
 
 def _diag_blocks_adjusted(
-    blocks: Sequence[Sequence[Interval]],
+    rows: Sequence[Mapping[int, Interval]],
 ) -> tuple[list[Interval], list[Interval]]:
-    """(observed diagonal, adjusted expected diagonal) of a block matrix."""
-    q = len(blocks)
-    s = []
-    for r in range(q):
-        acc = ZERO
-        for b in blocks[r]:
-            acc = acc + b
-        s.append(acc)
-    e_blocks = [_adjusted_expected(s, r, r) for r in range(q)]
-    o_blocks = [blocks[r][r] for r in range(q)]
+    """(observed diagonal, adjusted expected diagonal) of super-vertex rows."""
+    s = [seq_sum(row.values(), ZERO) for row in rows]
+    e_blocks = [_adjusted_expected(s, r, r) for r in range(len(rows))]
+    o_blocks = [row.get(r, ZERO) for r, row in enumerate(rows)]
     return o_blocks, e_blocks
 
 
-def q_interval_communities(
-    weights: Sequence[Sequence[Interval]], comms: Sequence[Sequence[int]]
-) -> float:
-    """Interval modularity (adjusted expectations) over explicit member lists.
+def q_interval_communities(net: IWNetwork, comms: Sequence[Sequence[int]]) -> float:
+    """Interval modularity (adjusted expectations) over explicit, ascending
+    member lists.
 
     Communities are collapsed by interval summation and the adjusted
     expectations are recomputed from scratch at that level, so the value
     of a partition equals the value of its aggregated network under
     singleton communities.
     """
-    o_blocks, e_blocks = _diag_blocks_adjusted(_aggregate_interval(weights, comms))
+    o_blocks, e_blocks = _diag_blocks_adjusted(blocks(net.rows, comms, operator.add, ZERO))
     return q_interval(o_blocks, e_blocks)
 
 
 def q_interval_adjusted(net: IWNetwork, p: Partition) -> float:
     """Interval modularity of a partition under adjusted expectations."""
-    return q_interval_communities(net.weights, p.communities)
+    return q_interval_communities(net, p.communities)
 
 
-def _q_max_interval_blocks(blocks: Sequence[Sequence[Interval]]) -> float:
-    total = ZERO
-    for row in blocks:
-        for w in row:
-            total = total + w
-    _, e_blocks = _diag_blocks_adjusted(blocks)
-    e_sum = ZERO
-    for e in e_blocks:
-        e_sum = e_sum + e
-    return signed_diff(total, e_sum)
+def _q_max_interval_blocks(rows: Sequence[Mapping[int, Interval]]) -> float:
+    total = seq_sum((w for row in rows for w in row.values()), ZERO)
+    _, e_blocks = _diag_blocks_adjusted(rows)
+    return signed_diff(total, seq_sum(e_blocks, ZERO))
 
 
 def q_max_interval_adjusted(net: IWNetwork, p: Partition) -> float:
     """Interval normalization denominator D([2w_lo, 2w_hi], sum e_rr),
     evaluated on the aggregated network of the partition."""
-    agg = aggregate_sum(net, p)
-    return _q_max_interval_blocks(agg.weights)
+    return _q_max_interval_blocks(aggregate_sum(net, p).rows)
+
+
+def q_max_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> float:
+    """q_max_scalar of scalar neighbour maps over explicit, ascending member lists."""
+    return _q_max_scalar_blocks(blocks(rows, comms, operator.add, 0.0))
 
 
 def q_max_scalar(mid: Matrix, p: Partition) -> float:
     """Scalar normalization denominator 2w - sum of expected diagonal blocks."""
-    return _q_max_scalar_blocks(_aggregate_scalar(mid, p.communities))
+    return q_max_scalar_communities(_scalar_rows(mid), p.communities)
 
 
 def q_norm_interval(net: IWNetwork, p: Partition, method: str = "cl") -> float:
@@ -348,15 +312,12 @@ def q_norm_interval(net: IWNetwork, p: Partition, method: str = "cl") -> float:
     expectations) or "hl" (min-max aggregation, midpoint expectations).
     """
     if method == "cl":
-        agg = aggregate_sum(net, p)
-        singles = [[r] for r in range(agg.n)]
-        q = q_interval_communities(agg.weights, singles)
-        q_max = _q_max_interval_blocks(agg.weights)
+        q = q_interval_adjusted(net, p)
+        q_max = q_max_interval_adjusted(net, p)
     elif method == "hl":
-        agg = aggregate_minmax(net, p)
-        blocks = agg.midpoints()
-        q = _q_scalar_blocks(blocks)
-        q_max = _q_max_scalar_blocks(blocks)
+        rows = aggregate_minmax(net, p).midpoint_rows()
+        q = _q_scalar_blocks(rows)
+        q_max = _q_max_scalar_blocks(rows)
     else:
         raise ValueError(f"unknown method {method!r}")
     if q_max == 0:

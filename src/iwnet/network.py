@@ -1,20 +1,25 @@
 """Interval-weighted networks: representation, ingestion and aggregation.
 
-A network is a symmetric matrix of ``Interval`` weights over labelled
-vertices (the observed contingency table). An absent edge is exactly
-[0,0]; freshly ingested networks have a zero diagonal, while aggregated
-networks carry within-community weight as interval self-loops.
+A network over labelled vertices stores, for each vertex, a map from
+its neighbours to the ``Interval`` weight of the edge (the non-zero
+entries of the observed contingency table, row by row). An absent edge
+is exactly [0,0] and has no entry; freshly ingested networks have no
+self-loops, while aggregated networks carry within-community weight as
+interval self-loops. ``IWNetwork.weights`` is a dense view for callers
+that want the matrix.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, Sequence, TextIO, TypeVar
 
 from .errors import DuplicateEdge, InvalidInterval, NegativeWeight, ParseError
-from .interval import Interval, ZERO
+from .interval import Interval, ZERO, seq_sum
 from .partition import Partition
 
 __all__ = [
@@ -29,6 +34,8 @@ __all__ = [
 ]
 
 CSV_HEADER = ("src", "dst", "lo", "hi")
+
+W = TypeVar("W")  # a block entry: an Interval, or a float on the scalar track
 
 
 @dataclass(frozen=True)
@@ -51,27 +58,54 @@ class DirectedFlowRecord:
 
 @dataclass(frozen=True)
 class IWNetwork:
-    """Undirected interval-weighted network (symmetric interval matrix)."""
+    """Undirected interval-weighted network stored as neighbour maps.
+
+    ``rows[i]`` maps every vertex j joined to i by a present edge (weight
+    other than [0,0]) to that weight, keys ascending; a self-loop sits
+    under key i. The maps are symmetric. Sums over a row therefore visit
+    the entries of the dense matrix row in order, skipping only exact
+    zeros, which leaves every float sum unchanged.
+    """
 
     labels: tuple[str, ...]
-    weights: tuple[tuple[Interval, ...], ...]
+    rows: tuple[dict[int, Interval], ...]
     dropped_self_loops: int = field(default=0, compare=False)
 
     def __post_init__(self):
         n = len(self.labels)
-        if len(self.weights) != n or any(len(row) != n for row in self.weights):
-            raise ValueError("weights matrix shape does not match label count")
-        for i in range(n):
-            for j in range(n):
-                w = self.weights[i][j]
+        if len(self.rows) != n:
+            raise ValueError("row count does not match label count")
+        for i, row in enumerate(self.rows):
+            prev = -1
+            for j, w in row.items():
+                if not prev < j < n:
+                    raise ValueError(
+                        f"neighbour keys of {self.labels[i]} must ascend within 0..{n - 1}"
+                    )
+                prev = j
                 if w.lo < 0:
                     raise NegativeWeight(
                         f"weight {self.labels[i]}-{self.labels[j]} has lo < 0"
                     )
-                if j > i and w != self.weights[j][i]:
+                if w == ZERO:
+                    raise ValueError(
+                        f"absent edge {self.labels[i]}-{self.labels[j]} stored as [0,0]"
+                    )
+                if self.rows[j].get(i) != w:
                     raise ValueError(
                         f"weights not symmetric at {self.labels[i]}/{self.labels[j]}"
                     )
+
+    @classmethod
+    def from_matrix(
+        cls, labels: Sequence[str], weights: Sequence[Sequence[Interval]]
+    ) -> "IWNetwork":
+        """Build a network from a dense symmetric matrix ([0,0] = no edge)."""
+        n = len(labels)
+        if len(weights) != n or any(len(row) != n for row in weights):
+            raise ValueError("weights matrix shape does not match label count")
+        rows = tuple({j: w for j, w in enumerate(row) if w != ZERO} for row in weights)
+        return cls(tuple(labels), rows)
 
     @classmethod
     def from_edges(
@@ -86,40 +120,40 @@ class IWNetwork:
         for u, v, lo, hi in edges:
             i, j = index[u], index[v]
             w[i][j] = w[j][i] = Interval(lo, hi)
-        return cls(tuple(labels), tuple(tuple(row) for row in w))
+        return cls.from_matrix(labels, w)
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
+    @functools.cached_property
+    def weights(self) -> tuple[tuple[Interval, ...], ...]:
+        """Dense read-only view: the n x n matrix with [0,0] for absent pairs."""
+        return tuple(tuple(row.get(j, ZERO) for j in range(self.n)) for row in self.rows)
+
     def strength(self, i: int) -> Interval:
         """Interval marginal sum of row i (diagonal included once)."""
-        acc = ZERO
-        for w in self.weights[i]:
-            acc = acc + w
-        return acc
+        return seq_sum(self.rows[i].values(), ZERO)
 
     def total_weight(self) -> Interval:
         """Sum of all matrix entries, i.e. [2w_lo, 2w_hi]."""
-        acc = ZERO
-        for row in self.weights:
-            for w in row:
-                acc = acc + w
-        return acc
+        return seq_sum((w for row in self.rows for w in row.values()), ZERO)
 
     def midpoints(self) -> list[list[float]]:
+        """Dense midpoint matrix (0.0 for absent pairs)."""
         return [[w.midpoint for w in row] for row in self.weights]
+
+    def midpoint_rows(self) -> list[dict[int, float]]:
+        """Neighbour maps of the edge midpoints."""
+        return [{j: w.midpoint for j, w in row.items()} for row in self.rows]
 
     def neighbors(self, i: int) -> list[int]:
         """Vertices j with a present edge (weight != [0,0]); includes i itself
         when i has a self-loop."""
-        return [j for j, w in enumerate(self.weights[i]) if w != ZERO]
+        return list(self.rows[i])
 
     def edge_count(self) -> int:
-        n = self.n
-        return sum(
-            1 for i in range(n) for j in range(i, n) if self.weights[i][j] != ZERO
-        )
+        return sum(1 for i, row in enumerate(self.rows) for j in row if j >= i)
 
 
 def symmetrize(
@@ -139,16 +173,17 @@ def symmetrize(
     """
     labels: list[str] = []
     index: dict[str, int] = {}
+    rows: list[dict[int, Interval]] = []
 
     def vid(label: str) -> int:
         if label not in index:
             index[label] = len(labels)
             labels.append(label)
+            rows.append({})
         return index[label]
 
     dropped = 0
     seen: set[tuple[str, str]] = set()
-    pair_weights: dict[tuple[int, int], Interval] = {}
     for rec in records:
         key = (rec.src, rec.dst) if directed else tuple(sorted((rec.src, rec.dst)))
         if key in seen:
@@ -160,26 +195,64 @@ def symmetrize(
             continue
         if rec.hi < threshold:
             continue
-        pair = (min(i, j), max(i, j))
         w = Interval(rec.lo, rec.hi)
-        prev = pair_weights.get(pair)
+        prev = rows[i].get(j)
         if prev is not None:
             w = Interval(min(prev.lo, w.lo), max(prev.hi, w.hi))
-        pair_weights[pair] = w
-
-    n = len(labels)
-    w = [[ZERO] * n for _ in range(n)]
-    for (i, j), weight in pair_weights.items():
-        w[i][j] = w[j][i] = weight
+        rows[i][j] = rows[j][i] = w
     return IWNetwork(
         tuple(labels),
-        tuple(tuple(row) for row in w),
+        tuple({j: row[j] for j in sorted(row) if row[j] != ZERO} for row in rows),
         dropped_self_loops=dropped,
     )
 
 
-def _community_label(net: IWNetwork, members: Sequence[int]) -> str:
-    return ",".join(net.labels[v] for v in members)
+def blocks(
+    rows: Sequence[Mapping[int, W]],
+    comms: Sequence[Sequence[int]],
+    combine: Callable[[W | None, W], W],
+    zero: W | None,
+) -> list[dict[int, W]]:
+    """Collapse communities to super-vertices in one pass over the edges.
+
+    Block (r, c) folds the entries between the members of communities r
+    and c with ``combine``, starting from ``zero``, in row-major
+    member-pair order (member lists ascend, as ``Partition`` and the
+    driver keep them). Only blocks on or above the diagonal are computed;
+    each is mirrored, so the result is exactly symmetric. Blocks without
+    an entry are absent, and every returned map has ascending keys.
+    """
+    comm_of = [-1] * len(rows)
+    for r, members in enumerate(comms):
+        for i in members:
+            comm_of[i] = r
+    out: list[dict[int, W]] = [{} for _ in comms]
+    for r, members in enumerate(comms):
+        upper: dict[int, W] = {}
+        for i in members:
+            for j, w in rows[i].items():
+                c = comm_of[j]
+                if c >= r:
+                    upper[c] = combine(upper.get(c, zero), w)
+        # rows below r already hold their keys < r in ascending order
+        for c in sorted(upper):
+            out[r][c] = out[c][r] = upper[c]
+    return out
+
+
+def _envelope(acc: Interval | None, w: Interval) -> Interval:
+    return w if acc is None else Interval(min(acc.lo, w.lo), max(acc.hi, w.hi))
+
+
+def _collapse(
+    net: IWNetwork,
+    p: Partition,
+    combine: Callable[[Interval | None, Interval], Interval],
+    zero: Interval | None,
+) -> IWNetwork:
+    comms = p.communities
+    labels = tuple(",".join(net.labels[v] for v in m) for m in comms)
+    return IWNetwork(labels, tuple(blocks(net.rows, comms, combine, zero)))
 
 
 def aggregate_sum(net: IWNetwork, p: Partition) -> IWNetwork:
@@ -187,72 +260,31 @@ def aggregate_sum(net: IWNetwork, p: Partition) -> IWNetwork:
 
     Block (C, D) sums all ordered member pairs, so the diagonal self-loop
     holds the whole within-community weight and total weight is preserved.
-    Off-diagonal blocks are computed once and mirrored, keeping the output
-    exactly symmetric under float accumulation.
     """
-    comms = p.communities
-    q = len(comms)
-    w = [[ZERO] * q for _ in range(q)]
-    for r in range(q):
-        for c in range(r, q):
-            acc = ZERO
-            for i in comms[r]:
-                for j in comms[c]:
-                    acc = acc + net.weights[i][j]
-            if r == c:
-                w[r][r] = acc
-            else:
-                w[r][c] = w[c][r] = acc
-    labels = tuple(_community_label(net, m) for m in comms)
-    return IWNetwork(labels, tuple(tuple(row) for row in w))
+    return _collapse(net, p, operator.add, ZERO)
 
 
 def aggregate_minmax(net: IWNetwork, p: Partition) -> IWNetwork:
     """Collapse communities, keeping the envelope of present edges.
 
     Block (C, D) is [min lo, max hi] over present member edges only;
-    absent pairs stay [0,0] so connectivity is preserved.
+    blocks without one stay absent, so connectivity is preserved.
     """
-    comms = p.communities
-    q = len(comms)
-    w = [[ZERO] * q for _ in range(q)]
-    for r in range(q):
-        for c in range(r, q):
-            lo = None
-            hi = None
-            for i in comms[r]:
-                for j in comms[c]:
-                    wij = net.weights[i][j]
-                    if wij == ZERO:
-                        continue
-                    lo = wij.lo if lo is None else min(lo, wij.lo)
-                    hi = wij.hi if hi is None else max(hi, wij.hi)
-            if lo is not None:
-                w[r][c] = w[c][r] = Interval(lo, hi)
-    labels = tuple(_community_label(net, m) for m in comms)
-    return IWNetwork(labels, tuple(tuple(row) for row in w))
+    return _collapse(net, p, _envelope, None)
 
 
 def format_matrix(net: IWNetwork) -> list[str]:
     """Aligned text rendering of the interval adjacency matrix."""
-    cells = [[str(w) for w in row] for row in net.weights]
+    # the header is one more row: column labels under an empty row label
+    table = [("", net.labels)] + [
+        (lab, [str(w) for w in row]) for lab, row in zip(net.labels, net.weights)
+    ]
     label_w = max((len(lab) for lab in net.labels), default=0)
-    col_w = [
-        max(len(net.labels[j]), max((len(cells[i][j]) for i in range(net.n)), default=0))
-        for j in range(net.n)
+    col_w = [max(len(cells[j]) for _, cells in table) for j in range(net.n)]
+    return [
+        (lab.ljust(label_w) + "  " + "  ".join(c.ljust(w) for c, w in zip(cells, col_w))).rstrip()
+        for lab, cells in table
     ]
-    lines = [
-        " " * label_w
-        + "  "
-        + "  ".join(net.labels[j].ljust(col_w[j]) for j in range(net.n))
-    ]
-    for i in range(net.n):
-        lines.append(
-            net.labels[i].ljust(label_w)
-            + "  "
-            + "  ".join(cells[i][j].ljust(col_w[j]) for j in range(net.n))
-        )
-    return [line.rstrip() for line in lines]
 
 
 def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:

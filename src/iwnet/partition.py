@@ -52,10 +52,6 @@ class Partition:
         return cls(tuple(assignment))
 
     @property
-    def n_vertices(self) -> int:
-        return len(self.assignment)
-
-    @property
     def n_communities(self) -> int:
         return len(self.communities)
 

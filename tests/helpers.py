@@ -64,7 +64,7 @@ def random_network(
                     edges += 1
         if edges:
             labels = tuple(f"n{i}" for i in range(n))
-            return IWNetwork(labels, tuple(tuple(row) for row in w))
+            return IWNetwork.from_matrix(labels, tuple(tuple(row) for row in w))
 
 
 def random_degenerate_network(
@@ -82,7 +82,7 @@ def random_degenerate_network(
                     edges += 1
         if edges:
             labels = tuple(f"n{i}" for i in range(n))
-            return IWNetwork(labels, tuple(tuple(row) for row in w))
+            return IWNetwork.from_matrix(labels, tuple(tuple(row) for row in w))
 
 
 def random_interval(rng: random.Random, span: float = 10.0) -> Interval:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from iwnet import Interval, ZERO, hausdorff, signed_diff
 from iwnet.errors import DivisorContainsZero, InvalidInterval
+from iwnet.interval import seq_sum
 
 
 def brute_interval_op(a, b, op, samples=200, seed=0):
@@ -109,6 +110,13 @@ class TestPointOperations:
         # |dl| == |dh| with opposite signs: the upper-endpoint difference wins
         assert signed_diff(Interval(0, 10), Interval(2, 8)) == 2
         assert signed_diff(Interval(2, 8), Interval(0, 10)) == -2
+
+    def test_seq_sum_adds_left_to_right(self):
+        # compensated summation (builtin sum() of floats from Python 3.12)
+        # would keep the 1.0; the interval track cannot, so neither may floats
+        assert seq_sum([1e16, 1.0, -1e16]) == 0.0
+        assert seq_sum([Interval(1e16, 1e16), Interval(1, 1), Interval(-1e16, -1e16)], ZERO) == ZERO
+        assert seq_sum([]) == 0.0
 
 
 class TestProperties:

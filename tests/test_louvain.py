@@ -136,12 +136,12 @@ class TestDriverBehavior:
     def test_zero_total_weight(self):
         from iwnet import ZERO
 
-        net = IWNetwork(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
+        net = IWNetwork.from_matrix(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
         with pytest.raises(ZeroTotalWeight):
             run(net, CLASSIC_INTERVAL)
 
     def test_single_vertex_self_loop(self):
-        net = IWNetwork(("a",), ((Interval(1, 2),),))
+        net = IWNetwork.from_matrix(("a",), ((Interval(1, 2),),))
         result = run(net, CLASSIC_INTERVAL)
         assert len(result.passes) == 1
         assert not result.passes[0].changed
@@ -158,7 +158,7 @@ class TestDriverBehavior:
         assert compose_partitions(result) == result.final_partition
 
     def test_compose_single_no_change_pass(self):
-        net = IWNetwork(("a",), ((Interval(1, 2),),))
+        net = IWNetwork.from_matrix(("a",), ((Interval(1, 2),),))
         result = run(net, CLASSIC_INTERVAL)
         assert compose_partitions(result) == Partition((0,))
 
@@ -227,6 +227,20 @@ class TestDriverBehavior:
                             abs_tol=1e-9,
                         )
 
+    def test_every_changed_pass_shrinks_the_network(self):
+        # why run() needs no stall check: a move only joins a neighbour's
+        # non-empty community, so a pass with a move empties a singleton
+        rng = random.Random(26)
+        nets = [random_network(rng, rng.randrange(2, 16), density=d) for d in (0.15, 0.4, 0.9) * 8]
+        nets += [random_degenerate_network(rng, rng.randrange(2, 16)) for _ in range(8)]
+        for net in nets:
+            for strategy in (CLASSIC_INTERVAL, HYBRID, MIDPOINT):
+                cur = net
+                for rec in run(net, strategy).passes:
+                    if rec.changed:
+                        assert rec.aggregated.n < cur.n
+                    cur = rec.aggregated
+
     def test_tie_between_candidates_prefers_smaller_community_id(self):
         # hub with two equally attractive neighbors: the earlier community wins
         net = IWNetwork.from_edges(
@@ -290,14 +304,14 @@ def _full_difference_gains(net, rest, v, cids):
     removed; a gain is q_interval_communities(v in C) minus
     q_interval_communities(v isolated), both over the whole partition.
     """
-    base = q_interval_communities(net.weights, [m for m in rest if m] + [[v]])
+    base = q_interval_communities(net, [m for m in rest if m] + [[v]])
     gains = {}
     for c in cids:
         if not rest[c]:
             gains[c] = 0.0  # re-entering an emptied community
             continue
         comms = [sorted([*m, v]) if i == c else m for i, m in enumerate(rest) if m]
-        gains[c] = q_interval_communities(net.weights, comms) - base
+        gains[c] = q_interval_communities(net, comms) - base
     return gains
 
 
@@ -315,7 +329,7 @@ def _zero_lower_bounds(net, rng, share):
         for j in range(i, net.n):
             if w[i][j] != ZERO and rng.random() < share:
                 w[i][j] = w[j][i] = Interval(0.0, w[i][j].hi)
-    return IWNetwork(net.labels, tuple(tuple(row) for row in w))
+    return IWNetwork.from_matrix(net.labels, tuple(tuple(row) for row in w))
 
 
 class TestIntervalGainDifferential:
@@ -379,3 +393,48 @@ class TestIntervalGainDifferential:
                 raised += 1
         assert 0 < raised < 30
         assert len(checked) > 300
+
+
+@pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
+def test_run_stays_sparse(monkeypatch, strategy):
+    """run() on a large sparse network touches edges only and renders nothing."""
+    rng = random.Random(41)
+    n = 2000
+    rows = [{} for _ in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            lo = rng.uniform(0.1, 5.0)
+            rows[i][j] = rows[j][i] = Interval(lo, lo + rng.uniform(0.0, 5.0))
+    net = IWNetwork(
+        tuple(f"v{i}" for i in range(n)), tuple({j: r[j] for j in sorted(r)} for r in rows)
+    )
+
+    def refuse(*_):
+        raise AssertionError("run() used a dense matrix")
+
+    constructed = 0
+    init = Interval.__init__
+
+    def counting(self, *args):
+        nonlocal constructed
+        constructed += 1
+        init(self, *args)
+
+    monkeypatch.setattr(IWNetwork, "weights", property(refuse))
+    monkeypatch.setattr(louvain, "format_matrix", refuse)
+    monkeypatch.setattr(Interval, "__init__", counting)
+    result = run(net, strategy)
+    monkeypatch.setattr(Interval, "__init__", init)
+    assert constructed < n * n // 10
+
+    rendered = []
+    monkeypatch.setattr(
+        louvain, "format_matrix", lambda m: rendered.append(m) or [f"<{m.n} x {m.n}>"]
+    )
+    trace = emit_trace(result)
+    changed = [rec.aggregated for rec in result.passes if rec.changed]
+    assert rendered[1:] == [*changed, result.final_network]
+    assert rendered[0].labels == net.labels
+    assert f"<{n} x {n}>" in trace
+    assert result.final_partition.n_communities < n

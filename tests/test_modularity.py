@@ -129,7 +129,7 @@ class TestAdjustedExpected:
                     assert table.e[i][j].hi <= naive.hi + tol
 
     def test_zero_adjusted_total(self):
-        net = IWNetwork(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
+        net = IWNetwork.from_matrix(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
         with pytest.raises(ZeroInAdjustedTotal):
             expected_interval_adjusted(net)
 
@@ -294,7 +294,7 @@ class TestIntervalModularity:
         # the interval machinery on the degenerate projection of the
         # four-vertex fixture reproduces every scalar quantity exactly
         mid = toy_midpoints()
-        net = IWNetwork(
+        net = IWNetwork.from_matrix(
             ("v1", "v2", "v3", "v4"),
             tuple(tuple(Interval(m, m) for m in row) for row in mid),
         )

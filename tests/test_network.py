@@ -1,5 +1,6 @@
 import io
 import math
+import operator
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from iwnet import (
     read_flow_csv,
     symmetrize,
 )
+from iwnet import network
 from iwnet.errors import DuplicateEdge, InvalidInterval, NegativeWeight, ParseError
 
 from helpers import toy_network, random_network
@@ -40,7 +42,7 @@ class TestIWNetwork:
     def test_total_weight_degenerate(self):
         mid = toy_network().midpoints()
         labels = ["v1", "v2", "v3", "v4"]
-        net = IWNetwork(
+        net = IWNetwork.from_matrix(
             tuple(labels),
             tuple(tuple(Interval(m, m) for m in row) for row in mid),
         )
@@ -48,25 +50,45 @@ class TestIWNetwork:
 
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
-            IWNetwork(
+            IWNetwork.from_matrix(
                 ("a", "b"),
                 ((ZERO, Interval(1, 2)), (Interval(1, 3), ZERO)),
             )
 
     def test_negative_weight_rejected(self):
         with pytest.raises((NegativeWeight, InvalidInterval)):
-            IWNetwork(
+            IWNetwork.from_matrix(
                 ("a", "b"),
                 ((ZERO, Interval(-1, 2)), (Interval(-1, 2), ZERO)),
             )
 
     def test_neighbors_include_self_loop(self):
-        net = IWNetwork(
+        net = IWNetwork.from_matrix(
             ("a", "b"),
             ((Interval(1, 2), Interval(3, 3)), (Interval(3, 3), ZERO)),
         )
         assert net.neighbors(0) == [0, 1]
         assert net.neighbors(1) == [0]
+
+    def test_rows_hold_present_edges_only(self):
+        a, b = Interval(1, 2), Interval(0, 3)
+        net = IWNetwork.from_matrix(("x", "y", "z"), ((a, b, ZERO), (b, ZERO, ZERO), (ZERO,) * 3))
+        assert net.rows == ({0: a, 1: b}, {0: b}, {})
+        assert net.weights == ((a, b, ZERO), (b, ZERO, ZERO), (ZERO, ZERO, ZERO))
+        assert net.edge_count() == 2
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ({1: ZERO}, {0: ZERO}),  # an absent edge has no entry
+            ({1: Interval(1, 2)}, {}),  # one-sided
+            ({1: Interval(1, 2), 0: Interval(1, 1)}, {0: Interval(1, 2)}),  # keys descend
+            ({2: Interval(1, 2)}, {}),  # key out of range
+        ],
+    )
+    def test_malformed_rows_rejected(self, rows):
+        with pytest.raises(ValueError):
+            IWNetwork(("a", "b"), rows)
 
 
 class TestSymmetrize:
@@ -237,6 +259,92 @@ class TestAggregation:
         p2 = Partition.from_communities([[2, 3], [0, 1]], 4)
         assert p1 == p2
         assert aggregate_sum(net, p1) == aggregate_sum(net, p2)
+
+
+def _mixed_network(rng, n):
+    """Sparse network with zero lower bounds, degenerate weights and isolated
+    vertices (every fifth vertex has no edge)."""
+    w = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if i % 5 and j % 5 and rng.random() < 0.3:
+                hi = rng.uniform(0.1, 10.0)
+                kind = rng.random()
+                lo = 0.0 if kind < 0.3 else hi if kind < 0.6 else rng.uniform(0.0, hi)
+                w[i][j] = w[j][i] = Interval(lo, hi)
+    return IWNetwork.from_matrix([f"n{i}" for i in range(n)], w)
+
+
+def _dense_sum(weights, comms, zero):
+    q = len(comms)
+    out = [[zero] * q for _ in range(q)]
+    for r in range(q):
+        for c in range(r, q):
+            acc = zero
+            for i in comms[r]:
+                for j in comms[c]:
+                    acc = acc + weights[i][j]
+            out[r][c] = out[c][r] = acc
+    return out
+
+
+def _dense_minmax(weights, comms):
+    q = len(comms)
+    out = [[ZERO] * q for _ in range(q)]
+    for r in range(q):
+        for c in range(r, q):
+            lo = hi = None
+            for i in comms[r]:
+                for j in comms[c]:
+                    w = weights[i][j]
+                    if w != ZERO:
+                        lo = w.lo if lo is None else min(lo, w.lo)
+                        hi = w.hi if hi is None else max(hi, w.hi)
+            if lo is not None:
+                out[r][c] = out[c][r] = Interval(lo, hi)
+    return out
+
+
+def _densify(rows, zero):
+    assert all(list(row) == sorted(row) for row in rows)
+    return [[row.get(c, zero) for c in range(len(rows))] for row in rows]
+
+
+class TestBlocksMatchDenseLoops:
+    """The one-pass edge aggregation equals the dense double loops bit for bit."""
+
+    def _levels(self):
+        rng = random.Random(8)
+        for _ in range(25):
+            net = _mixed_network(rng, rng.randrange(2, 20))
+            k = rng.randrange(1, net.n + 1)
+            p = Partition(tuple(rng.randrange(k) for _ in range(net.n)))
+            yield rng, net
+            # the aggregated level carries self-loops
+            yield rng, aggregate_sum(net, p)
+            yield rng, aggregate_minmax(net, p)
+
+    def test_aggregates_and_blocks(self):
+        for rng, net in self._levels():
+            k = rng.randrange(1, net.n + 1)
+            p = Partition(tuple(rng.randrange(k) for _ in range(net.n)))
+            assert aggregate_sum(net, p).weights == tuple(
+                map(tuple, _dense_sum(net.weights, p.communities, ZERO))
+            )
+            assert aggregate_minmax(net, p).weights == tuple(
+                map(tuple, _dense_minmax(net.weights, p.communities))
+            )
+            # community order as the driver lists them, not first appearance
+            comms = list(p.communities)
+            rng.shuffle(comms)
+            assert _densify(network.blocks(net.rows, comms, operator.add, ZERO), ZERO) == (
+                _dense_sum(net.weights, comms, ZERO)
+            )
+            assert _densify(network.blocks(net.rows, comms, network._envelope, None), ZERO) == (
+                _dense_minmax(net.weights, comms)
+            )
+            mids = network.blocks(net.midpoint_rows(), comms, operator.add, 0.0)
+            assert _densify(mids, 0.0) == _dense_sum(net.midpoints(), comms, 0.0)
 
 
 class TestCsv:

@@ -93,7 +93,7 @@ class TestEnumerateBest:
 
     def test_triplet_lower_bound(self):
         mid = triplet_midpoints()
-        net = IWNetwork(
+        net = IWNetwork.from_matrix(
             ("v1", "v2", "v3"),
             tuple(
                 tuple(Interval(mid[i][j], mid[i][j]) for j in range(3))
