@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import DuplicateEdge, IWNError, ParseError
@@ -99,7 +100,8 @@ def _run_json(result: LouvainRun, method: str, with_trace: bool) -> str:
             "communities": _communities(result),
             "membership": _membership(result),
             "q": result.final_q,
-            "q_norm": result.final_q_norm,
+            # NaN (Q_max is zero) has no JSON spelling
+            "q_norm": None if math.isnan(result.final_q_norm) else result.final_q_norm,
             "q_max": result.final_q_max,
         },
         "aggregated_matrix": {
@@ -111,7 +113,7 @@ def _run_json(result: LouvainRun, method: str, with_trace: bool) -> str:
     }
     if with_trace:
         doc["trace"] = emit_trace(result)
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def _run_text(result: LouvainRun, method: str, with_trace: bool) -> str:

@@ -17,7 +17,11 @@ Three strategies share one greedy two-phase loop:
   aggregation on the midpoint projection of the input.
 
 Vertices are swept in index order and every decision is deterministic,
-so identical inputs produce byte-identical traces.
+so identical inputs produce byte-identical traces. Phase 1 only does
+arithmetic: it logs one ``Decision`` per evaluated vertex (ids and
+gains, no text), and ``emit_trace`` replays the decisions to render the
+``Try``/``Move``/``Keep`` lines and the matrices when the log is asked
+for.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 from .errors import EmptyNetwork, IterationLimit, ZeroInAdjustedTotal, ZeroTotalWeight
 from .interval import Interval, ZERO, dominant_diff, seq_sum
@@ -45,6 +49,7 @@ __all__ = [
     "HYBRID",
     "MIDPOINT",
     "PassRecord",
+    "Decision",
     "LouvainRun",
     "run",
     "evaluate_moves",
@@ -106,6 +111,16 @@ class PassRecord:
     changed: bool
 
 
+class Decision(NamedTuple):
+    """One phase-1 evaluation of a vertex, in the ids of its pass's network."""
+
+    vertex: int
+    own: int  # community of the vertex before the evaluation
+    candidates: tuple[int, ...]  # candidate communities in scan order
+    gains: tuple[float, ...]  # gain of each candidate
+    target: int | None  # community moved to, None for a keep
+
+
 @dataclass(frozen=True)
 class LouvainRun:
     """Full hierarchy produced by one driver run."""
@@ -118,9 +133,10 @@ class LouvainRun:
     final_q: float
     final_q_norm: float  # NaN when Q_max is zero
     final_q_max: float
-    # log lines, with each network whose matrix the log shows in its place;
-    # emit_trace renders the matrices
-    trace: tuple[str | IWNetwork, ...]
+    # the decision log: text lines, each network whose matrix the log shows
+    # (it also starts the replay of the decisions that follow it) and the
+    # decision records; emit_trace renders it
+    trace: tuple[str | IWNetwork | Decision, ...]
 
 
 _NO_LINK = (0.0, 0.0)
@@ -203,9 +219,6 @@ class _PassState:
         adj_min = t_lo - s_lo + s_hi
         return dominant_diff(o_lo - s_lo * s_lo / adj_max, o_hi - s_hi * s_hi / adj_min)
 
-    def label(self, cid: int) -> str:
-        return ",".join(self.net.labels[v] for v in self.members[cid])
-
     def comms(self) -> list[list[int]]:
         return [m for m in self.members if m]
 
@@ -239,15 +252,14 @@ class _PassState:
 
         return gain
 
-    def evaluate(self, v: int) -> tuple[int, str, list[int], dict[int, float], float]:
+    def evaluate(self, v: int) -> tuple[int, list[int], dict[int, float], float]:
         """Isolate v and price every candidate move.
 
-        Returns (own community id, its label before removal, candidate ids
-        in first-neighbor-appearance order, gains, gain of returning home).
-        The caller must place v afterwards via ``place``.
+        Returns (own community id, candidate ids in first-neighbor-appearance
+        order, gains in that order, gain of returning home). The caller must
+        place v afterwards via ``place``.
         """
         own = self.comm_of[v]
-        own_label = self.label(own)
         self.members[own].remove(v)
         self.comm_of[v] = -1
 
@@ -269,7 +281,7 @@ class _PassState:
             gain_own = gains[own]
         else:
             gain_own = gain(own) if self.members[own] else 0.0
-        return own, own_label, cand_ids, gains, gain_own
+        return own, cand_ids, gains, gain_own
 
     def place(self, v: int, cid: int) -> None:
         if self.strategy.interval_gain:
@@ -314,7 +326,9 @@ def _fmt_gain(gain: float) -> str:
     return f"gain={sign}{abs(gain):.3f} ({mark})"
 
 
-def _optimize(state: _PassState, lines: list[str | IWNetwork]) -> tuple[int, bool, float]:
+def _optimize(
+    state: _PassState, log: list[str | IWNetwork | Decision]
+) -> tuple[int, bool, float]:
     """Phase 1: greedy sweeps until one completes without a move.
 
     Returns (sweeps performed, whether any move happened, end modularity).
@@ -326,24 +340,16 @@ def _optimize(state: _PassState, lines: list[str | IWNetwork]) -> tuple[int, boo
     for _ in range(SWEEP_LIMIT):
         sweep_moved = False
         for v in range(n):
-            vlabel = state.net.labels[v]
-            own, own_label, cand_ids, gains, gain_own = state.evaluate(v)
-            for c in cand_ids:
-                clabel = own_label if c == own else state.label(c)
-                lines.append(f"\tTry {vlabel} -> {clabel:<15} | {_fmt_gain(gains[c])}")
+            own, cand_ids, gains, gain_own = state.evaluate(v)
             target = _decide(own, cand_ids, gains, gain_own)
-            if target is None:
-                state.place(v, own)
-                lines.append(f"\tKeep vertex {vlabel} at community {own_label}")
-            else:
-                target_label = state.label(target)
-                state.place(v, target)
-                lines.append(f"\tMove {vlabel} -> {target_label}")
+            state.place(v, own if target is None else target)
+            log.append(Decision(v, own, tuple(cand_ids), tuple(gains.values()), target))
+            if target is not None:
                 sweep_moved = True
                 any_move = True
         iterations += 1
         q_now = state.q_current()
-        lines.append(f"Iteration {iterations} Modularity={q_now:.3f}")
+        log.append(f"Iteration {iterations} Modularity={q_now:.3f}")
         if not sweep_moved:
             return iterations, any_move, q_now
     raise IterationLimit(f"no convergence after {SWEEP_LIMIT} sweeps")
@@ -385,19 +391,19 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
         raise ZeroTotalWeight("network has no weight")
 
     work = _degenerate_projection(net) if strategy.name == "midpoint" else net
-    lines: list[str | IWNetwork] = ["Initial Interval-Weighted Network:", work, ""]
-    lines.append(f"* Initial Modularity={_pass_end_q(strategy, work):.3f}")
+    log: list[str | IWNetwork | Decision] = ["Initial Interval-Weighted Network:", work, ""]
+    log.append(f"* Initial Modularity={_pass_end_q(strategy, work):.3f}")
 
     passes: list[PassRecord] = []
     cur = work
     pass_no = 0
     while True:
         pass_no += 1
-        lines.append(f"* Begin Pass number {pass_no}")
+        log.append(f"* Begin Pass number {pass_no}")
         state = _PassState(cur, strategy)
-        iterations, any_move, q_phase = _optimize(state, lines)
+        iterations, any_move, q_phase = _optimize(state, log)
         if not any_move:
-            lines.append(f"* End Pass number {pass_no} -- no change")
+            log.append(f"* End Pass number {pass_no} -- no change")
             passes.append(
                 PassRecord(
                     pass_no, iterations, Partition.singletons(cur.n), q_phase, cur, False
@@ -410,14 +416,14 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
         else:
             agg = aggregate_sum(cur, p)
         pass_q = _pass_end_q(strategy, agg)
-        lines.append("")
-        lines.append("New network: ---------------")
-        lines.append(agg)
-        lines.append(
+        log.append("")
+        log.append("New network: ---------------")
+        log.append(agg)
+        log.append(
             f"* End Pass number {pass_no} Modularity={pass_q:.3f} "
             f"Communities={' / '.join(agg.labels)}"
         )
-        lines.append("---------------------------")
+        log.append("---------------------------")
         passes.append(PassRecord(pass_no, iterations, p, pass_q, agg, True))
         # a move only joins a neighbour's non-empty community, so the first move
         # empties a singleton for good: agg.n < cur.n and the loop terminates
@@ -428,15 +434,15 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
     q_norm = final_q / q_max if q_max != 0.0 else math.nan
     final_partition = _compose(passes)
 
-    lines.append("")
-    lines.append(f"* Final communities: {' / '.join(cur.labels)} (n={cur.n})")
+    log.append("")
+    log.append(f"* Final communities: {' / '.join(cur.labels)} (n={cur.n})")
     prefix = "Hybrid - Before Normalized" if strategy.name == "hybrid" else "Before Normalized"
-    lines.append(f"* {prefix}: {final_q:.3f}")
-    lines.append(f"* Normalized modularity: {q_norm:.3f} (Qmax={q_max:.6f})")
-    lines.append("---------------------------")
-    lines.append("Final Interval-weighted network:")
-    lines.append("")
-    lines.append(cur)
+    log.append(f"* {prefix}: {final_q:.3f}")
+    log.append(f"* Normalized modularity: {q_norm:.3f} (Qmax={q_max:.6f})")
+    log.append("---------------------------")
+    log.append("Final Interval-weighted network:")
+    log.append("")
+    log.append(cur)
 
     return LouvainRun(
         strategy=strategy,
@@ -447,7 +453,7 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
         final_q=final_q,
         final_q_norm=q_norm,
         final_q_max=q_max,
-        trace=tuple(lines),
+        trace=tuple(log),
     )
 
 
@@ -467,7 +473,7 @@ def evaluate_moves(
     if isinstance(strategy, str):
         strategy = Strategy.from_name(strategy)
     state = _PassState(net, strategy, partition=p)
-    own, _, cand_ids, gains, _ = state.evaluate(vertex)
+    own, cand_ids, gains, _ = state.evaluate(vertex)
     state.place(vertex, own)
     return [(c, gains[c]) for c in cand_ids]
 
@@ -484,12 +490,59 @@ def compose_partitions(run: LouvainRun) -> Partition:
     return _compose(run.passes)
 
 
+class _Replay:
+    """Community labels of one pass, rebuilt from its decision records.
+
+    Membership starts as singletons of the pass's input network; each
+    community's label is cached until its membership changes.
+    """
+
+    def __init__(self, net: IWNetwork):
+        self.labels = net.labels
+        self.members = [[v] for v in range(net.n)]
+        self.cached: dict[int, str] = {}
+
+    def label(self, cid: int) -> str:
+        if cid not in self.cached:
+            self.cached[cid] = ",".join(self.labels[v] for v in self.members[cid])
+        return self.cached[cid]
+
+    def render(self, d: Decision, lines: list[str]) -> None:
+        """Append the Try/Move/Keep lines of d and apply its move.
+
+        A vertex is isolated while its candidates are priced, so no
+        candidate other than its own community contains it.
+        """
+        v, own = d.vertex, d.own
+        vlabel = self.labels[v]
+        # labels name the communities as they were before v left
+        own_label = self.label(own)
+        for c, g in zip(d.candidates, d.gains):
+            clabel = own_label if c == own else self.label(c)
+            lines.append(f"\tTry {vlabel} -> {clabel:<15} | {_fmt_gain(g)}")
+        if d.target is None:
+            lines.append(f"\tKeep vertex {vlabel} at community {own_label}")
+        else:
+            lines.append(f"\tMove {vlabel} -> {self.label(d.target)}")
+            self.members[own].remove(v)
+            bisect.insort(self.members[d.target], v)
+            del self.cached[own], self.cached[d.target]
+
+
 def emit_trace(run: LouvainRun) -> str:
-    """Human-readable log of the whole run (one string, newline-joined)."""
+    """Human-readable log of the whole run (one string, newline-joined).
+
+    Each network in the log is the input of the decisions that follow it,
+    up to the next network.
+    """
     lines: list[str] = []
+    replay: _Replay | None = None  # the log opens with a network, before any decision
     for item in run.trace:
-        if isinstance(item, IWNetwork):
+        if isinstance(item, Decision):
+            replay.render(item, lines)
+        elif isinstance(item, IWNetwork):
             lines += format_matrix(item)
+            replay = _Replay(item)
         else:
             lines.append(item)
     return "\n".join(lines) + "\n"

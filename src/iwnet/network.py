@@ -274,17 +274,33 @@ def aggregate_minmax(net: IWNetwork, p: Partition) -> IWNetwork:
 
 
 def format_matrix(net: IWNetwork) -> list[str]:
-    """Aligned text rendering of the interval adjacency matrix."""
-    # the header is one more row: column labels under an empty row label
-    table = [("", net.labels)] + [
-        (lab, [str(w) for w in row]) for lab, row in zip(net.labels, net.weights)
+    """Aligned text rendering of the interval adjacency matrix.
+
+    Only present entries are formatted; every absent one prints as the
+    same padded ``[0,0]`` cell of its column. Rows mirror columns, and a
+    formatted interval is never shorter than ``[0,0]``, so a column is as
+    wide as the longest of its label, ``[0,0]`` and its row's cells.
+    """
+    zero = str(ZERO)
+    cells = [{j: str(w) for j, w in row.items()} for row in net.rows]
+    col_w = [
+        max(len(lab), len(zero), *map(len, row.values()))
+        for lab, row in zip(net.labels, cells)
     ]
     label_w = max((len(lab) for lab in net.labels), default=0)
-    col_w = [max(len(cells[j]) for _, cells in table) for j in range(net.n)]
-    return [
-        (lab.ljust(label_w) + "  " + "  ".join(c.ljust(w) for c, w in zip(cells, col_w))).rstrip()
-        for lab, cells in table
-    ]
+    padded_zeros = [zero.ljust(w) for w in col_w]
+
+    def line(lab: str, padded: list[str]) -> str:
+        return (lab.ljust(label_w) + "  " + "  ".join(padded)).rstrip()
+
+    # the header is one more row: column labels under an empty row label
+    lines = [line("", [lab.ljust(w) for lab, w in zip(net.labels, col_w)])]
+    for lab, row in zip(net.labels, cells):
+        padded = padded_zeros.copy()
+        for j, c in row.items():
+            padded[j] = c.ljust(col_w[j])
+        lines.append(line(lab, padded))
+    return lines
 
 
 def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:

@@ -213,6 +213,23 @@ class TestRunCommand:
         assert code == 2
         assert "ZeroTotalWeight" in err
 
+    def test_zero_q_max_gives_null_q_norm(self, capsys, tmp_path):
+        # the run merges everything into one community, whose Q_max is 0
+        path = tmp_path / "qmax0.csv"
+        path.write_text("src,dst,lo,hi\na,b,1,5\nb,c,1,4\nc,d,0.5,1\nd,a,1,3\n", encoding="utf-8")
+        code, out, _ = run_cli(
+            capsys, "run", "--input", str(path), "--method", "cl", "--min-weight", "2",
+            "--format", "json", "--trace",
+        )
+        assert code == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["final"]["q_max"] == 0.0
+        assert doc["final"]["q_norm"] is None
+
     def test_iteration_limit_exit_2(self, capsys, toy_csv, monkeypatch):
         # pass 1 on the reference network needs two sweeps
         monkeypatch.setattr(louvain, "SWEEP_LIMIT", 1)

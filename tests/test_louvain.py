@@ -369,7 +369,7 @@ class TestIntervalGainDifferential:
                 ref = _full_difference_gains(state.net, state.members, v, cids)
             except ZeroInAdjustedTotal:
                 pytest.fail("only the reference has a zero adjusted total")
-            _, _, _, gains, gain_own = result
+            _, _, gains, gain_own = result
             _assert_gains_close(state.net, {**gains, own: gain_own}, ref)
             checked.append(v)
             return result
@@ -438,3 +438,85 @@ def test_run_stays_sparse(monkeypatch, strategy):
     assert rendered[0].labels == net.labels
     assert f"<{n} x {n}>" in trace
     assert result.final_partition.n_communities < n
+
+
+class TestLazyDecisionLog:
+    """run() logs decisions as records; emit_trace alone turns them into text."""
+
+    @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
+    def test_run_formats_no_gain(self, monkeypatch, strategy):
+        net = random_network(random.Random(51), 40, density=0.15)
+
+        def refuse(_):
+            raise AssertionError("run() formatted a gain")
+
+        monkeypatch.setattr(louvain, "_fmt_gain", refuse)
+        result = run(net, strategy)
+        monkeypatch.undo()
+        assert "\tTry " in emit_trace(result)
+
+    @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
+    def test_text_items_bounded_by_sweeps_and_passes(self, strategy):
+        net = random_network(random.Random(52), 60, density=0.1)
+        result = run(net, strategy)
+        texts = sum(isinstance(item, str) for item in result.trace)
+        sweeps = sum(rec.iterations for rec in result.passes)
+        # 3 opening lines, Begin and up to 4 closing lines per pass, an
+        # Iteration line per sweep, 7 final lines
+        assert texts <= 3 + 5 * len(result.passes) + sweeps + 7
+        decisions = [item for item in result.trace if isinstance(item, louvain.Decision)]
+        assert len(decisions) == sum(
+            rec.iterations * len(rec.partition.assignment) for rec in result.passes
+        )
+        assert sum(len(d.candidates) for d in decisions) > 10 * texts
+
+    def test_replay_leaves_the_run_unchanged(self):
+        result = run(random_network(random.Random(53), 30, density=0.2), HYBRID)
+        log = list(result.trace)
+        first = emit_trace(result)
+        assert emit_trace(result) == first
+        assert list(result.trace) == log
+
+    @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
+    def test_replay_matches_live_membership(self, monkeypatch, strategy):
+        """Each Try/Move/Keep line equals the line built from the driver's own
+        membership at the moment of the decision."""
+        expected: list[str] = []
+        pending = {}
+        evaluate, place = louvain._PassState.evaluate, louvain._PassState.place
+
+        def label(state, cid):
+            return ",".join(state.net.labels[u] for u in state.members[cid])
+
+        def logged_evaluate(state, v):
+            own_label = label(state, state.comm_of[v])
+            own, cand_ids, gains, gain_own = evaluate(state, v)
+            vlabel = state.net.labels[v]
+            for c in cand_ids:
+                clabel = own_label if c == own else label(state, c)
+                expected.append(f"\tTry {vlabel} -> {clabel:<15} | {louvain._fmt_gain(gains[c])}")
+            pending.update(v=v, own=own, own_label=own_label)
+            return own, cand_ids, gains, gain_own
+
+        def logged_place(state, v, cid):
+            if pending.get("v") == v:
+                vlabel = state.net.labels[v]
+                if cid == pending["own"]:
+                    expected.append(f"\tKeep vertex {vlabel} at community {pending['own_label']}")
+                else:
+                    expected.append(f"\tMove {vlabel} -> {label(state, cid)}")
+                pending.clear()
+            place(state, v, cid)
+
+        monkeypatch.setattr(louvain._PassState, "evaluate", logged_evaluate)
+        monkeypatch.setattr(louvain._PassState, "place", logged_place)
+        rng = random.Random(54)
+        for net in [random_network(rng, n, density=0.2) for n in (8, 25, 50)]:
+            expected.clear()
+            result = run(net, strategy)
+            assert len(result.passes) >= 2  # the replay restarts on aggregated labels
+            rendered = [
+                line for line in emit_trace(result).splitlines()
+                if line.startswith(("\tTry ", "\tMove ", "\tKeep "))
+            ]
+            assert rendered == expected

@@ -386,3 +386,53 @@ def test_format_matrix_tokens():
     lines = format_matrix(toy_network())
     assert lines[0].split() == ["v1", "v2", "v3", "v4"]
     assert lines[1].split() == ["v1", "[0,0]", "[1,3]", "[1,1]", "[0,0]"]
+
+
+def _dense_format_matrix(net):
+    """The dense renderer: every cell of ``net.weights`` stringified."""
+    table = [("", net.labels)] + [
+        (lab, [str(w) for w in row]) for lab, row in zip(net.labels, net.weights)
+    ]
+    label_w = max((len(lab) for lab in net.labels), default=0)
+    col_w = [max(len(cells[j]) for _, cells in table) for j in range(net.n)]
+    return [
+        (lab.ljust(label_w) + "  " + "  ".join(c.ljust(w) for c, w in zip(cells, col_w))).rstrip()
+        for lab, cells in table
+    ]
+
+
+def _rendering_cases():
+    yield IWNetwork((), ())
+    yield IWNetwork(("a",), ({},))
+    yield IWNetwork(("solo",), ({0: Interval(0.0, 2.5)},))
+    yield toy_network()
+    # labels shorter and longer than [0,0]; c and e are isolated, so their
+    # columns hold no entry at all; self-loops, zero lower bounds, degenerate
+    yield IWNetwork.from_edges(
+        ["a", "a-long-label", "c", "dd", "e"],
+        [
+            ("a", "a", 0.0, 12.5),
+            ("a", "a-long-label", 0.0, 3.0),
+            ("a-long-label", "dd", 7.0, 7.0),
+            ("dd", "dd", 1e-3, 1234.0),
+        ],
+    )
+    rng = random.Random(11)
+    for _ in range(10):
+        net = _mixed_network(rng, rng.randrange(1, 16))
+        k = rng.randrange(1, net.n + 1)
+        p = Partition(tuple(rng.randrange(k) for _ in range(net.n)))
+        yield net
+        yield aggregate_sum(net, p)
+        yield aggregate_minmax(net, p)
+
+
+def test_format_matrix_matches_dense_renderer(monkeypatch):
+    cases = [(net, _dense_format_matrix(net)) for net in _rendering_cases()]
+
+    def refuse(*_):
+        raise AssertionError("format_matrix used the dense view")
+
+    monkeypatch.setattr(IWNetwork, "weights", property(refuse))
+    for net, expected in cases:
+        assert format_matrix(net) == expected
