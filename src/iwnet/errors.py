@@ -25,10 +25,6 @@ class ZeroTotalWeight(IWNError):
     """Network total weight is zero; expectations are undefined."""
 
 
-class ZeroInAdjustedTotal(IWNError):
-    """An adjusted total-weight interval contains zero."""
-
-
 class SameCommunity(IWNError):
     """A merge gain was requested for a community with itself."""
 

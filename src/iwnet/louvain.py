@@ -4,37 +4,39 @@ Three strategies share one greedy two-phase loop:
 
 * ``classic-interval`` (CL): gains are exact interval-modularity
   differences under pairwise-adjusted expectations, and communities
-  aggregate by interval summation. The adjusted expected block of a
-  community depends only on its own strength and the network totals,
-  so Q is a sum of per-community terms; each community keeps its
-  observed diagonal block and strength, updated in O(deg) per move, and
-  a move is priced from the terms of the communities it changes. The
-  pairwise reduced form 2(o_rs - e_rs) is not valid for intervals;
-* ``hybrid`` (HL): gains use the reduced scalar form on the current
-  network's midpoints, and communities aggregate by the min-max
-  envelope, after which the modularity is recomputed (it may drop);
+  aggregate by interval summation. The adjusted totals of a community
+  are the separable T_hi - s_hi + s_lo and T_lo - s_lo + s_hi, so Q is a
+  sum of per-community terms and a move is priced from the terms of the
+  communities it changes. The pairwise reduced form 2(o_rs - e_rs) is
+  not valid for intervals;
+* ``hybrid`` (HL): gains use the reduced scalar form
+  2(k_vC - s_v Sigma_tot / 2w) on the current network's midpoints, and
+  communities aggregate by the min-max envelope, after which the
+  modularity is recomputed (it may drop);
 * ``midpoint``: the degenerate baseline, scalar gains with sum
   aggregation on the midpoint projection of the input.
 
-Vertices are swept in index order and every decision is deterministic,
-so identical inputs produce byte-identical traces. Phase 1 only does
-arithmetic: it logs one ``Decision`` per evaluated vertex (ids and
-gains, no text), and ``emit_trace`` replays the decisions to render the
-``Try``/``Move``/``Keep`` lines and the matrices when the log is asked
-for.
+Per-community sums are updated in O(deg) per move and a vertex's links
+come from one pass over its neighbour map, so a sweep is O(m). Vertices
+are swept in index order and every decision is deterministic, so
+identical inputs produce byte-identical traces. Phase 1 only does
+arithmetic: it logs one ``Decision`` per evaluated vertex and one
+``Iteration`` per sweep, and ``emit_trace`` replays them into the
+``Try``/``Move``/``Keep`` lines, each sweep's modularity and the
+matrices when the log is asked for.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Sequence
 
-from .errors import EmptyNetwork, IterationLimit, ZeroInAdjustedTotal, ZeroTotalWeight
+from .errors import EmptyNetwork, IterationLimit, ZeroTotalWeight
 from .interval import Interval, ZERO, dominant_diff, seq_sum
 from .modularity import (
+    expected_diag_adjusted,
     q_interval_communities,
     q_max_interval_adjusted,
     q_max_scalar_communities,
@@ -50,6 +52,7 @@ __all__ = [
     "MIDPOINT",
     "PassRecord",
     "Decision",
+    "Iteration",
     "LouvainRun",
     "run",
     "evaluate_moves",
@@ -121,6 +124,14 @@ class Decision(NamedTuple):
     target: int | None  # community moved to, None for a keep
 
 
+class Iteration(NamedTuple):
+    """End of a phase-1 sweep; emit_trace prints the modularity it reached."""
+
+    number: int
+
+
+LogItem = str | IWNetwork | Decision | Iteration  # one entry of LouvainRun.trace
+
 @dataclass(frozen=True)
 class LouvainRun:
     """Full hierarchy produced by one driver run."""
@@ -134,9 +145,9 @@ class LouvainRun:
     final_q_norm: float  # NaN when Q_max is zero
     final_q_max: float
     # the decision log: text lines, each network whose matrix the log shows
-    # (it also starts the replay of the decisions that follow it) and the
-    # decision records; emit_trace renders it
-    trace: tuple[str | IWNetwork | Decision, ...]
+    # (it also starts the replay of the records that follow it), the
+    # decision records and the sweep ends; emit_trace renders it
+    trace: tuple[LogItem, ...]
 
 
 _NO_LINK = (0.0, 0.0)
@@ -156,12 +167,14 @@ def _shifted(c: tuple, x: tuple, k: tuple[float, float], sign: int) -> tuple:
 class _PassState:
     """Mutable community bookkeeping for one optimization phase.
 
-    For the interval gain every community (and every vertex, as the
-    singleton it would form) is summarized as ``(o_lo, o_hi, s_lo, s_hi,
-    n_lo, n_hi)``: its observed diagonal block, its strength, and how many
-    members have a positive lower / upper strength. The counts make the
-    zero tests of the adjusted totals exact, whatever rounding the
-    incremental strength sums carry.
+    ``neigh`` holds the interval weights for the interval gain and the
+    midpoints for the scalar gain, under which a community keeps its
+    strength total Sigma_tot in ``tot``. For the interval gain every
+    community (and every vertex, as the singleton it would form) is
+    summarized as ``(o_lo, o_hi, s_lo, s_hi, n_lo, n_hi)``: its observed
+    diagonal block, its strength, and how many members have a positive
+    lower / upper strength. The counts make the zero tests exact,
+    whatever rounding the incremental strength sums carry.
     """
 
     def __init__(self, net: IWNetwork, strategy: Strategy, partition: Partition | None = None):
@@ -170,18 +183,19 @@ class _PassState:
         n = net.n
         if partition is None:
             partition = Partition.singletons(n)
-        self.neigh = net.rows
+        k = partition.n_communities
         if strategy.interval_gain:
+            self.neigh = net.rows
             self.vsum = [self._vertex_summary(v) for v in range(n)]
-            # from 0, not 0.0: the counts stay ints, the float sums are the same
-            self.totals = tuple(seq_sum((x[k] for x in self.vsum), 0) for k in range(2, 6))
-            self.csum = [_EMPTY] * partition.n_communities
+            self.totals = tuple(seq_sum(x[j] for x in self.vsum) for j in (2, 3))
+            self.csum = [_EMPTY] * k
         else:
-            self.mid = net.midpoint_rows()
-            self.s = [seq_sum(row.values()) for row in self.mid]
+            self.neigh = net.midpoint_rows()
+            self.s = [seq_sum(row.values()) for row in self.neigh]
             self.two_w = seq_sum(self.s)
+            self.tot = [0.0] * k
         self.comm_of = [-1] * n
-        self.members: list[list[int]] = [[] for _ in range(partition.n_communities)]
+        self.members: list[list[int]] = [[] for _ in range(k)]
         for v, c in enumerate(partition.assignment):
             self.place(v, c)
 
@@ -190,14 +204,19 @@ class _PassState:
         loop = self.neigh[v].get(v, ZERO)
         return (loop.lo, loop.hi, s.lo, s.hi, int(s.lo > 0.0), int(s.hi > 0.0))
 
-    def _links(self, v: int) -> dict[int, tuple[float, float]]:
-        """Interval weight from v into each community of its neighbors (self-loop excluded)."""
-        links: dict[int, tuple[float, float]] = {}
+    def _links(self, v: int, own: int) -> dict:
+        """Weight from v into each community of its neighbours, keyed in
+        first-neighbour (candidate) order; a self-loop keys ``own`` only."""
+        interval = self.strategy.interval_gain
+        zero = _NO_LINK if interval else 0.0
+        links: dict = {}
         for u, w in self.neigh[v].items():
-            if u != v:
+            if u == v:
+                links.setdefault(own, zero)
+            else:
                 c = self.comm_of[u]
-                k_lo, k_hi = links.get(c, _NO_LINK)
-                links[c] = (k_lo + w.lo, k_hi + w.hi)
+                k = links.get(c, zero)
+                links[c] = (k[0] + w.lo, k[1] + w.hi) if interval else k + w
         return links
 
     def _term(self, c: tuple) -> float:
@@ -208,37 +227,33 @@ class _PassState:
         the sum of this term over the communities.
         """
         o_lo, o_hi, s_lo, s_hi, n_lo, n_hi = c
-        t_lo, t_hi, t_nlo, t_nhi = self.totals
-        # adj_max = others_hi + s_lo and adj_min = others_lo + s_hi are sums of
-        # non-negative strengths: zero exactly when every addend is zero
-        if (n_hi == t_nhi and n_lo == 0) or (n_lo == t_nlo and n_hi == 0):
-            raise ZeroInAdjustedTotal(
-                f"adjusted total for a community of strength [{s_lo}, {s_hi}] contains zero"
-            )
-        adj_max = t_hi - s_hi + s_lo
-        adj_min = t_lo - s_lo + s_hi
-        return dominant_diff(o_lo - s_lo * s_lo / adj_max, o_hi - s_hi * s_hi / adj_min)
+        # an endpoint with no positive member is 0, whatever residue it carries
+        e_lo, e_hi = expected_diag_adjusted(
+            s_lo if n_lo else 0.0, s_hi if n_hi else 0.0, *self.totals
+        )
+        return dominant_diff(o_lo - e_lo, o_hi - e_hi)
 
     def comms(self) -> list[list[int]]:
         return [m for m in self.members if m]
 
-    def _gain_scalar(self, v: int, cid: int) -> float:
-        # reduced form 2(o_{v,C} - s_v s_C / 2w); v is already removed
-        o = 0.0
-        se = 0.0
-        row = self.mid[v]
-        for u in self.members[cid]:
-            o += row.get(u, 0.0)
-            se += self.s[u]
-        return 2.0 * (o - self.s[v] * se / self.two_w)
+    def _scalar_pricer(self, v: int, own: int, links: dict):
+        """Take v out of its community's strength total and return the gain
+        function, the reduced form 2(k_vC - s_v Sigma_tot / 2w)."""
+        s_v = self.s[v]
+        # an emptied community drops the rounding residue of the removals
+        self.tot[own] = self.tot[own] - s_v if self.members[own] else 0.0
 
-    def _interval_pricer(self, v: int, own: int):
+        def gain(cid: int) -> float:
+            return 2.0 * (links.get(cid, 0.0) - s_v * self.tot[cid] / self.two_w)
+
+        return gain
+
+    def _interval_pricer(self, v: int, own: int, links: dict):
         """Take v out of its community's summary and return the gain function.
 
         The gain of the isolated v joining C is D(C + v) - D(C) - D({v}):
         only the terms of the communities that change move.
         """
-        links = self._links(v)
         x = self.vsum[v]
         if self.members[own]:
             self.csum[own] = _shifted(self.csum[own], x, links.get(own, _NO_LINK), -1)
@@ -262,38 +277,24 @@ class _PassState:
         own = self.comm_of[v]
         self.members[own].remove(v)
         self.comm_of[v] = -1
-
-        cand_ids: list[int] = []
-        for u in self.neigh[v]:
-            c = own if u == v else self.comm_of[u]
-            if c not in cand_ids:
-                cand_ids.append(c)
-
-        if self.strategy.interval_gain:
-            gain = self._interval_pricer(v, own)
-        else:
-            gain = functools.partial(self._gain_scalar, v)
+        links = self._links(v, own)
+        pricer = self._interval_pricer if self.strategy.interval_gain else self._scalar_pricer
+        gain = pricer(v, own, links)
         gains: dict[int, float] = {}
-        for c in cand_ids:
+        for c in links:
             # re-entering an emptied community is a no-op
             gains[c] = 0.0 if c == own and not self.members[own] else gain(c)
-        if own in gains:
-            gain_own = gains[own]
-        else:
-            gain_own = gain(own) if self.members[own] else 0.0
-        return own, cand_ids, gains, gain_own
+        gain_own = gains[own] if own in gains else gain(own) if self.members[own] else 0.0
+        return own, list(links), gains, gain_own
 
     def place(self, v: int, cid: int) -> None:
         if self.strategy.interval_gain:
-            link = self._links(v).get(cid, _NO_LINK)
+            link = self._links(v, cid).get(cid, _NO_LINK)
             self.csum[cid] = _shifted(self.csum[cid], self.vsum[v], link, 1)
+        else:
+            self.tot[cid] += self.s[v]
         bisect.insort(self.members[cid], v)
         self.comm_of[v] = cid
-
-    def q_current(self) -> float:
-        if self.strategy.interval_gain:
-            return q_interval_communities(self.net, self.comms())
-        return q_scalar_communities(self.mid, self.comms())
 
 
 def _decide(own: int, cand_ids: Sequence[int], gains: dict[int, float], gain_own: float) -> int | None:
@@ -326,17 +327,14 @@ def _fmt_gain(gain: float) -> str:
     return f"gain={sign}{abs(gain):.3f} ({mark})"
 
 
-def _optimize(
-    state: _PassState, log: list[str | IWNetwork | Decision]
-) -> tuple[int, bool, float]:
+def _optimize(state: _PassState, log: list[LogItem]) -> tuple[int, bool]:
     """Phase 1: greedy sweeps until one completes without a move.
 
-    Returns (sweeps performed, whether any move happened, end modularity).
+    Returns (sweeps performed, whether any move happened).
     """
     n = state.net.n
     iterations = 0
     any_move = False
-    q_now = math.nan
     for _ in range(SWEEP_LIMIT):
         sweep_moved = False
         for v in range(n):
@@ -348,10 +346,9 @@ def _optimize(
                 sweep_moved = True
                 any_move = True
         iterations += 1
-        q_now = state.q_current()
-        log.append(f"Iteration {iterations} Modularity={q_now:.3f}")
+        log.append(Iteration(iterations))
         if not sweep_moved:
-            return iterations, any_move, q_now
+            return iterations, any_move
     raise IterationLimit(f"no convergence after {SWEEP_LIMIT} sweeps")
 
 
@@ -363,12 +360,11 @@ def _degenerate_projection(net: IWNetwork) -> IWNetwork:
     return IWNetwork(net.labels, rows)
 
 
-def _pass_end_q(strategy: Strategy, net: IWNetwork) -> float:
-    singles = [[r] for r in range(net.n)]
+def _q(strategy: Strategy, net: IWNetwork, comms: Sequence[Sequence[int]]) -> float:
+    """Modularity of ascending member lists in the metric of the strategy's gains."""
     if strategy.interval_gain:
-        return q_interval_communities(net, singles)
-    return q_scalar_communities(net.midpoint_rows(), singles)
-
+        return q_interval_communities(net, comms)
+    return q_scalar_communities(net.midpoint_rows(), comms)
 
 def _q_max(strategy: Strategy, net: IWNetwork) -> float:
     if strategy.interval_gain:
@@ -391,8 +387,10 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
         raise ZeroTotalWeight("network has no weight")
 
     work = _degenerate_projection(net) if strategy.name == "midpoint" else net
-    log: list[str | IWNetwork | Decision] = ["Initial Interval-Weighted Network:", work, ""]
-    log.append(f"* Initial Modularity={_pass_end_q(strategy, work):.3f}")
+    log: list[LogItem] = ["Initial Interval-Weighted Network:", work, ""]
+    # modularity of the current pass's input, as singletons
+    pass_q = _q(strategy, work, [[r] for r in range(work.n)])
+    log.append(f"* Initial Modularity={pass_q:.3f}")
 
     passes: list[PassRecord] = []
     cur = work
@@ -401,12 +399,12 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
         pass_no += 1
         log.append(f"* Begin Pass number {pass_no}")
         state = _PassState(cur, strategy)
-        iterations, any_move, q_phase = _optimize(state, log)
+        iterations, any_move = _optimize(state, log)
         if not any_move:
             log.append(f"* End Pass number {pass_no} -- no change")
             passes.append(
                 PassRecord(
-                    pass_no, iterations, Partition.singletons(cur.n), q_phase, cur, False
+                    pass_no, iterations, Partition.singletons(cur.n), pass_q, cur, False
                 )
             )
             break
@@ -415,7 +413,7 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
             agg = aggregate_minmax(cur, p)
         else:
             agg = aggregate_sum(cur, p)
-        pass_q = _pass_end_q(strategy, agg)
+        pass_q = _q(strategy, agg, [[r] for r in range(agg.n)])
         log.append("")
         log.append("New network: ---------------")
         log.append(agg)
@@ -498,6 +496,7 @@ class _Replay:
     """
 
     def __init__(self, net: IWNetwork):
+        self.net = net
         self.labels = net.labels
         self.members = [[v] for v in range(net.n)]
         self.cached: dict[int, str] = {}
@@ -532,14 +531,17 @@ class _Replay:
 def emit_trace(run: LouvainRun) -> str:
     """Human-readable log of the whole run (one string, newline-joined).
 
-    Each network in the log is the input of the decisions that follow it,
-    up to the next network.
+    Each network in the log is the input of the records that follow it,
+    up to the next network; the modularity of each sweep is computed here.
     """
     lines: list[str] = []
     replay: _Replay | None = None  # the log opens with a network, before any decision
     for item in run.trace:
         if isinstance(item, Decision):
             replay.render(item, lines)
+        elif isinstance(item, Iteration):
+            q = _q(run.strategy, replay.net, [m for m in replay.members if m])
+            lines.append(f"Iteration {item.number} Modularity={q:.3f}")
         elif isinstance(item, IWNetwork):
             lines += format_matrix(item)
             replay = _Replay(item)

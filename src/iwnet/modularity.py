@@ -12,11 +12,12 @@ Two parallel tracks are kept:
 
 Partition-level quantities collapse the partition's communities with
 ``network.blocks`` (one pass over the neighbour maps) and are evaluated
-on the super-vertex rows; per-community totals accumulate
-others-first-then-own so the interval track degenerates bit for bit to
-the scalar track on degenerate networks. The scalar track runs on
-neighbour maps of floats; its public functions take a dense matrix and
-convert it once.
+on the super-vertex rows in O(m + q): expected diagonal blocks divide by
+the separable total (T - s) + s, or T_hi - s_hi + s_lo and
+T_lo - s_lo + s_hi, so the interval track degenerates bit for bit to
+the scalar track on degenerate networks. An adjusted total vanishes
+only with its numerator; that 0/0 endpoint is 0. The scalar track runs
+on neighbour maps of floats; its public functions take a dense matrix.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import (
-    DegenerateDenominator,
-    SameCommunity,
-    ZeroInAdjustedTotal,
-    ZeroTotalWeight,
-)
+from .errors import DegenerateDenominator, SameCommunity, ZeroTotalWeight
 from .interval import Interval, ZERO, seq_sum, signed_diff
 from .network import IWNetwork, aggregate_minmax, aggregate_sum, blocks
 from .partition import Partition
@@ -39,6 +35,7 @@ __all__ = [
     "ExpectedTable",
     "expected_scalar",
     "expected_interval_adjusted",
+    "expected_diag_adjusted",
     "adjusted_total_bounds",
     "q_scalar",
     "q_scalar_communities",
@@ -119,28 +116,34 @@ def adjusted_total_bounds(
     return adj_min, adj_max
 
 
-def _adjusted_expected(
-    strengths: Sequence[Interval], i: int, j: int
-) -> Interval:
-    adj_min, adj_max = adjusted_total_bounds(strengths, i, j)
-    if adj_min <= 0 or adj_max <= 0:
-        raise ZeroInAdjustedTotal(
-            f"adjusted total for pair ({i}, {j}) contains zero"
-        )
-    return Interval(
-        strengths[i].lo * strengths[j].lo / adj_max,
-        strengths[i].hi * strengths[j].hi / adj_min,
+def expected_diag_adjusted(
+    s_lo: float, s_hi: float, t_lo: float, t_hi: float
+) -> tuple[float, float]:
+    """Adjusted expected diagonal block of a community of strength [s_lo, s_hi]
+    in a network of total strength [t_lo, t_hi], as a (lo, hi) pair. Each
+    adjusted total is at least the strength it divides, so 0/0 is the only
+    zero division; it is taken as 0."""
+    return (
+        s_lo * s_lo / (t_hi - s_hi + s_lo) if s_lo > 0 else 0.0,
+        s_hi * s_hi / (t_lo - s_lo + s_hi) if s_hi > 0 else 0.0,
     )
 
 
 def expected_interval_adjusted(net: IWNetwork) -> ExpectedTable:
-    """Adjusted expected interval weights for all vertex pairs."""
+    """Adjusted expected interval weights for all vertex pairs (O(q^2) reference)."""
     n = net.n
     s = [net.strength(i) for i in range(n)]
+    if not any(x.hi > 0 for x in s):
+        raise ZeroTotalWeight("total weight is zero")
     e = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            e[i][j] = e[j][i] = _adjusted_expected(s, i, j)
+            adj_min, adj_max = adjusted_total_bounds(s, i, j)
+            # a zero adjusted total has a zero numerator: that endpoint is 0
+            e[i][j] = e[j][i] = Interval(
+                s[i].lo * s[j].lo / adj_max if adj_max > 0 else 0.0,
+                s[i].hi * s[j].hi / adj_min if adj_min > 0 else 0.0,
+            )
     return ExpectedTable("interval-adjusted", tuple(tuple(row) for row in e))
 
 
@@ -149,17 +152,10 @@ def expected_interval_adjusted(net: IWNetwork) -> ExpectedTable:
 
 
 def _expected_diag(s: Sequence[float]) -> list[float]:
-    """Expected diagonal block s_r^2 / 2w of each community, with 2w summed
-    over the other communities first and the community's own strength last."""
-    e = []
-    for r in range(len(s)):
-        tw = 0.0
-        for l in range(len(s)):
-            if l != r:
-                tw += s[l]
-        tw += s[r]
-        e.append(s[r] * s[r] / tw)
-    return e
+    """Expected diagonal block s_r^2 / 2w of each community, with 2w taken as
+    (T - s_r) + s_r from the one total T, as on the interval track."""
+    t = seq_sum(s)
+    return [x * x / (t - x + x) for x in s]
 
 
 def _q_scalar_blocks(rows: Rows) -> float:
@@ -258,7 +254,11 @@ def _diag_blocks_adjusted(
 ) -> tuple[list[Interval], list[Interval]]:
     """(observed diagonal, adjusted expected diagonal) of super-vertex rows."""
     s = [seq_sum(row.values(), ZERO) for row in rows]
-    e_blocks = [_adjusted_expected(s, r, r) for r in range(len(rows))]
+    t_lo = seq_sum(x.lo for x in s)
+    t_hi = seq_sum(x.hi for x in s)
+    if t_hi <= 0:
+        raise ZeroTotalWeight("total weight is zero")
+    e_blocks = [Interval(*expected_diag_adjusted(x.lo, x.hi, t_lo, t_hi)) for x in s]
     o_blocks = [row.get(r, ZERO) for r, row in enumerate(rows)]
     return o_blocks, e_blocks
 

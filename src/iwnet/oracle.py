@@ -88,7 +88,9 @@ def _q_def_classic(net: IWNetwork, groups: tuple[tuple[int, ...], ...]) -> float
     for r, group in enumerate(groups):
         adj_max = sum(s_hi[t] for t in range(len(groups)) if t != r) + s_lo[r]
         adj_min = sum(s_lo[t] for t in range(len(groups)) if t != r) + s_hi[r]
-        e_rr = Interval(s_lo[r] * s_lo[r] / adj_max, s_hi[r] * s_hi[r] / adj_min)
+        # adj_max >= s_lo[r], adj_min >= s_hi[r]: an expected 0/0 endpoint is 0
+        e_lo = s_lo[r] * s_lo[r] / adj_max if adj_max else 0.0
+        e_rr = Interval(e_lo, s_hi[r] * s_hi[r] / adj_min if adj_min else 0.0)
         q += signed_diff(o_blocks[r], e_rr)
     return q
 

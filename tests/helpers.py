@@ -85,6 +85,30 @@ def random_degenerate_network(
             return IWNetwork.from_matrix(labels, tuple(tuple(row) for row in w))
 
 
+def with_zero_lower_bounds(net: IWNetwork, rng: random.Random, share: float) -> IWNetwork:
+    """Copy of net with the lower bound of each edge set to 0 with probability share."""
+    w = [list(row) for row in net.weights]
+    for i in range(net.n):
+        for j in range(i, net.n):
+            if w[i][j] != ZERO and rng.random() < share:
+                w[i][j] = w[j][i] = Interval(0.0, w[i][j].hi)
+    return IWNetwork.from_matrix(net.labels, tuple(tuple(row) for row in w))
+
+
+def with_isolated_vertices(net: IWNetwork, rng: random.Random, k: int) -> IWNetwork:
+    """Copy of net with k edgeless vertices inserted at random positions, as
+    ``--min-weight`` leaves behind a vertex whose records all fall below it."""
+    labels = list(net.labels)
+    w = [list(row) for row in net.weights]
+    for i in range(k):
+        pos = rng.randrange(len(labels) + 1)
+        labels.insert(pos, f"iso{i}")
+        for row in w:
+            row.insert(pos, ZERO)
+        w.insert(pos, [ZERO] * len(labels))
+    return IWNetwork.from_matrix(tuple(labels), tuple(tuple(row) for row in w))
+
+
 def random_interval(rng: random.Random, span: float = 10.0) -> Interval:
     a = rng.uniform(-span, span)
     b = rng.uniform(-span, span)

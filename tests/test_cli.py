@@ -21,6 +21,12 @@ v2,v3,1,1
 v3,v4,3,3
 """
 
+ZERO_LOWER_CSV = """src,dst,lo,hi
+a,b,0,5
+b,c,0,4
+c,d,0,1
+"""
+
 
 @pytest.fixture
 def toy_csv(tmp_path):
@@ -213,6 +219,26 @@ class TestRunCommand:
         assert code == 2
         assert "ZeroTotalWeight" in err
 
+    @pytest.mark.parametrize(
+        "min_weight, communities",
+        [("0", [["a", "b", "c", "d"]]), ("2", [["a", "b", "c"], ["d"]])],
+    )
+    def test_zero_lower_bounds_and_isolated_vertex(
+        self, capsys, tmp_path, min_weight, communities
+    ):
+        # every lower bound is 0, and --min-weight 2 leaves d without an edge:
+        # the adjusted totals that vanish give expected endpoints of 0
+        path = tmp_path / "zero.csv"
+        path.write_text(ZERO_LOWER_CSV, encoding="utf-8")
+        code, out, _ = run_cli(
+            capsys, "run", "--input", str(path), "--method", "cl",
+            "--min-weight", min_weight, "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["final"]["communities"] == communities
+        assert doc["final"]["q"] == 0.0
+
     def test_zero_q_max_gives_null_q_norm(self, capsys, tmp_path):
         # the run merges everything into one community, whose Q_max is 0
         path = tmp_path / "qmax0.csv"
@@ -254,6 +280,13 @@ class TestOracleCommand:
         assert "partitions evaluated: 15" in out
         assert "C1: v1, v2" in out
         assert "C2: v3, v4" in out
+
+    def test_zero_lower_bounds(self, capsys, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text(ZERO_LOWER_CSV, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "oracle", "--input", str(path), "--metric", "cl")
+        assert code == 0
+        assert "C1: a, b, c, d" in out
 
     def test_single_vertex(self, capsys, tmp_path):
         path = tmp_path / "one.csv"

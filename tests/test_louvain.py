@@ -5,7 +5,6 @@ import pytest
 
 from iwnet import (
     CLASSIC_INTERVAL,
-    ZERO,
     HYBRID,
     Interval,
     IWNetwork,
@@ -19,8 +18,8 @@ from iwnet import (
     run,
 )
 from iwnet import louvain
-from iwnet.errors import EmptyNetwork, ZeroInAdjustedTotal, ZeroTotalWeight
-from iwnet.modularity import q_interval_communities
+from iwnet.errors import EmptyNetwork, ZeroTotalWeight
+from iwnet.modularity import q_interval_communities, q_scalar_communities
 
 from goldens import CL_REFERENCE_TRACE, HL_REFERENCE_TRACE
 from helpers import (
@@ -28,7 +27,22 @@ from helpers import (
     random_degenerate_network,
     random_network,
     toy_network,
+    with_isolated_vertices,
+    with_zero_lower_bounds,
 )
+
+
+def _edge_case_networks(rng, count, sizes=(3, 7)):
+    """Random networks with zero lower bounds (some or all) and edgeless
+    vertices, where adjusted totals can vanish."""
+    return [
+        with_isolated_vertices(
+            with_zero_lower_bounds(random_network(rng, rng.randrange(*sizes)), rng, share),
+            rng,
+            rng.randrange(3),
+        )
+        for share in (0.5, 1.0) * (count // 2)
+    ]
 
 
 class TestStrategy:
@@ -167,8 +181,9 @@ class TestDriverBehavior:
 
     def test_per_pass_modularity_matches_definitional(self):
         rng = random.Random(21)
-        for _ in range(15):
-            net = random_network(rng, rng.randrange(3, 7))
+        nets = [random_network(rng, rng.randrange(3, 7)) for _ in range(15)]
+        nets += _edge_case_networks(rng, 16)
+        for net in nets:
             for strategy in (CLASSIC_INTERVAL, HYBRID, MIDPOINT):
                 result = run(net, strategy)
                 cur = net
@@ -297,21 +312,21 @@ class TestDriverBehavior:
             assert math.isclose(result.final_q / two_w, ref, rel_tol=1e-12)
 
 
-def _full_difference_gains(net, rest, v, cids):
+def _full_difference_gains(net, rest, v, cids, q=q_interval_communities):
     """Reference gains of the isolated v joining each community in cids.
 
     ``rest`` lists the members of every community id with v already
-    removed; a gain is q_interval_communities(v in C) minus
-    q_interval_communities(v isolated), both over the whole partition.
+    removed; a gain is q(v in C) minus q(v isolated), both over the whole
+    partition.
     """
-    base = q_interval_communities(net, [m for m in rest if m] + [[v]])
+    base = q(net, [m for m in rest if m] + [[v]])
     gains = {}
     for c in cids:
         if not rest[c]:
             gains[c] = 0.0  # re-entering an emptied community
             continue
         comms = [sorted([*m, v]) if i == c else m for i, m in enumerate(rest) if m]
-        gains[c] = q_interval_communities(net, comms) - base
+        gains[c] = q(net, comms) - base
     return gains
 
 
@@ -320,16 +335,6 @@ def _assert_gains_close(net, gains, ref):
     scale = net.total_weight().hi
     for c, g in gains.items():
         assert math.isclose(g, ref[c], rel_tol=1e-9, abs_tol=1e-9 * scale), (c, g, ref[c])
-
-
-def _zero_lower_bounds(net, rng, share):
-    """Copy of net with the lower bound of each edge set to 0 with probability share."""
-    w = [list(row) for row in net.weights]
-    for i in range(net.n):
-        for j in range(i, net.n):
-            if w[i][j] != ZERO and rng.random() < share:
-                w[i][j] = w[j][i] = Interval(0.0, w[i][j].hi)
-    return IWNetwork.from_matrix(net.labels, tuple(tuple(row) for row in w))
 
 
 class TestIntervalGainDifferential:
@@ -351,24 +356,15 @@ class TestIntervalGainDifferential:
 
     def test_gains_during_full_runs(self, monkeypatch):
         # every evaluation of a whole run, after many incremental updates,
-        # agrees with the reference; on zero lower bounds both raise together
+        # agrees with the reference, also where an adjusted total is 0/0
         checked = []
         original = louvain._PassState.evaluate
 
         def evaluate(state, v):
             own = state.comm_of[v]
             cids = {own} | {state.comm_of[u] for u in state.neigh[v] if u != v}
-            try:
-                result = original(state, v)
-            except ZeroInAdjustedTotal:
-                with pytest.raises(ZeroInAdjustedTotal):
-                    _full_difference_gains(state.net, state.members, v, cids)
-                checked.append(None)
-                raise
-            try:
-                ref = _full_difference_gains(state.net, state.members, v, cids)
-            except ZeroInAdjustedTotal:
-                pytest.fail("only the reference has a zero adjusted total")
+            result = original(state, v)
+            ref = _full_difference_gains(state.net, state.members, v, cids)
             _, _, gains, gain_own = result
             _assert_gains_close(state.net, {**gains, own: gain_own}, ref)
             checked.append(v)
@@ -379,20 +375,83 @@ class TestIntervalGainDifferential:
         nets = [random_network(rng, rng.randrange(4, 17), density=0.4) for _ in range(8)]
         nets += [random_degenerate_network(rng, rng.randrange(4, 17)) for _ in range(4)]
         # with every lower bound zero a community holding every edge has a
-        # zero adjusted total and the run raises; rounded incremental
-        # strengths must not hide that
+        # zero adjusted total, whose expected endpoint is 0; rounded
+        # incremental strengths must not turn that into a division
         nets += [
-            _zero_lower_bounds(random_network(rng, rng.randrange(3, 10)), rng, share)
+            with_zero_lower_bounds(random_network(rng, rng.randrange(3, 10)), rng, share)
             for share in (0.5,) * 6 + (1.0,) * 24
         ]
-        raised = 0
+        nets += _edge_case_networks(rng, 10, (3, 10))
         for net in nets:
-            try:
-                run(net, CLASSIC_INTERVAL)
-            except ZeroInAdjustedTotal:
-                raised += 1
-        assert 0 < raised < 30
+            run(net, CLASSIC_INTERVAL)
         assert len(checked) > 300
+
+
+def _q_midpoints(net, comms):
+    return q_scalar_communities(net.midpoint_rows(), comms)
+
+
+class TestScalarGainDifferential:
+    """Scalar gains from the strength totals against full differences of
+    q_scalar_communities on the midpoints."""
+
+    @pytest.mark.parametrize("strategy", [HYBRID, MIDPOINT])
+    def test_evaluate_moves_on_random_partitions(self, strategy):
+        rng = random.Random(33)
+        nets = [random_network(rng, n, density=0.3) for n in (5, 9, 14, 20, 26, 30)]
+        nets += [random_degenerate_network(rng, n, density=0.3) for n in (6, 12, 24)]
+        nets += _edge_case_networks(rng, 6, (5, 15))
+        for net in nets:
+            for _ in range(2):
+                k = rng.randrange(1, net.n + 1)
+                p = Partition(tuple(rng.randrange(k) for _ in range(net.n)))
+                for v in range(net.n):
+                    moves = dict(evaluate_moves(net, p, v, strategy))
+                    rest = [[u for u in m if u != v] for m in p.communities]
+                    ref = _full_difference_gains(net, rest, v, moves, _q_midpoints)
+                    _assert_gains_close(net, moves, ref)
+
+    @pytest.mark.parametrize("strategy", [HYBRID, MIDPOINT])
+    def test_gains_during_full_runs(self, monkeypatch, strategy):
+        # every evaluation of a whole run, after many updates of the
+        # strength totals, agrees with the reference
+        checked = []
+        original = louvain._PassState.evaluate
+
+        def evaluate(state, v):
+            own = state.comm_of[v]
+            cids = {own} | {state.comm_of[u] for u in state.net.rows[v] if u != v}
+            result = original(state, v)
+            ref = _full_difference_gains(state.net, state.members, v, cids, _q_midpoints)
+            _, _, gains, gain_own = result
+            _assert_gains_close(state.net, {**gains, own: gain_own}, ref)
+            checked.append(v)
+            return result
+
+        monkeypatch.setattr(louvain._PassState, "evaluate", evaluate)
+        rng = random.Random(34)
+        nets = [random_network(rng, rng.randrange(10, 40), density=0.2) for _ in range(8)]
+        nets += [random_degenerate_network(rng, rng.randrange(4, 17)) for _ in range(4)]
+        nets += _edge_case_networks(rng, 6, (3, 12))
+        for net in nets:
+            run(net, strategy)
+        assert len(checked) > 500
+
+
+@pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
+def test_run_computes_q_once_per_pass(monkeypatch, strategy):
+    """Without a trace, run() computes Q for its input and after each
+    aggregation only; emit_trace adds one Q per sweep."""
+    calls = []
+    for name in ("q_interval_communities", "q_scalar_communities"):
+        original = getattr(louvain, name)
+        monkeypatch.setattr(louvain, name, lambda *a, f=original: calls.append(1) or f(*a))
+    result = run(random_network(random.Random(55), 40, density=0.15), strategy)
+    assert len(result.passes) >= 3
+    assert len(calls) <= len(result.passes) + 1
+    before = len(calls)
+    emit_trace(result)
+    assert len(calls) - before == sum(rec.iterations for rec in result.passes)
 
 
 @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])

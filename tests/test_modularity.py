@@ -9,6 +9,7 @@ from iwnet import (
     Partition,
     ZERO,
     adjusted_total_bounds,
+    aggregate_sum,
     dq_interval,
     dq_scalar_full,
     dq_scalar_reduced,
@@ -21,12 +22,13 @@ from iwnet import (
     q_norm_scalar,
     q_scalar,
 )
+from iwnet import modularity
 from iwnet.errors import (
     DegenerateDenominator,
     SameCommunity,
-    ZeroInAdjustedTotal,
     ZeroTotalWeight,
 )
+from iwnet.interval import seq_sum
 
 from helpers import (
     toy_midpoints,
@@ -34,6 +36,8 @@ from helpers import (
     random_degenerate_network,
     random_network,
     triplet_midpoints,
+    with_isolated_vertices,
+    with_zero_lower_bounds,
 )
 
 
@@ -129,9 +133,44 @@ class TestAdjustedExpected:
                     assert table.e[i][j].hi <= naive.hi + tol
 
     def test_zero_adjusted_total(self):
+        # an adjusted total vanishes only with its numerator; that 0/0
+        # endpoint is 0, and a weightless network has no expectations
+        loop = IWNetwork.from_matrix(("a",), ((Interval(0, 5),),))
+        assert expected_interval_adjusted(loop).e[0][0] == Interval(0, 5)
+        isolated = IWNetwork.from_edges(["a", "b", "c"], [("a", "b", 0, 5)])
+        assert expected_interval_adjusted(isolated).e[2][2] == ZERO
         net = IWNetwork.from_matrix(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
-        with pytest.raises(ZeroInAdjustedTotal):
+        with pytest.raises(ZeroTotalWeight):
             expected_interval_adjusted(net)
+
+    def test_diagonal_matches_pairwise_reference(self):
+        # the O(q) separable diagonal against the pairwise adjusted totals,
+        # on both tracks, over random partitions and zero lower bounds
+        rng = random.Random(61)
+        nets = [random_network(rng, n, density=0.3) for n in (4, 9, 17, 30)]
+        nets += [
+            with_isolated_vertices(
+                with_zero_lower_bounds(random_network(rng, n, density=0.3), rng, share), rng, 2
+            )
+            for n, share in ((6, 0.5), (12, 1.0), (25, 0.5), (25, 1.0))
+        ]
+        for net in nets:
+            for _ in range(3):
+                k = rng.randrange(1, net.n + 1)
+                p = Partition(tuple(rng.randrange(k) for _ in range(net.n)))
+                agg = aggregate_sum(net, p)
+                s = [agg.strength(r) for r in range(agg.n)]
+                _, e_blocks = modularity._diag_blocks_adjusted(agg.rows)
+                for r, e in enumerate(e_blocks):
+                    adj_min, adj_max = adjusted_total_bounds(s, r, r)
+                    lo = s[r].lo * s[r].lo / adj_max if adj_max else 0.0
+                    hi = s[r].hi * s[r].hi / adj_min if adj_min else 0.0
+                    assert math.isclose(e.lo, lo, rel_tol=1e-12)
+                    assert math.isclose(e.hi, hi, rel_tol=1e-12)
+                mid = [seq_sum(row.values()) for row in agg.midpoint_rows()]
+                for r, e in enumerate(modularity._expected_diag(mid)):
+                    _, tw = adjusted_total_bounds([Interval(x, x) for x in mid], r, r)
+                    assert math.isclose(e, mid[r] * mid[r] / tw, rel_tol=1e-12)
 
 
 class TestScalarModularity:
