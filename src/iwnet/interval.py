@@ -20,7 +20,7 @@ from .errors import DivisorContainsZero, InvalidInterval
 __all__ = ["Interval", "ZERO", "dominant_diff", "hausdorff", "seq_sum", "signed_diff"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     lo: float
     hi: float

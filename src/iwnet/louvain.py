@@ -16,14 +16,15 @@ Three strategies share one greedy two-phase loop:
 * ``midpoint``: the degenerate baseline, scalar gains with sum
   aggregation on the midpoint projection of the input.
 
-Per-community sums are updated in O(deg) per move and a vertex's links
-come from one pass over its neighbour map, so a sweep is O(m). Vertices
-are swept in index order and every decision is deterministic, so
-identical inputs produce byte-identical traces. Phase 1 only does
-arithmetic: it logs one ``Decision`` per evaluated vertex and one
-``Iteration`` per sweep, and ``emit_trace`` replays them into the
-``Try``/``Move``/``Keep`` lines, each sweep's modularity and the
-matrices when the log is asked for.
+Phase 1 keeps only plain floats, in one pass state per gain kind:
+per-community sums updated in O(deg) per move and a vertex's links from
+one pass over its neighbour map, so a sweep is O(m). The networks of a
+run are not re-validated; input is checked once, at the boundary.
+Vertices are swept in index order and every decision is deterministic,
+so identical inputs produce byte-identical traces. Phase 1 logs one
+``Decision`` per evaluated vertex and one ``Iteration`` per sweep;
+``emit_trace`` replays them into the ``Try``/``Move``/``Keep`` lines,
+each sweep's modularity and the matrices when the log is asked for.
 """
 
 from __future__ import annotations
@@ -150,181 +151,192 @@ class LouvainRun:
     trace: tuple[LogItem, ...]
 
 
-_NO_LINK = (0.0, 0.0)
-_EMPTY = (0.0, 0.0, 0.0, 0.0, 0, 0)
-
-
-def _shifted(c: tuple, x: tuple, k: tuple[float, float], sign: int) -> tuple:
-    """Summary of community c after vertex x joins (sign 1) or leaves (sign -1)
-    it; k is the link weight between them."""
-    return (
-        c[0] + sign * (2.0 * k[0] + x[0]),
-        c[1] + sign * (2.0 * k[1] + x[1]),
-        *(a + sign * b for a, b in zip(c[2:], x[2:])),
-    )
-
-
 class _PassState:
-    """Mutable community bookkeeping for one optimization phase.
+    """Membership of one optimization phase. A subclass per gain kind keeps
+    the sums its gains are priced from, as plain floats; ``evaluate``
+    isolates a vertex, prices every candidate move and leaves the vertex's
+    links in ``self.links`` for the ``place`` that must follow.
 
-    ``neigh`` holds the interval weights for the interval gain and the
-    midpoints for the scalar gain, under which a community keeps its
-    strength total Sigma_tot in ``tot``. For the interval gain every
-    community (and every vertex, as the singleton it would form) is
-    summarized as ``(o_lo, o_hi, s_lo, s_hi, n_lo, n_hi)``: its observed
-    diagonal block, its strength, and how many members have a positive
-    lower / upper strength. The counts make the zero tests exact,
-    whatever rounding the incremental strength sums carry.
+    ``level`` builds, once per network, the data its pass state and Qs read;
+    ``q`` (of ascending member lists) and ``q_max`` call the modularity
+    through this module's names, which tests and the benchmark wrap.
     """
 
-    def __init__(self, net: IWNetwork, strategy: Strategy, partition: Partition | None = None):
+    def __init__(self, net: IWNetwork, level, partition: Partition | None = None):
         self.net = net
-        self.strategy = strategy
-        n = net.n
-        if partition is None:
-            partition = Partition.singletons(n)
-        k = partition.n_communities
-        if strategy.interval_gain:
-            self.neigh = net.rows
-            self.vsum = [self._vertex_summary(v) for v in range(n)]
-            self.totals = tuple(seq_sum(x[j] for x in self.vsum) for j in (2, 3))
-            self.csum = [_EMPTY] * k
-        else:
-            self.neigh = net.midpoint_rows()
-            self.s = [seq_sum(row.values()) for row in self.neigh]
-            self.two_w = seq_sum(self.s)
-            self.tot = [0.0] * k
-        self.comm_of = [-1] * n
+        self.comm_of = [-1] * net.n
+        k = net.n if partition is None else partition.n_communities
         self.members: list[list[int]] = [[] for _ in range(k)]
-        for v, c in enumerate(partition.assignment):
+        self._sums(level, k)
+        for v, c in enumerate(range(net.n) if partition is None else partition.assignment):
+            if partition is not None:
+                self.links = self._links(v, c)
             self.place(v, c)
 
-    def _vertex_summary(self, v: int) -> tuple:
-        s = self.net.strength(v)
-        loop = self.neigh[v].get(v, ZERO)
-        return (loop.lo, loop.hi, s.lo, s.hi, int(s.lo > 0.0), int(s.hi > 0.0))
-
-    def _links(self, v: int, own: int) -> dict:
-        """Weight from v into each community of its neighbours, keyed in
-        first-neighbour (candidate) order; a self-loop keys ``own`` only."""
-        interval = self.strategy.interval_gain
-        zero = _NO_LINK if interval else 0.0
-        links: dict = {}
-        for u, w in self.neigh[v].items():
-            if u == v:
-                links.setdefault(own, zero)
-            else:
-                c = self.comm_of[u]
-                k = links.get(c, zero)
-                links[c] = (k[0] + w.lo, k[1] + w.hi) if interval else k + w
-        return links
-
-    def _term(self, c: tuple) -> float:
-        """D(o_rr, e_rr) of one community given its summary.
-
-        The adjusted expected block depends only on the community's own
-        strength and the network totals, which no move changes, so Q_cl is
-        the sum of this term over the communities.
-        """
-        o_lo, o_hi, s_lo, s_hi, n_lo, n_hi = c
-        # an endpoint with no positive member is 0, whatever residue it carries
-        e_lo, e_hi = expected_diag_adjusted(
-            s_lo if n_lo else 0.0, s_hi if n_hi else 0.0, *self.totals
-        )
-        return dominant_diff(o_lo - e_lo, o_hi - e_hi)
-
-    def comms(self) -> list[list[int]]:
-        return [m for m in self.members if m]
-
-    def _scalar_pricer(self, v: int, own: int, links: dict):
-        """Take v out of its community's strength total and return the gain
-        function, the reduced form 2(k_vC - s_v Sigma_tot / 2w)."""
-        s_v = self.s[v]
-        # an emptied community drops the rounding residue of the removals
-        self.tot[own] = self.tot[own] - s_v if self.members[own] else 0.0
-
-        def gain(cid: int) -> float:
-            return 2.0 * (links.get(cid, 0.0) - s_v * self.tot[cid] / self.two_w)
-
-        return gain
-
-    def _interval_pricer(self, v: int, own: int, links: dict):
-        """Take v out of its community's summary and return the gain function.
-
-        The gain of the isolated v joining C is D(C + v) - D(C) - D({v}):
-        only the terms of the communities that change move.
-        """
-        x = self.vsum[v]
-        if self.members[own]:
-            self.csum[own] = _shifted(self.csum[own], x, links.get(own, _NO_LINK), -1)
-        else:
-            self.csum[own] = _EMPTY  # drop the rounding residue of the removals
-        q_v = self._term(x)
-
-        def gain(cid: int) -> float:
-            c = self.csum[cid]
-            return self._term(_shifted(c, x, links.get(cid, _NO_LINK), 1)) - self._term(c) - q_v
-
-        return gain
-
-    def evaluate(self, v: int) -> tuple[int, list[int], dict[int, float], float]:
-        """Isolate v and price every candidate move.
-
-        Returns (own community id, candidate ids in first-neighbor-appearance
-        order, gains in that order, gain of returning home). The caller must
-        place v afterwards via ``place``.
-        """
+    def _leave(self, v: int) -> tuple[int, list[int]]:
         own = self.comm_of[v]
         self.members[own].remove(v)
         self.comm_of[v] = -1
-        links = self._links(v, own)
-        pricer = self._interval_pricer if self.strategy.interval_gain else self._scalar_pricer
-        gain = pricer(v, own, links)
-        gains: dict[int, float] = {}
-        for c in links:
-            # re-entering an emptied community is a no-op
-            gains[c] = 0.0 if c == own and not self.members[own] else gain(c)
-        gain_own = gains[own] if own in gains else gain(own) if self.members[own] else 0.0
-        return own, list(links), gains, gain_own
+        return own, self.members[own]
 
     def place(self, v: int, cid: int) -> None:
-        if self.strategy.interval_gain:
-            link = self._links(v, cid).get(cid, _NO_LINK)
-            self.csum[cid] = _shifted(self.csum[cid], self.vsum[v], link, 1)
-        else:
-            self.tot[cid] += self.s[v]
+        self._join(v, cid)
         bisect.insort(self.members[cid], v)
         self.comm_of[v] = cid
 
 
-def _decide(own: int, cand_ids: Sequence[int], gains: dict[int, float], gain_own: float) -> int | None:
+class _ScalarPass(_PassState):
+    """The scalar gain 2(k_vC - s_v Sigma_tot / 2w) on the midpoints of the
+    pass's network (``hl``, ``midpoint``); ``tot`` holds Sigma_tot."""
+
+    level = staticmethod(IWNetwork.midpoint_rows)
+    q = staticmethod(lambda mid, comms: q_scalar_communities(mid, comms))
+    q_max = staticmethod(lambda mid: q_max_scalar_communities(mid, [[r] for r in range(len(mid))]))
+
+    def _sums(self, mid: list[dict[int, float]], k: int) -> None:
+        self.neigh = mid
+        self.s = [seq_sum(row.values()) for row in mid]
+        self.two_w = seq_sum(self.s)
+        self.tot = [0.0] * k
+
+    def _links(self, v: int, own: int) -> dict[int, float]:
+        """Weight from v into each community of its neighbours, keyed in
+        first-neighbour (candidate) order; a self-loop keys ``own`` only."""
+        comm_of = self.comm_of
+        links: dict[int, float] = {}
+        for u, w in self.neigh[v].items():
+            if u == v:
+                links.setdefault(own, 0.0)
+            else:
+                c = comm_of[u]
+                links[c] = links.get(c, 0.0) + w
+        return links
+
+    def evaluate(self, v: int) -> tuple[int, tuple[int, ...], dict[int, float], float]:
+        """(own community, candidates in first-neighbour order, their gains, gain of going home)."""
+        own, home = self._leave(v)
+        links = self._links(v, own)
+        s_v, tot, two_w = self.s[v], self.tot, self.two_w
+        # an emptied community drops the rounding residue of the removals; its
+        # total is then 0.0, so re-entering it gains exactly 0.0
+        tot[own] = tot[own] - s_v if home else 0.0
+        gains = {c: 2.0 * (k - s_v * tot[c] / two_w) for c, k in links.items()}
+        return own, tuple(links), gains, 2.0 * (links.get(own, 0.0) - s_v * tot[own] / two_w)
+
+    def _join(self, v: int, cid: int) -> None:
+        self.tot[cid] += self.s[v]
+
+
+def _cl_term(o_lo, o_hi, s_lo, s_hi, n_lo, n_hi, t_lo, t_hi) -> float:
+    """D(o_rr, e_rr) of one community from its summary and the network totals.
+
+    The adjusted expected block depends only on the community's own
+    strength and the totals, which no move changes, so Q_cl is the sum of
+    this term over the communities. An endpoint with no positive member
+    (count n_lo / n_hi) is 0, whatever residue its strength sum carries.
+    """
+    e_lo, e_hi = expected_diag_adjusted(s_lo if n_lo else 0.0, s_hi if n_hi else 0.0, t_lo, t_hi)
+    return dominant_diff(o_lo - e_lo, o_hi - e_hi)
+
+
+class _IntervalPass(_PassState):
+    """The exact interval gain D(C + v) - D(C) - D({v}) (``cl``).
+
+    ``cols`` holds the flat lists o_lo, o_hi, s_lo, s_hi, n_lo, n_hi of
+    every community: observed diagonal block, strength, and how many
+    members have a positive lower / upper strength (the counts make the
+    zero tests exact). ``d`` caches each community's term; ``vsum`` and
+    ``vterm`` hold the same of every vertex as the singleton it would form.
+    """
+
+    level = staticmethod(lambda net: net)
+    q = staticmethod(lambda net, comms: q_interval_communities(net, comms))
+    q_max = staticmethod(lambda net: q_max_interval_adjusted(net, Partition.singletons(net.n)))
+
+    def _sums(self, net: IWNetwork, k: int) -> None:
+        self.vsum = []
+        for v, row in enumerate(net.rows):
+            loop = row.get(v, ZERO)
+            s_lo = seq_sum(w.lo for w in row.values())
+            s_hi = seq_sum(w.hi for w in row.values())
+            self.vsum.append((loop.lo, loop.hi, s_lo, s_hi, int(s_lo > 0.0), int(s_hi > 0.0)))
+        self.totals = tuple(seq_sum(x[j] for x in self.vsum) for j in (2, 3))
+        self.vterm = [_cl_term(*x, *self.totals) for x in self.vsum]
+        self.cols = tuple([0.0] * k for _ in range(6))
+        self.d = [0.0] * k
+        self.links = ({}, {})  # as singletons no vertex links into the community it enters
+
+    def _links(self, v: int, own: int) -> tuple[dict[int, float], dict[int, float]]:
+        """Lower and upper link weights, keyed as in ``_ScalarPass._links``."""
+        comm_of = self.comm_of
+        k_lo, k_hi = {}, {}
+        for u, w in self.net.rows[v].items():
+            if u == v:
+                k_lo.setdefault(own, 0.0)
+                k_hi.setdefault(own, 0.0)
+            else:
+                c = comm_of[u]
+                k_lo[c] = k_lo.get(c, 0.0) + w.lo
+                k_hi[c] = k_hi.get(c, 0.0) + w.hi
+        return k_lo, k_hi
+
+    def _join(self, v: int, c: int, sign: int = 1) -> None:
+        """v joins (sign 1) or leaves (sign -1) community c over ``self.links``."""
+        x_olo, x_ohi, x_slo, x_shi, x_nlo, x_nhi = self.vsum[v]
+        o_lo, o_hi, s_lo, s_hi, n_lo, n_hi = self.cols
+        o_lo[c] += sign * (2.0 * self.links[0].get(c, 0.0) + x_olo)
+        o_hi[c] += sign * (2.0 * self.links[1].get(c, 0.0) + x_ohi)
+        s_lo[c] += sign * x_slo
+        s_hi[c] += sign * x_shi
+        n_lo[c] += sign * x_nlo
+        n_hi[c] += sign * x_nhi
+        self.d[c] = _cl_term(o_lo[c], o_hi[c], s_lo[c], s_hi[c], n_lo[c], n_hi[c], *self.totals)
+
+    def evaluate(self, v: int) -> tuple[int, tuple[int, ...], dict[int, float], float]:
+        """As ``_ScalarPass.evaluate``."""
+        own, home = self._leave(v)
+        k_lo, k_hi = self.links = self._links(v, own)
+        if home:
+            self._join(v, own, -1)
+        else:  # drop the rounding residue of the removals
+            for col in (*self.cols, self.d):
+                col[own] = 0.0
+        o_lo, o_hi, s_lo, s_hi, n_lo, n_hi = self.cols
+        x_olo, x_ohi, x_slo, x_shi, x_nlo, x_nhi = self.vsum[v]
+        d, q_v, (t_lo, t_hi) = self.d, self.vterm[v], self.totals
+
+        def gain(c: int, kl: float, kh: float) -> float:
+            return _cl_term(
+                o_lo[c] + (2.0 * kl + x_olo), o_hi[c] + (2.0 * kh + x_ohi),
+                s_lo[c] + x_slo, s_hi[c] + x_shi, n_lo[c] + x_nlo, n_hi[c] + x_nhi, t_lo, t_hi,
+            ) - d[c] - q_v
+
+        gains = {c: gain(c, kl, k_hi[c]) for c, kl in k_lo.items()}
+        if not home:  # re-entering an emptied community is a no-op
+            if own in gains:
+                gains[own] = 0.0
+            return own, tuple(k_lo), gains, 0.0
+        return own, tuple(k_lo), gains, gains[own] if own in gains else gain(own, 0.0, 0.0)
+
+
+def _decide(own: int, gains: dict[int, float], gain_own: float) -> int | None:
     """Target community for a strictly improving move, else None (keep).
 
     A move needs a strictly positive gain that strictly beats returning to
     the former community; gain ties among candidates go to the smallest
     community id, and a tie with the former community keeps the vertex.
     """
-    best_c = None
-    best_gain = 0.0
-    for c in sorted(cand_ids):
-        if c == own:
-            continue
-        g = gains[c]
-        if g > 0.0 and g > gain_own and (best_c is None or g > best_gain):
-            best_c = c
-            best_gain = g
+    best_c, best_gain = None, 0.0
+    for c, g in gains.items():
+        if c != own and g > 0.0 and g > gain_own:
+            if best_c is None or g > best_gain or (g == best_gain and c < best_c):
+                best_c, best_gain = c, g
     return best_c
 
 
 def _fmt_gain(gain: float) -> str:
-    if gain == 0.0:
-        mark = "0"
-    elif gain > 0.0:
-        mark = "+"
-    else:
-        mark = "-"
-    sign = "-" if gain < 0.0 else "+"
-    return f"gain={sign}{abs(gain):.3f} ({mark})"
+    mark = "0" if gain == 0.0 else "+" if gain > 0.0 else "-"
+    return f"gain={'-' if gain < 0.0 else '+'}{abs(gain):.3f} ({mark})"
 
 
 def _optimize(state: _PassState, log: list[LogItem]) -> tuple[int, bool]:
@@ -332,23 +344,17 @@ def _optimize(state: _PassState, log: list[LogItem]) -> tuple[int, bool]:
 
     Returns (sweeps performed, whether any move happened).
     """
-    n = state.net.n
-    iterations = 0
-    any_move = False
-    for _ in range(SWEEP_LIMIT):
-        sweep_moved = False
-        for v in range(n):
+    for iterations in range(1, SWEEP_LIMIT + 1):
+        moves = 0
+        for v in range(state.net.n):
             own, cand_ids, gains, gain_own = state.evaluate(v)
-            target = _decide(own, cand_ids, gains, gain_own)
+            target = _decide(own, gains, gain_own)
             state.place(v, own if target is None else target)
-            log.append(Decision(v, own, tuple(cand_ids), tuple(gains.values()), target))
-            if target is not None:
-                sweep_moved = True
-                any_move = True
-        iterations += 1
+            log.append(Decision(v, own, cand_ids, tuple(gains.values()), target))
+            moves += target is not None
         log.append(Iteration(iterations))
-        if not sweep_moved:
-            return iterations, any_move
+        if not moves:  # every sweep before this one moved a vertex
+            return iterations, iterations > 1
     raise IterationLimit(f"no convergence after {SWEEP_LIMIT} sweeps")
 
 
@@ -357,19 +363,11 @@ def _degenerate_projection(net: IWNetwork) -> IWNetwork:
     rows = tuple(
         {j: Interval(m, m) for j, m in row.items() if m} for row in net.midpoint_rows()
     )
-    return IWNetwork(net.labels, rows)
+    return IWNetwork._trusted(net.labels, rows)
 
 
-def _q(strategy: Strategy, net: IWNetwork, comms: Sequence[Sequence[int]]) -> float:
-    """Modularity of ascending member lists in the metric of the strategy's gains."""
-    if strategy.interval_gain:
-        return q_interval_communities(net, comms)
-    return q_scalar_communities(net.midpoint_rows(), comms)
-
-def _q_max(strategy: Strategy, net: IWNetwork) -> float:
-    if strategy.interval_gain:
-        return q_max_interval_adjusted(net, Partition.singletons(net.n))
-    return q_max_scalar_communities(net.midpoint_rows(), [[r] for r in range(net.n)])
+def _kind(strategy: Strategy) -> type[_IntervalPass] | type[_ScalarPass]:
+    return _IntervalPass if strategy.interval_gain else _ScalarPass
 
 
 def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainRun:
@@ -383,13 +381,18 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
         strategy = Strategy.from_name(strategy)
     if net.n == 0:
         raise EmptyNetwork("cannot run on an empty network")
-    if net.total_weight().hi <= 0:
+    t_hi = seq_sum(w.hi for row in net.rows for w in row.values())
+    if not math.isfinite(t_hi):
+        net.total_weight()  # raises InvalidInterval at the first partial sum that overflows
+    if t_hi <= 0:
         raise ZeroTotalWeight("network has no weight")
 
+    kind = _kind(strategy)
     work = _degenerate_projection(net) if strategy.name == "midpoint" else net
     log: list[LogItem] = ["Initial Interval-Weighted Network:", work, ""]
+    level = kind.level(work)
     # modularity of the current pass's input, as singletons
-    pass_q = _q(strategy, work, [[r] for r in range(work.n)])
+    pass_q = kind.q(level, [[r] for r in range(work.n)])
     log.append(f"* Initial Modularity={pass_q:.3f}")
 
     passes: list[PassRecord] = []
@@ -398,29 +401,20 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
     while True:
         pass_no += 1
         log.append(f"* Begin Pass number {pass_no}")
-        state = _PassState(cur, strategy)
+        state = kind(cur, level)
         iterations, any_move = _optimize(state, log)
         if not any_move:
             log.append(f"* End Pass number {pass_no} -- no change")
-            passes.append(
-                PassRecord(
-                    pass_no, iterations, Partition.singletons(cur.n), pass_q, cur, False
-                )
-            )
+            singletons = Partition.singletons(cur.n)
+            passes.append(PassRecord(pass_no, iterations, singletons, pass_q, cur, False))
             break
-        p = Partition.from_communities(state.comms(), cur.n)
-        if strategy.aggregation == "minmax":
-            agg = aggregate_minmax(cur, p)
-        else:
-            agg = aggregate_sum(cur, p)
-        pass_q = _q(strategy, agg, [[r] for r in range(agg.n)])
-        log.append("")
-        log.append("New network: ---------------")
-        log.append(agg)
-        log.append(
-            f"* End Pass number {pass_no} Modularity={pass_q:.3f} "
-            f"Communities={' / '.join(agg.labels)}"
-        )
+        p = Partition.from_communities(state.members, cur.n)  # empty lists take no id
+        agg = (aggregate_minmax if strategy.aggregation == "minmax" else aggregate_sum)(cur, p)
+        level = kind.level(agg)
+        pass_q = kind.q(level, [[r] for r in range(agg.n)])
+        communities = " / ".join(agg.labels)
+        log += ["", "New network: ---------------", agg]
+        log += [f"* End Pass number {pass_no} Modularity={pass_q:.3f} Communities={communities}"]
         log.append("---------------------------")
         passes.append(PassRecord(pass_no, iterations, p, pass_q, agg, True))
         # a move only joins a neighbour's non-empty community, so the first move
@@ -428,30 +422,21 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
         cur = agg
 
     final_q = passes[-1].modularity
-    q_max = _q_max(strategy, cur)
+    q_max = kind.q_max(level)
     q_norm = final_q / q_max if q_max != 0.0 else math.nan
-    final_partition = _compose(passes)
-
-    log.append("")
-    log.append(f"* Final communities: {' / '.join(cur.labels)} (n={cur.n})")
     prefix = "Hybrid - Before Normalized" if strategy.name == "hybrid" else "Before Normalized"
-    log.append(f"* {prefix}: {final_q:.3f}")
-    log.append(f"* Normalized modularity: {q_norm:.3f} (Qmax={q_max:.6f})")
-    log.append("---------------------------")
-    log.append("Final Interval-weighted network:")
-    log.append("")
-    log.append(cur)
-
+    log += [
+        "",
+        f"* Final communities: {' / '.join(cur.labels)} (n={cur.n})",
+        f"* {prefix}: {final_q:.3f}",
+        f"* Normalized modularity: {q_norm:.3f} (Qmax={q_max:.6f})",
+        "---------------------------",
+        "Final Interval-weighted network:",
+        "",
+        cur,
+    ]
     return LouvainRun(
-        strategy=strategy,
-        network=net,
-        passes=tuple(passes),
-        final_partition=final_partition,
-        final_network=cur,
-        final_q=final_q,
-        final_q_norm=q_norm,
-        final_q_max=q_max,
-        trace=tuple(log),
+        strategy, net, tuple(passes), _compose(passes), cur, final_q, q_norm, q_max, tuple(log)
     )
 
 
@@ -470,7 +455,8 @@ def evaluate_moves(
     """
     if isinstance(strategy, str):
         strategy = Strategy.from_name(strategy)
-    state = _PassState(net, strategy, partition=p)
+    kind = _kind(strategy)
+    state = kind(net, kind.level(net), partition=p)
     own, cand_ids, gains, _ = state.evaluate(vertex)
     state.place(vertex, own)
     return [(c, gains[c]) for c in cand_ids]
@@ -495,8 +481,9 @@ class _Replay:
     community's label is cached until its membership changes.
     """
 
-    def __init__(self, net: IWNetwork):
+    def __init__(self, net: IWNetwork, kind: type[_IntervalPass] | type[_ScalarPass]):
         self.net = net
+        self.level = kind.level(net)
         self.labels = net.labels
         self.members = [[v] for v in range(net.n)]
         self.cached: dict[int, str] = {}
@@ -534,17 +521,18 @@ def emit_trace(run: LouvainRun) -> str:
     Each network in the log is the input of the records that follow it,
     up to the next network; the modularity of each sweep is computed here.
     """
+    kind = _kind(run.strategy)
     lines: list[str] = []
     replay: _Replay | None = None  # the log opens with a network, before any decision
     for item in run.trace:
         if isinstance(item, Decision):
             replay.render(item, lines)
         elif isinstance(item, Iteration):
-            q = _q(run.strategy, replay.net, [m for m in replay.members if m])
+            q = kind.q(replay.level, [m for m in replay.members if m])
             lines.append(f"Iteration {item.number} Modularity={q:.3f}")
         elif isinstance(item, IWNetwork):
             lines += format_matrix(item)
-            replay = _Replay(item)
+            replay = _Replay(item, kind)
         else:
             lines.append(item)
     return "\n".join(lines) + "\n"

@@ -11,8 +11,9 @@ Two parallel tracks are kept:
   difference D.
 
 Partition-level quantities collapse the partition's communities with
-``network.blocks`` (one pass over the neighbour maps) and are evaluated
-on the super-vertex rows in O(m + q): expected diagonal blocks divide by
+``network.blocks`` (one pass over the neighbour maps, folding interval
+endpoints as plain floats) and are evaluated on the super-vertex rows in
+O(m + q): expected diagonal blocks divide by
 the separable total (T - s) + s, or T_hi - s_hi + s_lo and
 T_lo - s_lo + s_hi, so the interval track degenerates bit for bit to
 the scalar track on degenerate networks. An adjusted total vanishes
@@ -28,7 +29,7 @@ from typing import Mapping, Sequence
 
 from .errors import DegenerateDenominator, SameCommunity, ZeroTotalWeight
 from .interval import Interval, ZERO, seq_sum, signed_diff
-from .network import IWNetwork, aggregate_minmax, aggregate_sum, blocks
+from .network import IWNetwork, Pair, aggregate_minmax, blocks, pair_sum
 from .partition import Partition
 
 __all__ = [
@@ -249,17 +250,17 @@ def dq_interval(q_new: float, q_last: float) -> float:
     return q_new - q_last
 
 
-def _diag_blocks_adjusted(
-    rows: Sequence[Mapping[int, Interval]],
-) -> tuple[list[Interval], list[Interval]]:
-    """(observed diagonal, adjusted expected diagonal) of super-vertex rows."""
-    s = [seq_sum(row.values(), ZERO) for row in rows]
-    t_lo = seq_sum(x.lo for x in s)
-    t_hi = seq_sum(x.hi for x in s)
+def _diag_blocks_adjusted(rows: Sequence[Mapping[int, Pair]]) -> tuple[list, list]:
+    """(observed diagonal, adjusted expected diagonal) Intervals of
+    super-vertex rows of (lo, hi) blocks; an expected block that overflows
+    raises."""
+    s = [(seq_sum(b[0] for b in row.values()), seq_sum(b[1] for b in row.values())) for row in rows]
+    t_lo = seq_sum(x[0] for x in s)
+    t_hi = seq_sum(x[1] for x in s)
     if t_hi <= 0:
         raise ZeroTotalWeight("total weight is zero")
-    e_blocks = [Interval(*expected_diag_adjusted(x.lo, x.hi, t_lo, t_hi)) for x in s]
-    o_blocks = [row.get(r, ZERO) for r, row in enumerate(rows)]
+    e_blocks = [Interval(*expected_diag_adjusted(*x, t_lo, t_hi)) for x in s]
+    o_blocks = [Interval(*row[r]) if r in row else ZERO for r, row in enumerate(rows)]
     return o_blocks, e_blocks
 
 
@@ -272,7 +273,7 @@ def q_interval_communities(net: IWNetwork, comms: Sequence[Sequence[int]]) -> fl
     of a partition equals the value of its aggregated network under
     singleton communities.
     """
-    o_blocks, e_blocks = _diag_blocks_adjusted(blocks(net.rows, comms, operator.add, ZERO))
+    o_blocks, e_blocks = _diag_blocks_adjusted(blocks(net.rows, comms, pair_sum, (0.0, 0.0)))
     return q_interval(o_blocks, e_blocks)
 
 
@@ -281,16 +282,13 @@ def q_interval_adjusted(net: IWNetwork, p: Partition) -> float:
     return q_interval_communities(net, p.communities)
 
 
-def _q_max_interval_blocks(rows: Sequence[Mapping[int, Interval]]) -> float:
-    total = seq_sum((w for row in rows for w in row.values()), ZERO)
-    _, e_blocks = _diag_blocks_adjusted(rows)
-    return signed_diff(total, seq_sum(e_blocks, ZERO))
-
-
 def q_max_interval_adjusted(net: IWNetwork, p: Partition) -> float:
     """Interval normalization denominator D([2w_lo, 2w_hi], sum e_rr),
     evaluated on the aggregated network of the partition."""
-    return _q_max_interval_blocks(aggregate_sum(net, p).rows)
+    rows = blocks(net.rows, p.communities, pair_sum, (0.0, 0.0))
+    total = Interval(*(seq_sum(b[k] for row in rows for b in row.values()) for k in (0, 1)))
+    _, e_blocks = _diag_blocks_adjusted(rows)
+    return signed_diff(total, seq_sum(e_blocks, ZERO))
 
 
 def q_max_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> float:

@@ -7,6 +7,10 @@ is exactly [0,0] and has no entry; freshly ingested networks have no
 self-loops, while aggregated networks carry within-community weight as
 interval self-loops. ``IWNetwork.weights`` is a dense view for callers
 that want the matrix.
+
+Input is validated at the boundary (``read_flow_csv``, ``Interval``, the
+public constructor and ``from_matrix`` / ``from_edges``); the networks
+the library builds itself skip the check.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, TextIO, TypeVar
+from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO, TypeVar
 
 from .errors import DuplicateEdge, InvalidInterval, NegativeWeight, ParseError
 from .interval import Interval, ZERO, seq_sum
@@ -35,7 +38,8 @@ __all__ = [
 
 CSV_HEADER = ("src", "dst", "lo", "hi")
 
-W = TypeVar("W")  # a block entry: an Interval, or a float on the scalar track
+W = TypeVar("W")  # an entry: an Interval, or a float on the scalar track
+Pair = tuple[float, float]  # the (lo, hi) endpoints of an Interval block being folded
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,13 @@ class IWNetwork:
                     )
 
     @classmethod
+    def _trusted(cls, labels: tuple[str, ...], rows: tuple, dropped: int = 0) -> "IWNetwork":
+        """A network from maps built by the library, without ``__post_init__``."""
+        net = object.__new__(cls)
+        net.__dict__.update(labels=labels, rows=rows, dropped_self_loops=dropped)
+        return net
+
+    @classmethod
     def from_matrix(
         cls, labels: Sequence[str], weights: Sequence[Sequence[Interval]]
     ) -> "IWNetwork":
@@ -113,14 +124,14 @@ class IWNetwork:
         labels: Sequence[str],
         edges: Iterable[tuple[str, str, float, float]],
     ) -> "IWNetwork":
-        """Build a network from undirected (u, v, lo, hi) tuples."""
+        """Build a network from undirected (u, v, lo, hi) tuples: a later
+        duplicate wins, u == v is a self-loop and [0,0] is no edge."""
         index = {lab: i for i, lab in enumerate(labels)}
-        n = len(labels)
-        w = [[ZERO] * n for _ in range(n)]
+        rows: list[dict[int, Interval]] = [{} for _ in labels]
         for u, v, lo, hi in edges:
             i, j = index[u], index[v]
-            w[i][j] = w[j][i] = Interval(lo, hi)
-        return cls.from_matrix(labels, w)
+            rows[i][j] = rows[j][i] = Interval(lo, hi)
+        return cls(tuple(labels), _ascending(rows))
 
     @property
     def n(self) -> int:
@@ -154,6 +165,11 @@ class IWNetwork:
 
     def edge_count(self) -> int:
         return sum(1 for i, row in enumerate(self.rows) for j in row if j >= i)
+
+
+def _ascending(rows: Sequence[dict[int, Interval]]) -> tuple[dict[int, Interval], ...]:
+    """The maps with ascending keys and without [0,0] entries."""
+    return tuple({j: row[j] for j in sorted(row) if row[j] != ZERO} for row in rows)
 
 
 def symmetrize(
@@ -200,35 +216,34 @@ def symmetrize(
         if prev is not None:
             w = Interval(min(prev.lo, w.lo), max(prev.hi, w.hi))
         rows[i][j] = rows[j][i] = w
-    return IWNetwork(
-        tuple(labels),
-        tuple({j: row[j] for j in sorted(row) if row[j] != ZERO} for row in rows),
-        dropped_self_loops=dropped,
-    )
+    return IWNetwork._trusted(tuple(labels), _ascending(rows), dropped)
 
 
 def blocks(
     rows: Sequence[Mapping[int, W]],
     comms: Sequence[Sequence[int]],
-    combine: Callable[[W | None, W], W],
-    zero: W | None,
-) -> list[dict[int, W]]:
+    combine: Callable[[Any, W], Any],
+    zero: Any,
+    finish: Callable[..., Any] | None = None,
+) -> list[dict[int, Any]]:
     """Collapse communities to super-vertices in one pass over the edges.
 
     Block (r, c) folds the entries between the members of communities r
     and c with ``combine``, starting from ``zero``, in row-major
     member-pair order (member lists ascend, as ``Partition`` and the
     driver keep them). Only blocks on or above the diagonal are computed;
-    each is mirrored, so the result is exactly symmetric. Blocks without
-    an entry are absent, and every returned map has ascending keys.
+    each is passed to ``finish(*block)`` if given and mirrored, so the
+    result is exactly symmetric. Blocks without an entry are absent, and
+    every returned map has ascending keys. Interval entries fold as
+    (lo, hi) float pairs with ``pair_sum`` or ``envelope``.
     """
     comm_of = [-1] * len(rows)
     for r, members in enumerate(comms):
         for i in members:
             comm_of[i] = r
-    out: list[dict[int, W]] = [{} for _ in comms]
+    out: list[dict[int, Any]] = [{} for _ in comms]
     for r, members in enumerate(comms):
-        upper: dict[int, W] = {}
+        upper: dict[int, Any] = {}
         for i in members:
             for j, w in rows[i].items():
                 c = comm_of[j]
@@ -236,23 +251,22 @@ def blocks(
                     upper[c] = combine(upper.get(c, zero), w)
         # rows below r already hold their keys < r in ascending order
         for c in sorted(upper):
-            out[r][c] = out[c][r] = upper[c]
+            out[r][c] = out[c][r] = upper[c] if finish is None else finish(*upper[c])
     return out
 
 
-def _envelope(acc: Interval | None, w: Interval) -> Interval:
-    return w if acc is None else Interval(min(acc.lo, w.lo), max(acc.hi, w.hi))
+def pair_sum(acc: Pair, w: Interval) -> Pair:
+    return (acc[0] + w.lo, acc[1] + w.hi)
 
 
-def _collapse(
-    net: IWNetwork,
-    p: Partition,
-    combine: Callable[[Interval | None, Interval], Interval],
-    zero: Interval | None,
-) -> IWNetwork:
+def envelope(acc: Pair | None, w: Interval) -> Pair:
+    return (w.lo, w.hi) if acc is None else (min(acc[0], w.lo), max(acc[1], w.hi))
+
+
+def _collapse(net: IWNetwork, p: Partition, combine: Callable, zero: Pair | None) -> IWNetwork:
     comms = p.communities
     labels = tuple(",".join(net.labels[v] for v in m) for m in comms)
-    return IWNetwork(labels, tuple(blocks(net.rows, comms, combine, zero)))
+    return IWNetwork._trusted(labels, tuple(blocks(net.rows, comms, combine, zero, Interval)))
 
 
 def aggregate_sum(net: IWNetwork, p: Partition) -> IWNetwork:
@@ -261,7 +275,7 @@ def aggregate_sum(net: IWNetwork, p: Partition) -> IWNetwork:
     Block (C, D) sums all ordered member pairs, so the diagonal self-loop
     holds the whole within-community weight and total weight is preserved.
     """
-    return _collapse(net, p, operator.add, ZERO)
+    return _collapse(net, p, pair_sum, (0.0, 0.0))
 
 
 def aggregate_minmax(net: IWNetwork, p: Partition) -> IWNetwork:
@@ -270,7 +284,7 @@ def aggregate_minmax(net: IWNetwork, p: Partition) -> IWNetwork:
     Block (C, D) is [min lo, max hi] over present member edges only;
     blocks without one stay absent, so connectivity is preserved.
     """
-    return _collapse(net, p, _envelope, None)
+    return _collapse(net, p, envelope, None)
 
 
 def format_matrix(net: IWNetwork) -> list[str]:

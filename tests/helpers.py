@@ -109,6 +109,26 @@ def with_isolated_vertices(net: IWNetwork, rng: random.Random, k: int) -> IWNetw
     return IWNetwork.from_matrix(tuple(labels), tuple(tuple(row) for row in w))
 
 
+def tie_network(rng: random.Random, shape: str, size: int) -> IWNetwork:
+    """Network whose moves tie exactly: one degenerate integer weight on
+    every edge of a ring, a star or a complete bipartite graph, with the
+    vertex order shuffled so that tied candidates carry unrelated ids."""
+    if shape == "ring":
+        pairs = [(i, (i + 1) % size) for i in range(size)]
+    elif shape == "star":
+        pairs = [(0, i) for i in range(1, size)]
+    elif shape == "bipartite":
+        a = rng.randrange(1, size)
+        pairs = [(i, j) for i in range(a) for j in range(a, size)]
+    else:
+        raise ValueError(f"unknown shape {shape!r}")
+    order = list(range(size))
+    rng.shuffle(order)
+    labels = [f"t{v}" for v in order]
+    x = float(rng.randrange(1, 4))
+    return IWNetwork.from_edges(labels, [(f"t{i}", f"t{j}", x, x) for i, j in pairs])
+
+
 def random_interval(rng: random.Random, span: float = 10.0) -> Interval:
     a = rng.uniform(-span, span)
     b = rng.uniform(-span, span)

@@ -256,6 +256,22 @@ class TestRunCommand:
         assert doc["final"]["q_max"] == 0.0
         assert doc["final"]["q_norm"] is None
 
+    @pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_overflowing_total_exit_2(self, capsys, tmp_path, method, fmt):
+        # every weight is finite, but the total weight overflows to inf:
+        # an error, never a silent inf or nan in the output
+        path = tmp_path / "overflow.csv"
+        path.write_text(
+            "src,dst,lo,hi\na,b,1e308,1.5e308\nb,c,1e308,1.5e308\nc,d,1,1\n", encoding="utf-8"
+        )
+        code, out, err = run_cli(
+            capsys, "run", "--input", str(path), "--method", method, "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: InvalidInterval: non-finite endpoint in [inf, inf]\n"
+
     def test_iteration_limit_exit_2(self, capsys, toy_csv, monkeypatch):
         # pass 1 on the reference network needs two sweeps
         monkeypatch.setattr(louvain, "SWEEP_LIMIT", 1)

@@ -5,6 +5,7 @@ import pytest
 
 from iwnet import (
     CLASSIC_INTERVAL,
+    DirectedFlowRecord,
     HYBRID,
     Interval,
     IWNetwork,
@@ -16,6 +17,7 @@ from iwnet import (
     evaluate_moves,
     q_definitional,
     run,
+    symmetrize,
 )
 from iwnet import louvain
 from iwnet.errors import EmptyNetwork, ZeroTotalWeight
@@ -26,6 +28,7 @@ from helpers import (
     normalize_lines,
     random_degenerate_network,
     random_network,
+    tie_network,
     toy_network,
     with_isolated_vertices,
     with_zero_lower_bounds,
@@ -358,11 +361,11 @@ class TestIntervalGainDifferential:
         # every evaluation of a whole run, after many incremental updates,
         # agrees with the reference, also where an adjusted total is 0/0
         checked = []
-        original = louvain._PassState.evaluate
+        original = louvain._IntervalPass.evaluate
 
         def evaluate(state, v):
             own = state.comm_of[v]
-            cids = {own} | {state.comm_of[u] for u in state.neigh[v] if u != v}
+            cids = {own} | {state.comm_of[u] for u in state.net.rows[v] if u != v}
             result = original(state, v)
             ref = _full_difference_gains(state.net, state.members, v, cids)
             _, _, gains, gain_own = result
@@ -370,7 +373,7 @@ class TestIntervalGainDifferential:
             checked.append(v)
             return result
 
-        monkeypatch.setattr(louvain._PassState, "evaluate", evaluate)
+        monkeypatch.setattr(louvain._IntervalPass, "evaluate", evaluate)
         rng = random.Random(32)
         nets = [random_network(rng, rng.randrange(4, 17), density=0.4) for _ in range(8)]
         nets += [random_degenerate_network(rng, rng.randrange(4, 17)) for _ in range(4)]
@@ -416,7 +419,7 @@ class TestScalarGainDifferential:
         # every evaluation of a whole run, after many updates of the
         # strength totals, agrees with the reference
         checked = []
-        original = louvain._PassState.evaluate
+        original = louvain._ScalarPass.evaluate
 
         def evaluate(state, v):
             own = state.comm_of[v]
@@ -428,7 +431,7 @@ class TestScalarGainDifferential:
             checked.append(v)
             return result
 
-        monkeypatch.setattr(louvain._PassState, "evaluate", evaluate)
+        monkeypatch.setattr(louvain._ScalarPass, "evaluate", evaluate)
         rng = random.Random(34)
         nets = [random_network(rng, rng.randrange(10, 40), density=0.2) for _ in range(8)]
         nets += [random_degenerate_network(rng, rng.randrange(4, 17)) for _ in range(4)]
@@ -542,7 +545,8 @@ class TestLazyDecisionLog:
         membership at the moment of the decision."""
         expected: list[str] = []
         pending = {}
-        evaluate, place = louvain._PassState.evaluate, louvain._PassState.place
+        kind = louvain._kind(strategy)
+        evaluate, place = kind.evaluate, kind.place
 
         def label(state, cid):
             return ",".join(state.net.labels[u] for u in state.members[cid])
@@ -567,8 +571,8 @@ class TestLazyDecisionLog:
                 pending.clear()
             place(state, v, cid)
 
-        monkeypatch.setattr(louvain._PassState, "evaluate", logged_evaluate)
-        monkeypatch.setattr(louvain._PassState, "place", logged_place)
+        monkeypatch.setattr(kind, "evaluate", logged_evaluate)
+        monkeypatch.setattr(kind, "place", logged_place)
         rng = random.Random(54)
         for net in [random_network(rng, n, density=0.2) for n in (8, 25, 50)]:
             expected.clear()
@@ -579,3 +583,77 @@ class TestLazyDecisionLog:
                 if line.startswith(("\tTry ", "\tMove ", "\tKeep "))
             ]
             assert rendered == expected
+
+
+def _reference_target(own, candidates, gains, gain_own):
+    """The tie rule, by a sorted scan: the largest gain that is > 0 and beats
+    returning home; the smallest id among equal gains; a tie with home keeps."""
+    best = None
+    for c in sorted(candidates):
+        g = gains[candidates.index(c)]
+        if c != own and g > 0.0 and g > gain_own and (best is None or g > best[1]):
+            best = (c, g)
+    return None if best is None else best[0]
+
+
+def test_decisions_follow_the_tie_rule_on_exact_ties(monkeypatch):
+    gain_owns = []
+    for kind in (louvain._IntervalPass, louvain._ScalarPass):
+        def evaluate(state, v, original=kind.evaluate):
+            result = original(state, v)
+            gain_owns.append(result[3])
+            return result
+
+        monkeypatch.setattr(kind, "evaluate", evaluate)
+    rng = random.Random(81)
+    nets = [tie_network(rng, shape, rng.randrange(3, 13)) for shape in ("ring", "star", "bipartite") * 6]
+    ties = 0
+    for net in nets:
+        for strategy in (CLASSIC_INTERVAL, HYBRID, MIDPOINT):
+            gain_owns.clear()
+            decisions = [d for d in run(net, strategy).trace if isinstance(d, louvain.Decision)]
+            assert len(decisions) == len(gain_owns)
+            for d, gain_own in zip(decisions, gain_owns):
+                assert d.target == _reference_target(d.own, d.candidates, d.gains, gain_own)
+                best = max((g for c, g in zip(d.candidates, d.gains) if c != d.own), default=0.0)
+                ties += best > 0.0 and sum(g == best for c, g in zip(d.candidates, d.gains) if c != d.own) > 1
+    assert ties >= 50
+
+
+def _records(net, rng):
+    """Directed flow records whose envelope is net, each pair split at random
+    between the two directions, with self-loop records mixed in."""
+    records = []
+    for i, row in enumerate(net.rows):
+        for j, w in row.items():
+            if i < j:
+                a, b = net.labels[i], net.labels[j]
+                mid = rng.uniform(w.lo, w.hi)
+                records += [DirectedFlowRecord(a, b, w.lo, mid), DirectedFlowRecord(b, a, mid, w.hi)]
+        if rng.random() < 0.2:
+            records.append(DirectedFlowRecord(net.labels[i], net.labels[i], 1.0, 2.0))
+    rng.shuffle(records)
+    return records
+
+
+def test_networks_built_inside_pass_the_public_validator():
+    """symmetrize, the midpoint projection and the aggregates skip
+    IWNetwork.__post_init__; rebuilding each through it changes nothing."""
+    rng = random.Random(82)
+    nets = _edge_case_networks(rng, 8, (3, 14))
+    nets += [random_degenerate_network(rng, rng.randrange(3, 14), density=0.3) for _ in range(4)]
+    nets += [tie_network(rng, shape, rng.randrange(3, 10)) for shape in ("ring", "star", "bipartite")]
+    checked = 0
+    for net in nets:
+        threshold = rng.choice([0.0, 2.0])
+        sym = symmetrize(_records(net, rng), threshold)
+        built = [sym]
+        if sym.n and any(sym.rows):
+            for strategy in (CLASSIC_INTERVAL, HYBRID, MIDPOINT):
+                result = run(sym, strategy)
+                built += [rec.aggregated for rec in result.passes]
+                built += [item for item in result.trace if isinstance(item, IWNetwork)]
+        for b in built:
+            assert IWNetwork(b.labels, b.rows) == b
+            checked += 1
+    assert checked > 150

@@ -160,7 +160,8 @@ class TestAdjustedExpected:
                 p = Partition(tuple(rng.randrange(k) for _ in range(net.n)))
                 agg = aggregate_sum(net, p)
                 s = [agg.strength(r) for r in range(agg.n)]
-                _, e_blocks = modularity._diag_blocks_adjusted(agg.rows)
+                pairs = [{j: (w.lo, w.hi) for j, w in row.items()} for row in agg.rows]
+                _, e_blocks = modularity._diag_blocks_adjusted(pairs)
                 for r, e in enumerate(e_blocks):
                     adj_min, adj_max = adjusted_total_bounds(s, r, r)
                     lo = s[r].lo * s[r].lo / adj_max if adj_max else 0.0

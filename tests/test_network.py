@@ -90,6 +90,34 @@ class TestIWNetwork:
         with pytest.raises(ValueError):
             IWNetwork(("a", "b"), rows)
 
+    def test_from_edges_equals_from_matrix(self):
+        # duplicates (in either direction, the later wins), self-loops,
+        # [0,0] edges, zero lower bounds and degenerate weights
+        rng = random.Random(71)
+        for _ in range(200):
+            n = rng.randrange(1, 12)
+            labels = [f"v{i}" for i in range(n)]
+            w = [[ZERO] * n for _ in range(n)]
+            edges = []
+            for _ in range(rng.randrange(3 * n)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                lo = rng.choice([0.0, float(rng.randrange(1, 4)), rng.uniform(0.0, 5.0)])
+                hi = lo + rng.choice([0.0, rng.uniform(0.0, 5.0)])
+                edges.append((labels[i], labels[j], lo, hi))
+                w[i][j] = w[j][i] = Interval(lo, hi)
+            net = IWNetwork.from_edges(labels, edges)
+            assert net == IWNetwork.from_matrix(labels, w)
+            assert all(list(row) == sorted(row) for row in net.rows)
+
+    def test_from_edges_builds_no_matrix(self):
+        n = 100_000
+        labels = [f"v{i}" for i in range(n)]
+        edges = [(labels[i], labels[(i * 7919) % n], 1.0, 2.0) for i in range(1, 11)]
+        net = IWNetwork.from_edges(labels, edges)
+        assert net.n == n
+        assert net.edge_count() == 10
+        assert sum(map(len, net.rows)) == 20
+
 
 class TestSymmetrize:
     def test_bidirectional_envelope(self):
@@ -340,7 +368,11 @@ class TestBlocksMatchDenseLoops:
             assert _densify(network.blocks(net.rows, comms, operator.add, ZERO), ZERO) == (
                 _dense_sum(net.weights, comms, ZERO)
             )
-            assert _densify(network.blocks(net.rows, comms, network._envelope, None), ZERO) == (
+            # the float folds of the aggregates, finished as Intervals
+            assert _densify(
+                network.blocks(net.rows, comms, network.pair_sum, (0.0, 0.0), Interval), ZERO
+            ) == _dense_sum(net.weights, comms, ZERO)
+            assert _densify(network.blocks(net.rows, comms, network.envelope, None, Interval), ZERO) == (
                 _dense_minmax(net.weights, comms)
             )
             mids = network.blocks(net.midpoint_rows(), comms, operator.add, 0.0)
