@@ -4,6 +4,9 @@ Edge weights are closed real intervals [lo, hi]; modularity and the
 Louvain algorithm are extended to them through interval contingency
 tables, the signed endpoint difference D, and two interval strategies
 (Classic and Hybrid Louvain) next to the degenerate midpoint baseline.
+
+The brute-force oracle (``iwnet.oracle``) is imported on first use of
+one of its names, so importing the package does not load it.
 """
 
 from . import errors
@@ -46,7 +49,6 @@ from .network import (
     read_flow_csv,
     symmetrize,
 )
-from .oracle import OracleReport, enumerate_best, partitions, q_definitional
 from .partition import Partition
 
 __version__ = "0.1.0"
@@ -96,3 +98,13 @@ __all__ = [
     "enumerate_best",
     "__version__",
 ]
+
+_ORACLE = frozenset({"OracleReport", "partitions", "q_definitional", "enumerate_best"})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

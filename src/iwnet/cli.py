@@ -20,7 +20,6 @@ import sys
 from .errors import DuplicateEdge, IWNError, ParseError
 from .louvain import LouvainRun, Strategy, emit_trace, run as run_louvain
 from .network import IWNetwork, format_matrix, network_from_csv
-from .oracle import enumerate_best
 
 __all__ = ["main"]
 
@@ -68,6 +67,12 @@ def _load_network(args: argparse.Namespace) -> IWNetwork:
     if net.dropped_self_loops:
         print(
             f"warning: dropped {net.dropped_self_loops} self-loop record(s)",
+            file=sys.stderr,
+        )
+    if net.dropped_below_threshold:
+        print(
+            f"warning: dropped {net.dropped_below_threshold} record(s) "
+            f"below --min-weight {args.min_weight}",
             file=sys.stderr,
         )
     return net
@@ -166,6 +171,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import enumerate_best  # only this command needs the oracle
+
     net = _load_network(args)
     report = enumerate_best(net, Strategy.from_name(args.metric))
     lines = [

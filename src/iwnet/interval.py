@@ -12,28 +12,32 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, TypeVar
 
 from .errors import DivisorContainsZero, InvalidInterval
+from .frozen import Frozen
 
 __all__ = ["Interval", "ZERO", "dominant_diff", "hausdorff", "seq_sum", "signed_diff"]
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(Frozen, fields=("lo", "hi")):
+    __slots__ = ("lo", "hi")
     lo: float
     hi: float
 
-    def __post_init__(self):
-        lo = float(self.lo)
-        hi = float(self.hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InvalidInterval(f"non-finite endpoint in [{self.lo}, {self.hi}]")
-        if lo > hi:
-            raise InvalidInterval(f"lo > hi in [{self.lo}, {self.hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def __init__(self, lo: float, hi: float):
+        flo = float(lo)
+        fhi = float(hi)
+        if not (math.isfinite(flo) and math.isfinite(fhi)):
+            raise InvalidInterval(f"non-finite endpoint in [{lo}, {hi}]")
+        if flo > fhi:
+            raise InvalidInterval(f"lo > hi in [{lo}, {hi}]")
+        object.__setattr__(self, "lo", flo)
+        object.__setattr__(self, "hi", fhi)
+
+    def __reduce__(self):
+        # slot state would be restored through the refused __setattr__
+        return Interval, (self.lo, self.hi)
 
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)

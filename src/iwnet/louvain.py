@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import EmptyNetwork, IterationLimit, ZeroTotalWeight
+from .errors import EmptyNetwork, InvalidInterval, IterationLimit, ZeroTotalWeight
+from .frozen import Frozen
 from .interval import Interval, ZERO, dominant_diff, seq_sum
 from .modularity import (
     expected_diag_adjusted,
@@ -64,13 +64,12 @@ __all__ = [
 SWEEP_LIMIT = 100
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Frozen, fields=("name",)):
     """Pairing of a phase-1 gain evaluator with a phase-2 aggregation rule."""
 
     name: str
 
-    _NAMES: ClassVar[dict[str, str]] = {
+    _NAMES = {
         "cl": "classic-interval",
         "classic-interval": "classic-interval",
         "hl": "hybrid",
@@ -78,9 +77,10 @@ class Strategy:
         "midpoint": "midpoint",
     }
 
-    def __post_init__(self):
-        if self.name not in ("classic-interval", "hybrid", "midpoint"):
-            raise ValueError(f"unknown strategy {self.name!r}")
+    def __init__(self, name: str):
+        if name not in ("classic-interval", "hybrid", "midpoint"):
+            raise ValueError(f"unknown strategy {name!r}")
+        object.__setattr__(self, "name", name)
 
     @classmethod
     def from_name(cls, name: str) -> "Strategy":
@@ -103,8 +103,7 @@ HYBRID = Strategy("hybrid")
 MIDPOINT = Strategy("midpoint")
 
 
-@dataclass(frozen=True)
-class PassRecord:
+class PassRecord(NamedTuple):
     """Outcome of one optimization+aggregation pass."""
 
     number: int
@@ -133,8 +132,8 @@ class Iteration(NamedTuple):
 
 LogItem = str | IWNetwork | Decision | Iteration  # one entry of LouvainRun.trace
 
-@dataclass(frozen=True)
-class LouvainRun:
+
+class LouvainRun(NamedTuple):
     """Full hierarchy produced by one driver run."""
 
     strategy: Strategy
@@ -386,6 +385,9 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
         net.total_weight()  # raises InvalidInterval at the first partial sum that overflows
     if t_hi <= 0:
         raise ZeroTotalWeight("network has no weight")
+    # the scalar track multiplies two strengths, each at most the total
+    if not strategy.interval_gain and not math.isfinite(t_hi * t_hi):
+        raise InvalidInterval(f"total weight {t_hi!r} overflows when squared")
 
     kind = _kind(strategy)
     work = _degenerate_projection(net) if strategy.name == "midpoint" else net

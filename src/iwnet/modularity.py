@@ -24,8 +24,7 @@ on neighbour maps of floats; its public functions take a dense matrix.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DegenerateDenominator, SameCommunity, ZeroTotalWeight
 from .interval import Interval, ZERO, seq_sum, signed_diff
@@ -57,8 +56,7 @@ Matrix = Sequence[Sequence[float]]
 Rows = Sequence[Mapping[int, float]]
 
 
-@dataclass(frozen=True)
-class ExpectedTable:
+class ExpectedTable(NamedTuple):
     """Symmetric table of expected weights under row-column independence.
 
     ``mode`` is "scalar" (degenerate entries e_ij = s_i s_j / 2w) or

@@ -18,10 +18,10 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO, TypeVar
 
 from .errors import DuplicateEdge, InvalidInterval, NegativeWeight, ParseError
+from .frozen import Frozen
 from .interval import Interval, ZERO, seq_sum
 from .partition import Partition
 
@@ -42,8 +42,7 @@ W = TypeVar("W")  # an entry: an Interval, or a float on the scalar track
 Pair = tuple[float, float]  # the (lo, hi) endpoints of an Interval block being folded
 
 
-@dataclass(frozen=True)
-class DirectedFlowRecord:
+class DirectedFlowRecord(Frozen, fields=("src", "dst", "lo", "hi")):
     """One directed flow ``src -> dst`` with interval weight [lo, hi]."""
 
     src: str
@@ -51,17 +50,23 @@ class DirectedFlowRecord:
     lo: float
     hi: float
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise InvalidInterval(
-                f"{self.src}->{self.dst}: lo {self.lo} > hi {self.hi}"
-            )
-        if self.lo < 0:
-            raise NegativeWeight(f"{self.src}->{self.dst}: lo {self.lo} < 0")
+    def __init__(self, src: str, dst: str, lo: float, hi: float):
+        if lo > hi:
+            raise InvalidInterval(f"{src}->{dst}: lo {lo} > hi {hi}")
+        if lo < 0:
+            raise NegativeWeight(f"{src}->{dst}: lo {lo} < 0")
+        # attribute by attribute: the instance keeps the compact shared-key dict
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
 
-@dataclass(frozen=True)
-class IWNetwork:
+class IWNetwork(
+    Frozen,
+    fields=("labels", "rows", "dropped_self_loops", "dropped_below_threshold"),
+    compare=("labels", "rows"),
+):
     """Undirected interval-weighted network stored as neighbour maps.
 
     ``rows[i]`` maps every vertex j joined to i by a present edge (weight
@@ -69,13 +74,24 @@ class IWNetwork:
     under key i. The maps are symmetric. Sums over a row therefore visit
     the entries of the dense matrix row in order, skipping only exact
     zeros, which leaves every float sum unchanged.
+
+    ``dropped_self_loops`` and ``dropped_below_threshold`` count the
+    records ingestion discarded; equality ignores them. The maps make a
+    network unhashable.
     """
 
     labels: tuple[str, ...]
     rows: tuple[dict[int, Interval], ...]
-    dropped_self_loops: int = field(default=0, compare=False)
+    dropped_self_loops: int
+    dropped_below_threshold: int
 
-    def __post_init__(self):
+    __hash__ = None
+
+    def __init__(self, labels, rows, dropped_self_loops=0, dropped_below_threshold=0):
+        self.__dict__.update(
+            labels=labels, rows=rows, dropped_self_loops=dropped_self_loops,
+            dropped_below_threshold=dropped_below_threshold,
+        )
         n = len(self.labels)
         if len(self.rows) != n:
             raise ValueError("row count does not match label count")
@@ -101,10 +117,12 @@ class IWNetwork:
                     )
 
     @classmethod
-    def _trusted(cls, labels: tuple[str, ...], rows: tuple, dropped: int = 0) -> "IWNetwork":
-        """A network from maps built by the library, without ``__post_init__``."""
+    def _trusted(cls, labels, rows, loops=0, below=0) -> "IWNetwork":
+        """A network from maps built by the library, without the checks of ``__init__``."""
         net = object.__new__(cls)
-        net.__dict__.update(labels=labels, rows=rows, dropped_self_loops=dropped)
+        net.__dict__.update(
+            labels=labels, rows=rows, dropped_self_loops=loops, dropped_below_threshold=below
+        )
         return net
 
     @classmethod
@@ -185,7 +203,8 @@ def symmetrize(
     weight is the envelope [min lo, max hi] of the surviving records in
     the two directions; with ``directed=False`` records are taken as
     already-undirected pairs and a repeated pair is an error. Self-loop
-    records are dropped and counted in ``dropped_self_loops``.
+    records are dropped and counted in ``dropped_self_loops``, the other
+    discarded records in ``dropped_below_threshold``.
     """
     labels: list[str] = []
     index: dict[str, int] = {}
@@ -198,7 +217,7 @@ def symmetrize(
             rows.append({})
         return index[label]
 
-    dropped = 0
+    loops = below = 0
     seen: set[tuple[str, str]] = set()
     for rec in records:
         key = (rec.src, rec.dst) if directed else tuple(sorted((rec.src, rec.dst)))
@@ -207,16 +226,17 @@ def symmetrize(
         seen.add(key)
         i, j = vid(rec.src), vid(rec.dst)
         if i == j:
-            dropped += 1
+            loops += 1
             continue
         if rec.hi < threshold:
+            below += 1
             continue
         w = Interval(rec.lo, rec.hi)
         prev = rows[i].get(j)
         if prev is not None:
             w = Interval(min(prev.lo, w.lo), max(prev.hi, w.hi))
         rows[i][j] = rows[j][i] = w
-    return IWNetwork._trusted(tuple(labels), _ascending(rows), dropped)
+    return IWNetwork._trusted(tuple(labels), _ascending(rows), loops, below)
 
 
 def blocks(

@@ -9,8 +9,7 @@ order. Bell numbers grow fast; instances are capped at n = 12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import EmptyNetwork, TooLarge
 from .interval import Interval, signed_diff
@@ -23,8 +22,7 @@ __all__ = ["OracleReport", "partitions", "q_definitional", "enumerate_best"]
 MAX_VERTICES = 12
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     best_partition: Partition
     best_q: float
     partitions_evaluated: int

@@ -2,29 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+from .frozen import Frozen
 
 __all__ = ["Partition"]
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen, fields=("assignment", "communities"), compare=("assignment",)):
     """Assignment of every vertex to exactly one community.
 
     Community ids are always normalized to 0..q-1 in order of first
     appearance along the vertex index, so two relabelings of the same
     grouping compare equal and all iteration over communities is
-    deterministic.
+    deterministic. ``communities`` lists the members of each id.
     """
 
     assignment: tuple[int, ...]
-    communities: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
+    communities: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, assignment: Iterable[int]):
         remap: dict[int, int] = {}
         normalized = []
-        for c in self.assignment:
+        for c in assignment:
             if c not in remap:
                 remap[c] = len(remap)
             normalized.append(remap[c])

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import iwnet
 from iwnet import louvain
 from iwnet.cli import main
 
@@ -173,6 +178,27 @@ class TestRunCommand:
         assert code == 0
         assert "dropped 1 self-loop" in err
 
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_min_weight_warning(self, capsys, tmp_path, command):
+        # a-b falls below in one direction only, a-c in both; the self-loop
+        # is reported as one and not counted again
+        path = tmp_path / "thr.csv"
+        path.write_text(
+            "src,dst,lo,hi\na,b,10,40\nb,a,60,80\nb,c,60,80\na,c,1,2\nc,a,3,4\nc,c,0,1\n",
+            encoding="utf-8",
+        )
+        method = "--method" if command == "run" else "--metric"
+        argv = [command, "--input", str(path), method, "cl"]
+        code, _, err = run_cli(capsys, *argv, "--min-weight", "50")
+        assert code == 0
+        assert err == (
+            "warning: dropped 1 self-loop record(s)\n"
+            "warning: dropped 3 record(s) below --min-weight 50.0\n"
+        )
+        code, _, err = run_cli(capsys, *argv, "--min-weight", "1.5")
+        assert code == 0
+        assert err == "warning: dropped 1 self-loop record(s)\n"
+
     def test_parse_error_exit_1(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("src,dst,lo,hi\na,b,oops,2\n", encoding="utf-8")
@@ -272,6 +298,23 @@ class TestRunCommand:
         assert out == ""
         assert err == "error: InvalidInterval: non-finite endpoint in [inf, inf]\n"
 
+    @pytest.mark.parametrize("method", ["hl", "midpoint"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_overflowing_squared_total_exit_2(self, capsys, tmp_path, method, fmt):
+        # the total weight is finite but its square is not, which the scalar
+        # track's products of strengths would reach: no Q = -inf in the text,
+        # no traceback from the JSON encoder
+        path = tmp_path / "overflow.csv"
+        path.write_text("src,dst,lo,hi\na,b,1e155,2e155\nb,c,1,1\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "run", "--input", str(path), "--method", method, "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: InvalidInterval: total weight 4e+155 overflows when squared\n"
+        )
+
     def test_iteration_limit_exit_2(self, capsys, toy_csv, monkeypatch):
         # pass 1 on the reference network needs two sweeps
         monkeypatch.setattr(louvain, "SWEEP_LIMIT", 1)
@@ -332,3 +375,34 @@ class TestOracleCommand:
         )
         assert code == 2
         assert "TooLarge" in err
+
+
+# Run in a child without ``site`` (-S), so that nothing but the import
+# itself can load a module; PYTHONPATH still applies.
+COLD_START = """
+import sys
+import iwnet.cli
+print(sorted({"dataclasses", "iwnet.oracle"} & set(sys.modules)))
+sys.exit(iwnet.cli.main(["oracle", "--input", sys.argv[1], "--metric", "cl"]))
+"""
+
+
+def test_cold_start_loads_only_what_run_needs(tmp_path, capsys):
+    """``import iwnet.cli`` loads neither ``dataclasses`` nor the oracle, and
+    the names the package resolves on first use still resolve."""
+    path = tmp_path / "toy.csv"
+    path.write_text(TOY_CSV, encoding="utf-8")
+    src = str(Path(iwnet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_START, str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, *report = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert report[-3:] == ["best partition (n=2):", "  C1: v1, v2", "  C2: v3, v4"]
+    for name in iwnet.__all__:
+        getattr(iwnet, name)
+    with pytest.raises(AttributeError):
+        iwnet.no_such_name

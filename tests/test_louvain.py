@@ -637,8 +637,8 @@ def _records(net, rng):
 
 
 def test_networks_built_inside_pass_the_public_validator():
-    """symmetrize, the midpoint projection and the aggregates skip
-    IWNetwork.__post_init__; rebuilding each through it changes nothing."""
+    """symmetrize, the midpoint projection and the aggregates skip the checks
+    of IWNetwork.__init__; rebuilding each through it changes nothing."""
     rng = random.Random(82)
     nets = _edge_case_networks(rng, 8, (3, 14))
     nets += [random_degenerate_network(rng, rng.randrange(3, 14), density=0.3) for _ in range(4)]

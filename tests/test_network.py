@@ -162,6 +162,21 @@ class TestSymmetrize:
         assert net.dropped_self_loops == 1
         assert net.weights[0][0] == ZERO
 
+    def test_records_below_threshold_counted(self):
+        records = [
+            DirectedFlowRecord("A", "B", 10, 40),  # below; B->A keeps the edge
+            DirectedFlowRecord("B", "A", 60, 80),
+            DirectedFlowRecord("B", "C", 0, 49.5),  # below; C stays a vertex
+            DirectedFlowRecord("C", "C", 0, 1),  # a self-loop, counted as one
+            DirectedFlowRecord("C", "A", 1, 50),  # at the threshold: kept
+        ]
+        net = symmetrize(records, 50.0)
+        assert (net.dropped_self_loops, net.dropped_below_threshold) == (1, 2)
+        assert net.edge_count() == 2
+        assert symmetrize(records, 0.0).dropped_below_threshold == 0
+        # the counts describe ingestion, not the network
+        assert net == IWNetwork(net.labels, net.rows)
+
     def test_duplicate_directed_record_rejected(self):
         records = [
             DirectedFlowRecord("A", "B", 1, 2),
