@@ -189,6 +189,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if math.isnan(args.min_weight):  # `hi < nan` is never true: the filter would be off
+        print("error: --min-weight must be a number, not nan", file=sys.stderr)
+        return 1
     try:
         if args.command == "run":
             return _cmd_run(args)

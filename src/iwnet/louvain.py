@@ -21,17 +21,22 @@ per-community sums updated in O(deg) per move and a vertex's links from
 one pass over its neighbour map, so a sweep is O(m). The networks of a
 run are not re-validated; input is checked once, at the boundary.
 Vertices are swept in index order and every decision is deterministic,
-so identical inputs produce byte-identical traces. Phase 1 logs one
-``Decision`` per evaluated vertex and one ``Iteration`` per sweep;
-``emit_trace`` replays them into the ``Try``/``Move``/``Keep`` lines,
-each sweep's modularity and the matrices when the log is asked for.
+so identical inputs produce byte-identical traces. ``run()`` only
+computes: its log is one ``Decision`` per evaluated vertex, so a sweep
+of a pass is ``n`` records of that pass's network, and it evaluates Q
+only after each aggregation (and for its input when the first pass
+moves nothing). ``emit_trace`` renders all of the text from the run's
+records: it replays each pass's decisions into the ``Try``/``Move``/
+``Keep`` lines, computes the initial and each sweep's modularity, and
+formats the matrices, when the log is asked for.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import EmptyNetwork, InvalidInterval, IterationLimit, ZeroTotalWeight
 from .frozen import Frozen
@@ -53,7 +58,6 @@ __all__ = [
     "MIDPOINT",
     "PassRecord",
     "Decision",
-    "Iteration",
     "LouvainRun",
     "run",
     "evaluate_moves",
@@ -124,15 +128,6 @@ class Decision(NamedTuple):
     target: int | None  # community moved to, None for a keep
 
 
-class Iteration(NamedTuple):
-    """End of a phase-1 sweep; emit_trace prints the modularity it reached."""
-
-    number: int
-
-
-LogItem = str | IWNetwork | Decision | Iteration  # one entry of LouvainRun.trace
-
-
 class LouvainRun(NamedTuple):
     """Full hierarchy produced by one driver run."""
 
@@ -144,10 +139,8 @@ class LouvainRun(NamedTuple):
     final_q: float
     final_q_norm: float  # NaN when Q_max is zero
     final_q_max: float
-    # the decision log: text lines, each network whose matrix the log shows
-    # (it also starts the replay of the records that follow it), the
-    # decision records and the sweep ends; emit_trace renders it
-    trace: tuple[LogItem, ...]
+    # the decision log: iterations x n records per pass, in sweep order
+    trace: tuple[Decision, ...]
 
 
 class _PassState:
@@ -338,7 +331,7 @@ def _fmt_gain(gain: float) -> str:
     return f"gain={'-' if gain < 0.0 else '+'}{abs(gain):.3f} ({mark})"
 
 
-def _optimize(state: _PassState, log: list[LogItem]) -> tuple[int, bool]:
+def _optimize(state: _PassState, log: list[Decision]) -> tuple[int, bool]:
     """Phase 1: greedy sweeps until one completes without a move.
 
     Returns (sweeps performed, whether any move happened).
@@ -351,13 +344,16 @@ def _optimize(state: _PassState, log: list[LogItem]) -> tuple[int, bool]:
             state.place(v, own if target is None else target)
             log.append(Decision(v, own, cand_ids, tuple(gains.values()), target))
             moves += target is not None
-        log.append(Iteration(iterations))
         if not moves:  # every sweep before this one moved a vertex
             return iterations, iterations > 1
     raise IterationLimit(f"no convergence after {SWEEP_LIMIT} sweeps")
 
 
-def _degenerate_projection(net: IWNetwork) -> IWNetwork:
+def _work(net: IWNetwork, strategy: Strategy) -> IWNetwork:
+    """The input of the first pass: ``net``, or for ``midpoint`` its
+    degenerate projection."""
+    if strategy.name != "midpoint":
+        return net
     # a midpoint can round to 0.0 only on a subnormal edge, which then drops out
     rows = tuple(
         {j: Interval(m, m) for j, m in row.items() if m} for row in net.midpoint_rows()
@@ -385,61 +381,41 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
         net.total_weight()  # raises InvalidInterval at the first partial sum that overflows
     if t_hi <= 0:
         raise ZeroTotalWeight("network has no weight")
-    # the scalar track multiplies two strengths, each at most the total
-    if not strategy.interval_gain and not math.isfinite(t_hi * t_hi):
+    # every track multiplies two strengths, each at most the total: the
+    # scalar gains and Q, and the adjusted expectations of cl
+    if not math.isfinite(t_hi * t_hi):
         raise InvalidInterval(f"total weight {t_hi!r} overflows when squared")
 
     kind = _kind(strategy)
-    work = _degenerate_projection(net) if strategy.name == "midpoint" else net
-    log: list[LogItem] = ["Initial Interval-Weighted Network:", work, ""]
-    level = kind.level(work)
-    # modularity of the current pass's input, as singletons
-    pass_q = kind.q(level, [[r] for r in range(work.n)])
-    log.append(f"* Initial Modularity={pass_q:.3f}")
-
+    cur = _work(net, strategy)
+    level = kind.level(cur)
+    log: list[Decision] = []
     passes: list[PassRecord] = []
-    cur = work
-    pass_no = 0
     while True:
-        pass_no += 1
-        log.append(f"* Begin Pass number {pass_no}")
         state = kind(cur, level)
         iterations, any_move = _optimize(state, log)
         if not any_move:
-            log.append(f"* End Pass number {pass_no} -- no change")
+            # Q of cur as singletons: the last aggregate's, or the input's
+            q = passes[-1].modularity if passes else kind.q(level, [[r] for r in range(cur.n)])
             singletons = Partition.singletons(cur.n)
-            passes.append(PassRecord(pass_no, iterations, singletons, pass_q, cur, False))
+            passes.append(PassRecord(len(passes) + 1, iterations, singletons, q, cur, False))
             break
         p = Partition.from_communities(state.members, cur.n)  # empty lists take no id
         agg = (aggregate_minmax if strategy.aggregation == "minmax" else aggregate_sum)(cur, p)
         level = kind.level(agg)
-        pass_q = kind.q(level, [[r] for r in range(agg.n)])
-        communities = " / ".join(agg.labels)
-        log += ["", "New network: ---------------", agg]
-        log += [f"* End Pass number {pass_no} Modularity={pass_q:.3f} Communities={communities}"]
-        log.append("---------------------------")
-        passes.append(PassRecord(pass_no, iterations, p, pass_q, agg, True))
+        q = kind.q(level, [[r] for r in range(agg.n)])
+        passes.append(PassRecord(len(passes) + 1, iterations, p, q, agg, True))
         # a move only joins a neighbour's non-empty community, so the first move
         # empties a singleton for good: agg.n < cur.n and the loop terminates
         cur = agg
 
+    final = passes[0].partition
+    for rec in passes[1:]:
+        final = final.compose(rec.partition.assignment)
     final_q = passes[-1].modularity
     q_max = kind.q_max(level)
     q_norm = final_q / q_max if q_max != 0.0 else math.nan
-    prefix = "Hybrid - Before Normalized" if strategy.name == "hybrid" else "Before Normalized"
-    log += [
-        "",
-        f"* Final communities: {' / '.join(cur.labels)} (n={cur.n})",
-        f"* {prefix}: {final_q:.3f}",
-        f"* Normalized modularity: {q_norm:.3f} (Qmax={q_max:.6f})",
-        "---------------------------",
-        "Final Interval-weighted network:",
-        "",
-        cur,
-    ]
-    return LouvainRun(
-        strategy, net, tuple(passes), _compose(passes), cur, final_q, q_norm, q_max, tuple(log)
-    )
+    return LouvainRun(strategy, net, tuple(passes), final, cur, final_q, q_norm, q_max, tuple(log))
 
 
 def evaluate_moves(
@@ -455,6 +431,10 @@ def evaluate_moves(
     isolated from its own community for the evaluation and put back
     afterwards.
     """
+    if len(p.assignment) != net.n:
+        raise ValueError(f"partition has {len(p.assignment)} entries, network has {net.n} vertices")
+    if not 0 <= vertex < net.n:
+        raise ValueError(f"vertex {vertex} is not in range({net.n})")
     if isinstance(strategy, str):
         strategy = Strategy.from_name(strategy)
     kind = _kind(strategy)
@@ -464,16 +444,9 @@ def evaluate_moves(
     return [(c, gains[c]) for c in cand_ids]
 
 
-def _compose(passes: Sequence[PassRecord]) -> Partition:
-    p = passes[0].partition
-    for rec in passes[1:]:
-        p = p.compose(rec.partition.assignment)
-    return p
-
-
 def compose_partitions(run: LouvainRun) -> Partition:
     """Final communities expressed on the original vertices."""
-    return _compose(run.passes)
+    return run.final_partition
 
 
 class _Replay:
@@ -484,7 +457,6 @@ class _Replay:
     """
 
     def __init__(self, net: IWNetwork, kind: type[_IntervalPass] | type[_ScalarPass]):
-        self.net = net
         self.level = kind.level(net)
         self.labels = net.labels
         self.members = [[v] for v in range(net.n)]
@@ -520,21 +492,45 @@ class _Replay:
 def emit_trace(run: LouvainRun) -> str:
     """Human-readable log of the whole run (one string, newline-joined).
 
-    Each network in the log is the input of the records that follow it,
-    up to the next network; the modularity of each sweep is computed here.
+    Every line comes from the run's records. Pass k replays its
+    ``iterations x n`` decisions on its input network (the first pass's
+    input from ``_work``, then the previous pass's aggregate); the initial
+    and each sweep's modularity are computed here.
     """
     kind = _kind(run.strategy)
-    lines: list[str] = []
-    replay: _Replay | None = None  # the log opens with a network, before any decision
-    for item in run.trace:
-        if isinstance(item, Decision):
-            replay.render(item, lines)
-        elif isinstance(item, Iteration):
+    cur = _work(run.network, run.strategy)
+    replay = _Replay(cur, kind)
+    lines = ["Initial Interval-Weighted Network:", *format_matrix(cur), ""]
+    lines.append(f"* Initial Modularity={kind.q(replay.level, replay.members):.3f}")
+    decisions = iter(run.trace)
+    for rec in run.passes:
+        lines.append(f"* Begin Pass number {rec.number}")
+        for sweep in range(1, rec.iterations + 1):
+            for d in itertools.islice(decisions, cur.n):
+                replay.render(d, lines)
             q = kind.q(replay.level, [m for m in replay.members if m])
-            lines.append(f"Iteration {item.number} Modularity={q:.3f}")
-        elif isinstance(item, IWNetwork):
-            lines += format_matrix(item)
-            replay = _Replay(item, kind)
-        else:
-            lines.append(item)
+            lines.append(f"Iteration {sweep} Modularity={q:.3f}")
+        if not rec.changed:
+            lines.append(f"* End Pass number {rec.number} -- no change")
+            continue
+        cur = rec.aggregated
+        replay = _Replay(cur, kind)
+        communities = " / ".join(cur.labels)
+        lines += ["", "New network: ---------------", *format_matrix(cur)]
+        lines.append(
+            f"* End Pass number {rec.number} Modularity={rec.modularity:.3f} Communities={communities}"
+        )
+        lines.append("---------------------------")
+    final = run.final_network
+    prefix = "Hybrid - Before Normalized" if run.strategy.name == "hybrid" else "Before Normalized"
+    lines += [
+        "",
+        f"* Final communities: {' / '.join(final.labels)} (n={final.n})",
+        f"* {prefix}: {run.final_q:.3f}",
+        f"* Normalized modularity: {run.final_q_norm:.3f} (Qmax={run.final_q_max:.6f})",
+        "---------------------------",
+        "Final Interval-weighted network:",
+        "",
+        *format_matrix(final),
+    ]
     return "\n".join(lines) + "\n"

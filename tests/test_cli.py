@@ -199,6 +199,19 @@ class TestRunCommand:
         assert code == 0
         assert err == "warning: dropped 1 self-loop record(s)\n"
 
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_nan_min_weight_exit_1(self, capsys, tmp_path, command):
+        # `hi < nan` is never true, so nan would turn the filter off unseen
+        path = tmp_path / "thr.csv"
+        path.write_text("src,dst,lo,hi\na,b,10,40\nb,c,60,80\n", encoding="utf-8")
+        method = "--method" if command == "run" else "--metric"
+        code, out, err = run_cli(
+            capsys, command, "--input", str(path), method, "cl", "--min-weight", "nan"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: --min-weight must be a number, not nan\n"
+
     def test_parse_error_exit_1(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("src,dst,lo,hi\na,b,oops,2\n", encoding="utf-8")
@@ -298,12 +311,12 @@ class TestRunCommand:
         assert out == ""
         assert err == "error: InvalidInterval: non-finite endpoint in [inf, inf]\n"
 
-    @pytest.mark.parametrize("method", ["hl", "midpoint"])
+    @pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_overflowing_squared_total_exit_2(self, capsys, tmp_path, method, fmt):
-        # the total weight is finite but its square is not, which the scalar
-        # track's products of strengths would reach: no Q = -inf in the text,
-        # no traceback from the JSON encoder
+        # the total weight is finite but its square is not, which every
+        # track's products of strengths would reach: no Q = -inf or gain=-inf
+        # in the text, no traceback from the JSON encoder
         path = tmp_path / "overflow.csv"
         path.write_text("src,dst,lo,hi\na,b,1e155,2e155\nb,c,1,1\n", encoding="utf-8")
         code, out, err = run_cli(
