@@ -16,19 +16,19 @@ Three strategies share one greedy two-phase loop:
 * ``midpoint``: the degenerate baseline, scalar gains with sum
   aggregation on the midpoint projection of the input.
 
-Phase 1 keeps only plain floats, in one pass state per gain kind:
-per-community sums updated in O(deg) per move and a vertex's links from
-one pass over its neighbour map, so a sweep is O(m). The networks of a
-run are not re-validated; input is checked once, at the boundary.
-Vertices are swept in index order and every decision is deterministic,
-so identical inputs produce byte-identical traces. ``run()`` only
-computes: its log is one ``Decision`` per evaluated vertex, so a sweep
-of a pass is ``n`` records of that pass's network, and it evaluates Q
-only after each aggregation (and for its input when the first pass
-moves nothing). ``emit_trace`` renders all of the text from the run's
-records: it replays each pass's decisions into the ``Try``/``Move``/
-``Keep`` lines, computes the initial and each sweep's modularity, and
-formats the matrices, when the log is asked for.
+Phase 1 keeps a community id per vertex, a member count per community
+and, per gain kind, float sums per community, all updated in O(deg) per
+move; a vertex's links come from one pass over its neighbour map, so a
+sweep is O(m). Networks of a run are not re-validated; input is checked
+once, at the boundary. Vertices are swept in index order and every
+decision is deterministic, so identical inputs produce byte-identical
+traces. ``run()`` only computes: its log is one ``Decision`` per
+evaluated vertex, so a sweep of a pass is ``n`` records of that pass's
+network, and it evaluates Q only after each aggregation (and for its
+input when the first pass moves nothing). ``emit_trace`` renders all of
+the text from the run's records: it replays each pass's decisions into
+the ``Try``/``Move``/``Keep`` lines, computes the initial and each
+sweep's modularity, and formats the matrices, when the log is asked for.
 """
 
 from __future__ import annotations
@@ -144,10 +144,11 @@ class LouvainRun(NamedTuple):
 
 
 class _PassState:
-    """Membership of one optimization phase. A subclass per gain kind keeps
-    the sums its gains are priced from, as plain floats; ``evaluate``
-    isolates a vertex, prices every candidate move and leaves the vertex's
-    links in ``self.links`` for the ``place`` that must follow.
+    """Membership of one optimization phase: the community id of every vertex
+    (``comm_of``) and the member count of every id (``size``). A subclass
+    per gain kind keeps the sums its gains are priced from, as plain
+    floats; ``evaluate`` isolates a vertex, prices every candidate move and
+    leaves its links in ``self.links`` for the ``place`` that must follow.
 
     ``level`` builds, once per network, the data its pass state and Qs read;
     ``q`` (of ascending member lists) and ``q_max`` call the modularity
@@ -158,22 +159,22 @@ class _PassState:
         self.net = net
         self.comm_of = [-1] * net.n
         k = net.n if partition is None else partition.n_communities
-        self.members: list[list[int]] = [[] for _ in range(k)]
+        self.size = [0] * k
         self._sums(level, k)
         for v, c in enumerate(range(net.n) if partition is None else partition.assignment):
             if partition is not None:
                 self.links = self._links(v, c)
             self.place(v, c)
 
-    def _leave(self, v: int) -> tuple[int, list[int]]:
+    def _leave(self, v: int) -> tuple[int, bool]:
         own = self.comm_of[v]
-        self.members[own].remove(v)
         self.comm_of[v] = -1
-        return own, self.members[own]
+        self.size[own] -= 1
+        return own, self.size[own] > 0
 
     def place(self, v: int, cid: int) -> None:
         self._join(v, cid)
-        bisect.insort(self.members[cid], v)
+        self.size[cid] += 1
         self.comm_of[v] = cid
 
 
@@ -394,13 +395,12 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
     while True:
         state = kind(cur, level)
         iterations, any_move = _optimize(state, log)
+        p = Partition(state.comm_of)  # ids renumbered by first appearance; singletons if no move
         if not any_move:
             # Q of cur as singletons: the last aggregate's, or the input's
             q = passes[-1].modularity if passes else kind.q(level, [[r] for r in range(cur.n)])
-            singletons = Partition.singletons(cur.n)
-            passes.append(PassRecord(len(passes) + 1, iterations, singletons, q, cur, False))
+            passes.append(PassRecord(len(passes) + 1, iterations, p, q, cur, False))
             break
-        p = Partition.from_communities(state.members, cur.n)  # empty lists take no id
         agg = (aggregate_minmax if strategy.aggregation == "minmax" else aggregate_sum)(cur, p)
         level = kind.level(agg)
         q = kind.q(level, [[r] for r in range(agg.n)])

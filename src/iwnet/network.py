@@ -9,8 +9,9 @@ interval self-loops. ``IWNetwork.weights`` is a dense view for callers
 that want the matrix.
 
 Input is validated at the boundary (``read_flow_csv``, ``Interval``, the
-public constructor and ``from_matrix`` / ``from_edges``); the networks
-the library builds itself skip the check.
+public constructor and ``from_matrix`` / ``from_edges``, which reject
+duplicate labels too); the networks the library builds itself skip the
+check.
 """
 
 from __future__ import annotations
@@ -95,6 +96,11 @@ class IWNetwork(
         n = len(self.labels)
         if len(self.rows) != n:
             raise ValueError("row count does not match label count")
+        seen = set()
+        for lab in self.labels:
+            if lab in seen:
+                raise ValueError(f"duplicate vertex label {lab!r}")
+            seen.add(lab)
         for i, row in enumerate(self.rows):
             prev = -1
             for j, w in row.items():

@@ -38,19 +38,6 @@ class Partition(Frozen, fields=("assignment", "communities"), compare=("assignme
     def singletons(cls, n: int) -> "Partition":
         return cls(tuple(range(n)))
 
-    @classmethod
-    def from_communities(cls, groups: Iterable[Iterable[int]], n: int) -> "Partition":
-        assignment = [-1] * n
-        for cid, group in enumerate(groups):
-            for v in group:
-                if assignment[v] != -1:
-                    raise ValueError(f"vertex {v} appears in two communities")
-                assignment[v] = cid
-        if any(c == -1 for c in assignment):
-            missing = [v for v, c in enumerate(assignment) if c == -1]
-            raise ValueError(f"vertices {missing} not assigned to any community")
-        return cls(tuple(assignment))
-
     @property
     def n_communities(self) -> int:
         return len(self.communities)

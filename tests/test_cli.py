@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import iwnet
 from iwnet import louvain
 from iwnet.cli import main
 
-from helpers import normalize_lines
+from helpers import normalize_lines, random_network
 
 TOY_CSV = """src,dst,lo,hi
 v1,v2,1,3
@@ -236,6 +237,31 @@ class TestRunCommand:
         assert code == 1
         assert "line 1" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: empty file, expected header src,dst,lo,hi"),
+            ("src,dst,lo,hi\na,b,1,2\nb,c,1,1\na,b,1\n", "line 4: expected 4 fields, got 3"),
+            ("src,dst,lo,hi\na,b,1,2\n , c,1,2\n", "line 3: empty vertex label"),
+        ],
+    )
+    def test_malformed_csv_exit_1(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--input", str(path), "--method", "cl")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_blank_line_skipped(self, capsys, tmp_path):
+        with_blank = TOY_CSV.replace("\nv1,v3", "\n\nv1,v3")  # between the first two records
+        outs = []
+        for name, text in (("plain", TOY_CSV), ("blank", with_blank)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text, encoding="utf-8")
+            code, out, _ = run_cli(capsys, "run", "--input", str(path), "--method", "cl")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_missing_file_exit_1(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "run", "--input", str(tmp_path / "nope.csv"), "--method", "cl"
@@ -419,3 +445,33 @@ def test_cold_start_loads_only_what_run_needs(tmp_path, capsys):
         getattr(iwnet, name)
     with pytest.raises(AttributeError):
         iwnet.no_such_name
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    """``iwnet run --trace --format json`` prints the same bytes under two
+    string-hash seeds: no output order comes from iterating a set or a
+    hash-ordered container."""
+    net = random_network(random.Random(62), 60, density=0.08)
+    lines = ["src,dst,lo,hi"]
+    for i, row in enumerate(net.rows):
+        for j, w in row.items():
+            if i < j:  # both directions, the reverse with a narrower interval
+                lines += [f"{net.labels[i]},{net.labels[j]},{w.lo!r},{w.hi!r}",
+                          f"{net.labels[j]},{net.labels[i]},{w.lo!r},{(w.lo + w.hi) / 2!r}"]
+    path = tmp_path / "net.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    src = str(Path(iwnet.__file__).resolve().parent.parent)
+    for method in ("cl", "hl", "midpoint"):
+        outs = []
+        for seed in ("0", "12345"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "iwnet.cli", "run", "--input", str(path),
+                 "--method", method, "--trace", "--format", "json"],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        doc = json.loads(outs[0])
+        assert len(doc["final"]["membership"]) >= 50 and doc["passes"][0]["changed"]
+        assert outs[0] == outs[1], method

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import time
 
 import pytest
 
@@ -328,6 +330,16 @@ class TestDriverBehavior:
             assert math.isclose(result.final_q / two_w, ref, rel_tol=1e-12)
 
 
+def _members(state):
+    """Ascending member lists of every community id of a pass state; a
+    vertex isolated by ``evaluate`` (community -1) is in none."""
+    members = [[] for _ in state.size]
+    for u, c in enumerate(state.comm_of):
+        if c >= 0:
+            members[c].append(u)
+    return members
+
+
 def _full_difference_gains(net, rest, v, cids, q=q_interval_communities):
     """Reference gains of the isolated v joining each community in cids.
 
@@ -380,7 +392,7 @@ class TestIntervalGainDifferential:
             own = state.comm_of[v]
             cids = {own} | {state.comm_of[u] for u in state.net.rows[v] if u != v}
             result = original(state, v)
-            ref = _full_difference_gains(state.net, state.members, v, cids)
+            ref = _full_difference_gains(state.net, _members(state), v, cids)
             _, _, gains, gain_own = result
             _assert_gains_close(state.net, {**gains, own: gain_own}, ref)
             checked.append(v)
@@ -438,7 +450,7 @@ class TestScalarGainDifferential:
             own = state.comm_of[v]
             cids = {own} | {state.comm_of[u] for u in state.net.rows[v] if u != v}
             result = original(state, v)
-            ref = _full_difference_gains(state.net, state.members, v, cids, _q_midpoints)
+            ref = _full_difference_gains(state.net, _members(state), v, cids, _q_midpoints)
             _, _, gains, gain_own = result
             _assert_gains_close(state.net, {**gains, own: gain_own}, ref)
             checked.append(v)
@@ -520,6 +532,34 @@ def test_run_stays_sparse(monkeypatch, strategy):
     assert result.final_partition.n_communities < n
 
 
+def _hub_network(leaves):
+    """Every leaf joined to one hub, and one leaf-leaf edge every 50 leaves:
+    phase 1 gathers nearly every vertex into the hub's community."""
+    labels = ["hub", *(f"l{i}" for i in range(leaves))]
+    edges = [("hub", f"l{i}", 1, 1) for i in range(leaves)]
+    edges += [(f"l{i}", f"l{i + 1}", 1, 1) for i in range(0, leaves - 1, 50)]
+    return IWNetwork.from_edges(labels, edges)
+
+
+@pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID])
+def test_hub_network_scales_linearly(strategy):
+    """A sweep is O(m) also when one community holds almost every vertex:
+    four times the leaves take well under eight times as long (a cost
+    linear in the size of the community moved in or out is about 12x)."""
+
+    def best_of_2(net):
+        times = []
+        for _ in range(2):
+            gc.collect()
+            start = time.perf_counter()
+            run(net, strategy)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    small, large = best_of_2(_hub_network(5_000)), best_of_2(_hub_network(20_000))
+    assert large / small < 8, (small, large)
+
+
 class TestLazyDecisionLog:
     """run() logs decisions as records; emit_trace alone turns them into text."""
 
@@ -560,7 +600,7 @@ class TestLazyDecisionLog:
         evaluate, place = kind.evaluate, kind.place
 
         def label(state, cid):
-            return ",".join(state.net.labels[u] for u in state.members[cid])
+            return ",".join(state.net.labels[u] for u in _members(state)[cid])
 
         def logged_evaluate(state, v):
             own_label = label(state, state.comm_of[v])

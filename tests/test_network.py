@@ -90,6 +90,30 @@ class TestIWNetwork:
         with pytest.raises(ValueError):
             IWNetwork(("a", "b"), rows)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: IWNetwork.from_edges(["a", "a", "b"], [("a", "b", 1, 2)]),
+            lambda: IWNetwork.from_matrix(("b", "a", "a"), ((ZERO,) * 3,) * 3),
+            lambda: IWNetwork(("a", "b", "a"), ({}, {}, {})),
+        ],
+    )
+    def test_duplicate_label_rejected(self, build):
+        with pytest.raises(ValueError, match="duplicate vertex label 'a'"):
+            build()
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="row count does not match label count"):
+            IWNetwork(("a", "b"), ({},))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [((ZERO, ZERO),), ((ZERO, ZERO), (ZERO,))],  # too few rows; a short row
+    )
+    def test_from_matrix_shape_mismatch_rejected(self, weights):
+        with pytest.raises(ValueError, match="shape does not match label count"):
+            IWNetwork.from_matrix(("a", "b"), weights)
+
     def test_from_edges_equals_from_matrix(self):
         # duplicates (in either direction, the later wins), self-loops,
         # [0,0] edges, zero lower bounds and degenerate weights
@@ -231,7 +255,7 @@ class TestSymmetrize:
 class TestAggregation:
     def test_sum_reference(self):
         net = toy_network()
-        p = Partition.from_communities([[0, 1], [2, 3]], 4)
+        p = Partition((0, 0, 1, 1))
         agg = aggregate_sum(net, p)
         assert agg.labels == ("v1,v2", "v3,v4")
         assert agg.weights[0][0] == Interval(2, 6)
@@ -250,7 +274,7 @@ class TestAggregation:
 
     def test_minmax_reference(self):
         net = toy_network()
-        p = Partition.from_communities([[0, 1], [2, 3]], 4)
+        p = Partition((0, 0, 1, 1))
         agg = aggregate_minmax(net, p)
         assert agg.weights[0][0] == Interval(1, 3)
         assert agg.weights[0][1] == Interval(1, 1)
@@ -264,7 +288,7 @@ class TestAggregation:
         net = IWNetwork.from_edges(
             ["a", "b", "c", "d"], [("a", "b", 1, 2), ("c", "d", 3, 4)]
         )
-        p = Partition.from_communities([[0, 1], [2, 3]], 4)
+        p = Partition((0, 0, 1, 1))
         agg = aggregate_minmax(net, p)
         assert agg.weights[0][1] == ZERO
 
@@ -298,8 +322,8 @@ class TestAggregation:
 
     def test_relabeling_invariance(self):
         net = toy_network()
-        p1 = Partition.from_communities([[0, 1], [2, 3]], 4)
-        p2 = Partition.from_communities([[2, 3], [0, 1]], 4)
+        p1 = Partition((0, 0, 1, 1))
+        p2 = Partition((1, 1, 0, 0))
         assert p1 == p2
         assert aggregate_sum(net, p1) == aggregate_sum(net, p2)
 
