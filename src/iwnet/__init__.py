@@ -18,7 +18,6 @@ from .louvain import (
     LouvainRun,
     PassRecord,
     Strategy,
-    compose_partitions,
     emit_trace,
     evaluate_moves,
     run,
@@ -26,18 +25,15 @@ from .louvain import (
 from .modularity import (
     ExpectedTable,
     adjusted_total_bounds,
-    dq_interval,
     dq_scalar_full,
     dq_scalar_reduced,
     expected_interval_adjusted,
     expected_scalar,
     q_interval,
-    q_interval_adjusted,
+    q_interval_communities,
     q_max_interval_adjusted,
-    q_max_scalar,
-    q_norm_interval,
-    q_norm_scalar,
-    q_scalar,
+    q_max_scalar_communities,
+    q_scalar_communities,
 )
 from .network import (
     DirectedFlowRecord,
@@ -72,16 +68,13 @@ __all__ = [
     "expected_scalar",
     "expected_interval_adjusted",
     "adjusted_total_bounds",
-    "q_scalar",
+    "q_scalar_communities",
+    "q_max_scalar_communities",
     "dq_scalar_full",
     "dq_scalar_reduced",
-    "q_norm_scalar",
     "q_interval",
-    "dq_interval",
-    "q_interval_adjusted",
+    "q_interval_communities",
     "q_max_interval_adjusted",
-    "q_max_scalar",
-    "q_norm_interval",
     "Strategy",
     "CLASSIC_INTERVAL",
     "HYBRID",
@@ -90,7 +83,6 @@ __all__ = [
     "LouvainRun",
     "run",
     "evaluate_moves",
-    "compose_partitions",
     "emit_trace",
     "OracleReport",
     "partitions",

@@ -18,12 +18,10 @@ import math
 import sys
 
 from .errors import DuplicateEdge, IWNError, ParseError
-from .louvain import LouvainRun, Strategy, emit_trace, run as run_louvain
+from .louvain import NAMES, LouvainRun, emit_trace, run as run_louvain
 from .network import IWNetwork, format_matrix, network_from_csv
 
 __all__ = ["main"]
-
-METHODS = ("cl", "hl", "midpoint")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="R",
         help="drop directed records whose upper bound is below R (default 0)",
     )
-    run_p.add_argument("--method", required=True, choices=METHODS)
+    run_p.add_argument("--method", required=True, choices=NAMES)
     run_p.add_argument("--trace", action="store_true", help="include the full trace")
     run_p.add_argument("--format", choices=("text", "json"), default="text")
     run_p.add_argument("--out", help="write output to this path instead of stdout")
@@ -56,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_p.add_argument("--input", required=True)
     oracle_p.add_argument("--undirected", action="store_true")
     oracle_p.add_argument("--min-weight", type=float, default=0.0, metavar="R")
-    oracle_p.add_argument("--metric", required=True, choices=METHODS)
+    oracle_p.add_argument("--metric", required=True, choices=NAMES)
     return parser
 
 
@@ -157,7 +155,7 @@ def _run_text(result: LouvainRun, method: str, with_trace: bool) -> str:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     net = _load_network(args)
-    result = run_louvain(net, Strategy.from_name(args.method))
+    result = run_louvain(net, args.method)
     if args.format == "json":
         out = _run_json(result, args.method, args.trace) + "\n"
     else:
@@ -174,7 +172,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     from .oracle import enumerate_best  # only this command needs the oracle
 
     net = _load_network(args)
-    report = enumerate_best(net, Strategy.from_name(args.metric))
+    report = enumerate_best(net, args.metric)
     lines = [
         f"metric: {args.metric}",
         f"partitions evaluated: {report.partitions_evaluated}",

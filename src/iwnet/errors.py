@@ -29,10 +29,6 @@ class SameCommunity(IWNError):
     """A merge gain was requested for a community with itself."""
 
 
-class DegenerateDenominator(IWNError):
-    """Normalization denominator (Q_max) is zero."""
-
-
 class EmptyNetwork(IWNError):
     """Operation requires at least one vertex."""
 

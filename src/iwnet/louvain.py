@@ -2,14 +2,14 @@
 
 Three strategies share one greedy two-phase loop:
 
-* ``classic-interval`` (CL): gains are exact interval-modularity
+* ``cl`` (classic interval): gains are exact interval-modularity
   differences under pairwise-adjusted expectations, and communities
   aggregate by interval summation. The adjusted totals of a community
   are the separable T_hi - s_hi + s_lo and T_lo - s_lo + s_hi, so Q is a
   sum of per-community terms and a move is priced from the terms of the
   communities it changes. The pairwise reduced form 2(o_rs - e_rs) is
   not valid for intervals;
-* ``hybrid`` (HL): gains use the reduced scalar form
+* ``hl`` (hybrid): gains use the reduced scalar form
   2(k_vC - s_v Sigma_tot / 2w) on the current network's midpoints, and
   communities aggregate by the min-max envelope, after which the
   modularity is recomputed (it may drop);
@@ -52,6 +52,7 @@ from .network import IWNetwork, aggregate_minmax, aggregate_sum, format_matrix
 from .partition import Partition
 
 __all__ = [
+    "NAMES",
     "Strategy",
     "CLASSIC_INTERVAL",
     "HYBRID",
@@ -61,11 +62,11 @@ __all__ = [
     "LouvainRun",
     "run",
     "evaluate_moves",
-    "compose_partitions",
     "emit_trace",
 ]
 
 SWEEP_LIMIT = 100
+NAMES = ("cl", "hl", "midpoint")  # the strategy names, as the CLI spells them
 
 
 class Strategy(Frozen, fields=("name",)):
@@ -73,37 +74,22 @@ class Strategy(Frozen, fields=("name",)):
 
     name: str
 
-    _NAMES = {
-        "cl": "classic-interval",
-        "classic-interval": "classic-interval",
-        "hl": "hybrid",
-        "hybrid": "hybrid",
-        "midpoint": "midpoint",
-    }
-
     def __init__(self, name: str):
-        if name not in ("classic-interval", "hybrid", "midpoint"):
+        if name not in NAMES:
             raise ValueError(f"unknown strategy {name!r}")
         object.__setattr__(self, "name", name)
 
-    @classmethod
-    def from_name(cls, name: str) -> "Strategy":
-        try:
-            return cls(cls._NAMES[name])
-        except KeyError:
-            raise ValueError(f"unknown strategy {name!r}") from None
-
     @property
     def interval_gain(self) -> bool:
-        return self.name == "classic-interval"
+        return self.name == "cl"
 
     @property
     def aggregation(self) -> str:
-        return "minmax" if self.name == "hybrid" else "sum"
+        return "minmax" if self.name == "hl" else "sum"
 
 
-CLASSIC_INTERVAL = Strategy("classic-interval")
-HYBRID = Strategy("hybrid")
+CLASSIC_INTERVAL = Strategy("cl")
+HYBRID = Strategy("hl")
 MIDPOINT = Strategy("midpoint")
 
 
@@ -374,7 +360,7 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
     no-change pass is recorded alongside the productive passes.
     """
     if isinstance(strategy, str):
-        strategy = Strategy.from_name(strategy)
+        strategy = Strategy(strategy)
     if net.n == 0:
         raise EmptyNetwork("cannot run on an empty network")
     t_hi = seq_sum(w.hi for row in net.rows for w in row.values())
@@ -436,17 +422,12 @@ def evaluate_moves(
     if not 0 <= vertex < net.n:
         raise ValueError(f"vertex {vertex} is not in range({net.n})")
     if isinstance(strategy, str):
-        strategy = Strategy.from_name(strategy)
+        strategy = Strategy(strategy)
     kind = _kind(strategy)
     state = kind(net, kind.level(net), partition=p)
     own, cand_ids, gains, _ = state.evaluate(vertex)
     state.place(vertex, own)
     return [(c, gains[c]) for c in cand_ids]
-
-
-def compose_partitions(run: LouvainRun) -> Partition:
-    """Final communities expressed on the original vertices."""
-    return run.final_partition
 
 
 class _Replay:
@@ -522,7 +503,7 @@ def emit_trace(run: LouvainRun) -> str:
         )
         lines.append("---------------------------")
     final = run.final_network
-    prefix = "Hybrid - Before Normalized" if run.strategy.name == "hybrid" else "Before Normalized"
+    prefix = "Hybrid - Before Normalized" if run.strategy.name == "hl" else "Before Normalized"
     lines += [
         "",
         f"* Final communities: {' / '.join(final.labels)} (n={final.n})",

@@ -4,7 +4,7 @@ Two parallel tracks are kept:
 
 * the scalar track (plain weighted networks, used on interval midpoints),
   with the unnormalized modularity, both the full and the reduced gain of
-  merging two communities, and the normalized form; and
+  merging two communities, and the normalization denominator; and
 * the interval track, where the expected interval weights go through the
   pairwise adjustment of the total weight and the difference between
   observed and expected blocks is taken with the signed endpoint
@@ -18,7 +18,9 @@ the separable total (T - s) + s, or T_hi - s_hi + s_lo and
 T_lo - s_lo + s_hi, so the interval track degenerates bit for bit to
 the scalar track on degenerate networks. An adjusted total vanishes
 only with its numerator; that 0/0 endpoint is 0. The scalar track runs
-on neighbour maps of floats; its public functions take a dense matrix.
+on neighbour maps of floats. Each quantity has one function; Q_norm is
+Q / Q_max. Only ``expected_scalar``, ``dq_scalar_full`` and
+``dq_scalar_reduced`` take a dense matrix.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from __future__ import annotations
 import operator
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import DegenerateDenominator, SameCommunity, ZeroTotalWeight
+from .errors import SameCommunity, ZeroTotalWeight
 from .interval import Interval, ZERO, seq_sum, signed_diff
-from .network import IWNetwork, Pair, aggregate_minmax, blocks, pair_sum
+from .network import IWNetwork, Pair, blocks, pair_sum
 from .partition import Partition
 
 __all__ = [
@@ -37,19 +39,13 @@ __all__ = [
     "expected_interval_adjusted",
     "expected_diag_adjusted",
     "adjusted_total_bounds",
-    "q_scalar",
     "q_scalar_communities",
+    "q_max_scalar_communities",
     "dq_scalar_full",
     "dq_scalar_reduced",
-    "q_norm_scalar",
     "q_interval",
-    "dq_interval",
-    "q_interval_adjusted",
     "q_interval_communities",
     "q_max_interval_adjusted",
-    "q_max_scalar",
-    "q_max_scalar_communities",
-    "q_norm_interval",
 ]
 
 Matrix = Sequence[Sequence[float]]
@@ -157,25 +153,25 @@ def _expected_diag(s: Sequence[float]) -> list[float]:
     return [x * x / (t - x + x) for x in s]
 
 
-def _q_scalar_blocks(rows: Rows) -> float:
-    s = _row_sums(rows)
+def q_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> float:
+    """Unnormalized scalar modularity (no 1/2w factor) of scalar neighbour
+    maps over explicit, ascending member lists."""
+    agg = blocks(rows, comms, operator.add, 0.0)
+    s = _row_sums(agg)
     if seq_sum(s) <= 0:
         raise ZeroTotalWeight("total weight is zero")
     total = 0.0
     for r, e_rr in enumerate(_expected_diag(s)):
-        total += rows[r].get(r, 0.0) - e_rr
+        total += agg[r].get(r, 0.0) - e_rr
     return total
 
 
-def q_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> float:
-    """q_scalar of scalar neighbour maps over explicit, ascending member lists
-    (driver hot path)."""
-    return _q_scalar_blocks(blocks(rows, comms, operator.add, 0.0))
-
-
-def q_scalar(mid: Matrix, p: Partition) -> float:
-    """Unnormalized scalar modularity of a partition (no 1/2w factor)."""
-    return q_scalar_communities(_scalar_rows(mid), p.communities)
+def q_max_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> float:
+    """Scalar normalization denominator 2w - sum of expected diagonal blocks,
+    over explicit, ascending member lists."""
+    agg = blocks(rows, comms, operator.add, 0.0)
+    total = seq_sum(x for row in agg for x in row.values())
+    return total - seq_sum(_expected_diag(_row_sums(agg)))
 
 
 def dq_scalar_full(mid: Matrix, p: Partition, r: int, s: int) -> float:
@@ -205,21 +201,6 @@ def dq_scalar_reduced(mid: Matrix, p: Partition, r: int, s: int) -> float:
     return 2.0 * (o_rs - s_r * s_s / two_w)
 
 
-def _q_max_scalar_blocks(rows: Rows) -> float:
-    total = seq_sum(x for row in rows for x in row.values())
-    return total - seq_sum(_expected_diag(_row_sums(rows)))
-
-
-def q_norm_scalar(mid: Matrix, p: Partition) -> float:
-    """Normalized scalar modularity Q / (2w - sum of expected diagonal blocks)."""
-    rows = blocks(_scalar_rows(mid), p.communities, operator.add, 0.0)
-    q = _q_scalar_blocks(rows)
-    q_max = _q_max_scalar_blocks(rows)
-    if q_max == 0:
-        raise DegenerateDenominator("Q_max is zero")
-    return q / q_max
-
-
 # ---------------------------------------------------------------------------
 # interval modularity
 
@@ -234,18 +215,6 @@ def q_interval(
     for o, e in zip(o_blocks, e_blocks):
         total += signed_diff(o, e)
     return total
-
-
-def dq_interval(q_new: float, q_last: float) -> float:
-    """Interval modularity gain as the full difference q_new - q_last.
-
-    The scalar pairwise reduction to 2(o_rs - e_rs) does not survive
-    interval arithmetic. An exact shortcut does: the adjusted expected
-    diagonal block of a community depends only on its own strength and
-    the network totals, so the gain equals the change in the terms of the
-    communities that differ, which is how the Louvain driver prices moves.
-    """
-    return q_new - q_last
 
 
 def _diag_blocks_adjusted(rows: Sequence[Mapping[int, Pair]]) -> tuple[list, list]:
@@ -275,11 +244,6 @@ def q_interval_communities(net: IWNetwork, comms: Sequence[Sequence[int]]) -> fl
     return q_interval(o_blocks, e_blocks)
 
 
-def q_interval_adjusted(net: IWNetwork, p: Partition) -> float:
-    """Interval modularity of a partition under adjusted expectations."""
-    return q_interval_communities(net, p.communities)
-
-
 def q_max_interval_adjusted(net: IWNetwork, p: Partition) -> float:
     """Interval normalization denominator D([2w_lo, 2w_hi], sum e_rr),
     evaluated on the aggregated network of the partition."""
@@ -287,35 +251,3 @@ def q_max_interval_adjusted(net: IWNetwork, p: Partition) -> float:
     total = Interval(*(seq_sum(b[k] for row in rows for b in row.values()) for k in (0, 1)))
     _, e_blocks = _diag_blocks_adjusted(rows)
     return signed_diff(total, seq_sum(e_blocks, ZERO))
-
-
-def q_max_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> float:
-    """q_max_scalar of scalar neighbour maps over explicit, ascending member lists."""
-    return _q_max_scalar_blocks(blocks(rows, comms, operator.add, 0.0))
-
-
-def q_max_scalar(mid: Matrix, p: Partition) -> float:
-    """Scalar normalization denominator 2w - sum of expected diagonal blocks."""
-    return q_max_scalar_communities(_scalar_rows(mid), p.communities)
-
-
-def q_norm_interval(net: IWNetwork, p: Partition, method: str = "cl") -> float:
-    """Normalized interval modularity Q / D([2w_lo, 2w_hi], sum e_rr).
-
-    Both numerator and denominator are evaluated on the aggregated
-    network of the partition (the level at which Q itself is defined).
-    ``method`` is "cl" (interval-sum aggregation, adjusted interval
-    expectations) or "hl" (min-max aggregation, midpoint expectations).
-    """
-    if method == "cl":
-        q = q_interval_adjusted(net, p)
-        q_max = q_max_interval_adjusted(net, p)
-    elif method == "hl":
-        rows = aggregate_minmax(net, p).midpoint_rows()
-        q = _q_scalar_blocks(rows)
-        q_max = _q_max_scalar_blocks(rows)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if q_max == 0:
-        raise DegenerateDenominator("Q_max is zero")
-    return q / q_max

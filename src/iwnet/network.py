@@ -153,6 +153,9 @@ class IWNetwork(
         index = {lab: i for i, lab in enumerate(labels)}
         rows: list[dict[int, Interval]] = [{} for _ in labels]
         for u, v, lo, hi in edges:
+            for lab in (u, v):
+                if lab not in index:
+                    raise ValueError(f"edge {u}-{v} names unknown label {lab!r}")
             i, j = index[u], index[v]
             rows[i][j] = rows[j][i] = Interval(lo, hi)
         return cls(tuple(labels), _ascending(rows))
@@ -181,11 +184,6 @@ class IWNetwork(
     def midpoint_rows(self) -> list[dict[int, float]]:
         """Neighbour maps of the edge midpoints."""
         return [{j: w.midpoint for j, w in row.items()} for row in self.rows]
-
-    def neighbors(self, i: int) -> list[int]:
-        """Vertices j with a present edge (weight != [0,0]); includes i itself
-        when i has a self-loop."""
-        return list(self.rows[i])
 
     def edge_count(self) -> int:
         return sum(1 for i, row in enumerate(self.rows) for j in row if j >= i)
@@ -346,7 +344,9 @@ def format_matrix(net: IWNetwork) -> list[str]:
 def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
     """Parse an edge-list CSV with header ``src,dst,lo,hi``.
 
-    Raises ParseError with a 1-based line number on malformed input.
+    A UTF-8 byte-order mark before the header (as spreadsheet "CSV UTF-8"
+    exports write) is skipped. Raises ParseError with a 1-based line
+    number on malformed input.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -356,6 +356,8 @@ def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
         header = next(reader)
     except StopIteration:
         raise ParseError(1, "empty file, expected header src,dst,lo,hi") from None
+    if header:
+        header[0] = header[0].removeprefix("\ufeff")
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise ParseError(1, f"expected header src,dst,lo,hi, got {','.join(header)}")
     records = []

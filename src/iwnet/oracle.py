@@ -119,11 +119,11 @@ def _q_def_hybrid(net: IWNetwork, groups: tuple[tuple[int, ...], ...]) -> float:
 def q_definitional(net: IWNetwork, p: Partition, strategy: Strategy | str) -> float:
     """Partition modularity computed directly from the definitions."""
     if isinstance(strategy, str):
-        strategy = Strategy.from_name(strategy)
+        strategy = Strategy(strategy)
     groups = p.communities
-    if strategy.name == "classic-interval":
+    if strategy.name == "cl":
         return _q_def_classic(net, groups)
-    if strategy.name == "hybrid":
+    if strategy.name == "hl":
         return _q_def_hybrid(net, groups)
     return _q_def_midpoint(net.midpoints(), groups)
 
@@ -134,7 +134,7 @@ def enumerate_best(net: IWNetwork, strategy: Strategy | str) -> OracleReport:
     Ties keep the first maximizer in enumeration order.
     """
     if isinstance(strategy, str):
-        strategy = Strategy.from_name(strategy)
+        strategy = Strategy(strategy)
     if net.n == 0:
         raise EmptyNetwork("network has no vertices")
     if net.n > MAX_VERTICES:

@@ -42,9 +42,6 @@ class Partition(Frozen, fields=("assignment", "communities"), compare=("assignme
     def n_communities(self) -> int:
         return len(self.communities)
 
-    def community_of(self, v: int) -> int:
-        return self.assignment[v]
-
     def merge(self, r: int, s: int) -> "Partition":
         """Partition with communities r and s merged (ids renormalized)."""
         target = min(r, s)

@@ -35,6 +35,11 @@ def toy_midpoints() -> list[list[float]]:
     return toy_network().midpoints()
 
 
+def scalar_rows(mid: list[list[float]]) -> list[dict[int, float]]:
+    """Neighbour maps of a dense scalar matrix (zero entries dropped)."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mid]
+
+
 def triplet_midpoints() -> list[list[float]]:
     """Three-vertex scalar network: edges v1-v2 = 2 and v1-v3 = 1."""
     return [

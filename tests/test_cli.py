@@ -262,6 +262,18 @@ class TestRunCommand:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
+    def test_byte_order_mark_skipped(self, capsys, tmp_path, method):
+        # a "CSV UTF-8" spreadsheet export starts with U+FEFF before the header
+        outs = []
+        for name, text in (("plain", TOY_CSV), ("bom", "\ufeff" + TOY_CSV)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text, encoding="utf-8")
+            outs.append(run_cli(capsys, "run", "--input", str(path), "--method", method, "--trace"))
+        assert outs[0][0] == 0
+        assert outs[0] == outs[1]
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbfsrc,")
+
     def test_missing_file_exit_1(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "run", "--input", str(tmp_path / "nope.csv"), "--method", "cl"

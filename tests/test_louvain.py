@@ -14,7 +14,6 @@ from iwnet import (
     MIDPOINT,
     Partition,
     Strategy,
-    compose_partitions,
     emit_trace,
     evaluate_moves,
     q_definitional,
@@ -52,14 +51,15 @@ def _edge_case_networks(rng, count, sizes=(3, 7)):
 
 class TestStrategy:
     def test_aliases(self):
-        assert Strategy.from_name("cl") == CLASSIC_INTERVAL
-        assert Strategy.from_name("hl") == HYBRID
-        assert Strategy.from_name("midpoint") == MIDPOINT
-        assert Strategy.from_name("hybrid") == HYBRID
+        # one spelling per strategy, the CLI's: the long names are not aliases
+        assert tuple(Strategy(name) for name in louvain.NAMES) == (CLASSIC_INTERVAL, HYBRID, MIDPOINT)
+        for alias in ("classic-interval", "hybrid", "HL"):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                run(toy_network(), alias)
 
     def test_unknown(self):
         with pytest.raises(ValueError):
-            Strategy.from_name("leiden")
+            Strategy("leiden")
 
     def test_pairings(self):
         assert CLASSIC_INTERVAL.interval_gain and CLASSIC_INTERVAL.aggregation == "sum"
@@ -185,14 +185,13 @@ class TestDriverBehavior:
         assert "Move" not in trace
 
     def test_compose_partitions(self):
+        # the final partition is every pass's partition composed onto the input
         result = run(toy_network(), CLASSIC_INTERVAL)
-        assert compose_partitions(result) == Partition((0, 0, 1, 1))
-        assert compose_partitions(result) == result.final_partition
-
-    def test_compose_single_no_change_pass(self):
-        net = IWNetwork.from_matrix(("a",), ((Interval(1, 2),),))
-        result = run(net, CLASSIC_INTERVAL)
-        assert compose_partitions(result) == Partition((0,))
+        assert result.final_partition == Partition((0, 0, 1, 1))
+        composed = result.passes[0].partition
+        for rec in result.passes[1:]:
+            composed = composed.compose(rec.partition.assignment)
+        assert composed == result.final_partition
 
     def test_string_strategy_accepted(self):
         assert run(toy_network(), "cl").final_partition == Partition((0, 0, 1, 1))
@@ -242,7 +241,7 @@ class TestDriverBehavior:
                 gain_metric = CLASSIC_INTERVAL if strategy.interval_gain else MIDPOINT
                 q_before = q_definitional(net, p, gain_metric)
                 for v in range(net.n):
-                    own = p.community_of(v)
+                    own = p.assignment[v]
                     gains = dict(evaluate_moves(net, p, v, strategy))
                     gain_own = gains.get(own)
                     for target, gain in gains.items():

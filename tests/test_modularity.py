@@ -9,25 +9,20 @@ from iwnet import (
     Partition,
     ZERO,
     adjusted_total_bounds,
+    aggregate_minmax,
     aggregate_sum,
-    dq_interval,
     dq_scalar_full,
     dq_scalar_reduced,
     expected_interval_adjusted,
     expected_scalar,
     q_interval,
-    q_interval_adjusted,
+    q_interval_communities,
     q_max_interval_adjusted,
-    q_norm_interval,
-    q_norm_scalar,
-    q_scalar,
+    q_max_scalar_communities,
+    q_scalar_communities,
 )
 from iwnet import modularity
-from iwnet.errors import (
-    DegenerateDenominator,
-    SameCommunity,
-    ZeroTotalWeight,
-)
+from iwnet.errors import SameCommunity, ZeroTotalWeight
 from iwnet.interval import seq_sum
 
 from helpers import (
@@ -35,6 +30,7 @@ from helpers import (
     toy_network,
     random_degenerate_network,
     random_network,
+    scalar_rows,
     triplet_midpoints,
     with_isolated_vertices,
     with_zero_lower_bounds,
@@ -176,19 +172,17 @@ class TestAdjustedExpected:
 
 class TestScalarModularity:
     def test_triplet_values(self):
-        mid = triplet_midpoints()
-        singles = Partition.singletons(3)
-        assert abs(q_scalar(mid, singles) - (-14 / 6)) < 1e-12
-        merged = Partition((0, 0, 1))
-        assert abs(q_scalar(mid, merged) - (-2 / 6)) < 1e-12
+        rows = scalar_rows(triplet_midpoints())
+        singles = Partition.singletons(3).communities
+        assert abs(q_scalar_communities(rows, singles) - (-14 / 6)) < 1e-12
+        merged = Partition((0, 0, 1)).communities
+        assert abs(q_scalar_communities(rows, merged) - (-2 / 6)) < 1e-12
 
     def test_all_in_one_is_zero(self):
         rng = random.Random(13)
         for _ in range(10):
             net = random_network(rng, rng.randrange(3, 7))
-            mid = net.midpoints()
-            p = Partition(tuple(0 for _ in range(net.n)))
-            assert abs(q_scalar(mid, p)) < 1e-9
+            assert abs(q_scalar_communities(net.midpoint_rows(), [range(net.n)])) < 1e-9
 
     def test_triplet_gains_both_paths(self):
         mid = triplet_midpoints()
@@ -243,9 +237,10 @@ class TestScalarModularity:
             for j in group
         )
         q_max = two_w - e_within
-        expected = q_scalar(mid, p) / q_max
-        assert math.isclose(q_norm_scalar(mid, p), expected, rel_tol=1e-9)
-        assert math.isclose(q_norm_scalar(mid, p), (40 / 14) / (96 / 14), rel_tol=1e-9)
+        rows, comms = scalar_rows(mid), p.communities
+        assert math.isclose(q_max_scalar_communities(rows, comms), q_max, rel_tol=1e-9)
+        q_norm = q_scalar_communities(rows, comms) / q_max_scalar_communities(rows, comms)
+        assert math.isclose(q_norm, (40 / 14) / (96 / 14), rel_tol=1e-9)
 
     def test_q_norm_zero_when_q_zero(self):
         # within-community observed equals expected while cross edges remain
@@ -253,14 +248,14 @@ class TestScalarModularity:
             ["a", "b", "c", "d"],
             [("a", "b", 1, 1), ("c", "d", 1, 1), ("a", "c", 2, 2)],
         )
-        mid = net.midpoints()
-        p = Partition((0, 0, 1, 1))
-        assert abs(q_scalar(mid, p)) < 1e-12
-        assert abs(q_norm_scalar(mid, p)) < 1e-12
+        rows, comms = net.midpoint_rows(), Partition((0, 0, 1, 1)).communities
+        assert abs(q_scalar_communities(rows, comms)) < 1e-12
+        assert q_max_scalar_communities(rows, comms) > 0
 
     def test_q_norm_degenerate_denominator(self):
-        with pytest.raises(DegenerateDenominator):
-            q_norm_scalar(toy_midpoints(), Partition((0, 0, 0, 0)))
+        # one community holding every vertex leaves Q_max exactly 0, and
+        # Q_norm undefined (``run`` reports it as NaN)
+        assert q_max_scalar_communities(scalar_rows(toy_midpoints()), [range(4)]) == 0.0
 
 
 class TestIntervalModularity:
@@ -282,27 +277,24 @@ class TestIntervalModularity:
 
     def test_partition_values(self):
         net = toy_network()
-        assert abs(q_interval_adjusted(net, Partition.singletons(4)) - (-7.0)) < 1e-9
-        assert abs(q_interval_adjusted(net, Partition((0, 0, 1, 1))) - 20 / 7) < 1e-9
+        assert abs(q_interval_communities(net, Partition.singletons(4).communities) - (-7.0)) < 1e-9
+        assert abs(q_interval_communities(net, [(0, 1), (2, 3)]) - 20 / 7) < 1e-9
 
     def test_gains_full_difference(self):
         net = toy_network()
-        q_last = q_interval_adjusted(net, Partition.singletons(4))
-        q_12 = q_interval_adjusted(net, Partition((0, 0, 1, 2)))
-        q_13 = q_interval_adjusted(net, Partition((0, 1, 0, 2)))
-        assert abs(dq_interval(q_12, q_last) - 4.095238095238095) < 1e-9
-        assert abs(dq_interval(q_13, q_last) - (-0.8095238095238102)) < 1e-9
-        assert dq_interval(5.0, 5.0) == 0.0
+        q_last = q_interval_communities(net, Partition.singletons(4).communities)
+        q_12 = q_interval_communities(net, [(0, 1), (2,), (3,)])
+        q_13 = q_interval_communities(net, [(0, 2), (1,), (3,)])
+        assert abs((q_12 - q_last) - 4.095238095238095) < 1e-9
+        assert abs((q_13 - q_last) - (-0.8095238095238102)) < 1e-9
 
     def test_reduced_form_invalid_for_intervals(self):
         # the scalar cancellation does not survive interval arithmetic:
         # moving through the full difference vs doubling the off-diagonal
         # signed difference disagree on the reference network
         net = toy_network()
-        p = Partition.singletons(4)
-        full = dq_interval(
-            q_interval_adjusted(net, Partition((0, 0, 1, 2))),
-            q_interval_adjusted(net, p),
+        full = q_interval_communities(net, [(0, 1), (2,), (3,)]) - q_interval_communities(
+            net, Partition.singletons(4).communities
         )
         table = expected_interval_adjusted(net)
         pseudo_reduced = 2.0 * (
@@ -311,24 +303,27 @@ class TestIntervalModularity:
         assert not math.isclose(full, pseudo_reduced, rel_tol=1e-3)
 
     def test_q_norm_reference(self):
+        # CL: Q / Q_max of the partition; HL: the scalar Q / Q_max of the
+        # midpoints of its min-max aggregate under singletons
         net = toy_network()
         p = Partition((0, 0, 1, 1))
-        assert abs(q_norm_interval(net, p, "cl") - 5 / 11) < 1e-9
-        assert abs(q_max_interval_adjusted(net, p) - 44 / 7) < 1e-9
-        assert abs(q_norm_interval(net, p, "hl") - 5 / 12) < 1e-9
-
-    def test_q_norm_unknown_method(self):
-        with pytest.raises(ValueError):
-            q_norm_interval(toy_network(), Partition.singletons(4), "bogus")
+        q_max = q_max_interval_adjusted(net, p)
+        assert abs(q_max - 44 / 7) < 1e-9
+        assert abs(q_interval_communities(net, p.communities) / q_max - 5 / 11) < 1e-9
+        agg = aggregate_minmax(net, p)
+        rows, singles = agg.midpoint_rows(), Partition.singletons(agg.n).communities
+        hl = q_scalar_communities(rows, singles) / q_max_scalar_communities(rows, singles)
+        assert abs(hl - 5 / 12) < 1e-9
 
     def test_degenerate_network_matches_scalar_exactly(self):
         rng = random.Random(15)
         for _ in range(20):
             net = random_degenerate_network(rng, rng.randrange(3, 8))
-            mid = net.midpoints()
             k = rng.randrange(1, net.n + 1)
-            p = Partition(tuple(rng.randrange(k) for _ in range(net.n)))
-            assert q_interval_adjusted(net, p) == q_scalar(mid, p)
+            comms = Partition(tuple(rng.randrange(k) for _ in range(net.n))).communities
+            assert q_interval_communities(net, comms) == q_scalar_communities(
+                scalar_rows(net.midpoints()), comms
+            )
 
     def test_degenerate_reference_network_matches_scalar(self):
         # the interval machinery on the degenerate projection of the
@@ -339,8 +334,10 @@ class TestIntervalModularity:
             tuple(tuple(Interval(m, m) for m in row) for row in mid),
         )
         for assignment in [(0, 1, 2, 3), (0, 0, 1, 2), (0, 0, 1, 1), (0, 1, 1, 2)]:
-            p = Partition(assignment)
-            assert q_interval_adjusted(net, p) == q_scalar(mid, p)
+            comms = Partition(assignment).communities
+            assert q_interval_communities(net, comms) == q_scalar_communities(
+                scalar_rows(mid), comms
+            )
         table = expected_interval_adjusted(net)
         scalar = expected_scalar(mid)
         for i in range(4):
@@ -349,4 +346,4 @@ class TestIntervalModularity:
 
     def test_q_scalar_zero_total(self):
         with pytest.raises(ZeroTotalWeight):
-            q_scalar([[0.0, 0.0], [0.0, 0.0]], Partition.singletons(2))
+            q_scalar_communities([{}, {}], [[0], [1]])

@@ -67,8 +67,8 @@ class TestIWNetwork:
             ("a", "b"),
             ((Interval(1, 2), Interval(3, 3)), (Interval(3, 3), ZERO)),
         )
-        assert net.neighbors(0) == [0, 1]
-        assert net.neighbors(1) == [0]
+        assert list(net.rows[0]) == [0, 1]
+        assert list(net.rows[1]) == [0]
 
     def test_rows_hold_present_edges_only(self):
         a, b = Interval(1, 2), Interval(0, 3)
@@ -132,6 +132,11 @@ class TestIWNetwork:
             net = IWNetwork.from_edges(labels, edges)
             assert net == IWNetwork.from_matrix(labels, w)
             assert all(list(row) == sorted(row) for row in net.rows)
+
+    @pytest.mark.parametrize("edge", [("a", "x", 1, 2), ("x", "a", 1, 2), ("x", "x", 1, 2)])
+    def test_from_edges_unknown_label_rejected(self, edge):
+        with pytest.raises(ValueError, match=f"edge {edge[0]}-{edge[1]} names unknown label 'x'"):
+            IWNetwork.from_edges(["a", "b"], [("a", "b", 1, 2), edge])
 
     def test_from_edges_builds_no_matrix(self):
         n = 100_000
@@ -426,6 +431,15 @@ class TestCsv:
             DirectedFlowRecord("A", "B", 1.0, 3.0),
             DirectedFlowRecord("B", "C", 2.0, 2.0),
         ]
+
+    def test_byte_order_mark_skipped(self):
+        text = "src,dst,lo,hi\nA,B,1,3\n"
+        records = read_flow_csv(io.StringIO(text))
+        assert read_flow_csv(io.StringIO("\ufeff" + text)) == records
+        # only before the header: elsewhere it is part of the field
+        with pytest.raises(ParseError) as exc:
+            read_flow_csv(io.StringIO("src,\ufeffdst,lo,hi\n"))
+        assert exc.value.line == 1
 
     def test_bad_header(self):
         with pytest.raises(ParseError) as exc:

@@ -52,7 +52,7 @@ class TestDefinitional:
         assert abs(q_definitional(net, p, MIDPOINT)) < 1e-9
 
     def test_matches_library_path(self):
-        from iwnet import q_interval_adjusted, q_norm_interval, q_scalar
+        from iwnet import q_interval_communities, q_scalar_communities
 
         rng = random.Random(31)
         for _ in range(20):
@@ -61,13 +61,13 @@ class TestDefinitional:
             p = Partition(tuple(rng.randrange(k) for _ in range(net.n)))
             assert math.isclose(
                 q_definitional(net, p, CLASSIC_INTERVAL),
-                q_interval_adjusted(net, p),
+                q_interval_communities(net, p.communities),
                 rel_tol=1e-9,
                 abs_tol=1e-9,
             )
             assert math.isclose(
                 q_definitional(net, p, MIDPOINT),
-                q_scalar(net.midpoints(), p),
+                q_scalar_communities(net.midpoint_rows(), p.communities),
                 rel_tol=1e-9,
                 abs_tol=1e-9,
             )

@@ -24,7 +24,7 @@ def samples():
     return [
         (Interval(1, 2), Interval(lo=1.0, hi=2), "lo"),
         (Partition((1, 1, 0)), Partition(assignment=(0, 0, 1)), "communities"),
-        (Strategy("hybrid"), Strategy(name="hybrid"), "name"),
+        (Strategy("hl"), Strategy(name="hl"), "name"),
         (
             DirectedFlowRecord("a", "b", 1, 2),
             DirectedFlowRecord(src="a", dst="b", lo=1.0, hi=2.0),
@@ -109,15 +109,15 @@ class TestPartition:
 
 class TestStrategy:
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown strategy 'hl'"):
-            Strategy("hl")  # a CLI alias, accepted by from_name only
+        with pytest.raises(ValueError, match="unknown strategy 'hybrid'"):
+            Strategy("hybrid")  # only the short names are spellings
         with pytest.raises(ValueError, match="unknown strategy 'nope'"):
-            Strategy.from_name("nope")
+            Strategy("nope")
 
     def test_hash_and_repr(self):
-        assert Strategy.from_name("hl") == Strategy("hybrid")
-        assert hash(Strategy.from_name("cl")) == hash(Strategy("classic-interval"))
-        assert Strategy("hybrid") != Strategy("midpoint")
+        assert Strategy("hl") == Strategy(name="hl")
+        assert hash(Strategy("cl")) == hash(Strategy("cl"))
+        assert Strategy("hl") != Strategy("midpoint")
         assert repr(Strategy("midpoint")) == "Strategy(name='midpoint')"
 
 
