@@ -3,22 +3,27 @@
 ``iwnet run`` ingests an edge-list CSV (header ``src,dst,lo,hi``), runs
 one of the three Louvain strategies and writes the membership, per-pass
 summary and final aggregated interval matrix as text or as one JSON
-document; ``iwnet oracle`` brute-forces the optimal partition of a small
-instance.
+document, writing it as it is rendered; ``iwnet oracle`` brute-forces
+the optimal partition of a small instance.
 
-Exit codes: 0 success, 1 malformed input (message carries the line
-number where possible), 2 algorithm failure.
+Exit codes: 0 success (also when the reader of stdout closes it early),
+1 malformed input (message carries the line number where possible),
+2 algorithm failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
 import sys
+from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from .errors import DuplicateEdge, IWNError, ParseError
-from .louvain import NAMES, LouvainRun, emit_trace, run as run_louvain
+from .louvain import NAMES, LouvainRun, _trace_lines, run as run_louvain
 from .network import IWNetwork, format_matrix, network_from_csv
 
 __all__ = ["main"]
@@ -86,7 +91,15 @@ def _communities(result: LouvainRun) -> list[list[str]]:
     return [[labels[v] for v in group] for group in result.final_partition.communities]
 
 
-def _run_json(result: LouvainRun, method: str, with_trace: bool) -> str:
+def _run_json(result: LouvainRun, method: str, with_trace: bool) -> Iterator[str]:
+    """Chunks of the JSON document, rendered before the first is returned.
+
+    Everything but ``trace`` is rendered here, so a value JSON cannot
+    spell raises before any output is written. The trace, the last
+    member, follows line by line: JSON escapes a string character by
+    character, so escaping each line gives the bytes of escaping the
+    whole trace at once.
+    """
     doc = {
         "method": method,
         "passes": [
@@ -114,21 +127,24 @@ def _run_json(result: LouvainRun, method: str, with_trace: bool) -> str:
             ],
         },
     }
-    if with_trace:
-        doc["trace"] = emit_trace(result)
-    return json.dumps(doc, indent=2, allow_nan=False)
+    head = json.dumps(doc, indent=2, allow_nan=False)
+    if not with_trace:
+        return iter((head,))
+    # reopen the document before its closing "\n}" to append the trace member
+    trace = (encode_basestring_ascii(line + "\n")[1:-1] for line in _trace_lines(result))
+    return itertools.chain((head[:-2], ',\n  "trace": "'), trace, ('"\n}',))
 
 
-def _run_text(result: LouvainRun, method: str, with_trace: bool) -> str:
-    lines: list[str] = []
+def _run_text(result: LouvainRun, method: str, with_trace: bool) -> Iterator[str]:
     if with_trace:
-        lines.append(emit_trace(result).rstrip("\n"))
-        lines.append("=" * 27)
-    lines.append(f"method: {method}")
-    lines.append(
-        f"vertices: {result.network.n}, edges: {result.network.edge_count()}"
-    )
-    lines.append("")
+        for line in _trace_lines(result):
+            yield line + "\n"
+        yield "=" * 27 + "\n"
+    lines = [
+        f"method: {method}",
+        f"vertices: {result.network.n}, edges: {result.network.edge_count()}",
+        "",
+    ]
     for rec in result.passes:
         if rec.changed:
             lines.append(
@@ -150,21 +166,22 @@ def _run_text(result: LouvainRun, method: str, with_trace: bool) -> str:
     lines.append("")
     lines.append("final aggregated interval matrix:")
     lines += format_matrix(result.final_network)
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     net = _load_network(args)
     result = run_louvain(net, args.method)
     if args.format == "json":
-        out = _run_json(result, args.method, args.trace) + "\n"
+        chunks = itertools.chain(_run_json(result, args.method, args.trace), ("\n",))
     else:
-        out = _run_text(result, args.method, args.trace)
+        chunks = _run_text(result, args.method, args.trace)
+    # written as rendered: the trace never exists as one string
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(out)
+        sys.stdout.writelines(chunks)
     return 0
 
 
@@ -191,9 +208,14 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --min-weight must be a number, not nan", file=sys.stderr)
         return 1
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_oracle(args)
+        code = _cmd_run(args) if args.command == "run" else _cmd_oracle(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader left early (`iwnet run ... | head`): it has all it wanted;
+        # stdout goes to devnull so the flush at exit finds nothing to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ParseError, DuplicateEdge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,6 +29,10 @@ input when the first pass moves nothing). ``emit_trace`` renders all of
 the text from the run's records: it replays each pass's decisions into
 the ``Try``/``Move``/``Keep`` lines, computes the initial and each
 sweep's modularity, and formats the matrices, when the log is asked for.
+The lines come from one generator, ``_trace_lines``: ``emit_trace``
+joins them into one string for library callers, and the CLI writes each
+as it is rendered, so beyond the run, memory is bounded by the largest
+rendered matrix rather than by the whole trace.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import EmptyNetwork, InvalidInterval, IterationLimit, ZeroTotalWeight
 from .frozen import Frozen
@@ -448,8 +452,8 @@ class _Replay:
             self.cached[cid] = ",".join(self.labels[v] for v in self.members[cid])
         return self.cached[cid]
 
-    def render(self, d: Decision, lines: list[str]) -> None:
-        """Append the Try/Move/Keep lines of d and apply its move.
+    def render(self, d: Decision) -> Iterator[str]:
+        """Yield the Try/Move/Keep lines of d, then apply its move.
 
         A vertex is isolated while its candidates are priced, so no
         candidate other than its own community contains it.
@@ -460,18 +464,23 @@ class _Replay:
         own_label = self.label(own)
         for c, g in zip(d.candidates, d.gains):
             clabel = own_label if c == own else self.label(c)
-            lines.append(f"\tTry {vlabel} -> {clabel:<15} | {_fmt_gain(g)}")
+            yield f"\tTry {vlabel} -> {clabel:<15} | {_fmt_gain(g)}"
         if d.target is None:
-            lines.append(f"\tKeep vertex {vlabel} at community {own_label}")
+            yield f"\tKeep vertex {vlabel} at community {own_label}"
         else:
-            lines.append(f"\tMove {vlabel} -> {self.label(d.target)}")
+            yield f"\tMove {vlabel} -> {self.label(d.target)}"
             self.members[own].remove(v)
             bisect.insort(self.members[d.target], v)
             del self.cached[own], self.cached[d.target]
 
 
 def emit_trace(run: LouvainRun) -> str:
-    """Human-readable log of the whole run (one string, newline-joined).
+    """Human-readable log of the whole run (one string, newline-joined)."""
+    return "".join(line + "\n" for line in _trace_lines(run))
+
+
+def _trace_lines(run: LouvainRun) -> Iterator[str]:
+    """The lines of ``emit_trace``, without newlines, one at a time.
 
     Every line comes from the run's records. Pass k replays its
     ``iterations x n`` decisions on its input network (the first pass's
@@ -481,37 +490,36 @@ def emit_trace(run: LouvainRun) -> str:
     kind = _kind(run.strategy)
     cur = _work(run.network, run.strategy)
     replay = _Replay(cur, kind)
-    lines = ["Initial Interval-Weighted Network:", *format_matrix(cur), ""]
-    lines.append(f"* Initial Modularity={kind.q(replay.level, replay.members):.3f}")
+    yield "Initial Interval-Weighted Network:"
+    yield from format_matrix(cur)
+    yield ""
+    yield f"* Initial Modularity={kind.q(replay.level, replay.members):.3f}"
     decisions = iter(run.trace)
     for rec in run.passes:
-        lines.append(f"* Begin Pass number {rec.number}")
+        yield f"* Begin Pass number {rec.number}"
         for sweep in range(1, rec.iterations + 1):
             for d in itertools.islice(decisions, cur.n):
-                replay.render(d, lines)
+                yield from replay.render(d)
             q = kind.q(replay.level, [m for m in replay.members if m])
-            lines.append(f"Iteration {sweep} Modularity={q:.3f}")
+            yield f"Iteration {sweep} Modularity={q:.3f}"
         if not rec.changed:
-            lines.append(f"* End Pass number {rec.number} -- no change")
+            yield f"* End Pass number {rec.number} -- no change"
             continue
         cur = rec.aggregated
         replay = _Replay(cur, kind)
         communities = " / ".join(cur.labels)
-        lines += ["", "New network: ---------------", *format_matrix(cur)]
-        lines.append(
-            f"* End Pass number {rec.number} Modularity={rec.modularity:.3f} Communities={communities}"
-        )
-        lines.append("---------------------------")
+        yield ""
+        yield "New network: ---------------"
+        yield from format_matrix(cur)
+        yield f"* End Pass number {rec.number} Modularity={rec.modularity:.3f} Communities={communities}"
+        yield "---------------------------"
     final = run.final_network
     prefix = "Hybrid - Before Normalized" if run.strategy.name == "hl" else "Before Normalized"
-    lines += [
-        "",
-        f"* Final communities: {' / '.join(final.labels)} (n={final.n})",
-        f"* {prefix}: {run.final_q:.3f}",
-        f"* Normalized modularity: {run.final_q_norm:.3f} (Qmax={run.final_q_max:.6f})",
-        "---------------------------",
-        "Final Interval-weighted network:",
-        "",
-        *format_matrix(final),
-    ]
-    return "\n".join(lines) + "\n"
+    yield ""
+    yield f"* Final communities: {' / '.join(final.labels)} (n={final.n})"
+    yield f"* {prefix}: {run.final_q:.3f}"
+    yield f"* Normalized modularity: {run.final_q_norm:.3f} (Qmax={run.final_q_max:.6f})"
+    yield "---------------------------"
+    yield "Final Interval-weighted network:"
+    yield ""
+    yield from format_matrix(final)

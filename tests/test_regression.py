@@ -81,5 +81,5 @@ def _sha(text: str) -> str:
 def test_trace_and_json_bytes_are_pinned(method):
     for name, net in _networks():
         result = run(net, method)
-        got = (_sha(emit_trace(result)), _sha(_run_json(result, method, with_trace=True)))
+        got = (_sha(emit_trace(result)), _sha("".join(_run_json(result, method, with_trace=True))))
         assert got == PINNED[name, method], name

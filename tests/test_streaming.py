@@ -1,0 +1,158 @@
+"""``iwnet run`` writes its output in chunks as it renders them.
+
+The bytes must be those of rendering the whole document at once, memory
+must stay well below the size of what is written, a reader that closes
+stdout early is not an error, and a failed run writes nothing.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+import iwnet
+from iwnet import emit_trace, network_from_csv, run
+from iwnet.cli import main
+
+# NUTS 3 regions of the paper's Portuguese commuting network (non-ASCII
+# letters), a quoted label holding `"` and `\`, and a character outside the
+# BMP, which JSON escapes as a \uXXXX surrogate pair
+LABELS = [
+    "Área Metropolitana de Lisboa",
+    "Região de Aveiro",
+    'Alto "Minho" \\ Cávado',
+    "Douro \U0001F347",
+    "Beiras e Serra da Estrela",
+    "Alentejo Litoral",
+]
+
+SRC = str(Path(iwnet.__file__).resolve().parent.parent)
+
+
+def _quote(label: str) -> str:
+    return '"' + label.replace('"', '""') + '"'
+
+
+@pytest.fixture
+def labelled_csv(tmp_path):
+    """Two triangles of the labels joined by one weak edge."""
+    edges = [(0, 1, 3, 5), (1, 2, 2, 4), (0, 2, 1, 3),
+             (3, 4, 3, 4), (4, 5, 2, 6), (3, 5, 1, 2), (2, 3, 0, 1)]
+    lines = ["src,dst,lo,hi"]
+    lines += [f"{_quote(LABELS[i])},{_quote(LABELS[j])},{lo},{hi}" for i, j, lo, hi in edges]
+    path = tmp_path / "labelled.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _flows_csv(path: Path, n: int = 250, seed: int = 11) -> None:
+    """Seeded directed flows on n vertices, three out-records each, one self-loop."""
+    rng = random.Random(seed)
+    lines = ["src,dst,lo,hi", "r0,r0,1,2"]
+    for u in range(n):
+        for v in rng.sample(range(n), 3):
+            if v != u:
+                lo = round(rng.uniform(0, 5), 3)
+                lines.append(f"r{u},r{v},{lo},{round(lo + rng.uniform(0, 5), 3)}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _main_stdout(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def _main_out(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_streamed_bytes_match_one_shot_rendering(capsys, tmp_path, labelled_csv, method, fmt):
+    """The chunks join to the document rendered as one string: for JSON,
+    ``json.dumps`` of the document with the whole trace as its last member;
+    for text, the trace, a rule of 27 ``=`` and the summary."""
+    argv = ["run", "--input", labelled_csv, "--method", method, "--format", fmt]
+    trace = emit_trace(run(network_from_csv(labelled_csv), method))
+    summary = _main_stdout(capsys, argv)
+    if fmt == "json":
+        doc = json.loads(summary)
+        assert summary == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        expected = json.dumps({**doc, "trace": trace}, indent=2, allow_nan=False) + "\n"
+        assert "\\ud83c\\udf47" in expected and '\\"Minho\\" \\\\' in expected
+    else:
+        expected = trace + "=" * 27 + "\n" + summary
+        assert LABELS[3] in expected
+    assert LABELS[0] in trace
+    assert _main_stdout(capsys, [*argv, "--trace"]) == expected
+    assert _main_out(tmp_path, [*argv, "--trace"]) == expected.encode("utf-8")
+    assert _main_out(tmp_path, argv) == summary.encode("utf-8")
+
+
+def test_trace_run_memory_stays_below_output_size(tmp_path):
+    """``iwnet run --trace --format json --out`` on 250 vertices peaks (under
+    tracemalloc) at 1.12x the size of the 3.4 MB file it writes; rendering
+    the trace and the document as whole strings first peaked at 3.45x."""
+    csv, out = tmp_path / "flows.csv", tmp_path / "out.json"
+    _flows_csv(csv)
+    argv = ["run", "--input", str(csv), "--method", "midpoint", "--trace",
+            "--format", "json", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = out.stat().st_size
+    assert size > 1_000_000
+    assert peak < 1.5 * size, f"peak {peak} B for {size} B written"
+
+
+def test_reader_closing_stdout_early_is_not_an_error(tmp_path):
+    """``iwnet run --trace | head -n 1``: the run exits 0 and stderr holds
+    nothing but the ingest warnings."""
+    csv = tmp_path / "flows.csv"
+    _flows_csv(csv)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "iwnet.cli", "run", "--input", str(csv),
+         "--method", "midpoint", "--trace"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+    assert first == b"Initial Interval-Weighted Network:\n"
+    assert code == 0
+    assert err == "warning: dropped 1 self-loop record(s)\n"
+
+
+@pytest.mark.parametrize(
+    "csv_text, code",
+    [
+        ("src,dst,lo,hi\na,b,1\n", 1),  # malformed: a field is missing
+        ("src,dst,lo,hi\na,b,0,0\nb,c,0,0\n", 2),  # ZeroTotalWeight
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_failed_run_leaves_existing_out_file_untouched(tmp_path, capsys, csv_text, code, fmt):
+    csv, out = tmp_path / "in.csv", tmp_path / "out"
+    csv.write_text(csv_text, encoding="utf-8")
+    out.write_bytes(b"earlier results\n")
+    argv = ["run", "--input", str(csv), "--method", "cl", "--trace",
+            "--format", fmt, "--out", str(out)]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_bytes() == b"earlier results\n"
