@@ -5,8 +5,9 @@ Louvain algorithm are extended to them through interval contingency
 tables, the signed endpoint difference D, and two interval strategies
 (Classic and Hybrid Louvain) next to the degenerate midpoint baseline.
 
-The brute-force oracle (``iwnet.oracle``) is imported on first use of
-one of its names, so importing the package does not load it.
+The reference module (``iwnet.oracle``: the brute-force search and the
+paper's pairwise formulas) is imported on first use of one of its names,
+so importing the package does not load it.
 """
 
 from . import errors
@@ -23,13 +24,6 @@ from .louvain import (
     run,
 )
 from .modularity import (
-    ExpectedTable,
-    adjusted_total_bounds,
-    dq_scalar_full,
-    dq_scalar_reduced,
-    expected_interval_adjusted,
-    expected_scalar,
-    q_interval,
     q_interval_communities,
     q_max_interval_adjusted,
     q_max_scalar_communities,
@@ -91,7 +85,11 @@ __all__ = [
     "__version__",
 ]
 
-_ORACLE = frozenset({"OracleReport", "partitions", "q_definitional", "enumerate_best"})
+_ORACLE = frozenset({
+    "OracleReport", "partitions", "q_definitional", "enumerate_best", "ExpectedTable",
+    "expected_scalar", "expected_interval_adjusted", "adjusted_total_bounds",
+    "dq_scalar_full", "dq_scalar_reduced", "q_interval",
+})
 
 
 def __getattr__(name: str):

@@ -3,7 +3,7 @@
 An ``Interval`` is an immutable value; a degenerate interval [x, x] behaves
 as the real number x. Arithmetic follows the classical endpoint rules
 (no outward rounding), so the usual pitfalls apply: subtraction is not the
-inverse of addition (``a - a`` has width ``2 * radius(a)``) and only a
+inverse of addition (``a - a`` is twice as wide as ``a``) and only a
 subdistributive law holds for multiplication over addition.
 """
 
@@ -59,24 +59,9 @@ class Interval(Frozen, fields=("lo", "hi")):
             raise DivisorContainsZero(f"divisor {other} contains zero")
         return self * Interval(1.0 / other.hi, 1.0 / other.lo)
 
-    def __contains__(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
     @property
     def midpoint(self) -> float:
         return (self.lo + self.hi) / 2.0
-
-    @property
-    def radius(self) -> float:
-        return (self.hi - self.lo) / 2.0
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.lo == self.hi
-
-    def encloses(self, other: "Interval") -> bool:
-        """True when ``other`` is a subset of this interval."""
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def __str__(self) -> str:
         return f"[{_fmt(self.lo)},{_fmt(self.hi)}]"

@@ -24,11 +24,15 @@ once, at the boundary. Vertices are swept in index order and every
 decision is deterministic, so identical inputs produce byte-identical
 traces. ``run()`` only computes: its log is one ``Decision`` per
 evaluated vertex, so a sweep of a pass is ``n`` records of that pass's
-network, and it evaluates Q only after each aggregation (and for its
-input when the first pass moves nothing). ``emit_trace`` renders all of
-the text from the run's records: it replays each pass's decisions into
-the ``Try``/``Move``/``Keep`` lines, computes the initial and each
-sweep's modularity, and formats the matrices, when the log is asked for.
+network. The pass state owns its network's modularity: its per-vertex
+sums (``modularity.ScalarSums`` / ``IntervalSums``) give the Q of the
+network under singletons and its Q_max, so ``run()`` reads each pass's Q
+from the state it builds for the next level and Q_max from the last one,
+and collapses no partition to evaluate them. ``emit_trace`` renders all
+of the text from the run's records: it replays each pass's decisions
+into the ``Try``/``Move``/``Keep`` lines, computes the initial and each
+sweep's modularity with the partition-level functions, and formats the
+matrices, when the log is asked for.
 The lines come from one generator, ``_trace_lines``: ``emit_trace``
 joins them into one string for library callers, and the CLI writes each
 as it is rendered, so beyond the run, memory is bounded by the largest
@@ -44,12 +48,12 @@ from typing import Iterator, NamedTuple
 
 from .errors import EmptyNetwork, InvalidInterval, IterationLimit, ZeroTotalWeight
 from .frozen import Frozen
-from .interval import Interval, ZERO, dominant_diff, seq_sum
+from .interval import Interval, seq_sum
 from .modularity import (
-    expected_diag_adjusted,
+    IntervalSums,
+    ScalarSums,
+    cl_term,
     q_interval_communities,
-    q_max_interval_adjusted,
-    q_max_scalar_communities,
     q_scalar_communities,
 )
 from .network import IWNetwork, aggregate_minmax, aggregate_sum, format_matrix
@@ -140,17 +144,17 @@ class _PassState:
     floats; ``evaluate`` isolates a vertex, prices every candidate move and
     leaves its links in ``self.links`` for the ``place`` that must follow.
 
-    ``level`` builds, once per network, the data its pass state and Qs read;
-    ``q`` (of ascending member lists) and ``q_max`` call the modularity
-    through this module's names, which tests and the benchmark wrap.
+    ``level`` gives the rows of a network that the gains and the modularity
+    of its kind read; ``sums`` holds their per-vertex sums, from which the
+    network's Q as singletons (``sums.q()``) and its Q_max are read.
     """
 
-    def __init__(self, net: IWNetwork, level, partition: Partition | None = None):
+    def __init__(self, net: IWNetwork, partition: Partition | None = None):
         self.net = net
         self.comm_of = [-1] * net.n
         k = net.n if partition is None else partition.n_communities
         self.size = [0] * k
-        self._sums(level, k)
+        self._sums(self.level(net), k)
         for v, c in enumerate(range(net.n) if partition is None else partition.assignment):
             if partition is not None:
                 self.links = self._links(v, c)
@@ -173,13 +177,10 @@ class _ScalarPass(_PassState):
     pass's network (``hl``, ``midpoint``); ``tot`` holds Sigma_tot."""
 
     level = staticmethod(IWNetwork.midpoint_rows)
-    q = staticmethod(lambda mid, comms: q_scalar_communities(mid, comms))
-    q_max = staticmethod(lambda mid: q_max_scalar_communities(mid, [[r] for r in range(len(mid))]))
 
     def _sums(self, mid: list[dict[int, float]], k: int) -> None:
-        self.neigh = mid
-        self.s = [seq_sum(row.values()) for row in mid]
-        self.two_w = seq_sum(self.s)
+        self.sums = ScalarSums(mid)
+        self.neigh, self.s, self.two_w = mid, self.sums.s, self.sums.two_w
         self.tot = [0.0] * k
 
     def _links(self, v: int, own: int) -> dict[int, float]:
@@ -210,41 +211,22 @@ class _ScalarPass(_PassState):
         self.tot[cid] += self.s[v]
 
 
-def _cl_term(o_lo, o_hi, s_lo, s_hi, n_lo, n_hi, t_lo, t_hi) -> float:
-    """D(o_rr, e_rr) of one community from its summary and the network totals.
-
-    The adjusted expected block depends only on the community's own
-    strength and the totals, which no move changes, so Q_cl is the sum of
-    this term over the communities. An endpoint with no positive member
-    (count n_lo / n_hi) is 0, whatever residue its strength sum carries.
-    """
-    e_lo, e_hi = expected_diag_adjusted(s_lo if n_lo else 0.0, s_hi if n_hi else 0.0, t_lo, t_hi)
-    return dominant_diff(o_lo - e_lo, o_hi - e_hi)
-
-
 class _IntervalPass(_PassState):
     """The exact interval gain D(C + v) - D(C) - D({v}) (``cl``).
 
     ``cols`` holds the flat lists o_lo, o_hi, s_lo, s_hi, n_lo, n_hi of
     every community: observed diagonal block, strength, and how many
     members have a positive lower / upper strength (the counts make the
-    zero tests exact). ``d`` caches each community's term; ``vsum`` and
-    ``vterm`` hold the same of every vertex as the singleton it would form.
+    zero tests exact). ``d`` caches each community's ``cl_term``; ``vsum``
+    and ``vterm`` hold the same of every vertex as the singleton it would
+    form (``IntervalSums``).
     """
 
     level = staticmethod(lambda net: net)
-    q = staticmethod(lambda net, comms: q_interval_communities(net, comms))
-    q_max = staticmethod(lambda net: q_max_interval_adjusted(net, Partition.singletons(net.n)))
 
     def _sums(self, net: IWNetwork, k: int) -> None:
-        self.vsum = []
-        for v, row in enumerate(net.rows):
-            loop = row.get(v, ZERO)
-            s_lo = seq_sum(w.lo for w in row.values())
-            s_hi = seq_sum(w.hi for w in row.values())
-            self.vsum.append((loop.lo, loop.hi, s_lo, s_hi, int(s_lo > 0.0), int(s_hi > 0.0)))
-        self.totals = tuple(seq_sum(x[j] for x in self.vsum) for j in (2, 3))
-        self.vterm = [_cl_term(*x, *self.totals) for x in self.vsum]
+        self.sums = IntervalSums(net.rows)
+        self.vsum, self.totals, self.vterm = self.sums.vsum, self.sums.totals, self.sums.vterm
         self.cols = tuple([0.0] * k for _ in range(6))
         self.d = [0.0] * k
         self.links = ({}, {})  # as singletons no vertex links into the community it enters
@@ -273,7 +255,7 @@ class _IntervalPass(_PassState):
         s_hi[c] += sign * x_shi
         n_lo[c] += sign * x_nlo
         n_hi[c] += sign * x_nhi
-        self.d[c] = _cl_term(o_lo[c], o_hi[c], s_lo[c], s_hi[c], n_lo[c], n_hi[c], *self.totals)
+        self.d[c] = cl_term(o_lo[c], o_hi[c], s_lo[c], s_hi[c], n_lo[c], n_hi[c], *self.totals)
 
     def evaluate(self, v: int) -> tuple[int, tuple[int, ...], dict[int, float], float]:
         """As ``_ScalarPass.evaluate``."""
@@ -289,7 +271,7 @@ class _IntervalPass(_PassState):
         d, q_v, (t_lo, t_hi) = self.d, self.vterm[v], self.totals
 
         def gain(c: int, kl: float, kh: float) -> float:
-            return _cl_term(
+            return cl_term(
                 o_lo[c] + (2.0 * kl + x_olo), o_hi[c] + (2.0 * kh + x_ohi),
                 s_lo[c] + x_slo, s_hi[c] + x_shi, n_lo[c] + x_nlo, n_hi[c] + x_nhi, t_lo, t_hi,
             ) - d[c] - q_v
@@ -379,31 +361,28 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
 
     kind = _kind(strategy)
     cur = _work(net, strategy)
-    level = kind.level(cur)
+    state = kind(cur)
     log: list[Decision] = []
     passes: list[PassRecord] = []
     while True:
-        state = kind(cur, level)
         iterations, any_move = _optimize(state, log)
         p = Partition(state.comm_of)  # ids renumbered by first appearance; singletons if no move
         if not any_move:
             # Q of cur as singletons: the last aggregate's, or the input's
-            q = passes[-1].modularity if passes else kind.q(level, [[r] for r in range(cur.n)])
+            q = passes[-1].modularity if passes else state.sums.q()
             passes.append(PassRecord(len(passes) + 1, iterations, p, q, cur, False))
             break
-        agg = (aggregate_minmax if strategy.aggregation == "minmax" else aggregate_sum)(cur, p)
-        level = kind.level(agg)
-        q = kind.q(level, [[r] for r in range(agg.n)])
-        passes.append(PassRecord(len(passes) + 1, iterations, p, q, agg, True))
         # a move only joins a neighbour's non-empty community, so the first move
-        # empties a singleton for good: agg.n < cur.n and the loop terminates
-        cur = agg
+        # empties a singleton for good: the aggregate is smaller and the loop terminates
+        cur = (aggregate_minmax if strategy.aggregation == "minmax" else aggregate_sum)(cur, p)
+        state = kind(cur)  # the next pass's state: its sums give the aggregate's Q
+        passes.append(PassRecord(len(passes) + 1, iterations, p, state.sums.q(), cur, True))
 
     final = passes[0].partition
     for rec in passes[1:]:
         final = final.compose(rec.partition.assignment)
     final_q = passes[-1].modularity
-    q_max = kind.q_max(level)
+    q_max = state.sums.q_max()
     q_norm = final_q / q_max if q_max != 0.0 else math.nan
     return LouvainRun(strategy, net, tuple(passes), final, cur, final_q, q_norm, q_max, tuple(log))
 
@@ -428,7 +407,7 @@ def evaluate_moves(
     if isinstance(strategy, str):
         strategy = Strategy(strategy)
     kind = _kind(strategy)
-    state = kind(net, kind.level(net), partition=p)
+    state = kind(net, partition=p)
     own, cand_ids, gains, _ = state.evaluate(vertex)
     state.place(vertex, own)
     return [(c, gains[c]) for c in cand_ids]
@@ -485,22 +464,24 @@ def _trace_lines(run: LouvainRun) -> Iterator[str]:
     Every line comes from the run's records. Pass k replays its
     ``iterations x n`` decisions on its input network (the first pass's
     input from ``_work``, then the previous pass's aggregate); the initial
-    and each sweep's modularity are computed here.
+    and each sweep's modularity are computed here, by the partition-level
+    function of the run's gain kind.
     """
     kind = _kind(run.strategy)
+    q_of = q_interval_communities if run.strategy.interval_gain else q_scalar_communities
     cur = _work(run.network, run.strategy)
     replay = _Replay(cur, kind)
     yield "Initial Interval-Weighted Network:"
     yield from format_matrix(cur)
     yield ""
-    yield f"* Initial Modularity={kind.q(replay.level, replay.members):.3f}"
+    yield f"* Initial Modularity={q_of(replay.level, replay.members):.3f}"
     decisions = iter(run.trace)
     for rec in run.passes:
         yield f"* Begin Pass number {rec.number}"
         for sweep in range(1, rec.iterations + 1):
             for d in itertools.islice(decisions, cur.n):
                 yield from replay.render(d)
-            q = kind.q(replay.level, [m for m in replay.members if m])
+            q = q_of(replay.level, [m for m in replay.members if m])
             yield f"Iteration {sweep} Modularity={q:.3f}"
         if not rec.changed:
             yield f"* End Pass number {rec.number} -- no change"

@@ -1,114 +1,57 @@
-"""Observed/expected contingency machinery and all modularity quantities.
+"""Modularity of a level, read from the per-vertex sums of its rows.
 
-Two parallel tracks are kept:
+Each gain kind has one class of sums, built once from a level's
+super-vertex rows: ``ScalarSums`` for neighbour maps of floats (the
+midpoints that ``hl`` and ``midpoint`` price moves on) and
+``IntervalSums`` for ``cl``, whose per-community term ``cl_term`` is
+D(o_rr, e_rr): the signed endpoint difference of the observed block and
+the expected block under the pairwise adjustment of the total weight.
+The Q of the rows as singletons and Q_max are read from the sums. The
+Louvain pass state builds them for its network anyway, and the
+partition-level functions collapse the partition's communities with
+``network.blocks`` and read the sums of the collapsed rows, in O(m + q);
+so a partition's value equals its aggregated network's under singletons.
 
-* the scalar track (plain weighted networks, used on interval midpoints),
-  with the unnormalized modularity, both the full and the reduced gain of
-  merging two communities, and the normalization denominator; and
-* the interval track, where the expected interval weights go through the
-  pairwise adjustment of the total weight and the difference between
-  observed and expected blocks is taken with the signed endpoint
-  difference D.
-
-Partition-level quantities collapse the partition's communities with
-``network.blocks`` (one pass over the neighbour maps, folding interval
-endpoints as plain floats) and are evaluated on the super-vertex rows in
-O(m + q): expected diagonal blocks divide by
-the separable total (T - s) + s, or T_hi - s_hi + s_lo and
-T_lo - s_lo + s_hi, so the interval track degenerates bit for bit to
-the scalar track on degenerate networks. An adjusted total vanishes
-only with its numerator; that 0/0 endpoint is 0. The scalar track runs
-on neighbour maps of floats. Each quantity has one function; Q_norm is
-Q / Q_max. Only ``expected_scalar``, ``dq_scalar_full`` and
-``dq_scalar_reduced`` take a dense matrix.
+Expected diagonal blocks divide by the separable total (T - s) + s, or
+T_hi - s_hi + s_lo and T_lo - s_lo + s_hi, so the interval track
+degenerates bit for bit to the scalar track on degenerate networks. An
+adjusted total vanishes only with its numerator; that 0/0 endpoint is 0.
+On both tracks a zero total raises ``ZeroTotalWeight``, and a total or an
+expected block that overflows raises ``InvalidInterval``. Q_norm is
+Q / Q_max. The paper's pairwise formulas are references in ``oracle``.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from typing import Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .errors import SameCommunity, ZeroTotalWeight
-from .interval import Interval, ZERO, seq_sum, signed_diff
-from .network import IWNetwork, Pair, blocks, pair_sum
+from .errors import InvalidInterval, ZeroTotalWeight
+from .interval import dominant_diff, seq_sum
+from .network import IWNetwork, blocks, pair_sum
 from .partition import Partition
 
 __all__ = [
-    "ExpectedTable",
-    "expected_scalar",
-    "expected_interval_adjusted",
+    "ScalarSums",
+    "IntervalSums",
     "expected_diag_adjusted",
-    "adjusted_total_bounds",
+    "cl_term",
     "q_scalar_communities",
     "q_max_scalar_communities",
-    "dq_scalar_full",
-    "dq_scalar_reduced",
-    "q_interval",
     "q_interval_communities",
     "q_max_interval_adjusted",
 ]
 
-Matrix = Sequence[Sequence[float]]
-Rows = Sequence[Mapping[int, float]]
+Rows = Sequence[Mapping[int, Any]]
+Ends = tuple[Callable[[Any], float], Callable[[Any], float]]  # reads an entry's lo, hi
+_INTERVAL_ENDS: Ends = (operator.attrgetter("lo"), operator.attrgetter("hi"))
+_PAIR_ENDS: Ends = (operator.itemgetter(0), operator.itemgetter(1))  # (lo, hi) blocks
 
 
-class ExpectedTable(NamedTuple):
-    """Symmetric table of expected weights under row-column independence.
-
-    ``mode`` is "scalar" (degenerate entries e_ij = s_i s_j / 2w) or
-    "interval-adjusted" (pairwise-adjusted interval quotients). The
-    adjusted table has no meaningful marginal totals.
-    """
-
-    mode: str
-    e: tuple[tuple[Interval, ...], ...]
-
-
-def _scalar_rows(mid: Matrix) -> list[dict[int, float]]:
-    """Neighbour maps of a dense scalar matrix (zero entries dropped)."""
-    return [{j: x for j, x in enumerate(row) if x} for row in mid]
-
-
-def _row_sums(rows: Rows) -> list[float]:
-    return [seq_sum(row.values()) for row in rows]
-
-
-def expected_scalar(mid: Matrix) -> ExpectedTable:
-    """Pairwise expected weights e_ij = s_i * s_j / 2w of a scalar matrix."""
-    s = _row_sums(_scalar_rows(mid))
-    two_w = seq_sum(s)
-    if two_w <= 0:
-        raise ZeroTotalWeight("total weight is zero")
-    e = tuple(
-        tuple(Interval(si * sj / two_w, si * sj / two_w) for sj in s) for si in s
-    )
-    return ExpectedTable("scalar", e)
-
-
-def adjusted_total_bounds(
-    strengths: Sequence[Interval], i: int, j: int
-) -> tuple[float, float]:
-    """(adjusted minimum, adjusted maximum) of the total weight for pair (i, j).
-
-    The pair's own strength endpoints are pinned: the adjusted maximum is
-    the largest total reachable while both pinned strengths sit at their
-    lower endpoints (it divides the expected lower bound), and the
-    adjusted minimum is the smallest total with both at their upper
-    endpoints (it divides the expected upper bound).
-    """
-    others_lo = 0.0
-    others_hi = 0.0
-    for l, s in enumerate(strengths):
-        if l != i and l != j:
-            others_lo += s.lo
-            others_hi += s.hi
-    if i == j:
-        adj_max = others_hi + strengths[i].lo
-        adj_min = others_lo + strengths[i].hi
-    else:
-        adj_max = others_hi + strengths[i].lo + strengths[j].lo
-        adj_min = others_lo + strengths[i].hi + strengths[j].hi
-    return adj_min, adj_max
+def _check_finite(total: float, values: Iterable[float]) -> None:
+    if not (math.isfinite(total) and all(map(math.isfinite, values))):
+        raise InvalidInterval(f"an expected diagonal block overflows at total weight {total!r}")
 
 
 def expected_diag_adjusted(
@@ -124,111 +67,100 @@ def expected_diag_adjusted(
     )
 
 
-def expected_interval_adjusted(net: IWNetwork) -> ExpectedTable:
-    """Adjusted expected interval weights for all vertex pairs (O(q^2) reference)."""
-    n = net.n
-    s = [net.strength(i) for i in range(n)]
-    if not any(x.hi > 0 for x in s):
-        raise ZeroTotalWeight("total weight is zero")
-    e = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            adj_min, adj_max = adjusted_total_bounds(s, i, j)
-            # a zero adjusted total has a zero numerator: that endpoint is 0
-            e[i][j] = e[j][i] = Interval(
-                s[i].lo * s[j].lo / adj_max if adj_max > 0 else 0.0,
-                s[i].hi * s[j].hi / adj_min if adj_min > 0 else 0.0,
-            )
-    return ExpectedTable("interval-adjusted", tuple(tuple(row) for row in e))
+def cl_term(o_lo, o_hi, s_lo, s_hi, n_lo, n_hi, t_lo, t_hi) -> float:
+    """D(o_rr, e_rr) of one community from its summary and the network totals.
+
+    The adjusted expected block depends only on the community's own
+    strength and the totals, which no move changes, so Q_cl is the sum of
+    this term over the communities. An endpoint with no positive member
+    (count n_lo / n_hi) is 0, whatever residue its strength sum carries.
+    """
+    e_lo, e_hi = expected_diag_adjusted(s_lo if n_lo else 0.0, s_hi if n_hi else 0.0, t_lo, t_hi)
+    return dominant_diff(o_lo - e_lo, o_hi - e_hi)
 
 
-# ---------------------------------------------------------------------------
-# scalar modularity
+class ScalarSums:
+    """Sums of scalar rows: the strength ``s`` of every row, their total
+    ``two_w`` and the expected diagonal block ``e`` of every row, s_v^2 / 2w
+    with 2w taken as (2w - s_v) + s_v, as on the interval track."""
+
+    __slots__ = ("rows", "s", "two_w", "e")
+
+    def __init__(self, rows: Rows):
+        self.rows = rows
+        self.s = [seq_sum(row.values()) for row in rows]
+        self.two_w = t = seq_sum(self.s)
+        if t <= 0:
+            raise ZeroTotalWeight("total weight is zero")
+        self.e = [x * x / (t - x + x) for x in self.s]
+        _check_finite(t, self.e)
+
+    def q(self) -> float:
+        """Unnormalized modularity (no 1/2w factor) of the rows as singletons."""
+        return seq_sum(row.get(v, 0.0) - e for v, (row, e) in enumerate(zip(self.rows, self.e)))
+
+    def q_max(self) -> float:
+        """Normalization denominator 2w - sum of the expected diagonal blocks,
+        with 2w summed flat over the entries."""
+        return seq_sum(x for row in self.rows for x in row.values()) - seq_sum(self.e)
 
 
-def _expected_diag(s: Sequence[float]) -> list[float]:
-    """Expected diagonal block s_r^2 / 2w of each community, with 2w taken as
-    (T - s_r) + s_r from the one total T, as on the interval track."""
-    t = seq_sum(s)
-    return [x * x / (t - x + x) for x in s]
+class IntervalSums:
+    """Sums of interval rows, whose entries' endpoints ``ends`` read:
+    ``Interval`` entries by default, or the (lo, hi) blocks of
+    ``network.blocks``.
+
+    ``vsum`` holds o_lo, o_hi, s_lo, s_hi, n_lo, n_hi of every row: its
+    observed diagonal block, its strength, and whether each strength
+    endpoint is positive (the ``cl_term`` counts of a singleton). ``totals``
+    is (T_lo, T_hi) and ``vterm`` the ``cl_term`` of every row.
+    """
+
+    __slots__ = ("rows", "ends", "vsum", "totals", "vterm")
+
+    def __init__(self, rows: Rows, ends: Ends = _INTERVAL_ENDS):
+        self.rows, self.ends = rows, ends
+        lo, hi = ends
+        self.vsum = []
+        for v, row in enumerate(rows):
+            loop = row.get(v)
+            s_lo = seq_sum(map(lo, row.values()))
+            s_hi = seq_sum(map(hi, row.values()))
+            o = (0.0, 0.0) if loop is None else (lo(loop), hi(loop))
+            self.vsum.append((*o, s_lo, s_hi, int(s_lo > 0.0), int(s_hi > 0.0)))
+        self.totals = t_lo, t_hi = tuple(seq_sum(x[j] for x in self.vsum) for j in (2, 3))
+        if t_hi <= 0:
+            raise ZeroTotalWeight("total weight is zero")
+        self.vterm = [cl_term(*x, t_lo, t_hi) for x in self.vsum]
+        # an expected block that overflows makes its term infinite
+        _check_finite(t_hi, self.vterm)
+
+    def q(self) -> float:
+        """Interval modularity of the rows as singletons: the sum of their terms."""
+        return seq_sum(self.vterm)
+
+    def q_max(self) -> float:
+        """Normalization denominator D([2w_lo, 2w_hi], sum of the expected
+        diagonal blocks), with 2w summed flat over the entries."""
+        lo, hi = self.ends
+        entries = [b for row in self.rows for b in row.values()]
+        e = [expected_diag_adjusted(x[2], x[3], *self.totals) for x in self.vsum]
+        return dominant_diff(
+            seq_sum(map(lo, entries)) - seq_sum(x[0] for x in e),
+            seq_sum(map(hi, entries)) - seq_sum(x[1] for x in e),
+        )
 
 
 def q_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> float:
     """Unnormalized scalar modularity (no 1/2w factor) of scalar neighbour
     maps over explicit, ascending member lists."""
-    agg = blocks(rows, comms, operator.add, 0.0)
-    s = _row_sums(agg)
-    if seq_sum(s) <= 0:
-        raise ZeroTotalWeight("total weight is zero")
-    total = 0.0
-    for r, e_rr in enumerate(_expected_diag(s)):
-        total += agg[r].get(r, 0.0) - e_rr
-    return total
+    return ScalarSums(blocks(rows, comms, operator.add, 0.0)).q()
 
 
 def q_max_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> float:
     """Scalar normalization denominator 2w - sum of expected diagonal blocks,
     over explicit, ascending member lists."""
-    agg = blocks(rows, comms, operator.add, 0.0)
-    total = seq_sum(x for row in agg for x in row.values())
-    return total - seq_sum(_expected_diag(_row_sums(agg)))
-
-
-def dq_scalar_full(mid: Matrix, p: Partition, r: int, s: int) -> float:
-    """Gain of merging communities r and s, as Q(after) - Q(before)."""
-    if r == s:
-        raise SameCommunity(f"cannot merge community {r} with itself")
-    rows = _scalar_rows(mid)
-    before = q_scalar_communities(rows, p.communities)
-    return q_scalar_communities(rows, p.merge(r, s).communities) - before
-
-
-def dq_scalar_reduced(mid: Matrix, p: Partition, r: int, s: int) -> float:
-    """Gain of merging communities r and s via the local form 2(o_rs - e_rs)."""
-    if r == s:
-        raise SameCommunity(f"cannot merge community {r} with itself")
-    rows = _scalar_rows(mid)
-    strengths = _row_sums(rows)
-    two_w = seq_sum(strengths)
-    if two_w <= 0:
-        raise ZeroTotalWeight("total weight is zero")
-    o_rs = 0.0
-    for i in p.communities[r]:
-        for j in p.communities[s]:
-            o_rs += rows[i].get(j, 0.0)
-    s_r = seq_sum(strengths[i] for i in p.communities[r])
-    s_s = seq_sum(strengths[j] for j in p.communities[s])
-    return 2.0 * (o_rs - s_r * s_s / two_w)
-
-
-# ---------------------------------------------------------------------------
-# interval modularity
-
-
-def q_interval(
-    o_blocks: Sequence[Interval], e_blocks: Sequence[Interval]
-) -> float:
-    """Interval modularity: sum of D(observed, expected) over communities."""
-    if len(o_blocks) != len(e_blocks):
-        raise ValueError("observed and expected block counts differ")
-    total = 0.0
-    for o, e in zip(o_blocks, e_blocks):
-        total += signed_diff(o, e)
-    return total
-
-
-def _diag_blocks_adjusted(rows: Sequence[Mapping[int, Pair]]) -> tuple[list, list]:
-    """(observed diagonal, adjusted expected diagonal) Intervals of
-    super-vertex rows of (lo, hi) blocks; an expected block that overflows
-    raises."""
-    s = [(seq_sum(b[0] for b in row.values()), seq_sum(b[1] for b in row.values())) for row in rows]
-    t_lo = seq_sum(x[0] for x in s)
-    t_hi = seq_sum(x[1] for x in s)
-    if t_hi <= 0:
-        raise ZeroTotalWeight("total weight is zero")
-    e_blocks = [Interval(*expected_diag_adjusted(*x, t_lo, t_hi)) for x in s]
-    o_blocks = [Interval(*row[r]) if r in row else ZERO for r, row in enumerate(rows)]
-    return o_blocks, e_blocks
+    return ScalarSums(blocks(rows, comms, operator.add, 0.0)).q_max()
 
 
 def q_interval_communities(net: IWNetwork, comms: Sequence[Sequence[int]]) -> float:
@@ -240,14 +172,10 @@ def q_interval_communities(net: IWNetwork, comms: Sequence[Sequence[int]]) -> fl
     of a partition equals the value of its aggregated network under
     singleton communities.
     """
-    o_blocks, e_blocks = _diag_blocks_adjusted(blocks(net.rows, comms, pair_sum, (0.0, 0.0)))
-    return q_interval(o_blocks, e_blocks)
+    return IntervalSums(blocks(net.rows, comms, pair_sum, (0.0, 0.0)), _PAIR_ENDS).q()
 
 
 def q_max_interval_adjusted(net: IWNetwork, p: Partition) -> float:
     """Interval normalization denominator D([2w_lo, 2w_hi], sum e_rr),
     evaluated on the aggregated network of the partition."""
-    rows = blocks(net.rows, p.communities, pair_sum, (0.0, 0.0))
-    total = Interval(*(seq_sum(b[k] for row in rows for b in row.values()) for k in (0, 1)))
-    _, e_blocks = _diag_blocks_adjusted(rows)
-    return signed_diff(total, seq_sum(e_blocks, ZERO))
+    return IntervalSums(blocks(net.rows, p.communities, pair_sum, (0.0, 0.0)), _PAIR_ENDS).q_max()

@@ -1,23 +1,33 @@
-"""Brute-force reference implementations for small instances.
+"""Reference implementations, outside the run path.
 
 ``q_definitional`` evaluates a partition's modularity straight from the
 definitions with its own loops (no aggregation code shared with the
 driver), and ``enumerate_best`` maximizes it over every partition of the
 vertex set, enumerated as restricted growth strings in lexicographic
 order. Bell numbers grow fast; instances are capped at n = 12.
+
+The paper's pairwise formulas, references for the sums ``modularity``
+reads Q from, sit here too: the dense expected tables, the full and the
+reduced gain of merging two scalar communities, and ``q_interval``, the
+sum of D(observed, expected) over ``Interval`` blocks.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
-from .errors import EmptyNetwork, TooLarge
-from .interval import Interval, signed_diff
+from .errors import EmptyNetwork, SameCommunity, TooLarge, ZeroTotalWeight
+from .interval import Interval, ZERO, seq_sum, signed_diff
 from .louvain import Strategy
+from .modularity import q_scalar_communities
 from .network import IWNetwork
 from .partition import Partition
 
-__all__ = ["OracleReport", "partitions", "q_definitional", "enumerate_best"]
+__all__ = [
+    "OracleReport", "partitions", "q_definitional", "enumerate_best", "ExpectedTable",
+    "expected_scalar", "expected_interval_adjusted", "adjusted_total_bounds",
+    "dq_scalar_full", "dq_scalar_reduced", "q_interval",
+]
 
 MAX_VERTICES = 12
 
@@ -150,3 +160,99 @@ def enumerate_best(net: IWNetwork, strategy: Strategy | str) -> OracleReport:
             best_q = q
             best = p
     return OracleReport(best_partition=best, best_q=best_q, partitions_evaluated=count)
+
+
+Matrix = Sequence[Sequence[float]]
+
+
+class ExpectedTable(NamedTuple):
+    """Symmetric table of expected weights under row-column independence.
+
+    ``mode`` is "scalar" (degenerate entries e_ij = s_i s_j / 2w) or
+    "interval-adjusted" (pairwise-adjusted interval quotients). The
+    adjusted table has no meaningful marginal totals.
+    """
+
+    mode: str
+    e: tuple[tuple[Interval, ...], ...]
+
+
+def expected_scalar(mid: Matrix) -> ExpectedTable:
+    """Pairwise expected weights e_ij = s_i * s_j / 2w of a scalar matrix."""
+    s = [seq_sum(row) for row in mid]
+    two_w = seq_sum(s)
+    if two_w <= 0:
+        raise ZeroTotalWeight("total weight is zero")
+    e = tuple(
+        tuple(Interval(si * sj / two_w, si * sj / two_w) for sj in s) for si in s
+    )
+    return ExpectedTable("scalar", e)
+
+
+def adjusted_total_bounds(strengths: Sequence[Interval], i: int, j: int) -> tuple[float, float]:
+    """(adjusted minimum, adjusted maximum) of the total weight for pair (i, j).
+
+    The pair's own strength endpoints are pinned: the adjusted maximum is
+    the largest total reachable while both pinned strengths sit at their
+    lower endpoints (it divides the expected lower bound), and the
+    adjusted minimum is the smallest total with both at their upper
+    endpoints (it divides the expected upper bound).
+    """
+    others = [s for l, s in enumerate(strengths) if l != i and l != j]
+    others_lo = seq_sum(s.lo for s in others)
+    others_hi = seq_sum(s.hi for s in others)
+    if i == j:
+        adj_max = others_hi + strengths[i].lo
+        adj_min = others_lo + strengths[i].hi
+    else:
+        adj_max = others_hi + strengths[i].lo + strengths[j].lo
+        adj_min = others_lo + strengths[i].hi + strengths[j].hi
+    return adj_min, adj_max
+
+
+def expected_interval_adjusted(net: IWNetwork) -> ExpectedTable:
+    """Adjusted expected interval weights for all vertex pairs (O(q^2) reference)."""
+    n = net.n
+    s = [net.strength(i) for i in range(n)]
+    if not any(x.hi > 0 for x in s):
+        raise ZeroTotalWeight("total weight is zero")
+    e = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            adj_min, adj_max = adjusted_total_bounds(s, i, j)
+            # a zero adjusted total has a zero numerator: that endpoint is 0
+            e[i][j] = e[j][i] = Interval(
+                s[i].lo * s[j].lo / adj_max if adj_max > 0 else 0.0,
+                s[i].hi * s[j].hi / adj_min if adj_min > 0 else 0.0,
+            )
+    return ExpectedTable("interval-adjusted", tuple(tuple(row) for row in e))
+
+
+def dq_scalar_full(mid: Matrix, p: Partition, r: int, s: int) -> float:
+    """Gain of merging communities r and s, as Q(after) - Q(before)."""
+    if r == s:
+        raise SameCommunity(f"cannot merge community {r} with itself")
+    rows = [{j: x for j, x in enumerate(row) if x} for row in mid]
+    merged = Partition(min(r, s) if c == max(r, s) else c for c in p.assignment)
+    return q_scalar_communities(rows, merged.communities) - q_scalar_communities(rows, p.communities)
+
+
+def dq_scalar_reduced(mid: Matrix, p: Partition, r: int, s: int) -> float:
+    """Gain of merging communities r and s via the local form 2(o_rs - e_rs)."""
+    if r == s:
+        raise SameCommunity(f"cannot merge community {r} with itself")
+    strengths = [seq_sum(row) for row in mid]
+    two_w = seq_sum(strengths)
+    if two_w <= 0:
+        raise ZeroTotalWeight("total weight is zero")
+    o_rs = seq_sum(mid[i][j] for i in p.communities[r] for j in p.communities[s])
+    s_r = seq_sum(strengths[i] for i in p.communities[r])
+    s_s = seq_sum(strengths[j] for j in p.communities[s])
+    return 2.0 * (o_rs - s_r * s_s / two_w)
+
+
+def q_interval(o_blocks: Sequence[Interval], e_blocks: Sequence[Interval]) -> float:
+    """Interval modularity: sum of D(observed, expected) over communities."""
+    if len(o_blocks) != len(e_blocks):
+        raise ValueError("observed and expected block counts differ")
+    return seq_sum(map(signed_diff, o_blocks, e_blocks))

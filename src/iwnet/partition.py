@@ -42,14 +42,6 @@ class Partition(Frozen, fields=("assignment", "communities"), compare=("assignme
     def n_communities(self) -> int:
         return len(self.communities)
 
-    def merge(self, r: int, s: int) -> "Partition":
-        """Partition with communities r and s merged (ids renormalized)."""
-        target = min(r, s)
-        other = max(r, s)
-        return Partition(
-            tuple(target if c == other else c for c in self.assignment)
-        )
-
     def compose(self, coarser: Sequence[int]) -> "Partition":
         """Refine through one aggregation level.
 

@@ -366,6 +366,18 @@ class TestRunCommand:
             "error: InvalidInterval: total weight 4e+155 overflows when squared\n"
         )
 
+    @pytest.mark.parametrize("method, code", [("cl", 0), ("hl", 2), ("midpoint", 2)])
+    def test_subnormal_weights_zero_midpoint_total(self, capsys, tmp_path, method, code):
+        # every midpoint (0 + 5e-324) / 2 rounds to 0.0: the scalar tracks
+        # have no weight, while cl keeps the upper bounds
+        path = tmp_path / "subnormal.csv"
+        path.write_text("src,dst,lo,hi\na,b,0,5e-324\nb,c,0,5e-324\n", encoding="utf-8")
+        got, out, err = run_cli(capsys, "run", "--input", str(path), "--method", method)
+        assert got == code
+        if code:
+            assert out == ""
+            assert err.startswith("error: ZeroTotalWeight:")
+
     def test_iteration_limit_exit_2(self, capsys, toy_csv, monkeypatch):
         # pass 1 on the reference network needs two sweeps
         monkeypatch.setattr(louvain, "SWEEP_LIMIT", 1)
@@ -431,15 +443,22 @@ class TestOracleCommand:
 # Run in a child without ``site`` (-S), so that nothing but the import
 # itself can load a module; PYTHONPATH still applies.
 COLD_START = """
+import os
 import sys
 import iwnet.cli
 print(sorted({"dataclasses", "iwnet.oracle"} & set(sys.modules)))
+for method in ("cl", "hl", "midpoint"):
+    argv = ["run", "--input", sys.argv[1], "--method", method, "--trace", "--format", "json"]
+    assert iwnet.cli.main([*argv, "--out", os.devnull]) == 0
+print(sorted({"iwnet.oracle"} & set(sys.modules)))
 sys.exit(iwnet.cli.main(["oracle", "--input", sys.argv[1], "--metric", "cl"]))
 """
 
 
 def test_cold_start_loads_only_what_run_needs(tmp_path, capsys):
-    """``import iwnet.cli`` loads neither ``dataclasses`` nor the oracle, and
+    """``import iwnet.cli`` loads neither ``dataclasses`` nor the reference
+    module, no traced run of any strategy loads the reference module (a
+    stray lookup of one of its names on the run path would, silently), and
     the names the package resolves on first use still resolve."""
     path = tmp_path / "toy.csv"
     path.write_text(TOY_CSV, encoding="utf-8")
@@ -450,8 +469,9 @@ def test_cold_start_loads_only_what_run_needs(tmp_path, capsys):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded, *report = proc.stdout.splitlines()
+    loaded, loaded_by_runs, *report = proc.stdout.splitlines()
     assert loaded == "[]"
+    assert loaded_by_runs == "[]"
     assert report[-3:] == ["best partition (n=2):", "  C1: v1, v2", "  C2: v3, v4"]
     for name in iwnet.__all__:
         getattr(iwnet, name)

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -14,13 +15,19 @@ from iwnet import (
     MIDPOINT,
     Partition,
     Strategy,
+    ZERO,
+    aggregate_sum,
     emit_trace,
     evaluate_moves,
+    expected_interval_adjusted,
     q_definitional,
+    q_interval,
+    q_max_interval_adjusted,
+    q_max_scalar_communities,
     run,
     symmetrize,
 )
-from iwnet import louvain
+from iwnet import louvain, modularity
 from iwnet.errors import EmptyNetwork, ZeroTotalWeight
 from iwnet.modularity import q_interval_communities, q_scalar_communities
 
@@ -166,11 +173,20 @@ class TestDriverBehavior:
             run(IWNetwork((), ()), CLASSIC_INTERVAL)
 
     def test_zero_total_weight(self):
-        from iwnet import ZERO
-
         net = IWNetwork.from_matrix(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
         with pytest.raises(ZeroTotalWeight):
             run(net, CLASSIC_INTERVAL)
+
+    def test_zero_midpoint_total_weight(self):
+        # every midpoint (0 + 5e-324) / 2 rounds to 0.0: the scalar gains
+        # would divide by 2w = 0, so each scalar entry point refuses the network
+        net = IWNetwork.from_edges(["a", "b", "c"], [("a", "b", 0, 5e-324), ("b", "c", 0, 5e-324)])
+        assert run(net, CLASSIC_INTERVAL).final_q_max > 0.0
+        for strategy in (HYBRID, MIDPOINT):
+            with pytest.raises(ZeroTotalWeight):
+                run(net, strategy)
+            with pytest.raises(ZeroTotalWeight):
+                evaluate_moves(net, Partition.singletons(3), 1, strategy)
 
     def test_single_vertex_self_loop(self):
         net = IWNetwork.from_matrix(("a",), ((Interval(1, 2),),))
@@ -467,23 +483,79 @@ class TestScalarGainDifferential:
 
 @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
 def test_run_computes_q_once_per_pass(monkeypatch, strategy):
-    """Without a trace, run() computes Q after each aggregation only (and for
-    its input when the first pass moves nothing); emit_trace adds the
-    initial Q and one Q per sweep."""
-    calls = []
-    for name in ("q_interval_communities", "q_scalar_communities"):
-        original = getattr(louvain, name)
-        monkeypatch.setattr(louvain, name, lambda *a, f=original: calls.append(1) or f(*a))
+    """run() reads each pass's Q and Q_max from the sums of its pass states:
+    it collapses no partition and calls no partition-level Q. emit_trace
+    computes the initial Q and one Q per sweep, each one collapse."""
+    calls = Counter()
+    for module, name in (
+        (louvain, "q_interval_communities"), (louvain, "q_scalar_communities"), (modularity, "blocks"),
+    ):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, f=original, k=name: calls.update([k]) or f(*a)
+        )
+    q_name = "q_interval_communities" if strategy.interval_gain else "q_scalar_communities"
     # a multi-pass run, and one whose first pass moves nothing (no edge between vertices)
     loops = IWNetwork.from_edges(["a", "b"], [("a", "a", 1, 2), ("b", "b", 1, 2)])
     for net, min_passes in ((random_network(random.Random(55), 40, density=0.15), 3), (loops, 1)):
         calls.clear()
         result = run(net, strategy)
         assert len(result.passes) >= min_passes
-        assert len(calls) <= len(result.passes)
-        before = len(calls)
+        assert not calls
         emit_trace(result)
-        assert len(calls) - before == sum(rec.iterations for rec in result.passes) + 1
+        sweeps = sum(rec.iterations for rec in result.passes)
+        assert calls == Counter({q_name: sweeps + 1, "blocks": sweeps + 1})
+
+
+def _drift_networks(rng):
+    """Random, degenerate, zero-lower-bound and isolated-vertex networks."""
+    nets = [random_network(rng, rng.randrange(4, 30), density=rng.choice((0.1, 0.3))) for _ in range(24)]
+    nets += [random_degenerate_network(rng, rng.randrange(4, 20), density=0.3) for _ in range(8)]
+    return nets + _edge_case_networks(rng, 20, (3, 15))
+
+
+@pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
+def test_pass_q_matches_public_functions_exactly(strategy):
+    """The Q and Q_max that run() reads from its pass states equal, bit for
+    bit, the public functions on each pass's network under singletons."""
+    if strategy.interval_gain:
+        q_of, q_max_of = q_interval_communities, q_max_interval_adjusted
+    else:
+        q_of = lambda net, comms: q_scalar_communities(net.midpoint_rows(), comms)
+        q_max_of = lambda net, p: q_max_scalar_communities(net.midpoint_rows(), p.communities)
+    passes = 0
+    for net in _drift_networks(random.Random(58)):
+        result = run(net, strategy)
+        for rec in result.passes:  # a no-change pass's network is its input
+            singles = Partition.singletons(rec.aggregated.n)
+            assert rec.modularity == q_of(rec.aggregated, singles.communities)
+            passes += 1
+        final = result.final_network
+        singles = Partition.singletons(final.n)
+        assert result.final_q == q_of(final, singles.communities)
+        assert result.final_q_max == q_max_of(final, singles)
+    assert passes > 100
+
+
+def test_interval_q_matches_paper_formula():
+    """q_interval_communities (separable adjusted totals) against the
+    paper's q_interval of pairwise-adjusted expected blocks, on the same
+    seeds, to 1e-12 of the total weight."""
+    rng = random.Random(58)
+    checked = 0
+    for net in _drift_networks(rng):
+        parts = [Partition.singletons(net.n), run(net, CLASSIC_INTERVAL).final_partition]
+        for _ in range(4):
+            k = rng.randrange(1, net.n + 1)
+            parts.append(Partition(tuple(rng.randrange(k) for _ in range(net.n))))
+        for p in parts:
+            agg = aggregate_sum(net, p)
+            e = expected_interval_adjusted(agg).e
+            ref = q_interval([agg.rows[r].get(r, ZERO) for r in range(agg.n)], [e[r][r] for r in range(agg.n)])
+            got = q_interval_communities(net, p.communities)
+            assert math.isclose(got, ref, rel_tol=1e-12, abs_tol=1e-12 * net.total_weight().hi)
+            checked += 1
+    assert checked > 300
 
 
 @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])

@@ -21,9 +21,8 @@ from iwnet import (
     q_max_scalar_communities,
     q_scalar_communities,
 )
-from iwnet import modularity
-from iwnet.errors import SameCommunity, ZeroTotalWeight
-from iwnet.interval import seq_sum
+from iwnet.errors import InvalidInterval, SameCommunity, ZeroTotalWeight
+from iwnet.modularity import IntervalSums, ScalarSums, expected_diag_adjusted
 
 from helpers import (
     toy_midpoints,
@@ -45,7 +44,7 @@ class TestExpectedScalar:
             for j in range(4):
                 expected = s[i] * s[j] / 14
                 assert abs(table.e[i][j].midpoint - expected) < 1e-12
-                assert table.e[i][j].is_degenerate
+                assert table.e[i][j].lo == table.e[i][j].hi
         assert abs(table.e[0][2].midpoint - 15 / 14) < 1e-12
         assert abs(table.e[2][2].midpoint - 25 / 14) < 1e-12
 
@@ -140,8 +139,8 @@ class TestAdjustedExpected:
             expected_interval_adjusted(net)
 
     def test_diagonal_matches_pairwise_reference(self):
-        # the O(q) separable diagonal against the pairwise adjusted totals,
-        # on both tracks, over random partitions and zero lower bounds
+        # the O(q) separable diagonal of the sums against the pairwise adjusted
+        # totals, on both tracks, over random partitions and zero lower bounds
         rng = random.Random(61)
         nets = [random_network(rng, n, density=0.3) for n in (4, 9, 17, 30)]
         nets += [
@@ -156,18 +155,18 @@ class TestAdjustedExpected:
                 p = Partition(tuple(rng.randrange(k) for _ in range(net.n)))
                 agg = aggregate_sum(net, p)
                 s = [agg.strength(r) for r in range(agg.n)]
-                pairs = [{j: (w.lo, w.hi) for j, w in row.items()} for row in agg.rows]
-                _, e_blocks = modularity._diag_blocks_adjusted(pairs)
-                for r, e in enumerate(e_blocks):
+                sums = IntervalSums(agg.rows)
+                for r, x in enumerate(sums.vsum):
+                    e_lo, e_hi = expected_diag_adjusted(x[2], x[3], *sums.totals)
                     adj_min, adj_max = adjusted_total_bounds(s, r, r)
                     lo = s[r].lo * s[r].lo / adj_max if adj_max else 0.0
                     hi = s[r].hi * s[r].hi / adj_min if adj_min else 0.0
-                    assert math.isclose(e.lo, lo, rel_tol=1e-12)
-                    assert math.isclose(e.hi, hi, rel_tol=1e-12)
-                mid = [seq_sum(row.values()) for row in agg.midpoint_rows()]
-                for r, e in enumerate(modularity._expected_diag(mid)):
-                    _, tw = adjusted_total_bounds([Interval(x, x) for x in mid], r, r)
-                    assert math.isclose(e, mid[r] * mid[r] / tw, rel_tol=1e-12)
+                    assert math.isclose(e_lo, lo, rel_tol=1e-12)
+                    assert math.isclose(e_hi, hi, rel_tol=1e-12)
+                mid = ScalarSums(agg.midpoint_rows())
+                for r, e in enumerate(mid.e):
+                    _, tw = adjusted_total_bounds([Interval(x, x) for x in mid.s], r, r)
+                    assert math.isclose(e, mid.s[r] * mid.s[r] / tw, rel_tol=1e-12)
 
 
 class TestScalarModularity:
@@ -347,3 +346,26 @@ class TestIntervalModularity:
     def test_q_scalar_zero_total(self):
         with pytest.raises(ZeroTotalWeight):
             q_scalar_communities([{}, {}], [[0], [1]])
+        with pytest.raises(ZeroTotalWeight):
+            q_max_scalar_communities([{}, {}], [[0], [1]])
+        net = IWNetwork.from_edges(["a", "b"], [("a", "b", 0.0, 5e-324)])
+        # the edge's midpoint rounds to 0.0; its upper bound still weighs
+        assert q_max_interval_adjusted(net, Partition.singletons(2)) > 0.0
+        with pytest.raises(ZeroTotalWeight):
+            q_max_scalar_communities(net.midpoint_rows(), [[0], [1]])
+
+    @pytest.mark.parametrize("assignment", [(0, 1), (0, 0)])
+    def test_expected_diagonal_overflow(self, assignment):
+        # a strength of 2e155 squares past the largest float: both tracks
+        # refuse the expected block, rather than return -inf
+        net = IWNetwork.from_edges(["a", "b"], [("a", "b", 1e155, 2e155)])
+        p = Partition(assignment)
+        rows = net.midpoint_rows()
+        for call in (
+            lambda: q_interval_communities(net, p.communities),
+            lambda: q_max_interval_adjusted(net, p),
+            lambda: q_scalar_communities(rows, p.communities),
+            lambda: q_max_scalar_communities(rows, p.communities),
+        ):
+            with pytest.raises(InvalidInterval, match="expected diagonal block overflows"):
+                call()

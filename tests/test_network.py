@@ -323,7 +323,7 @@ class TestAggregation:
             for row in agg.weights:
                 for w in row:
                     if w != ZERO:
-                        assert Interval(lo, hi).encloses(w)
+                        assert lo <= w.lo and w.hi <= hi
 
     def test_relabeling_invariance(self):
         net = toy_network()
