@@ -3,8 +3,10 @@
 ``iwnet run`` ingests an edge-list CSV (header ``src,dst,lo,hi``), runs
 one of the three Louvain strategies and writes the membership, per-pass
 summary and final aggregated interval matrix as text or as one JSON
-document, writing it as it is rendered; ``iwnet oracle`` brute-forces
-the optimal partition of a small instance.
+document (``format_version`` 2: the matrix is an edge list), writing it
+as it is rendered, the trace in batches of lines; every output is
+O(n + m). ``iwnet oracle`` brute-forces the optimal partition of a
+small instance.
 
 Exit codes: 0 success (also when the reader of stdout closes it early),
 1 malformed input (message carries the line number where possible),
@@ -20,13 +22,16 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DuplicateEdge, IWNError, ParseError
 from .louvain import NAMES, LouvainRun, _trace_lines, run as run_louvain
 from .network import IWNetwork, format_matrix, network_from_csv
 
 __all__ = ["main"]
+
+FORMAT_VERSION = 2  # of the JSON document; 2 holds aggregated_matrix as an edge list
+BATCH_CHARS = 1 << 16  # the trace is escaped and written in runs of about this size
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,16 +96,39 @@ def _communities(result: LouvainRun) -> list[list[str]]:
     return [[labels[v] for v in group] for group in result.final_partition.communities]
 
 
+def _batches(lines: Iterable[str]) -> Iterator[str]:
+    """The lines, newline-terminated and joined into runs of about
+    ``BATCH_CHARS`` characters; a longer line is a run of its own."""
+    cap = BATCH_CHARS
+    batch: list[str] = []
+    size = 0
+    for line in lines:
+        if size + len(line) >= cap and batch:
+            batch.append("")  # the join then ends the run with a newline
+            yield "\n".join(batch)
+            batch = []
+            size = 0
+        batch.append(line)
+        size += len(line) + 1
+    if batch:
+        batch.append("")
+        yield "\n".join(batch)
+
+
 def _run_json(result: LouvainRun, method: str, with_trace: bool) -> Iterator[str]:
     """Chunks of the JSON document, rendered before the first is returned.
 
     Everything but ``trace`` is rendered here, so a value JSON cannot
     spell raises before any output is written. The trace, the last
-    member, follows line by line: JSON escapes a string character by
-    character, so escaping each line gives the bytes of escaping the
-    whole trace at once.
+    member, follows a batch of lines at a time: JSON escapes a string
+    character by character, so escaping each batch gives the bytes of
+    escaping the whole trace at once. ``aggregated_matrix`` lists the
+    present entries of the final network as ``[i, j, lo, hi]`` with
+    i <= j in row order, so the document is O(n + m).
     """
+    net = result.final_network
     doc = {
+        "format_version": FORMAT_VERSION,
         "method": method,
         "passes": [
             {
@@ -121,24 +149,21 @@ def _run_json(result: LouvainRun, method: str, with_trace: bool) -> Iterator[str
             "q_max": result.final_q_max,
         },
         "aggregated_matrix": {
-            "labels": list(result.final_network.labels),
-            "weights": [
-                [[w.lo, w.hi] for w in row] for row in result.final_network.weights
-            ],
+            "labels": list(net.labels),
+            "edges": [[i, j, w.lo, w.hi] for i, j, w in net.edges()],
         },
     }
     head = json.dumps(doc, indent=2, allow_nan=False)
     if not with_trace:
         return iter((head,))
     # reopen the document before its closing "\n}" to append the trace member
-    trace = (encode_basestring_ascii(line + "\n")[1:-1] for line in _trace_lines(result))
+    trace = (encode_basestring_ascii(chunk)[1:-1] for chunk in _batches(_trace_lines(result)))
     return itertools.chain((head[:-2], ',\n  "trace": "'), trace, ('"\n}',))
 
 
 def _run_text(result: LouvainRun, method: str, with_trace: bool) -> Iterator[str]:
     if with_trace:
-        for line in _trace_lines(result):
-            yield line + "\n"
+        yield from _batches(_trace_lines(result))
         yield "=" * 27 + "\n"
     lines = [
         f"method: {method}",

@@ -34,9 +34,16 @@ into the ``Try``/``Move``/``Keep`` lines, computes the initial and each
 sweep's modularity with the partition-level functions, and formats the
 matrices, when the log is asked for.
 The lines come from one generator, ``_trace_lines``: ``emit_trace``
-joins them into one string for library callers, and the CLI writes each
-as it is rendered, so beyond the run, memory is bounded by the largest
-rendered matrix rather than by the whole trace.
+joins them into one string for library callers, and the CLI writes them
+in batches as they are rendered. A matrix is rendered by
+``format_matrix``, densely up to ``network.DENSE_LIMIT`` vertices and as
+an edge list above, so no matrix of the trace is larger than O(n + m).
+
+A move must beat returning to the vertex's former community by more
+than a rounding bound of the two gains (``TIE_ULPS`` ulps of their
+largest operand, ``_PassState.slack``): gains that differ only by
+rounding are ties, which keep the vertex, so no vertex swaps between
+two communities forever. ``SWEEP_LIMIT`` stays as a backstop.
 """
 
 from __future__ import annotations
@@ -74,6 +81,9 @@ __all__ = [
 ]
 
 SWEEP_LIMIT = 100
+# a move must beat going home by more than this many ulps of the largest
+# operand of the two gains (see ``_PassState.slack``)
+TIE_ULPS = 64
 NAMES = ("cl", "hl", "midpoint")  # the strategy names, as the CLI spells them
 
 
@@ -147,6 +157,8 @@ class _PassState:
     ``level`` gives the rows of a network that the gains and the modularity
     of its kind read; ``sums`` holds their per-vertex sums, from which the
     network's Q as singletons (``sums.q()``) and its Q_max are read.
+    ``slack(v, c, own)`` bounds the rounding of the difference between
+    v's gains into c and into own, for the tie rule of ``_decide``.
     """
 
     def __init__(self, net: IWNetwork, partition: Partition | None = None):
@@ -210,6 +222,11 @@ class _ScalarPass(_PassState):
     def _join(self, v: int, cid: int) -> None:
         self.tot[cid] += self.s[v]
 
+    def slack(self, v: int, c: int, own: int) -> float:
+        """``TIE_ULPS`` ulps of s_v: the link weights and s_v Sigma_tot / 2w
+        of both gains are at most s_v."""
+        return TIE_ULPS * math.ulp(self.s[v])
+
 
 class _IntervalPass(_PassState):
     """The exact interval gain D(C + v) - D(C) - D({v}) (``cl``).
@@ -257,6 +274,12 @@ class _IntervalPass(_PassState):
         n_hi[c] += sign * x_nhi
         self.d[c] = cl_term(o_lo[c], o_hi[c], s_lo[c], s_hi[c], n_lo[c], n_hi[c], *self.totals)
 
+    def slack(self, v: int, c: int, own: int) -> float:
+        """``TIE_ULPS`` ulps of the larger upper strength of c and own with v
+        in it, which bounds every observed and expected block of both gains."""
+        s_hi = self.cols[3]
+        return TIE_ULPS * math.ulp(max(s_hi[c], s_hi[own]) + self.vsum[v][3])
+
     def evaluate(self, v: int) -> tuple[int, tuple[int, ...], dict[int, float], float]:
         """As ``_ScalarPass.evaluate``."""
         own, home = self._leave(v)
@@ -284,24 +307,24 @@ class _IntervalPass(_PassState):
         return own, tuple(k_lo), gains, gains[own] if own in gains else gain(own, 0.0, 0.0)
 
 
-def _decide(own: int, gains: dict[int, float], gain_own: float) -> int | None:
+def _decide(
+    state: _PassState, v: int, own: int, gains: dict[int, float], gain_own: float
+) -> int | None:
     """Target community for a strictly improving move, else None (keep).
 
-    A move needs a strictly positive gain that strictly beats returning to
-    the former community; gain ties among candidates go to the smallest
-    community id, and a tie with the former community keeps the vertex.
+    A move needs a strictly positive gain that beats returning to the
+    former community by more than ``state.slack``, a rounding bound of
+    the two gains: gains closer than that are equal but for rounding,
+    and taking either would let a vertex swap between two communities
+    forever. Gain ties among candidates go to the smallest community id,
+    and a tie with the former community keeps the vertex.
     """
     best_c, best_gain = None, 0.0
     for c, g in gains.items():
-        if c != own and g > 0.0 and g > gain_own:
+        if c != own and g > 0.0 and g > gain_own and g - gain_own > state.slack(v, c, own):
             if best_c is None or g > best_gain or (g == best_gain and c < best_c):
                 best_c, best_gain = c, g
     return best_c
-
-
-def _fmt_gain(gain: float) -> str:
-    mark = "0" if gain == 0.0 else "+" if gain > 0.0 else "-"
-    return f"gain={'-' if gain < 0.0 else '+'}{abs(gain):.3f} ({mark})"
 
 
 def _optimize(state: _PassState, log: list[Decision]) -> tuple[int, bool]:
@@ -313,7 +336,7 @@ def _optimize(state: _PassState, log: list[Decision]) -> tuple[int, bool]:
         moves = 0
         for v in range(state.net.n):
             own, cand_ids, gains, gain_own = state.evaluate(v)
-            target = _decide(own, gains, gain_own)
+            target = _decide(state, v, own, gains, gain_own)
             state.place(v, own if target is None else target)
             log.append(Decision(v, own, cand_ids, tuple(gains.values()), target))
             moves += target is not None
@@ -435,15 +458,21 @@ class _Replay:
         """Yield the Try/Move/Keep lines of d, then apply its move.
 
         A vertex is isolated while its candidates are priced, so no
-        candidate other than its own community contains it.
+        candidate other than its own community contains it. A gain prints
+        as ``gain=<sign><|gain|:.3f> (<mark>)``, the mark ``0`` for a zero
+        gain (-0.0 too, which prints ``gain=+0.000 (0)``).
         """
         v, own = d.vertex, d.own
         vlabel = self.labels[v]
         # labels name the communities as they were before v left
         own_label = self.label(own)
+        try_v = f"\tTry {vlabel} -> "
         for c, g in zip(d.candidates, d.gains):
             clabel = own_label if c == own else self.label(c)
-            yield f"\tTry {vlabel} -> {clabel:<15} | {_fmt_gain(g)}"
+            yield (
+                f"{try_v}{clabel:<15} | gain={'-' if g < 0.0 else '+'}{abs(g):.3f} "
+                f"({'0' if g == 0.0 else '+' if g > 0.0 else '-'})"
+            )
         if d.target is None:
             yield f"\tKeep vertex {vlabel} at community {own_label}"
         else:

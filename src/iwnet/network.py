@@ -6,7 +6,10 @@ entries of the observed contingency table, row by row). An absent edge
 is exactly [0,0] and has no entry; freshly ingested networks have no
 self-loops, while aggregated networks carry within-community weight as
 interval self-loops. ``IWNetwork.weights`` is a dense view for callers
-that want the matrix.
+that want the matrix; nothing on the run path builds it.
+``format_matrix`` renders a network as the dense matrix up to
+``DENSE_LIMIT`` vertices and as an edge list above, so no rendering is
+larger than O(n + m).
 
 Input is validated at the boundary (``read_flow_csv``, ``Interval``, the
 public constructor and ``from_matrix`` / ``from_edges``, which reject
@@ -19,7 +22,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .errors import DuplicateEdge, InvalidInterval, NegativeWeight, ParseError
 from .frozen import Frozen
@@ -27,6 +30,7 @@ from .interval import Interval, ZERO, seq_sum
 from .partition import Partition
 
 __all__ = [
+    "DENSE_LIMIT",
     "DirectedFlowRecord",
     "IWNetwork",
     "symmetrize",
@@ -38,6 +42,7 @@ __all__ = [
 ]
 
 CSV_HEADER = ("src", "dst", "lo", "hi")
+DENSE_LIMIT = 200  # format_matrix renders larger networks as edge lists
 
 W = TypeVar("W")  # an entry: an Interval, or a float on the scalar track
 Pair = tuple[float, float]  # the (lo, hi) endpoints of an Interval block being folded
@@ -185,8 +190,16 @@ class IWNetwork(
         """Neighbour maps of the edge midpoints."""
         return [{j: w.midpoint for j, w in row.items()} for row in self.rows]
 
+    def edges(self) -> Iterator[tuple[int, int, Interval]]:
+        """(i, j, weight) of every present entry with i <= j, in row order,
+        self-loops included."""
+        for i, row in enumerate(self.rows):
+            for j, w in row.items():
+                if j >= i:
+                    yield i, j, w
+
     def edge_count(self) -> int:
-        return sum(1 for i, row in enumerate(self.rows) for j in row if j >= i)
+        return sum(1 for _ in self.edges())
 
 
 def _ascending(rows: Sequence[dict[int, Interval]]) -> tuple[dict[int, Interval], ...]:
@@ -312,13 +325,22 @@ def aggregate_minmax(net: IWNetwork, p: Partition) -> IWNetwork:
 
 
 def format_matrix(net: IWNetwork) -> list[str]:
-    """Aligned text rendering of the interval adjacency matrix.
+    """Text rendering of the interval adjacency matrix.
 
-    Only present entries are formatted; every absent one prints as the
-    same padded ``[0,0]`` cell of its column. Rows mirror columns, and a
+    Up to ``DENSE_LIMIT`` vertices it is the aligned dense matrix: only
+    present entries are formatted, every absent one prints as the same
+    padded ``[0,0]`` cell of its column. Rows mirror columns, and a
     formatted interval is never shorter than ``[0,0]``, so a column is as
     wide as the longest of its label, ``[0,0]`` and its row's cells.
+
+    Above the limit it is an edge list, O(n + m) characters: a header
+    ``<n> vertices, <m> edges (i <= j):``, then ``label_i  label_j  [lo,hi]``
+    for every present entry with i <= j in row order, self-loops included.
     """
+    if net.n > DENSE_LIMIT:
+        labels = net.labels
+        lines = [f"{labels[i]}  {labels[j]}  {w}" for i, j, w in net.edges()]
+        return [f"{net.n} vertices, {len(lines)} edges (i <= j):", *lines]
     zero = str(ZERO)
     cells = [{j: str(w) for j, w in row.items()} for row in net.rows]
     col_w = [

@@ -6,6 +6,30 @@ import random
 
 from iwnet import Interval, IWNetwork, ZERO
 
+# hl used to swap one vertex between two communities forever on these
+# records: gains that differ only by rounding looked like improvements
+CYCLING_CSV = """src,dst,lo,hi
+x1,x0,0,0
+x8,x5,1,3
+x0,x3,0,0
+x1,x2,1,1
+x1,x7,2,2
+x7,x5,3,5
+x5,x9,0,2
+x8,x3,0,0
+x7,x4,3,4
+x3,x8,0,0.5078242178203124
+x4,x0,0,1e-310
+x5,x3,-0,5e-324
+x0,x6,-0,4.7880733739713675
+x5,x4,-0,5e-324
+x8,x2,3,3
+x7,x9,0,0
+x4,x3,3,3
+x3,x0,-0,5e-324
+x1,x9,0,1e-310
+"""
+
 
 def normalize_lines(text: str) -> list[str]:
     """Collapse runs of whitespace and drop blank lines for trace comparison."""

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import iwnet
-from iwnet import louvain
+from iwnet import louvain, network
 from iwnet.cli import main
 
-from helpers import normalize_lines, random_network
+from helpers import CYCLING_CSV, normalize_lines, random_network
 
 TOY_CSV = """src,dst,lo,hi
 v1,v2,1,3
@@ -59,10 +59,10 @@ class TestRunCommand:
         assert doc["final"]["q"] == pytest.approx(20 / 7, abs=1e-9)
         assert doc["final"]["q_norm"] == pytest.approx(5 / 11, abs=1e-9)
         assert doc["final"]["q_max"] == pytest.approx(44 / 7, abs=1e-9)
+        assert doc["format_version"] == 2
         assert doc["aggregated_matrix"]["labels"] == ["v1,v2", "v3,v4"]
-        assert doc["aggregated_matrix"]["weights"] == [
-            [[2.0, 6.0], [2.0, 2.0]],
-            [[2.0, 2.0], [4.0, 8.0]],
+        assert doc["aggregated_matrix"]["edges"] == [
+            [0, 0, 2.0, 6.0], [0, 1, 2.0, 2.0], [1, 1, 4.0, 8.0],
         ]
         assert [p["iterations"] for p in doc["passes"]] == [2, 1]
         assert [p["changed"] for p in doc["passes"]] == [True, False]
@@ -73,7 +73,7 @@ class TestRunCommand:
         )
         doc = json.loads(out)
         again = json.loads(json.dumps(doc))
-        assert again["aggregated_matrix"]["weights"] == doc["aggregated_matrix"]["weights"]
+        assert again["aggregated_matrix"]["edges"] == doc["aggregated_matrix"]["edges"]
         assert again["final"]["membership"] == doc["final"]["membership"]
 
     def test_hl_final_matrix(self, capsys, toy_csv):
@@ -82,9 +82,8 @@ class TestRunCommand:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["aggregated_matrix"]["weights"] == [
-            [[1.0, 3.0], [1.0, 1.0]],
-            [[1.0, 1.0], [2.0, 4.0]],
+        assert doc["aggregated_matrix"]["edges"] == [
+            [0, 0, 1.0, 3.0], [0, 1, 1.0, 1.0], [1, 1, 2.0, 4.0],
         ]
 
     def test_midpoint_equals_cl_membership_on_degenerate(self, capsys, tmp_path):
@@ -391,6 +390,64 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "--input", str(path), "--method", "cl")
         assert code == 2
         assert "EmptyNetwork" in err
+
+
+@pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
+def test_rounding_ties_do_not_stop_phase_1_from_ending(capsys, tmp_path, method):
+    path = tmp_path / "cycling.csv"
+    path.write_text(CYCLING_CSV, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--input", str(path), "--method", method, "--trace")
+    assert (code, err) == (0, "")
+    assert "final communities" in out
+
+
+def _pairs_csv(path, pairs, triple=False):
+    """``pairs`` disjoint edges (a community each), and with ``triple`` one
+    path of three vertices more (one community)."""
+    lines = ["src,dst,lo,hi", *(f"a{i},b{i},1,2" for i in range(pairs))]
+    if triple:
+        lines += ["p0,p1,1,2", "p1,p2,1,2"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+class TestOutputSize:
+    """Every output is O(n + m): matrices above ``DENSE_LIMIT`` vertices are
+    edge lists, in the trace, the text summary and the JSON document."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_thousand_disjoint_edges_write_under_2_mb(self, tmp_path, fmt, trace):
+        # 2,000 vertices end as 1,000 communities: a dense matrix of either
+        # size wrote 10.8 MB (text) to 100.2 MB (JSON with the trace)
+        csv, out = _pairs_csv(tmp_path / "pairs.csv", 1000), tmp_path / "out"
+        argv = ["run", "--input", csv, "--method", "cl", "--format", fmt, "--out", str(out)]
+        assert main(argv + ["--trace"] * trace) == 0
+        assert out.stat().st_size < 2_000_000
+        if fmt == "json":
+            doc = json.loads(out.read_text(encoding="utf-8"))
+            assert len(doc["aggregated_matrix"]["edges"]) == 1000
+
+    @pytest.mark.parametrize(
+        "pairs, triple, initial, final",
+        [(100, False, 200, 100), (99, True, 201, 100), (200, False, 400, 200), (201, False, 402, 201)],
+    )
+    def test_matrices_are_dense_up_to_200_vertices(self, capsys, tmp_path, pairs, triple, initial, final):
+        csv = _pairs_csv(tmp_path / "pairs.csv", pairs, triple)
+        code, out, _ = run_cli(capsys, "run", "--input", csv, "--method", "cl", "--trace")
+        assert code == 0
+        lines = out.splitlines()
+
+        def matrix_head(title, n, skip=0):
+            head = lines[lines.index(title) + 1 + skip]
+            if n <= network.DENSE_LIMIT:  # the dense header row: every column label
+                assert head.startswith("  ") and len(head.split()) == n
+            else:
+                assert head.endswith(" edges (i <= j):") and head.startswith(f"{n} vertices, ")
+
+        matrix_head("Initial Interval-Weighted Network:", initial)
+        matrix_head("Final Interval-weighted network:", final, skip=1)
+        matrix_head("final aggregated interval matrix:", final)
 
 
 class TestOracleCommand:

@@ -638,10 +638,10 @@ class TestLazyDecisionLog:
     def test_run_formats_no_gain(self, monkeypatch, strategy):
         net = random_network(random.Random(51), 40, density=0.15)
 
-        def refuse(_):
-            raise AssertionError("run() formatted a gain")
+        def refuse(*_):
+            raise AssertionError("run() rendered a decision")
 
-        monkeypatch.setattr(louvain, "_fmt_gain", refuse)
+        monkeypatch.setattr(louvain._Replay, "render", refuse)
         result = run(net, strategy)
         monkeypatch.undo()
         assert "\tTry " in emit_trace(result)
@@ -679,7 +679,7 @@ class TestLazyDecisionLog:
             vlabel = state.net.labels[v]
             for c in cand_ids:
                 clabel = own_label if c == own else label(state, c)
-                expected.append(f"\tTry {vlabel} -> {clabel:<15} | {louvain._fmt_gain(gains[c])}")
+                expected.append(f"\tTry {vlabel} -> {clabel:<15} | {_fmt_gain(gains[c])}")
             pending.update(v=v, own=own, own_label=own_label)
             return own, cand_ids, gains, gain_own
 
@@ -707,9 +707,32 @@ class TestLazyDecisionLog:
             assert rendered == expected
 
 
+def test_try_lines_sign_and_mark_every_gain():
+    net = IWNetwork.from_edges(["a", "b", "c", "d", "e", "f"], [("a", "b", 1, 1)])
+    replay = louvain._Replay(net, louvain._ScalarPass)
+    d = louvain.Decision(0, 0, (0, 1, 2, 3, 4), (-0.0, 0.0, -1e-9, 2.5, -3.25), None)
+    assert list(replay.render(d)) == [
+        "\tTry a -> a               | gain=+0.000 (0)",
+        "\tTry a -> b               | gain=+0.000 (0)",
+        "\tTry a -> c               | gain=-0.000 (-)",
+        "\tTry a -> d               | gain=+2.500 (+)",
+        "\tTry a -> e               | gain=-3.250 (-)",
+        "\tKeep vertex a at community a",
+    ]
+
+
+def _fmt_gain(gain):
+    """The gain field of a Try line: sign, magnitude to 3 places, and a
+    mark that is 0 for a zero gain (-0.0 included)."""
+    mark = "0" if gain == 0.0 else "+" if gain > 0.0 else "-"
+    return f"gain={'-' if gain < 0.0 else '+'}{abs(gain):.3f} ({mark})"
+
+
 def _reference_target(own, candidates, gains, gain_own):
     """The tie rule, by a sorted scan: the largest gain that is > 0 and beats
-    returning home; the smallest id among equal gains; a tie with home keeps."""
+    returning home; the smallest id among equal gains; a tie with home keeps.
+    On the integer-weighted tie networks gains are exact, so the rounding
+    bound of ``louvain._decide`` never decides."""
     best = None
     for c in sorted(candidates):
         g = gains[candidates.index(c)]

@@ -521,3 +521,31 @@ def test_format_matrix_matches_dense_renderer(monkeypatch):
     monkeypatch.setattr(IWNetwork, "weights", property(refuse))
     for net, expected in cases:
         assert format_matrix(net) == expected
+
+
+def _edge_list_reference(net):
+    """The edge-list rendering, from the upper triangle of ``net.weights``."""
+    entries = [
+        f"{net.labels[i]}  {net.labels[j]}  {w}"
+        for i, row in enumerate(net.weights)
+        for j, w in enumerate(row)
+        if j >= i and w != ZERO
+    ]
+    return [f"{net.n} vertices, {len(entries)} edges (i <= j):", *entries]
+
+
+@pytest.mark.parametrize("n", [network.DENSE_LIMIT, network.DENSE_LIMIT + 1])
+def test_format_matrix_is_dense_up_to_the_limit_then_an_edge_list(n):
+    rng = random.Random(n)
+    labels = [f"v{i}" for i in range(n)]
+    edges = [("v0", "v0", 1.0, 2.0), ("v3", f"v{n - 1}", 2.0, 2.0)]
+    edges += [(f"v{rng.randrange(n)}", f"v{rng.randrange(n)}", 0.0, rng.uniform(0.1, 9.0))
+              for _ in range(3 * n)]
+    net = IWNetwork.from_edges(labels, edges)
+    lines = format_matrix(net)
+    if n <= network.DENSE_LIMIT:
+        assert lines == _dense_format_matrix(net)
+    else:
+        assert lines == _edge_list_reference(net)
+        assert lines[1] == "v0  v0  [1,2]" and f"v3  v{n - 1}  [2,2]" in lines
+        assert len(lines) == net.edge_count() + 1

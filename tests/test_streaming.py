@@ -1,8 +1,10 @@
 """``iwnet run`` writes its output in chunks as it renders them.
 
-The bytes must be those of rendering the whole document at once, memory
-must stay well below the size of what is written, a reader that closes
-stdout early is not an error, and a failed run writes nothing.
+The trace goes out in batches of lines of about ``cli.BATCH_CHARS``
+characters. The bytes must be those of rendering the whole document at
+once, writing the trace must add less memory than the trace's size, a
+reader that closes stdout early is not an error, and a failed run writes
+nothing.
 """
 
 import json
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import iwnet
-from iwnet import emit_trace, network_from_csv, run
+from iwnet import cli, emit_trace, network_from_csv, run
 from iwnet.cli import main
 
 # NUTS 3 regions of the paper's Portuguese commuting network (non-ASCII
@@ -96,24 +98,54 @@ def test_streamed_bytes_match_one_shot_rendering(capsys, tmp_path, labelled_csv,
     assert _main_out(tmp_path, argv) == summary.encode("utf-8")
 
 
+@pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_small_batches_give_the_same_bytes(capsys, monkeypatch, labelled_csv, method, fmt):
+    """Cut into many batches, each escaped on its own for JSON, the output
+    has the bytes of one batch: JSON escapes one character at a time."""
+    argv = ["run", "--input", labelled_csv, "--method", method, "--format", fmt, "--trace"]
+    whole = _main_stdout(capsys, argv)
+    monkeypatch.setattr(cli, "BATCH_CHARS", 40)
+    assert _main_stdout(capsys, argv) == whole
+
+
+def test_batches_are_bounded_and_a_long_line_goes_alone(monkeypatch):
+    monkeypatch.setattr(cli, "BATCH_CHARS", 100)
+    lines = ["x" * (i % 37) for i in range(200)]
+    lines[50] = "y" * 250
+    batches = list(cli._batches(iter(lines)))
+    assert "".join(batches) == "".join(line + "\n" for line in lines)
+    assert "y" * 250 + "\n" in batches
+    assert all(len(b) <= 100 for b in batches if "y" not in b)
+    assert len(batches) > 30
+
+
 def test_trace_run_memory_stays_below_output_size(tmp_path):
-    """``iwnet run --trace --format json --out`` on 250 vertices peaks (under
-    tracemalloc) at 1.12x the size of the 3.4 MB file it writes; rendering
-    the trace and the document as whole strings first peaked at 3.45x."""
+    """``iwnet run --trace --format json --out`` on 250 vertices: writing the
+    1.15 MB trace raises the peak (under tracemalloc) over the same run
+    without ``--trace`` by about 0.4x the trace's size; rendering the trace
+    as one string first raises it by 2.8x."""
     csv, out = tmp_path / "flows.csv", tmp_path / "out.json"
     _flows_csv(csv)
-    argv = ["run", "--input", str(csv), "--method", "midpoint", "--trace",
-            "--format", "json", "--out", str(out)]
-    tracemalloc.start()
-    try:
-        code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    argv = ["run", "--input", str(csv), "--method", "midpoint", "--format", "json",
+            "--out", str(out)]
+
+    def peak(extra):
+        tracemalloc.start()
+        try:
+            code = main(argv + extra)
+            return code, tracemalloc.get_traced_memory()[1], out.stat().st_size
+        finally:
+            tracemalloc.stop()
+
+    assert main(argv) == 0  # warm up: first-call allocations count against neither run
+    code, base, summary = peak([])
     assert code == 0
-    size = out.stat().st_size
-    assert size > 1_000_000
-    assert peak < 1.5 * size, f"peak {peak} B for {size} B written"
+    code, traced, size = peak(["--trace"])
+    assert code == 0
+    trace = size - summary
+    assert trace > 1_000_000
+    assert traced - base < 0.75 * trace, f"peak {base} B -> {traced} B for a {trace} B trace"
 
 
 def test_reader_closing_stdout_early_is_not_an_error(tmp_path):
