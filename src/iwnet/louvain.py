@@ -40,10 +40,13 @@ in batches as they are rendered. A matrix is rendered by
 an edge list above, so no matrix of the trace is larger than O(n + m).
 
 A move must beat returning to the vertex's former community by more
-than a rounding bound of the two gains (``TIE_ULPS`` ulps of their
-largest operand, ``_PassState.slack``): gains that differ only by
-rounding are ties, which keep the vertex, so no vertex swaps between
-two communities forever. ``SWEEP_LIMIT`` stays as a backstop.
+than a tolerance (``TIE_ULPS`` ulps of the largest operand of the two
+gains, ``_PassState.slack``): gains closer than that count as ties,
+which keep the vertex, so a vertex does not swap between two
+communities on gains a few ulps apart. The tolerance is a heuristic,
+not a bound on the rounding: a link sum over many neighbours or a
+community total after many moves can round by more, and then
+``SWEEP_LIMIT`` is still what ends phase 1.
 """
 
 from __future__ import annotations
@@ -82,7 +85,10 @@ __all__ = [
 
 SWEEP_LIMIT = 100
 # a move must beat going home by more than this many ulps of the largest
-# operand of the two gains (see ``_PassState.slack``)
+# operand of the two gains (see ``_PassState.slack``). A heuristic: 1 ends
+# the known swap and 2 passes the exact re-pricing tests; 64 also covers a
+# link sum over up to about 128 neighbours (each addition rounds by at most
+# half an ulp of s_v), is at most 1.4e-14 of s_v, and changes no pinned trace
 TIE_ULPS = 64
 NAMES = ("cl", "hl", "midpoint")  # the strategy names, as the CLI spells them
 
@@ -157,8 +163,8 @@ class _PassState:
     ``level`` gives the rows of a network that the gains and the modularity
     of its kind read; ``sums`` holds their per-vertex sums, from which the
     network's Q as singletons (``sums.q()``) and its Q_max are read.
-    ``slack(v, c, own)`` bounds the rounding of the difference between
-    v's gains into c and into own, for the tie rule of ``_decide``.
+    ``slack(v, c, own)`` is the tolerance under which v's gains into c
+    and into own count as equal, for the tie rule of ``_decide``.
     """
 
     def __init__(self, net: IWNetwork, partition: Partition | None = None):
@@ -313,11 +319,13 @@ def _decide(
     """Target community for a strictly improving move, else None (keep).
 
     A move needs a strictly positive gain that beats returning to the
-    former community by more than ``state.slack``, a rounding bound of
-    the two gains: gains closer than that are equal but for rounding,
-    and taking either would let a vertex swap between two communities
-    forever. Gain ties among candidates go to the smallest community id,
-    and a tie with the former community keeps the vertex.
+    former community by more than ``state.slack``, a tolerance of
+    ``TIE_ULPS`` ulps: gains closer than that count as equal, since a vertex
+    that took either could swap between two communities on gains that
+    differ only by rounding. The tolerance is a heuristic (see
+    ``TIE_ULPS``); ``SWEEP_LIMIT`` ends phase 1 where it falls short.
+    Gain ties among candidates go to the smallest community id, and a
+    tie with the former community keeps the vertex.
     """
     best_c, best_gain = None, 0.0
     for c, g in gains.items():

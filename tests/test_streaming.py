@@ -121,10 +121,11 @@ def test_batches_are_bounded_and_a_long_line_goes_alone(monkeypatch):
 
 
 def test_trace_run_memory_stays_below_output_size(tmp_path):
-    """``iwnet run --trace --format json --out`` on 250 vertices: writing the
-    1.15 MB trace raises the peak (under tracemalloc) over the same run
-    without ``--trace`` by about 0.4x the trace's size; rendering the trace
-    as one string first raises it by 2.8x."""
+    """``iwnet run --trace --format json --out`` on 250 vertices peaks (under
+    tracemalloc) at 1.2x the size of the 1.15 MB file it writes, and writing
+    the trace raises the peak over the same run without ``--trace`` by about
+    0.4x the trace's size; rendering the trace as one string first raises it
+    by 2.8x."""
     csv, out = tmp_path / "flows.csv", tmp_path / "out.json"
     _flows_csv(csv)
     argv = ["run", "--input", str(csv), "--method", "midpoint", "--format", "json",
@@ -138,13 +139,16 @@ def test_trace_run_memory_stays_below_output_size(tmp_path):
         finally:
             tracemalloc.stop()
 
-    assert main(argv) == 0  # warm up: first-call allocations count against neither run
+    code, first, size = peak(["--trace"])
+    assert code == 0
+    assert size > 1_000_000
+    assert first < 1.5 * size, f"peak {first} B for {size} B written"
+    # the run above was the first: its first-call allocations count against neither below
     code, base, summary = peak([])
     assert code == 0
     code, traced, size = peak(["--trace"])
     assert code == 0
     trace = size - summary
-    assert trace > 1_000_000
     assert traced - base < 0.75 * trace, f"peak {base} B -> {traced} B for a {trace} B trace"
 
 
