@@ -18,11 +18,13 @@ Three strategies share one greedy two-phase loop:
 
 Phase 1 keeps a community id per vertex, a member count per community
 and, per gain kind, float sums per community, all updated in O(deg) per
-move; a vertex's links come from one pass over its neighbour map, so a
-sweep is O(m). Networks of a run are not re-validated; input is checked
-once, at the boundary. Vertices are swept in index order and every
-decision is deterministic, so identical inputs produce byte-identical
-traces. ``run()`` only computes: its log is one ``Decision`` per
+move. The pass state of each gain kind evaluates a vertex in one method,
+``step``: one pass over its neighbour map gives its links, and one loop
+over the candidates prices them and applies the tie rule, so a sweep is
+O(m) with one call per vertex. Networks of a run are not re-validated;
+input is checked once, at the boundary. Vertices are swept in index
+order and every decision is deterministic, so identical inputs produce
+byte-identical traces. ``run()`` only computes: its log is one ``Decision`` per
 evaluated vertex, so a sweep of a pass is ``n`` records of that pass's
 network. The pass state owns its network's modularity: its per-vertex
 sums (``modularity.ScalarSums`` / ``IntervalSums``) give the Q of the
@@ -41,7 +43,7 @@ an edge list above, so no matrix of the trace is larger than O(n + m).
 
 A move must beat returning to the vertex's former community by more
 than a tolerance (``TIE_ULPS`` ulps of the largest operand of the two
-gains, ``_PassState.slack``): gains closer than that count as ties,
+gains, see ``_PassState``): gains closer than that count as ties,
 which keep the vertex, so a vertex does not swap between two
 communities on gains a few ulps apart. The tolerance is a heuristic,
 not a bound on the rounding: a link sum over many neighbours or a
@@ -85,7 +87,7 @@ __all__ = [
 
 SWEEP_LIMIT = 100
 # a move must beat going home by more than this many ulps of the largest
-# operand of the two gains (see ``_PassState.slack``). A heuristic: 1 ends
+# operand of the two gains (see ``_PassState``). A heuristic: 1 ends
 # the known swap and 2 passes the exact re-pricing tests; 64 also covers a
 # link sum over up to about 128 neighbours (each addition rounds by at most
 # half an ulp of s_v), is at most 1.4e-14 of s_v, and changes no pinned trace
@@ -157,37 +159,35 @@ class _PassState:
     """Membership of one optimization phase: the community id of every vertex
     (``comm_of``) and the member count of every id (``size``). A subclass
     per gain kind keeps the sums its gains are priced from, as plain
-    floats; ``evaluate`` isolates a vertex, prices every candidate move and
-    leaves its links in ``self.links`` for the ``place`` that must follow.
+    floats, and evaluates one vertex in ``step(v)``: it isolates v, reads
+    v's links from one pass over its row, prices every candidate and
+    applies the tie rule in one loop over them, places v and returns the
+    ``Decision``.
+
+    A move needs a strictly positive gain that beats returning to the
+    former community by more than a tolerance of ``TIE_ULPS`` ulps of the
+    kind's largest operand: gains closer than that count as equal, since
+    a vertex that took either could swap between two communities on gains
+    that differ only by rounding. The tolerance is a heuristic (see
+    ``TIE_ULPS``); ``SWEEP_LIMIT`` ends phase 1 where it falls short.
+    Gain ties among candidates go to the smallest community id, and a tie
+    with the former community keeps the vertex.
 
     ``level`` gives the rows of a network that the gains and the modularity
     of its kind read; ``sums`` holds their per-vertex sums, from which the
-    network's Q as singletons (``sums.q()``) and its Q_max are read.
-    ``slack(v, c, own)`` is the tolerance under which v's gains into c
-    and into own count as equal, for the tie rule of ``_decide``.
+    network's Q as singletons (``sums.q()``) and its Q_max are read. The
+    membership starts as singletons, or as ``partition`` for
+    ``evaluate_moves``.
     """
 
     def __init__(self, net: IWNetwork, partition: Partition | None = None):
         self.net = net
-        self.comm_of = [-1] * net.n
+        self.comm_of = list(range(net.n) if partition is None else partition.assignment)
         k = net.n if partition is None else partition.n_communities
         self.size = [0] * k
+        for c in self.comm_of:
+            self.size[c] += 1
         self._sums(self.level(net), k)
-        for v, c in enumerate(range(net.n) if partition is None else partition.assignment):
-            if partition is not None:
-                self.links = self._links(v, c)
-            self.place(v, c)
-
-    def _leave(self, v: int) -> tuple[int, bool]:
-        own = self.comm_of[v]
-        self.comm_of[v] = -1
-        self.size[own] -= 1
-        return own, self.size[own] > 0
-
-    def place(self, v: int, cid: int) -> None:
-        self._join(v, cid)
-        self.size[cid] += 1
-        self.comm_of[v] = cid
 
 
 class _ScalarPass(_PassState):
@@ -200,11 +200,17 @@ class _ScalarPass(_PassState):
         self.sums = ScalarSums(mid)
         self.neigh, self.s, self.two_w = mid, self.sums.s, self.sums.two_w
         self.tot = [0.0] * k
+        for v, c in enumerate(self.comm_of):
+            self.tot[c] += self.s[v]
 
-    def _links(self, v: int, own: int) -> dict[int, float]:
-        """Weight from v into each community of its neighbours, keyed in
-        first-neighbour (candidate) order; a self-loop keys ``own`` only."""
-        comm_of = self.comm_of
+    def step(self, v: int) -> Decision:
+        """Evaluate and place v. Its links are keyed in first-neighbour
+        (candidate) order, and a self-loop keys ``own`` only; the tolerance
+        is ``TIE_ULPS`` ulps of s_v, since the link weights and
+        s_v Sigma_tot / 2w of both gains are at most s_v."""
+        comm_of, tot, size = self.comm_of, self.tot, self.size
+        own = comm_of[v]
+        size[own] -= 1
         links: dict[int, float] = {}
         for u, w in self.neigh[v].items():
             if u == v:
@@ -212,26 +218,28 @@ class _ScalarPass(_PassState):
             else:
                 c = comm_of[u]
                 links[c] = links.get(c, 0.0) + w
-        return links
-
-    def evaluate(self, v: int) -> tuple[int, tuple[int, ...], dict[int, float], float]:
-        """(own community, candidates in first-neighbour order, their gains, gain of going home)."""
-        own, home = self._leave(v)
-        links = self._links(v, own)
-        s_v, tot, two_w = self.s[v], self.tot, self.two_w
+        s_v, two_w = self.s[v], self.two_w
         # an emptied community drops the rounding residue of the removals; its
         # total is then 0.0, so re-entering it gains exactly 0.0
-        tot[own] = tot[own] - s_v if home else 0.0
-        gains = {c: 2.0 * (k - s_v * tot[c] / two_w) for c, k in links.items()}
-        return own, tuple(links), gains, 2.0 * (links.get(own, 0.0) - s_v * tot[own] / two_w)
-
-    def _join(self, v: int, cid: int) -> None:
-        self.tot[cid] += self.s[v]
-
-    def slack(self, v: int, c: int, own: int) -> float:
-        """``TIE_ULPS`` ulps of s_v: the link weights and s_v Sigma_tot / 2w
-        of both gains are at most s_v."""
-        return TIE_ULPS * math.ulp(self.s[v])
+        tot[own] = tot[own] - s_v if size[own] else 0.0
+        gain_own = 2.0 * (links.get(own, 0.0) - s_v * tot[own] / two_w)
+        gains = []
+        target, best = own, 0.0
+        for c, k in links.items():
+            if c == own:
+                g = gain_own
+            else:
+                g = 2.0 * (k - s_v * tot[c] / two_w)
+                if (
+                    g > 0.0 and g > gain_own and g - gain_own > TIE_ULPS * math.ulp(s_v)
+                    and (target == own or g > best or (g == best and c < target))
+                ):
+                    target, best = c, g
+            gains.append(g)
+        tot[target] += s_v
+        size[target] += 1
+        comm_of[v] = target
+        return Decision(v, own, tuple(links), tuple(gains), None if target == own else target)
 
 
 class _IntervalPass(_PassState):
@@ -252,12 +260,36 @@ class _IntervalPass(_PassState):
         self.vsum, self.totals, self.vterm = self.sums.vsum, self.sums.totals, self.sums.vterm
         self.cols = tuple([0.0] * k for _ in range(6))
         self.d = [0.0] * k
-        self.links = ({}, {})  # as singletons no vertex links into the community it enters
+        for v, c in enumerate(self.comm_of):
+            # v joins c after the vertices before it, so it links to those only
+            k_lo = k_hi = 0.0
+            for u, w in net.rows[v].items():
+                if u < v and self.comm_of[u] == c:
+                    k_lo, k_hi = k_lo + w.lo, k_hi + w.hi
+            self._join(v, c, k_lo, k_hi)
 
-    def _links(self, v: int, own: int) -> tuple[dict[int, float], dict[int, float]]:
-        """Lower and upper link weights, keyed as in ``_ScalarPass._links``."""
-        comm_of = self.comm_of
-        k_lo, k_hi = {}, {}
+    def _join(self, v: int, c: int, k_lo: float, k_hi: float, sign: int = 1) -> None:
+        """v, linked to c by [k_lo, k_hi], joins (sign 1) or leaves (sign -1) c."""
+        x_olo, x_ohi, x_slo, x_shi, x_nlo, x_nhi = self.vsum[v]
+        o_lo, o_hi, s_lo, s_hi, n_lo, n_hi = self.cols
+        o_lo[c] += sign * (2.0 * k_lo + x_olo)
+        o_hi[c] += sign * (2.0 * k_hi + x_ohi)
+        s_lo[c] += sign * x_slo
+        s_hi[c] += sign * x_shi
+        n_lo[c] += sign * x_nlo
+        n_hi[c] += sign * x_nhi
+        self.d[c] = cl_term(o_lo[c], o_hi[c], s_lo[c], s_hi[c], n_lo[c], n_hi[c], *self.totals)
+
+    def step(self, v: int) -> Decision:
+        """As ``_ScalarPass.step``, with lower and upper links; the tolerance
+        is ``TIE_ULPS`` ulps of the larger upper strength of the candidate
+        and own with v in it, which bounds every observed and expected
+        block of both gains."""
+        comm_of, d = self.comm_of, self.d
+        own = comm_of[v]
+        self.size[own] -= 1
+        k_lo: dict[int, float] = {}
+        k_hi: dict[int, float] = {}
         for u, w in self.net.rows[v].items():
             if u == v:
                 k_lo.setdefault(own, 0.0)
@@ -266,73 +298,41 @@ class _IntervalPass(_PassState):
                 c = comm_of[u]
                 k_lo[c] = k_lo.get(c, 0.0) + w.lo
                 k_hi[c] = k_hi.get(c, 0.0) + w.hi
-        return k_lo, k_hi
-
-    def _join(self, v: int, c: int, sign: int = 1) -> None:
-        """v joins (sign 1) or leaves (sign -1) community c over ``self.links``."""
-        x_olo, x_ohi, x_slo, x_shi, x_nlo, x_nhi = self.vsum[v]
         o_lo, o_hi, s_lo, s_hi, n_lo, n_hi = self.cols
-        o_lo[c] += sign * (2.0 * self.links[0].get(c, 0.0) + x_olo)
-        o_hi[c] += sign * (2.0 * self.links[1].get(c, 0.0) + x_ohi)
-        s_lo[c] += sign * x_slo
-        s_hi[c] += sign * x_shi
-        n_lo[c] += sign * x_nlo
-        n_hi[c] += sign * x_nhi
-        self.d[c] = cl_term(o_lo[c], o_hi[c], s_lo[c], s_hi[c], n_lo[c], n_hi[c], *self.totals)
-
-    def slack(self, v: int, c: int, own: int) -> float:
-        """``TIE_ULPS`` ulps of the larger upper strength of c and own with v
-        in it, which bounds every observed and expected block of both gains."""
-        s_hi = self.cols[3]
-        return TIE_ULPS * math.ulp(max(s_hi[c], s_hi[own]) + self.vsum[v][3])
-
-    def evaluate(self, v: int) -> tuple[int, tuple[int, ...], dict[int, float], float]:
-        """As ``_ScalarPass.evaluate``."""
-        own, home = self._leave(v)
-        k_lo, k_hi = self.links = self._links(v, own)
-        if home:
-            self._join(v, own, -1)
-        else:  # drop the rounding residue of the removals
-            for col in (*self.cols, self.d):
+        x_olo, x_ohi, x_slo, x_shi, x_nlo, x_nhi = self.vsum[v]
+        q_v, (t_lo, t_hi) = self.vterm[v], self.totals
+        if self.size[own]:
+            kl, kh = k_lo.get(own, 0.0), k_hi.get(own, 0.0)
+            self._join(v, own, kl, kh, -1)
+            gain_own = cl_term(
+                o_lo[own] + (2.0 * kl + x_olo), o_hi[own] + (2.0 * kh + x_ohi), s_lo[own] + x_slo,
+                s_hi[own] + x_shi, n_lo[own] + x_nlo, n_hi[own] + x_nhi, t_lo, t_hi,
+            ) - d[own] - q_v
+        else:  # drop the rounding residue of the removals: re-entering is a no-op
+            for col in (*self.cols, d):
                 col[own] = 0.0
-        o_lo, o_hi, s_lo, s_hi, n_lo, n_hi = self.cols
-        x_olo, x_ohi, x_slo, x_shi, x_nlo, x_nhi = self.vsum[v]
-        d, q_v, (t_lo, t_hi) = self.d, self.vterm[v], self.totals
-
-        def gain(c: int, kl: float, kh: float) -> float:
-            return cl_term(
-                o_lo[c] + (2.0 * kl + x_olo), o_hi[c] + (2.0 * kh + x_ohi),
-                s_lo[c] + x_slo, s_hi[c] + x_shi, n_lo[c] + x_nlo, n_hi[c] + x_nhi, t_lo, t_hi,
-            ) - d[c] - q_v
-
-        gains = {c: gain(c, kl, k_hi[c]) for c, kl in k_lo.items()}
-        if not home:  # re-entering an emptied community is a no-op
-            if own in gains:
-                gains[own] = 0.0
-            return own, tuple(k_lo), gains, 0.0
-        return own, tuple(k_lo), gains, gains[own] if own in gains else gain(own, 0.0, 0.0)
-
-
-def _decide(
-    state: _PassState, v: int, own: int, gains: dict[int, float], gain_own: float
-) -> int | None:
-    """Target community for a strictly improving move, else None (keep).
-
-    A move needs a strictly positive gain that beats returning to the
-    former community by more than ``state.slack``, a tolerance of
-    ``TIE_ULPS`` ulps: gains closer than that count as equal, since a vertex
-    that took either could swap between two communities on gains that
-    differ only by rounding. The tolerance is a heuristic (see
-    ``TIE_ULPS``); ``SWEEP_LIMIT`` ends phase 1 where it falls short.
-    Gain ties among candidates go to the smallest community id, and a
-    tie with the former community keeps the vertex.
-    """
-    best_c, best_gain = None, 0.0
-    for c, g in gains.items():
-        if c != own and g > 0.0 and g > gain_own and g - gain_own > state.slack(v, c, own):
-            if best_c is None or g > best_gain or (g == best_gain and c < best_c):
-                best_c, best_gain = c, g
-    return best_c
+            gain_own = 0.0
+        gains = []
+        target, best = own, 0.0
+        for c, kl in k_lo.items():
+            if c == own:
+                g = gain_own
+            else:
+                g = cl_term(
+                    o_lo[c] + (2.0 * kl + x_olo), o_hi[c] + (2.0 * k_hi[c] + x_ohi), s_lo[c] + x_slo,
+                    s_hi[c] + x_shi, n_lo[c] + x_nlo, n_hi[c] + x_nhi, t_lo, t_hi,
+                ) - d[c] - q_v
+                if (
+                    g > 0.0 and g > gain_own
+                    and g - gain_own > TIE_ULPS * math.ulp(max(s_hi[c], s_hi[own]) + x_shi)
+                    and (target == own or g > best or (g == best and c < target))
+                ):
+                    target, best = c, g
+            gains.append(g)
+        self._join(v, target, k_lo.get(target, 0.0), k_hi.get(target, 0.0))
+        self.size[target] += 1
+        comm_of[v] = target
+        return Decision(v, own, tuple(k_lo), tuple(gains), None if target == own else target)
 
 
 def _optimize(state: _PassState, log: list[Decision]) -> tuple[int, bool]:
@@ -340,14 +340,13 @@ def _optimize(state: _PassState, log: list[Decision]) -> tuple[int, bool]:
 
     Returns (sweeps performed, whether any move happened).
     """
+    step = state.step
     for iterations in range(1, SWEEP_LIMIT + 1):
         moves = 0
         for v in range(state.net.n):
-            own, cand_ids, gains, gain_own = state.evaluate(v)
-            target = _decide(state, v, own, gains, gain_own)
-            state.place(v, own if target is None else target)
-            log.append(Decision(v, own, cand_ids, tuple(gains.values()), target))
-            moves += target is not None
+            d = step(v)
+            log.append(d)
+            moves += d.target is not None
         if not moves:  # every sweep before this one moved a vertex
             return iterations, iterations > 1
     raise IterationLimit(f"no convergence after {SWEEP_LIMIT} sweeps")
@@ -428,8 +427,8 @@ def evaluate_moves(
 
     Candidates are the communities of the vertex's topological neighbors,
     in first-appearance order along the neighbor scan; the vertex is
-    isolated from its own community for the evaluation and put back
-    afterwards.
+    isolated from its own community for the evaluation, on a membership
+    built from ``p`` for this call alone.
     """
     if len(p.assignment) != net.n:
         raise ValueError(f"partition has {len(p.assignment)} entries, network has {net.n} vertices")
@@ -437,11 +436,8 @@ def evaluate_moves(
         raise ValueError(f"vertex {vertex} is not in range({net.n})")
     if isinstance(strategy, str):
         strategy = Strategy(strategy)
-    kind = _kind(strategy)
-    state = kind(net, partition=p)
-    own, cand_ids, gains, _ = state.evaluate(vertex)
-    state.place(vertex, own)
-    return [(c, gains[c]) for c in cand_ids]
+    d = _kind(strategy)(net, p).step(vertex)  # on a throwaway state
+    return list(zip(d.candidates, d.gains))
 
 
 class _Replay:

@@ -14,7 +14,8 @@ larger than O(n + m).
 Input is validated at the boundary (``read_flow_csv``, ``Interval``, the
 public constructor and ``from_matrix`` / ``from_edges``, which reject
 duplicate labels too); the networks the library builds itself skip the
-check.
+check. ``symmetrize`` folds each pair's records as (lo, hi) floats and
+makes one ``Interval`` per pair.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import operator
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .errors import DuplicateEdge, InvalidInterval, NegativeWeight, ParseError
@@ -48,24 +50,28 @@ W = TypeVar("W")  # an entry: an Interval, or a float on the scalar track
 Pair = tuple[float, float]  # the (lo, hi) endpoints of an Interval block being folded
 
 
-class DirectedFlowRecord(Frozen, fields=("src", "dst", "lo", "hi")):
-    """One directed flow ``src -> dst`` with interval weight [lo, hi]."""
+class DirectedFlowRecord(Frozen, tuple, fields=("src", "dst", "lo", "hi")):
+    """One directed flow ``src -> dst`` with interval weight [lo, hi]: a
+    4-tuple of its fields, validated by the constructor."""
 
-    src: str
-    dst: str
-    lo: float
-    hi: float
+    __slots__ = ()
+    src = property(operator.itemgetter(0))
+    dst = property(operator.itemgetter(1))
+    lo = property(operator.itemgetter(2))
+    hi = property(operator.itemgetter(3))
 
-    def __init__(self, src: str, dst: str, lo: float, hi: float):
+    def __new__(cls, src: str, dst: str, lo: float, hi: float):
+        # a non-finite weight would vanish in a min/max fold instead of raising
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidInterval(f"{src}->{dst}: non-finite weight [{lo}, {hi}]")
         if lo > hi:
             raise InvalidInterval(f"{src}->{dst}: lo {lo} > hi {hi}")
         if lo < 0:
             raise NegativeWeight(f"{src}->{dst}: lo {lo} < 0")
-        # attribute by attribute: the instance keeps the compact shared-key dict
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        return tuple.__new__(cls, (src, dst, lo, hi))
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return tuple(self)
 
 
 class IWNetwork(
@@ -203,8 +209,8 @@ class IWNetwork(
 
 
 def _ascending(rows: Sequence[dict[int, Interval]]) -> tuple[dict[int, Interval], ...]:
-    """The maps with ascending keys and without [0,0] entries."""
-    return tuple({j: row[j] for j in sorted(row) if row[j] != ZERO} for row in rows)
+    """The maps with ascending keys and without [0,0] entries (both ends 0)."""
+    return tuple({j: row[j] for j in sorted(row) if row[j].lo or row[j].hi} for row in rows)
 
 
 def symmetrize(
@@ -218,42 +224,36 @@ def symmetrize(
     A record is discarded when its hi is below ``threshold`` (existence
     filter, applied before symmetrization). For each unordered pair the
     weight is the envelope [min lo, max hi] of the surviving records in
-    the two directions; with ``directed=False`` records are taken as
-    already-undirected pairs and a repeated pair is an error. Self-loop
-    records are dropped and counted in ``dropped_self_loops``, the other
-    discarded records in ``dropped_below_threshold``.
+    the two directions, folded as (lo, hi) floats in record order; with
+    ``directed=False`` records are taken as already-undirected pairs and a
+    repeated pair is an error. Self-loop records are dropped and counted
+    in ``dropped_self_loops``, the other discarded records in
+    ``dropped_below_threshold``.
     """
-    labels: list[str] = []
     index: dict[str, int] = {}
-    rows: list[dict[int, Interval]] = []
-
-    def vid(label: str) -> int:
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-            rows.append({})
-        return index[label]
-
+    seen: set[tuple[int, int]] = set()
+    fold: dict[tuple[int, int], Pair] = {}  # (i, j) with i < j -> (lo, hi)
     loops = below = 0
-    seen: set[tuple[str, str]] = set()
-    for rec in records:
-        key = (rec.src, rec.dst) if directed else tuple(sorted((rec.src, rec.dst)))
+    for src, dst, lo, hi in records:
+        i = index.setdefault(src, len(index))
+        j = index.setdefault(dst, len(index))
+        key = (i, j) if directed or i <= j else (j, i)
         if key in seen:
-            raise DuplicateEdge(f"duplicate record {rec.src}->{rec.dst}")
+            raise DuplicateEdge(f"duplicate record {src}->{dst}")
         seen.add(key)
-        i, j = vid(rec.src), vid(rec.dst)
         if i == j:
             loops += 1
-            continue
-        if rec.hi < threshold:
+        elif hi < threshold:
             below += 1
-            continue
-        w = Interval(rec.lo, rec.hi)
-        prev = rows[i].get(j)
-        if prev is not None:
-            w = Interval(min(prev.lo, w.lo), max(prev.hi, w.hi))
-        rows[i][j] = rows[j][i] = w
-    return IWNetwork._trusted(tuple(labels), _ascending(rows), loops, below)
+        else:
+            pair = (i, j) if i < j else (j, i)
+            prev = fold.get(pair)
+            fold[pair] = (lo, hi) if prev is None else (min(prev[0], lo), max(prev[1], hi))
+    rows: list[dict[int, Interval]] = [{} for _ in index]
+    for (i, j), (lo, hi) in fold.items():
+        rows[i][j] = rows[j][i] = Interval(lo, hi)
+    del fold, seen  # before the rows are copied in key order
+    return IWNetwork._trusted(tuple(index), _ascending(rows), loops, below)
 
 
 def blocks(
@@ -396,12 +396,15 @@ def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
             hi = float(row[3])
         except ValueError:
             raise ParseError(lineno, f"non-numeric weight in {row[2]!r},{row[3]!r}") from None
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ParseError(lineno, f"non-finite weight in {row[2]!r},{row[3]!r}")
-        try:
-            records.append(DirectedFlowRecord(src, dst, lo, hi))
-        except (InvalidInterval, NegativeWeight) as exc:
-            raise ParseError(lineno, str(exc)) from None
+        if not 0.0 <= lo <= hi < math.inf:  # else say which check fails
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ParseError(lineno, f"non-finite weight in {row[2]!r},{row[3]!r}")
+            try:
+                DirectedFlowRecord(src, dst, lo, hi)
+            except (InvalidInterval, NegativeWeight) as exc:
+                raise ParseError(lineno, str(exc)) from None
+        # every field is checked: build the tuple without the constructor's checks
+        records.append(tuple.__new__(DirectedFlowRecord, (src, dst, lo, hi)))
     return records
 
 

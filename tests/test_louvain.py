@@ -346,13 +346,17 @@ class TestDriverBehavior:
 
 
 def _members(state):
-    """Ascending member lists of every community id of a pass state; a
-    vertex isolated by ``evaluate`` (community -1) is in none."""
+    """Ascending member lists of every community id of a pass state."""
     members = [[] for _ in state.size]
     for u, c in enumerate(state.comm_of):
-        if c >= 0:
-            members[c].append(u)
+        members[c].append(u)
     return members
+
+
+def _rest(state, v):
+    """The member lists of a pass state with v removed, as ``step`` prices
+    v's moves."""
+    return [[u for u in m if u != v] for m in _members(state)]
 
 
 def _full_difference_gains(net, rest, v, cids, q=q_interval_communities):
@@ -401,19 +405,17 @@ class TestIntervalGainDifferential:
         # every evaluation of a whole run, after many incremental updates,
         # agrees with the reference, also where an adjusted total is 0/0
         checked = []
-        original = louvain._IntervalPass.evaluate
+        original = louvain._IntervalPass.step
 
-        def evaluate(state, v):
-            own = state.comm_of[v]
-            cids = {own} | {state.comm_of[u] for u in state.net.rows[v] if u != v}
-            result = original(state, v)
-            ref = _full_difference_gains(state.net, _members(state), v, cids)
-            _, _, gains, gain_own = result
-            _assert_gains_close(state.net, {**gains, own: gain_own}, ref)
+        def step(state, v):
+            cids = {state.comm_of[u] for u in state.net.rows[v]}
+            ref = _full_difference_gains(state.net, _rest(state, v), v, cids)
+            d = original(state, v)
+            _assert_gains_close(state.net, dict(zip(d.candidates, d.gains)), ref)
             checked.append(v)
-            return result
+            return d
 
-        monkeypatch.setattr(louvain._IntervalPass, "evaluate", evaluate)
+        monkeypatch.setattr(louvain._IntervalPass, "step", step)
         rng = random.Random(32)
         nets = [random_network(rng, rng.randrange(4, 17), density=0.4) for _ in range(8)]
         nets += [random_degenerate_network(rng, rng.randrange(4, 17)) for _ in range(4)]
@@ -459,19 +461,17 @@ class TestScalarGainDifferential:
         # every evaluation of a whole run, after many updates of the
         # strength totals, agrees with the reference
         checked = []
-        original = louvain._ScalarPass.evaluate
+        original = louvain._ScalarPass.step
 
-        def evaluate(state, v):
-            own = state.comm_of[v]
-            cids = {own} | {state.comm_of[u] for u in state.net.rows[v] if u != v}
-            result = original(state, v)
-            ref = _full_difference_gains(state.net, _members(state), v, cids, _q_midpoints)
-            _, _, gains, gain_own = result
-            _assert_gains_close(state.net, {**gains, own: gain_own}, ref)
+        def step(state, v):
+            cids = {state.comm_of[u] for u in state.net.rows[v]}
+            ref = _full_difference_gains(state.net, _rest(state, v), v, cids, _q_midpoints)
+            d = original(state, v)
+            _assert_gains_close(state.net, dict(zip(d.candidates, d.gains)), ref)
             checked.append(v)
-            return result
+            return d
 
-        monkeypatch.setattr(louvain._ScalarPass, "evaluate", evaluate)
+        monkeypatch.setattr(louvain._ScalarPass, "step", step)
         rng = random.Random(34)
         nets = [random_network(rng, rng.randrange(10, 40), density=0.2) for _ in range(8)]
         nets += [random_degenerate_network(rng, rng.randrange(4, 17)) for _ in range(4)]
@@ -666,35 +666,23 @@ class TestLazyDecisionLog:
         """Each Try/Move/Keep line equals the line built from the driver's own
         membership at the moment of the decision."""
         expected: list[str] = []
-        pending = {}
         kind = louvain._kind(strategy)
-        evaluate, place = kind.evaluate, kind.place
+        step = kind.step
 
-        def label(state, cid):
-            return ",".join(state.net.labels[u] for u in _members(state)[cid])
-
-        def logged_evaluate(state, v):
-            own_label = label(state, state.comm_of[v])
-            own, cand_ids, gains, gain_own = evaluate(state, v)
+        def logged_step(state, v):
+            # labels as before the decision: v in its own community only
+            labels = [",".join(state.net.labels[u] for u in m) for m in _members(state)]
+            d = step(state, v)
             vlabel = state.net.labels[v]
-            for c in cand_ids:
-                clabel = own_label if c == own else label(state, c)
-                expected.append(f"\tTry {vlabel} -> {clabel:<15} | {_fmt_gain(gains[c])}")
-            pending.update(v=v, own=own, own_label=own_label)
-            return own, cand_ids, gains, gain_own
+            for c, g in zip(d.candidates, d.gains):
+                expected.append(f"\tTry {vlabel} -> {labels[c]:<15} | {_fmt_gain(g)}")
+            if d.target is None:
+                expected.append(f"\tKeep vertex {vlabel} at community {labels[d.own]}")
+            else:
+                expected.append(f"\tMove {vlabel} -> {labels[d.target]}")
+            return d
 
-        def logged_place(state, v, cid):
-            if pending.get("v") == v:
-                vlabel = state.net.labels[v]
-                if cid == pending["own"]:
-                    expected.append(f"\tKeep vertex {vlabel} at community {pending['own_label']}")
-                else:
-                    expected.append(f"\tMove {vlabel} -> {label(state, cid)}")
-                pending.clear()
-            place(state, v, cid)
-
-        monkeypatch.setattr(kind, "evaluate", logged_evaluate)
-        monkeypatch.setattr(kind, "place", logged_place)
+        monkeypatch.setattr(kind, "step", logged_step)
         rng = random.Random(54)
         for net in [random_network(rng, n, density=0.2) for n in (8, 25, 50)]:
             expected.clear()
@@ -732,7 +720,7 @@ def _reference_target(own, candidates, gains, gain_own):
     """The tie rule, by a sorted scan: the largest gain that is > 0 and beats
     returning home; the smallest id among equal gains; a tie with home keeps.
     On the integer-weighted tie networks gains are exact, so the rounding
-    bound of ``louvain._decide`` never decides."""
+    tolerance of the pass states' ``step`` never decides."""
     best = None
     for c in sorted(candidates):
         g = gains[candidates.index(c)]
@@ -743,13 +731,17 @@ def _reference_target(own, candidates, gains, gain_own):
 
 def test_decisions_follow_the_tie_rule_on_exact_ties(monkeypatch):
     gain_owns = []
-    for kind in (louvain._IntervalPass, louvain._ScalarPass):
-        def evaluate(state, v, original=kind.evaluate):
-            result = original(state, v)
-            gain_owns.append(result[3])
-            return result
+    for kind, q in ((louvain._IntervalPass, q_interval_communities), (louvain._ScalarPass, _q_midpoints)):
+        def step(state, v, original=kind.step, q=q):
+            own, rest = state.comm_of[v], _rest(state, v)
+            d = original(state, v)
+            if own in d.candidates:
+                gain_owns.append(d.gains[d.candidates.index(own)])
+            else:  # v has no link into own: its gain from the reference
+                gain_owns.append(_full_difference_gains(state.net, rest, v, [own], q)[own])
+            return d
 
-        monkeypatch.setattr(kind, "evaluate", evaluate)
+        monkeypatch.setattr(kind, "step", step)
     rng = random.Random(81)
     nets = [tie_network(rng, shape, rng.randrange(3, 13)) for shape in ("ring", "star", "bipartite") * 6]
     ties = 0

@@ -61,6 +61,10 @@ class TestIWNetwork:
                 ("a", "b"),
                 ((ZERO, Interval(-1, 2)), (Interval(-1, 2), ZERO)),
             )
+        # only [0,0] is an absent edge: [-1,0] is kept, and refused
+        with pytest.raises(NegativeWeight):
+            IWNetwork.from_edges(("a", "b"), [("a", "b", -1, 0)])
+        assert IWNetwork.from_edges(("a", "b"), [("a", "b", -0.0, 0)]).edge_count() == 0
 
     def test_neighbors_include_self_loop(self):
         net = IWNetwork.from_matrix(
@@ -465,6 +469,122 @@ class TestCsv:
         text = "src,dst,lo,hi\nA,B,1,3\nB,A,2,5\n"
         net = network_from_csv(io.StringIO(text))
         assert net.weights[0][1] == Interval(1, 5)
+
+
+def _reference_fold(records, threshold, directed):
+    """symmetrize, record by record: labels, ascending rows of Intervals
+    without [0,0], and the two drop counts. Each surviving record is one
+    ``Interval``, and a pair's weight is the envelope of it and the pair's
+    weight so far."""
+    index, rows, seen = {}, [], set()
+    loops = below = 0
+    for rec in records:
+        key = (rec.src, rec.dst) if directed else frozenset((rec.src, rec.dst))
+        if key in seen:
+            raise DuplicateEdge(key)
+        seen.add(key)
+        for lab in (rec.src, rec.dst):
+            if lab not in index:
+                index[lab] = len(index)
+                rows.append({})
+        i, j = index[rec.src], index[rec.dst]
+        if i == j:
+            loops += 1
+        elif rec.hi < threshold:
+            below += 1
+        else:
+            w = Interval(rec.lo, rec.hi)
+            prev = rows[i].get(j)
+            if prev is not None:
+                w = Interval(min(prev.lo, w.lo), max(prev.hi, w.hi))
+            rows[i][j] = rows[j][i] = w
+    rows = [{j: row[j] for j in sorted(row) if row[j] != ZERO} for row in rows]
+    return tuple(index), rows, loops, below
+
+
+def _weight_text(rng):
+    """A weight as a CSV writes it: int, float, zero lower bound, -0.0, [0,0]."""
+    kind = rng.randrange(6)
+    x = rng.uniform(0.0, 5.0)
+    return {
+        0: (str(rng.randrange(4)), str(rng.randrange(4, 8))),
+        1: (repr(x), repr(x + rng.uniform(0.0, 5.0))),
+        2: ("0", repr(x)),
+        3: ("-0.0", rng.choice(["-0.0", "0", repr(x)])),
+        4: (repr(x), repr(x)),
+        5: ("0", rng.choice(["0", "0.0", "-0.0"])),
+    }[kind]
+
+
+def _flow_csv(rng, directed):
+    """Seeded records over a few labels: both directions of most pairs when
+    directed, self-loops, and no repeated key."""
+    labels = [f"n{i}" for i in range(rng.randrange(2, 9))]
+    lines, keys = ["src,dst,lo,hi"], set()
+    for _ in range(rng.randrange(1, 30)):
+        a, b = rng.choice(labels), rng.choice(labels)
+        key = (a, b) if directed else frozenset((a, b))
+        if key not in keys:
+            keys.add(key)
+            lines.append(",".join((a, b, *_weight_text(rng))))
+    return "\n".join(lines) + "\n"
+
+
+def _bits(net_rows):
+    return [{j: (repr(w.lo), repr(w.hi)) for j, w in row.items()} for row in net_rows]
+
+
+class TestIngestDifferential:
+    """network_from_csv against the record-by-record reference fold: labels,
+    keys, the bits of every endpoint (-0.0 included) and the drop counts."""
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_matches_reference_fold(self, directed):
+        rng = random.Random(91 + directed)
+        checked = 0
+        for _ in range(300):
+            text = _flow_csv(rng, directed)
+            records = read_flow_csv(io.StringIO(text))
+            # no threshold, one below every weight, and one equal to a record's hi (kept)
+            for threshold in (0.0, -1.0, rng.choice(records).hi):
+                labels, rows, loops, below = _reference_fold(records, threshold, directed)
+                net = network_from_csv(io.StringIO(text), directed=directed, threshold=threshold)
+                assert net.labels == labels
+                assert _bits(net.rows) == _bits(rows)
+                assert (net.dropped_self_loops, net.dropped_below_threshold) == (loops, below)
+                assert net == IWNetwork(labels, tuple(rows))  # the public checks pass
+                checked += 1
+        assert checked == 900
+
+    def test_signed_zeros_fold_in_record_order(self):
+        text = "src,dst,lo,hi\na,b,-0.0,1\nb,a,0,2\nc,d,0,-0.0\nd,c,-0.0,0\ne,f,-0.0,0\nf,e,0,-0.0\n"
+        net = network_from_csv(io.StringIO(text))
+        assert _bits(net.rows) == [{1: ("-0.0", "2.0")}, {0: ("-0.0", "2.0")}, {}, {}, {}, {}]
+
+    @pytest.mark.parametrize("src, dst", [("b", "a"), ("a", "b")])
+    def test_undirected_repeated_pair_rejected(self, src, dst):
+        text = f"src,dst,lo,hi\na,b,1,2\nb,c,1,1\n{src},{dst},3,4\n"
+        with pytest.raises(DuplicateEdge, match=f"duplicate record {src}->{dst}"):
+            network_from_csv(io.StringIO(text), directed=False)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("A,B,5,3", "line 3: A->B: lo 5.0 > hi 3.0"),
+            ("A,B,-1,3", "line 3: A->B: lo -1.0 < 0"),
+            ("A,B,-1,-2", "line 3: A->B: lo -1.0 > hi -2.0"),
+            ("A,B,-0.5,-0.25", "line 3: A->B: lo -0.5 < 0"),
+            ("A,B,inf,3", "line 3: non-finite weight in 'inf','3'"),
+            ("A,B,1,nan", "line 3: non-finite weight in '1','nan'"),
+            ("A,B,-inf,nan", "line 3: non-finite weight in '-inf','nan'"),
+            ("A,B,1e400,1e401", "line 3: non-finite weight in '1e400','1e401'"),
+            ("A,B,x,2", "line 3: non-numeric weight in 'x','2'"),
+        ],
+    )
+    def test_weight_errors_keep_line_and_message(self, line, message):
+        with pytest.raises(ParseError) as exc:
+            read_flow_csv(io.StringIO(f"src,dst,lo,hi\nC,D,1,2\n{line}\n"))
+        assert (exc.value.line, str(exc.value)) == (3, message)
 
 
 def test_format_matrix_tokens():

@@ -165,9 +165,18 @@ class TestDirectedFlowRecord:
             DirectedFlowRecord("a", "b", -1, 2)
         with pytest.raises(NegativeWeight):
             DirectedFlowRecord(src="a", dst="b", lo=-0.5, hi=-0.25)
+        # a min/max fold would drop a nan, so the record refuses it
+        with pytest.raises(InvalidInterval, match=r"a->b: non-finite weight \[1, nan\]"):
+            DirectedFlowRecord("a", "b", 1, float("nan"))
+        with pytest.raises(InvalidInterval, match="non-finite"):
+            DirectedFlowRecord("a", "b", 1, float("inf"))
 
     def test_hash_and_repr(self):
         a = DirectedFlowRecord("a", "b", 1, 2)
         assert hash(a) == hash(DirectedFlowRecord("a", "b", 1.0, 2.0))
         assert a != DirectedFlowRecord("b", "a", 1, 2)
         assert repr(a) == "DirectedFlowRecord(src='a', dst='b', lo=1, hi=2)"
+
+    def test_unpacks_as_its_fields(self):
+        src, dst, lo, hi = DirectedFlowRecord("a", "b", 1.0, 2.0)
+        assert (src, dst, lo, hi) == ("a", "b", 1.0, 2.0)
