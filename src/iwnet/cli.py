@@ -4,7 +4,7 @@
 one of the three Louvain strategies and writes the membership, per-pass
 summary and final aggregated interval matrix as text or as one JSON
 document (``format_version`` 2: the matrix is an edge list), writing it
-as it is rendered, the trace in batches of lines; every output is
+as it is rendered, the trace in chunks of about 64 KiB; every output is
 O(n + m). ``iwnet oracle`` brute-forces the optimal partition of a
 small instance.
 
@@ -22,16 +22,15 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import DuplicateEdge, IWNError, ParseError
-from .louvain import NAMES, LouvainRun, _trace_lines, run as run_louvain
+from .louvain import NAMES, LouvainRun, _chunks, _trace_text, run as run_louvain
 from .network import IWNetwork, format_matrix, network_from_csv
 
 __all__ = ["main"]
 
 FORMAT_VERSION = 2  # of the JSON document; 2 holds aggregated_matrix as an edge list
-BATCH_CHARS = 1 << 16  # the trace is escaped and written in runs of about this size
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,32 +95,13 @@ def _communities(result: LouvainRun) -> list[list[str]]:
     return [[labels[v] for v in group] for group in result.final_partition.communities]
 
 
-def _batches(lines: Iterable[str]) -> Iterator[str]:
-    """The lines, newline-terminated and joined into runs of about
-    ``BATCH_CHARS`` characters; a longer line is a run of its own."""
-    cap = BATCH_CHARS
-    batch: list[str] = []
-    size = 0
-    for line in lines:
-        if size + len(line) >= cap and batch:
-            batch.append("")  # the join then ends the run with a newline
-            yield "\n".join(batch)
-            batch = []
-            size = 0
-        batch.append(line)
-        size += len(line) + 1
-    if batch:
-        batch.append("")
-        yield "\n".join(batch)
-
-
 def _run_json(result: LouvainRun, method: str, with_trace: bool) -> Iterator[str]:
     """Chunks of the JSON document, rendered before the first is returned.
 
     Everything but ``trace`` is rendered here, so a value JSON cannot
     spell raises before any output is written. The trace, the last
-    member, follows a batch of lines at a time: JSON escapes a string
-    character by character, so escaping each batch gives the bytes of
+    member, follows a chunk at a time: JSON escapes a string
+    character by character, so escaping each chunk gives the bytes of
     escaping the whole trace at once. ``aggregated_matrix`` lists the
     present entries of the final network as ``[i, j, lo, hi]`` with
     i <= j in row order, so the document is O(n + m).
@@ -157,13 +137,13 @@ def _run_json(result: LouvainRun, method: str, with_trace: bool) -> Iterator[str
     if not with_trace:
         return iter((head,))
     # reopen the document before its closing "\n}" to append the trace member
-    trace = (encode_basestring_ascii(chunk)[1:-1] for chunk in _batches(_trace_lines(result)))
+    trace = (encode_basestring_ascii(chunk)[1:-1] for chunk in _chunks(_trace_text(result)))
     return itertools.chain((head[:-2], ',\n  "trace": "'), trace, ('"\n}',))
 
 
 def _run_text(result: LouvainRun, method: str, with_trace: bool) -> Iterator[str]:
     if with_trace:
-        yield from _batches(_trace_lines(result))
+        yield from _chunks(_trace_text(result))
         yield "=" * 27 + "\n"
     lines = [
         f"method: {method}",

@@ -22,24 +22,21 @@ move. The pass state of each gain kind evaluates a vertex in one method,
 ``step``: one pass over its neighbour map gives its links, and one loop
 over the candidates prices them and applies the tie rule, so a sweep is
 O(m) with one call per vertex. Networks of a run are not re-validated;
-input is checked once, at the boundary. Vertices are swept in index
-order and every decision is deterministic, so identical inputs produce
-byte-identical traces. ``run()`` only computes: its log is one ``Decision`` per
-evaluated vertex, so a sweep of a pass is ``n`` records of that pass's
-network. The pass state owns its network's modularity: its per-vertex
-sums (``modularity.ScalarSums`` / ``IntervalSums``) give the Q of the
-network under singletons and its Q_max, so ``run()`` reads each pass's Q
-from the state it builds for the next level and Q_max from the last one,
-and collapses no partition to evaluate them. ``emit_trace`` renders all
-of the text from the run's records: it replays each pass's decisions
-into the ``Try``/``Move``/``Keep`` lines, computes the initial and each
-sweep's modularity with the partition-level functions, and formats the
-matrices, when the log is asked for.
-The lines come from one generator, ``_trace_lines``: ``emit_trace``
-joins them into one string for library callers, and the CLI writes them
-in batches as they are rendered. A matrix is rendered by
-``format_matrix``, densely up to ``network.DENSE_LIMIT`` vertices and as
-an edge list above, so no matrix of the trace is larger than O(n + m).
+input is checked once, at the boundary. The pass state owns its
+network's modularity: its per-vertex sums (``modularity.ScalarSums`` /
+``IntervalSums``) give the Q of the network under singletons and its
+Q_max, so ``run()`` reads each pass's Q from the state it builds for the
+next level and Q_max from the last one, and collapses no partition.
+
+``run()`` keeps no decision log, so it holds O(n + m) memory. Vertices
+are swept in index order and every decision is deterministic:
+``decisions(run)`` derives each ``Decision`` again, sweeping each pass's
+input network on a new state, and ``emit_trace`` renders the
+``Try``/``Move``/``Keep`` lines from such live states, so a traced run
+runs phase 1 twice. The trace comes in newline-ended chunks of about
+``BATCH_CHARS`` characters, which the CLI writes as they come; a matrix
+is dense up to ``network.DENSE_LIMIT`` vertices and an edge list above
+(``format_matrix``).
 
 A move must beat returning to the vertex's former community by more
 than a tolerance (``TIE_ULPS`` ulps of the largest operand of the two
@@ -54,9 +51,8 @@ community total after many moves can round by more, and then
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyNetwork, InvalidInterval, IterationLimit, ZeroTotalWeight
 from .frozen import Frozen
@@ -82,6 +78,7 @@ __all__ = [
     "LouvainRun",
     "run",
     "evaluate_moves",
+    "decisions",
     "emit_trace",
 ]
 
@@ -93,6 +90,7 @@ SWEEP_LIMIT = 100
 # half an ulp of s_v), is at most 1.4e-14 of s_v, and changes no pinned trace
 TIE_ULPS = 64
 NAMES = ("cl", "hl", "midpoint")  # the strategy names, as the CLI spells them
+BATCH_CHARS = 1 << 16  # the trace is rendered in runs of about this size
 
 
 class Strategy(Frozen, fields=("name",)):
@@ -145,14 +143,13 @@ class LouvainRun(NamedTuple):
 
     strategy: Strategy
     network: IWNetwork
+    work: IWNetwork  # input of the first pass: ``network``, or its midpoint projection
     passes: tuple[PassRecord, ...]
     final_partition: Partition  # on original vertices
     final_network: IWNetwork
     final_q: float
     final_q_norm: float  # NaN when Q_max is zero
     final_q_max: float
-    # the decision log: iterations x n records per pass, in sweep order
-    trace: tuple[Decision, ...]
 
 
 class _PassState:
@@ -173,9 +170,9 @@ class _PassState:
     Gain ties among candidates go to the smallest community id, and a tie
     with the former community keeps the vertex.
 
-    ``level`` gives the rows of a network that the gains and the modularity
-    of its kind read; ``sums`` holds their per-vertex sums, from which the
-    network's Q as singletons (``sums.q()``) and its Q_max are read. The
+    ``sums`` holds the per-vertex sums of the rows that the gains and the
+    modularity of its kind read, from which the network's Q as singletons
+    (``sums.q()``) and its Q_max are read; ``sums.rows`` are those rows. The
     membership starts as singletons, or as ``partition`` for
     ``evaluate_moves``.
     """
@@ -187,16 +184,15 @@ class _PassState:
         self.size = [0] * k
         for c in self.comm_of:
             self.size[c] += 1
-        self._sums(self.level(net), k)
+        self._sums(net, k)
 
 
 class _ScalarPass(_PassState):
     """The scalar gain 2(k_vC - s_v Sigma_tot / 2w) on the midpoints of the
     pass's network (``hl``, ``midpoint``); ``tot`` holds Sigma_tot."""
 
-    level = staticmethod(IWNetwork.midpoint_rows)
-
-    def _sums(self, mid: list[dict[int, float]], k: int) -> None:
+    def _sums(self, net: IWNetwork, k: int) -> None:
+        mid = net.midpoint_rows()
         self.sums = ScalarSums(mid)
         self.neigh, self.s, self.two_w = mid, self.sums.s, self.sums.two_w
         self.tot = [0.0] * k
@@ -252,8 +248,6 @@ class _IntervalPass(_PassState):
     and ``vterm`` hold the same of every vertex as the singleton it would
     form (``IntervalSums``).
     """
-
-    level = staticmethod(lambda net: net)
 
     def _sums(self, net: IWNetwork, k: int) -> None:
         self.sums = IntervalSums(net.rows)
@@ -335,20 +329,17 @@ class _IntervalPass(_PassState):
         return Decision(v, own, tuple(k_lo), tuple(gains), None if target == own else target)
 
 
-def _optimize(state: _PassState, log: list[Decision]) -> tuple[int, bool]:
+def _optimize(state: _PassState) -> tuple[int, bool]:
     """Phase 1: greedy sweeps until one completes without a move.
 
-    Returns (sweeps performed, whether any move happened).
+    Returns (sweeps performed, whether any move happened). The decisions
+    are dropped: ``decisions`` derives them again.
     """
-    step = state.step
+    step, vertices = state.step, range(state.net.n)
     for iterations in range(1, SWEEP_LIMIT + 1):
-        moves = 0
-        for v in range(state.net.n):
-            d = step(v)
-            log.append(d)
-            moves += d.target is not None
-        if not moves:  # every sweep before this one moved a vertex
-            return iterations, iterations > 1
+        # a list, so all() cannot end the sweep at its first move
+        if all([step(v).target is None for v in vertices]):
+            return iterations, iterations > 1  # every sweep before this one moved a vertex
     raise IterationLimit(f"no convergence after {SWEEP_LIMIT} sweeps")
 
 
@@ -357,11 +348,13 @@ def _work(net: IWNetwork, strategy: Strategy) -> IWNetwork:
     degenerate projection."""
     if strategy.name != "midpoint":
         return net
-    # a midpoint can round to 0.0 only on a subnormal edge, which then drops out
-    rows = tuple(
-        {j: Interval(m, m) for j, m in row.items() if m} for row in net.midpoint_rows()
-    )
-    return IWNetwork._trusted(net.labels, rows)
+    # a midpoint can round to 0.0 only on a subnormal edge, which then drops out;
+    # both rows of an edge hold one Interval, as in ``net``
+    rows: list[dict[int, Interval]] = []
+    for i, row in enumerate(net.rows):
+        mids = ((j, w.midpoint) for j, w in row.items())
+        rows.append({j: rows[j][i] if j < i else Interval(m, m) for j, m in mids if m})
+    return IWNetwork._trusted(net.labels, tuple(rows))
 
 
 def _kind(strategy: Strategy) -> type[_IntervalPass] | type[_ScalarPass]:
@@ -390,18 +383,18 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
         raise InvalidInterval(f"total weight {t_hi!r} overflows when squared")
 
     kind = _kind(strategy)
-    cur = _work(net, strategy)
+    cur = work = _work(net, strategy)
     state = kind(cur)
-    log: list[Decision] = []
     passes: list[PassRecord] = []
     while True:
-        iterations, any_move = _optimize(state, log)
+        iterations, any_move = _optimize(state)
         p = Partition(state.comm_of)  # ids renumbered by first appearance; singletons if no move
         if not any_move:
             # Q of cur as singletons: the last aggregate's, or the input's
             q = passes[-1].modularity if passes else state.sums.q()
             passes.append(PassRecord(len(passes) + 1, iterations, p, q, cur, False))
             break
+        del state  # as large as its network: freed before the aggregate is built
         # a move only joins a neighbour's non-empty community, so the first move
         # empties a singleton for good: the aggregate is smaller and the loop terminates
         cur = (aggregate_minmax if strategy.aggregation == "minmax" else aggregate_sum)(cur, p)
@@ -414,7 +407,7 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
     final_q = passes[-1].modularity
     q_max = state.sums.q_max()
     q_norm = final_q / q_max if q_max != 0.0 else math.nan
-    return LouvainRun(strategy, net, tuple(passes), final, cur, final_q, q_norm, q_max, tuple(log))
+    return LouvainRun(strategy, net, work, tuple(passes), final, cur, final_q, q_norm, q_max)
 
 
 def evaluate_moves(
@@ -440,100 +433,124 @@ def evaluate_moves(
     return list(zip(d.candidates, d.gains))
 
 
-class _Replay:
-    """Community labels of one pass, rebuilt from its decision records.
+def _pass_states(run: LouvainRun) -> Iterator[tuple[PassRecord, _PassState]]:
+    """(record, new state on the pass's input network) of each pass. The
+    caller sweeps the state; the pass must end on its recorded partition."""
+    kind, cur = _kind(run.strategy), run.work
+    for rec in run.passes:
+        state = kind(cur)
+        yield rec, state
+        if Partition(state.comm_of) != rec.partition:
+            raise RuntimeError(f"pass {rec.number} did not derive its recorded partition")
+        cur = rec.aggregated
 
-    Membership starts as singletons of the pass's input network; each
-    community's label is cached until its membership changes.
+
+def decisions(run: LouvainRun) -> Iterator[Decision]:
+    """The ``Decision`` of every phase-1 evaluation of ``run``, in sweep
+    order (``iterations x n`` per pass, in the ids of the pass's network),
+    derived again by sweeping each pass's input network on a new state. A
+    pass that does not end on its recorded partition raises ``RuntimeError``.
     """
+    for rec, state in _pass_states(run):
+        for _ in range(rec.iterations):
+            yield from map(state.step, range(state.net.n))
 
-    def __init__(self, net: IWNetwork, kind: type[_IntervalPass] | type[_ScalarPass]):
-        self.level = kind.level(net)
-        self.labels = net.labels
+
+class _Replay:
+    """Members and labels of the communities of one pass, from singletons
+    of its input network. ``label[c]`` is that of community id c, or
+    ``None`` from a move that changes c until it is next asked for."""
+
+    def __init__(self, net: IWNetwork):
+        self.names, self.label = net.labels, list(net.labels)
         self.members = [[v] for v in range(net.n)]
-        self.cached: dict[int, str] = {}
 
-    def label(self, cid: int) -> str:
-        if cid not in self.cached:
-            self.cached[cid] = ",".join(self.labels[v] for v in self.members[cid])
-        return self.cached[cid]
-
-    def render(self, d: Decision) -> Iterator[str]:
-        """Yield the Try/Move/Keep lines of d, then apply its move.
-
-        A vertex is isolated while its candidates are priced, so no
-        candidate other than its own community contains it. A gain prints
-        as ``gain=<sign><|gain|:.3f> (<mark>)``, the mark ``0`` for a zero
+    def render(self, d: Decision) -> str:
+        """The newline-ended Try/Move/Keep lines of d; then d's move is
+        applied. Labels name the communities as they were before v left
+        (only its own contains it). A gain prints as
+        ``gain=<sign><|gain|:.3f> (<mark>)``, the mark ``0`` for a zero
         gain (-0.0 too, which prints ``gain=+0.000 (0)``).
         """
-        v, own = d.vertex, d.own
-        vlabel = self.labels[v]
-        # labels name the communities as they were before v left
-        own_label = self.label(own)
+        names, members, label = self.names, self.members, self.label
+        v, own, target = d.vertex, d.own, d.target
+        vlabel = names[v]
+        own_label = label[own]
+        if own_label is None:
+            own_label = label[own] = ",".join([names[u] for u in members[own]])
         try_v = f"\tTry {vlabel} -> "
+        lines = []
         for c, g in zip(d.candidates, d.gains):
-            clabel = own_label if c == own else self.label(c)
-            yield (
+            clabel = label[c]
+            if clabel is None:
+                clabel = label[c] = ",".join([names[u] for u in members[c]])
+            lines.append(
                 f"{try_v}{clabel:<15} | gain={'-' if g < 0.0 else '+'}{abs(g):.3f} "
-                f"({'0' if g == 0.0 else '+' if g > 0.0 else '-'})"
+                f"({'0' if g == 0.0 else '+' if g > 0.0 else '-'})\n"
             )
-        if d.target is None:
-            yield f"\tKeep vertex {vlabel} at community {own_label}"
-        else:
-            yield f"\tMove {vlabel} -> {self.label(d.target)}"
-            self.members[own].remove(v)
-            bisect.insort(self.members[d.target], v)
-            del self.cached[own], self.cached[d.target]
+        if target is None:
+            lines.append(f"\tKeep vertex {vlabel} at community {own_label}\n")
+        else:  # the target is a candidate, so its label is set
+            lines.append(f"\tMove {vlabel} -> {label[target]}\n")
+            members[own].remove(v)
+            bisect.insort(members[target], v)
+            label[own] = label[target] = None
+        return "".join(lines)
 
 
 def emit_trace(run: LouvainRun) -> str:
     """Human-readable log of the whole run (one string, newline-joined)."""
-    return "".join(line + "\n" for line in _trace_lines(run))
+    return "".join(_trace_text(run))
 
 
-def _trace_lines(run: LouvainRun) -> Iterator[str]:
-    """The lines of ``emit_trace``, without newlines, one at a time.
+def _chunks(pieces: Iterable[str]) -> Iterator[str]:
+    """Newline-terminated pieces joined into runs of about ``BATCH_CHARS``
+    characters; a longer piece is a run of its own."""
+    batch: list[str] = []
+    size = 0
+    for piece in pieces:
+        if size + len(piece) > BATCH_CHARS and batch:
+            yield "".join(batch)
+            batch, size = [], 0
+        batch.append(piece)
+        size += len(piece)
+    if batch:
+        yield "".join(batch)
 
-    Every line comes from the run's records. Pass k replays its
-    ``iterations x n`` decisions on its input network (the first pass's
-    input from ``_work``, then the previous pass's aggregate); the initial
-    and each sweep's modularity are computed here, by the partition-level
-    function of the run's gain kind.
+
+def _trace_text(run: LouvainRun) -> Iterator[str]:
+    """The text of ``emit_trace`` in newline-ended pieces: a line, or the
+    lines of one decision, rendered as ``decisions`` derives it. The initial
+    and each sweep's Q come from the partition-level function of the gain
+    kind on the rows the pass state prices moves on.
     """
-    kind = _kind(run.strategy)
-    q_of = q_interval_communities if run.strategy.interval_gain else q_scalar_communities
-    cur = _work(run.network, run.strategy)
-    replay = _Replay(cur, kind)
-    yield "Initial Interval-Weighted Network:"
-    yield from format_matrix(cur)
-    yield ""
-    yield f"* Initial Modularity={q_of(replay.level, replay.members):.3f}"
-    decisions = iter(run.trace)
-    for rec in run.passes:
-        yield f"* Begin Pass number {rec.number}"
+    interval = run.strategy.interval_gain
+    q_of = q_interval_communities if interval else q_scalar_communities
+    for rec, state in _pass_states(run):
+        net, replay = state.net, _Replay(state.net)
+        level = net if interval else state.sums.rows
+        if rec.number == 1:
+            yield "Initial Interval-Weighted Network:\n"
+            yield from map("{}\n".format, format_matrix(net))
+            yield f"\n* Initial Modularity={q_of(level, replay.members):.3f}\n"
+        yield f"* Begin Pass number {rec.number}\n"
         for sweep in range(1, rec.iterations + 1):
-            for d in itertools.islice(decisions, cur.n):
-                yield from replay.render(d)
-            q = q_of(replay.level, [m for m in replay.members if m])
-            yield f"Iteration {sweep} Modularity={q:.3f}"
+            yield from map(replay.render, map(state.step, range(net.n)))
+            q = q_of(level, [m for m in replay.members if m])
+            yield f"Iteration {sweep} Modularity={q:.3f}\n"
         if not rec.changed:
-            yield f"* End Pass number {rec.number} -- no change"
+            yield f"* End Pass number {rec.number} -- no change\n"
             continue
-        cur = rec.aggregated
-        replay = _Replay(cur, kind)
-        communities = " / ".join(cur.labels)
-        yield ""
-        yield "New network: ---------------"
-        yield from format_matrix(cur)
-        yield f"* End Pass number {rec.number} Modularity={rec.modularity:.3f} Communities={communities}"
-        yield "---------------------------"
+        yield "\nNew network: ---------------\n"
+        yield from map("{}\n".format, format_matrix(rec.aggregated))
+        communities = " / ".join(rec.aggregated.labels)
+        yield f"* End Pass number {rec.number} Modularity={rec.modularity:.3f} Communities={communities}\n"
+        yield "---------------------------\n"
     final = run.final_network
     prefix = "Hybrid - Before Normalized" if run.strategy.name == "hl" else "Before Normalized"
-    yield ""
-    yield f"* Final communities: {' / '.join(final.labels)} (n={final.n})"
-    yield f"* {prefix}: {run.final_q:.3f}"
-    yield f"* Normalized modularity: {run.final_q_norm:.3f} (Qmax={run.final_q_max:.6f})"
-    yield "---------------------------"
-    yield "Final Interval-weighted network:"
-    yield ""
-    yield from format_matrix(final)
+    yield f"\n* Final communities: {' / '.join(final.labels)} (n={final.n})\n"
+    yield f"* {prefix}: {run.final_q:.3f}\n"
+    yield f"* Normalized modularity: {run.final_q_norm:.3f} (Qmax={run.final_q_max:.6f})\n"
+    yield "---------------------------\n"
+    yield "Final Interval-weighted network:\n\n"
+    yield from map("{}\n".format, format_matrix(final))

@@ -1,7 +1,8 @@
 """Every accepted phase-1 move beats going home in exact arithmetic.
 
-Each run's decisions are replayed from singletons on each pass's network
-(the first from ``louvain._work``, then the previous pass's aggregate).
+Each run's decisions, derived again by ``louvain.decisions``, are replayed
+from singletons on each pass's network (the first from ``louvain._work``,
+then the previous pass's aggregate).
 For every decision, the gain of each candidate and, for an accepted move,
 the change of modularity between the vertex at its target and at home are
 re-priced with ``fractions.Fraction`` from that network and the membership
@@ -122,7 +123,7 @@ class _Exact:
 def _check_run(net, strategy):
     """(accepted moves, priced candidates) of one run, asserting each."""
     result = run(net, strategy)
-    decisions = iter(result.trace)
+    decisions = louvain.decisions(result)
     cur = louvain._work(net, louvain.Strategy(strategy))
     moves = priced = 0
     for rec in result.passes:

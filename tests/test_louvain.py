@@ -1,7 +1,9 @@
 import gc
+import io
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -20,6 +22,7 @@ from iwnet import (
     emit_trace,
     evaluate_moves,
     expected_interval_adjusted,
+    network_from_csv,
     q_definitional,
     q_interval,
     q_max_interval_adjusted,
@@ -603,6 +606,34 @@ def test_run_stays_sparse(monkeypatch, strategy):
     assert result.final_partition.n_communities < n
 
 
+@pytest.fixture(scope="module")
+def ring_csv():
+    n = 20_000
+    return "src,dst,lo,hi\n" + "".join(f"r{i},r{(i + 1) % n},1,2\n" for i in range(n))
+
+
+@pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
+def test_run_memory_is_a_few_networks(ring_csv, strategy):
+    """run() keeps no per-decision record: on the 20,000-vertex ring, whose
+    run is 8 to 14 passes of 2 sweeps, its tracemalloc peak above the
+    network it is given stays within a few times the network's own size
+    (about 2.0x-2.1x; 2.8x for midpoint, whose run also holds the midpoint
+    projection, one more network of the same size). A log of every
+    decision took it to 4.8x-5.0x."""
+    tracemalloc.start()
+    try:
+        net = network_from_csv(io.StringIO(ring_csv))
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run(net, strategy)
+        peak = tracemalloc.get_traced_memory()[1] - size
+    finally:
+        tracemalloc.stop()
+    assert len(result.passes) >= 8
+    bound = 3.25 if strategy is MIDPOINT else 2.5
+    assert peak < bound * size, f"peak {peak} B above a {size} B network"
+
+
 def _hub_network(leaves):
     """Every leaf joined to one hub, and one leaf-leaf edge every 50 leaves:
     phase 1 gathers nearly every vertex into the hub's community."""
@@ -632,15 +663,18 @@ def test_hub_network_scales_linearly(strategy):
 
 
 class TestLazyDecisionLog:
-    """run() logs decisions as records; emit_trace alone turns them into text."""
+    """run() keeps no decisions; decisions(run) derives them again, and
+    emit_trace alone turns them into text."""
 
     @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
     def test_run_formats_no_gain(self, monkeypatch, strategy):
         net = random_network(random.Random(51), 40, density=0.15)
 
         def refuse(*_):
-            raise AssertionError("run() rendered a decision")
+            raise AssertionError("run() derived or rendered a decision")
 
+        for name in ("decisions", "_pass_states", "_trace_text"):
+            monkeypatch.setattr(louvain, name, refuse)
         monkeypatch.setattr(louvain._Replay, "render", refuse)
         result = run(net, strategy)
         monkeypatch.undo()
@@ -649,22 +683,23 @@ class TestLazyDecisionLog:
     @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
     def test_log_holds_one_decision_per_vertex_and_sweep(self, strategy):
         result = run(random_network(random.Random(52), 60, density=0.1), strategy)
-        assert all(isinstance(item, louvain.Decision) for item in result.trace)
-        assert len(result.trace) == sum(
+        log = list(louvain.decisions(result))
+        assert all(isinstance(item, louvain.Decision) for item in log)
+        assert len(log) == sum(
             rec.iterations * len(rec.partition.assignment) for rec in result.passes
         )
 
     def test_replay_leaves_the_run_unchanged(self):
         result = run(random_network(random.Random(53), 30, density=0.2), HYBRID)
-        log = list(result.trace)
+        log = list(louvain.decisions(result))
         first = emit_trace(result)
         assert emit_trace(result) == first
-        assert list(result.trace) == log
+        assert list(louvain.decisions(result)) == log
 
     @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
     def test_replay_matches_live_membership(self, monkeypatch, strategy):
         """Each Try/Move/Keep line equals the line built from the driver's own
-        membership at the moment of the decision."""
+        membership at the moment of the decision in run()."""
         expected: list[str] = []
         kind = louvain._kind(strategy)
         step = kind.step
@@ -682,11 +717,12 @@ class TestLazyDecisionLog:
                 expected.append(f"\tMove {vlabel} -> {labels[d.target]}")
             return d
 
-        monkeypatch.setattr(kind, "step", logged_step)
         rng = random.Random(54)
         for net in [random_network(rng, n, density=0.2) for n in (8, 25, 50)]:
             expected.clear()
+            monkeypatch.setattr(kind, "step", logged_step)
             result = run(net, strategy)
+            monkeypatch.setattr(kind, "step", step)  # the trace derives its own
             assert len(result.passes) >= 2  # the replay restarts on aggregated labels
             rendered = [
                 line for line in emit_trace(result).splitlines()
@@ -697,9 +733,9 @@ class TestLazyDecisionLog:
 
 def test_try_lines_sign_and_mark_every_gain():
     net = IWNetwork.from_edges(["a", "b", "c", "d", "e", "f"], [("a", "b", 1, 1)])
-    replay = louvain._Replay(net, louvain._ScalarPass)
+    replay = louvain._Replay(net)
     d = louvain.Decision(0, 0, (0, 1, 2, 3, 4), (-0.0, 0.0, -1e-9, 2.5, -3.25), None)
-    assert list(replay.render(d)) == [
+    assert replay.render(d).splitlines() == [
         "\tTry a -> a               | gain=+0.000 (0)",
         "\tTry a -> b               | gain=+0.000 (0)",
         "\tTry a -> c               | gain=-0.000 (-)",
@@ -747,8 +783,9 @@ def test_decisions_follow_the_tie_rule_on_exact_ties(monkeypatch):
     ties = 0
     for net in nets:
         for strategy in (CLASSIC_INTERVAL, HYBRID, MIDPOINT):
-            gain_owns.clear()
-            decisions = run(net, strategy).trace
+            result = run(net, strategy)
+            gain_owns.clear()  # keep those of the decisions derived again
+            decisions = list(louvain.decisions(result))
             assert len(decisions) == len(gain_owns)
             for d, gain_own in zip(decisions, gain_owns):
                 assert d.target == _reference_target(d.own, d.candidates, d.gains, gain_own)

@@ -1,5 +1,9 @@
 """Byte-identity pins: the decision log and the JSON document of fixed runs.
 
+``run()`` keeps no decision log; the trace derives the decisions again
+(``louvain.decisions``), so a differential checks that they are, bit for
+bit, the decisions phase 1 made during the run.
+
 The SHA-256 values of the traces were recorded from the implementation
 that still ran phase 1 on ``Interval`` objects; the float-only pass
 states must keep every float operation, so every byte of the trace. The
@@ -16,12 +20,13 @@ import random
 
 import pytest
 
-from iwnet import ZERO, Interval, emit_trace, run
+from iwnet import ZERO, Interval, emit_trace, louvain, run
 from iwnet.cli import _run_json
 
 from helpers import (
     random_degenerate_network,
     random_network,
+    tie_network,
     with_isolated_vertices,
     with_zero_lower_bounds,
 )
@@ -109,3 +114,48 @@ def test_json_edges_rebuild_the_final_matrix(method):
             assert i <= j
             dense[i][j] = dense[j][i] = Interval(lo, hi)
         assert tuple(map(tuple, dense)) == final.weights, name
+
+
+def _bits(d):
+    """A decision with each gain as its bits: -0.0 differs from 0.0."""
+    return d.vertex, d.own, d.candidates, tuple(g.hex() for g in d.gains), d.target
+
+
+@pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
+def test_derived_decisions_are_those_phase_1_made(monkeypatch, method):
+    """``decisions(run)`` yields what ``step`` returned during ``run()``, in
+    order, on the pinned corpus and on networks whose moves tie exactly;
+    gains compare by their bits."""
+    kind = louvain._kind(louvain.Strategy(method))
+    step = kind.step
+    made = []
+
+    def recording(state, v):
+        d = step(state, v)
+        made.append(d)
+        return d
+
+    rng = random.Random(102)
+    nets = [net for _, net in _networks()]
+    nets += [tie_network(rng, shape, rng.randrange(3, 13)) for shape in ("ring", "star", "bipartite") * 6]
+    checked = 0
+    for net in nets:
+        made.clear()
+        monkeypatch.setattr(kind, "step", recording)
+        result = run(net, method)
+        monkeypatch.setattr(kind, "step", step)
+        derived = list(louvain.decisions(result))
+        assert list(map(_bits, derived)) == list(map(_bits, made))
+        checked += len(made)
+    assert checked > 2000, checked
+
+
+def test_decisions_refuse_a_pass_that_ends_elsewhere():
+    """A pass whose sweeps do not end on its recorded partition raises."""
+    result = run(random_network(random.Random(103), 20, density=0.2), "hl")
+    first = result.passes[0]
+    assert first.changed
+    wrong = first._replace(partition=first.partition.singletons(len(first.partition.assignment)))
+    tampered = result._replace(passes=(wrong, *result.passes[1:]))
+    with pytest.raises(RuntimeError, match="pass 1 did not derive its recorded partition"):
+        list(louvain.decisions(tampered))
