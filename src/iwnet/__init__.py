@@ -5,9 +5,10 @@ Louvain algorithm are extended to them through interval contingency
 tables, the signed endpoint difference D, and two interval strategies
 (Classic and Hybrid Louvain) next to the degenerate midpoint baseline.
 
-The reference module (``iwnet.oracle``: the brute-force search and the
-paper's pairwise formulas) is imported on first use of one of its names,
-so importing the package does not load it.
+The reference module (``iwnet.oracle``: the brute-force search, the
+paper's pairwise formulas and the partition-level Q and Q_max) is
+imported on first use of one of its names, so importing the package does
+not load it.
 """
 
 from . import errors
@@ -22,12 +23,6 @@ from .louvain import (
     emit_trace,
     evaluate_moves,
     run,
-)
-from .modularity import (
-    q_interval_communities,
-    q_max_interval_adjusted,
-    q_max_scalar_communities,
-    q_scalar_communities,
 )
 from .network import (
     DirectedFlowRecord,
@@ -88,7 +83,8 @@ __all__ = [
 _ORACLE = frozenset({
     "OracleReport", "partitions", "q_definitional", "enumerate_best", "ExpectedTable",
     "expected_scalar", "expected_interval_adjusted", "adjusted_total_bounds",
-    "dq_scalar_full", "dq_scalar_reduced", "q_interval",
+    "dq_scalar_full", "dq_scalar_reduced", "q_interval", "q_scalar_communities",
+    "q_max_scalar_communities", "q_interval_communities", "q_max_interval_adjusted",
 })
 
 

@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .errors import DuplicateEdge, IWNError, ParseError
-from .louvain import NAMES, LouvainRun, _chunks, _trace_text, run as run_louvain
+from .louvain import NAMES, LouvainRun, _chunks, _trace_text, format_q, run as run_louvain
 from .network import IWNetwork, format_matrix, network_from_csv
 
 __all__ = ["main"]
@@ -154,7 +154,7 @@ def _run_text(result: LouvainRun, method: str, with_trace: bool) -> Iterator[str
         if rec.changed:
             lines.append(
                 f"pass {rec.number}: {rec.iterations} iterations, "
-                f"modularity {rec.modularity:.3f}, "
+                f"modularity {format_q(rec.modularity)}, "
                 f"{rec.partition.n_communities} communities"
             )
         else:
@@ -165,9 +165,9 @@ def _run_text(result: LouvainRun, method: str, with_trace: bool) -> Iterator[str
     for cid, group in enumerate(communities, start=1):
         lines.append(f"  C{cid}: {', '.join(group)}")
     lines.append("")
-    lines.append(f"Q      = {result.final_q:.6f}")
-    lines.append(f"Q_max  = {result.final_q_max:.6f}")
-    lines.append(f"Q_norm = {result.final_q_norm:.6f}")
+    lines.append(f"Q      = {format_q(result.final_q, 6)}")
+    lines.append(f"Q_max  = {format_q(result.final_q_max, 6)}")
+    lines.append(f"Q_norm = {format_q(result.final_q_norm, 6)}")
     lines.append("")
     lines.append("final aggregated interval matrix:")
     lines += format_matrix(result.final_network)

@@ -33,7 +33,8 @@ are swept in index order and every decision is deterministic:
 ``decisions(run)`` derives each ``Decision`` again, sweeping each pass's
 input network on a new state, and ``emit_trace`` renders the
 ``Try``/``Move``/``Keep`` lines from such live states, so a traced run
-runs phase 1 twice. The trace comes in newline-ended chunks of about
+runs phase 1 twice, and reads each sweep's Q from the state's own sums
+(``_PassState.q``). The trace comes in newline-ended chunks of about
 ``BATCH_CHARS`` characters, which the CLI writes as they come; a matrix
 is dense up to ``network.DENSE_LIMIT`` vertices and an edge list above
 (``format_matrix``).
@@ -57,13 +58,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import EmptyNetwork, InvalidInterval, IterationLimit, ZeroTotalWeight
 from .frozen import Frozen
 from .interval import Interval, seq_sum
-from .modularity import (
-    IntervalSums,
-    ScalarSums,
-    cl_term,
-    q_interval_communities,
-    q_scalar_communities,
-)
+from .modularity import IntervalSums, ScalarSums, cl_term
 from .network import IWNetwork, aggregate_minmax, aggregate_sum, format_matrix
 from .partition import Partition
 
@@ -172,9 +167,9 @@ class _PassState:
 
     ``sums`` holds the per-vertex sums of the rows that the gains and the
     modularity of its kind read, from which the network's Q as singletons
-    (``sums.q()``) and its Q_max are read; ``sums.rows`` are those rows. The
-    membership starts as singletons, or as ``partition`` for
-    ``evaluate_moves``.
+    (``sums.q()``) and its Q_max are read; ``q()`` is the Q of the current
+    membership, from the per-community sums. The membership starts as
+    singletons, or as ``partition`` for ``evaluate_moves``.
     """
 
     def __init__(self, net: IWNetwork, partition: Partition | None = None):
@@ -198,6 +193,17 @@ class _ScalarPass(_PassState):
         self.tot = [0.0] * k
         for v, c in enumerate(self.comm_of):
             self.tot[c] += self.s[v]
+
+    def q(self) -> float:
+        """Q of the membership: each non-empty community's internal weight, folded
+        in vertex and key order, less Sigma_tot^2 / 2w as ``ScalarSums`` divides."""
+        comm_of, inner, t = self.comm_of, [0.0] * len(self.tot), self.two_w
+        for v, row in enumerate(self.neigh):
+            c = comm_of[v]
+            for u, w in row.items():
+                if comm_of[u] == c:
+                    inner[c] += w
+        return seq_sum(i - x * x / (t - x + x) for i, x, k in zip(inner, self.tot, self.size) if k)
 
     def step(self, v: int) -> Decision:
         """Evaluate and place v. Its links are keyed in first-neighbour
@@ -261,6 +267,11 @@ class _IntervalPass(_PassState):
                 if u < v and self.comm_of[u] == c:
                     k_lo, k_hi = k_lo + w.lo, k_hi + w.hi
             self._join(v, c, k_lo, k_hi)
+
+    def q(self) -> float:
+        """Q of the membership: the ``cl_term`` of every non-empty
+        community, summed in id order."""
+        return seq_sum(d for d, k in zip(self.d, self.size) if k)
 
     def _join(self, v: int, c: int, k_lo: float, k_hi: float, sign: int = 1) -> None:
         """v, linked to c by [k_lo, k_hi], joins (sign 1) or leaves (sign -1) c."""
@@ -518,39 +529,43 @@ def _chunks(pieces: Iterable[str]) -> Iterator[str]:
         yield "".join(batch)
 
 
+def format_q(q: float, digits: int = 3) -> str:
+    """q to ``digits`` decimals, a value that rounds to zero as ``0.000``:
+    rounding residues of either sign print alike."""
+    text = f"{q:.{digits}f}"
+    return text[1:] if text == f"-{0.0:.{digits}f}" else text
+
+
 def _trace_text(run: LouvainRun) -> Iterator[str]:
     """The text of ``emit_trace`` in newline-ended pieces: a line, or the
     lines of one decision, rendered as ``decisions`` derives it. The initial
-    and each sweep's Q come from the partition-level function of the gain
-    kind on the rows the pass state prices moves on.
+    and each sweep's Q are the pass state's ``q()``; every Q prints through
+    ``format_q``.
     """
-    interval = run.strategy.interval_gain
-    q_of = q_interval_communities if interval else q_scalar_communities
     for rec, state in _pass_states(run):
         net, replay = state.net, _Replay(state.net)
-        level = net if interval else state.sums.rows
         if rec.number == 1:
             yield "Initial Interval-Weighted Network:\n"
             yield from map("{}\n".format, format_matrix(net))
-            yield f"\n* Initial Modularity={q_of(level, replay.members):.3f}\n"
+            yield f"\n* Initial Modularity={format_q(state.q())}\n"
         yield f"* Begin Pass number {rec.number}\n"
         for sweep in range(1, rec.iterations + 1):
             yield from map(replay.render, map(state.step, range(net.n)))
-            q = q_of(level, [m for m in replay.members if m])
-            yield f"Iteration {sweep} Modularity={q:.3f}\n"
+            yield f"Iteration {sweep} Modularity={format_q(state.q())}\n"
         if not rec.changed:
             yield f"* End Pass number {rec.number} -- no change\n"
             continue
         yield "\nNew network: ---------------\n"
         yield from map("{}\n".format, format_matrix(rec.aggregated))
-        communities = " / ".join(rec.aggregated.labels)
-        yield f"* End Pass number {rec.number} Modularity={rec.modularity:.3f} Communities={communities}\n"
+        q, communities = format_q(rec.modularity), " / ".join(rec.aggregated.labels)
+        yield f"* End Pass number {rec.number} Modularity={q} Communities={communities}\n"
         yield "---------------------------\n"
     final = run.final_network
     prefix = "Hybrid - Before Normalized" if run.strategy.name == "hl" else "Before Normalized"
     yield f"\n* Final communities: {' / '.join(final.labels)} (n={final.n})\n"
-    yield f"* {prefix}: {run.final_q:.3f}\n"
-    yield f"* Normalized modularity: {run.final_q_norm:.3f} (Qmax={run.final_q_max:.6f})\n"
+    yield f"* {prefix}: {format_q(run.final_q)}\n"
+    q_norm, q_max = format_q(run.final_q_norm), format_q(run.final_q_max, 6)
+    yield f"* Normalized modularity: {q_norm} (Qmax={q_max})\n"
     yield "---------------------------\n"
     yield "Final Interval-weighted network:\n\n"
     yield from map("{}\n".format, format_matrix(final))

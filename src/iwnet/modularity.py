@@ -6,11 +6,11 @@ midpoints that ``hl`` and ``midpoint`` price moves on) and
 ``IntervalSums`` for ``cl``, whose per-community term ``cl_term`` is
 D(o_rr, e_rr): the signed endpoint difference of the observed block and
 the expected block under the pairwise adjustment of the total weight.
-The Q of the rows as singletons and Q_max are read from the sums. The
-Louvain pass state builds them for its network anyway, and the
-partition-level functions collapse the partition's communities with
-``network.blocks`` and read the sums of the collapsed rows, in O(m + q);
-so a partition's value equals its aggregated network's under singletons.
+The Q of the rows as singletons and Q_max are read from the sums, which
+the Louvain pass state builds for its network anyway; the state reads the
+Q of its current membership from its own per-community sums. The
+partition-level functions that collapse a partition first are references
+in ``oracle``.
 
 Expected diagonal blocks divide by the separable total (T - s) + s, or
 T_hi - s_hi + s_lo and T_lo - s_lo + s_hi, so the interval track
@@ -24,29 +24,19 @@ Q / Q_max. The paper's pairwise formulas are references in ``oracle``.
 from __future__ import annotations
 
 import math
-import operator
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import InvalidInterval, ZeroTotalWeight
 from .interval import dominant_diff, seq_sum
-from .network import IWNetwork, blocks, pair_sum
-from .partition import Partition
 
 __all__ = [
     "ScalarSums",
     "IntervalSums",
     "expected_diag_adjusted",
     "cl_term",
-    "q_scalar_communities",
-    "q_max_scalar_communities",
-    "q_interval_communities",
-    "q_max_interval_adjusted",
 ]
 
 Rows = Sequence[Mapping[int, Any]]
-Ends = tuple[Callable[[Any], float], Callable[[Any], float]]  # reads an entry's lo, hi
-_INTERVAL_ENDS: Ends = (operator.attrgetter("lo"), operator.attrgetter("hi"))
-_PAIR_ENDS: Ends = (operator.itemgetter(0), operator.itemgetter(1))  # (lo, hi) blocks
 
 
 def _check_finite(total: float, values: Iterable[float]) -> None:
@@ -101,14 +91,15 @@ class ScalarSums:
 
     def q_max(self) -> float:
         """Normalization denominator 2w - sum of the expected diagonal blocks,
-        with 2w summed flat over the entries."""
+        with 2w summed flat over the entries; exactly 0.0 when at most one row
+        has weight, where the difference would leave a rounding residue."""
+        if sum(x > 0.0 for x in self.s) <= 1:
+            return 0.0
         return seq_sum(x for row in self.rows for x in row.values()) - seq_sum(self.e)
 
 
 class IntervalSums:
-    """Sums of interval rows, whose entries' endpoints ``ends`` read:
-    ``Interval`` entries by default, or the (lo, hi) blocks of
-    ``network.blocks``.
+    """Sums of rows of ``Interval`` entries.
 
     ``vsum`` holds o_lo, o_hi, s_lo, s_hi, n_lo, n_hi of every row: its
     observed diagonal block, its strength, and whether each strength
@@ -116,17 +107,16 @@ class IntervalSums:
     is (T_lo, T_hi) and ``vterm`` the ``cl_term`` of every row.
     """
 
-    __slots__ = ("rows", "ends", "vsum", "totals", "vterm")
+    __slots__ = ("rows", "vsum", "totals", "vterm")
 
-    def __init__(self, rows: Rows, ends: Ends = _INTERVAL_ENDS):
-        self.rows, self.ends = rows, ends
-        lo, hi = ends
+    def __init__(self, rows: Rows):
+        self.rows = rows
         self.vsum = []
         for v, row in enumerate(rows):
             loop = row.get(v)
-            s_lo = seq_sum(map(lo, row.values()))
-            s_hi = seq_sum(map(hi, row.values()))
-            o = (0.0, 0.0) if loop is None else (lo(loop), hi(loop))
+            s_lo = seq_sum(w.lo for w in row.values())
+            s_hi = seq_sum(w.hi for w in row.values())
+            o = (0.0, 0.0) if loop is None else (loop.lo, loop.hi)
             self.vsum.append((*o, s_lo, s_hi, int(s_lo > 0.0), int(s_hi > 0.0)))
         self.totals = t_lo, t_hi = tuple(seq_sum(x[j] for x in self.vsum) for j in (2, 3))
         if t_hi <= 0:
@@ -141,41 +131,13 @@ class IntervalSums:
 
     def q_max(self) -> float:
         """Normalization denominator D([2w_lo, 2w_hi], sum of the expected
-        diagonal blocks), with 2w summed flat over the entries."""
-        lo, hi = self.ends
-        entries = [b for row in self.rows for b in row.values()]
+        diagonal blocks), with 2w summed flat over the entries; 0.0 when at
+        most one row has a positive upper strength, as ``ScalarSums.q_max``."""
+        if sum(x[5] for x in self.vsum) <= 1:
+            return 0.0
+        entries = [w for row in self.rows for w in row.values()]
         e = [expected_diag_adjusted(x[2], x[3], *self.totals) for x in self.vsum]
         return dominant_diff(
-            seq_sum(map(lo, entries)) - seq_sum(x[0] for x in e),
-            seq_sum(map(hi, entries)) - seq_sum(x[1] for x in e),
+            seq_sum(w.lo for w in entries) - seq_sum(x[0] for x in e),
+            seq_sum(w.hi for w in entries) - seq_sum(x[1] for x in e),
         )
-
-
-def q_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> float:
-    """Unnormalized scalar modularity (no 1/2w factor) of scalar neighbour
-    maps over explicit, ascending member lists."""
-    return ScalarSums(blocks(rows, comms, operator.add, 0.0)).q()
-
-
-def q_max_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> float:
-    """Scalar normalization denominator 2w - sum of expected diagonal blocks,
-    over explicit, ascending member lists."""
-    return ScalarSums(blocks(rows, comms, operator.add, 0.0)).q_max()
-
-
-def q_interval_communities(net: IWNetwork, comms: Sequence[Sequence[int]]) -> float:
-    """Interval modularity (adjusted expectations) over explicit, ascending
-    member lists.
-
-    Communities are collapsed by interval summation and the adjusted
-    expectations are recomputed from scratch at that level, so the value
-    of a partition equals the value of its aggregated network under
-    singleton communities.
-    """
-    return IntervalSums(blocks(net.rows, comms, pair_sum, (0.0, 0.0)), _PAIR_ENDS).q()
-
-
-def q_max_interval_adjusted(net: IWNetwork, p: Partition) -> float:
-    """Interval normalization denominator D([2w_lo, 2w_hi], sum e_rr),
-    evaluated on the aggregated network of the partition."""
-    return IntervalSums(blocks(net.rows, p.communities, pair_sum, (0.0, 0.0)), _PAIR_ENDS).q_max()

@@ -188,10 +188,6 @@ class IWNetwork(
         """Sum of all matrix entries, i.e. [2w_lo, 2w_hi]."""
         return seq_sum((w for row in self.rows for w in row.values()), ZERO)
 
-    def midpoints(self) -> list[list[float]]:
-        """Dense midpoint matrix (0.0 for absent pairs)."""
-        return [[w.midpoint for w in row] for row in self.weights]
-
     def midpoint_rows(self) -> list[dict[int, float]]:
         """Neighbour maps of the edge midpoints."""
         return [{j: w.midpoint for j, w in row.items()} for row in self.rows]

@@ -9,24 +9,30 @@ order. Bell numbers grow fast; instances are capped at n = 12.
 The paper's pairwise formulas, references for the sums ``modularity``
 reads Q from, sit here too: the dense expected tables, the full and the
 reduced gain of merging two scalar communities, and ``q_interval``, the
-sum of D(observed, expected) over ``Interval`` blocks.
+sum of D(observed, expected) over ``Interval`` blocks. So do the Q and
+Q_max of a partition on each track, references for a pass state's
+``q()``: they collapse its communities as aggregation does and read the
+``modularity`` sums of the blocks, so a partition's value equals its
+aggregated network's under singletons.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import EmptyNetwork, SameCommunity, TooLarge, ZeroTotalWeight
 from .interval import Interval, ZERO, seq_sum, signed_diff
 from .louvain import Strategy
-from .modularity import q_scalar_communities
-from .network import IWNetwork
+from .modularity import IntervalSums, Rows, ScalarSums
+from .network import IWNetwork, blocks, pair_sum
 from .partition import Partition
 
 __all__ = [
     "OracleReport", "partitions", "q_definitional", "enumerate_best", "ExpectedTable",
     "expected_scalar", "expected_interval_adjusted", "adjusted_total_bounds",
-    "dq_scalar_full", "dq_scalar_reduced", "q_interval",
+    "dq_scalar_full", "dq_scalar_reduced", "q_interval", "q_scalar_communities",
+    "q_max_scalar_communities", "q_interval_communities", "q_max_interval_adjusted",
 ]
 
 MAX_VERTICES = 12
@@ -135,7 +141,7 @@ def q_definitional(net: IWNetwork, p: Partition, strategy: Strategy | str) -> fl
         return _q_def_classic(net, groups)
     if strategy.name == "hl":
         return _q_def_hybrid(net, groups)
-    return _q_def_midpoint(net.midpoints(), groups)
+    return _q_def_midpoint([[w.midpoint for w in row] for row in net.weights], groups)
 
 
 def enumerate_best(net: IWNetwork, strategy: Strategy | str) -> OracleReport:
@@ -256,3 +262,27 @@ def q_interval(o_blocks: Sequence[Interval], e_blocks: Sequence[Interval]) -> fl
     if len(o_blocks) != len(e_blocks):
         raise ValueError("observed and expected block counts differ")
     return seq_sum(map(signed_diff, o_blocks, e_blocks))
+
+
+def q_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> float:
+    """Unnormalized scalar modularity (no 1/2w factor) of scalar neighbour
+    maps over explicit, ascending member lists."""
+    return ScalarSums(blocks(rows, comms, operator.add, 0.0)).q()
+
+
+def q_max_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> float:
+    """Scalar normalization denominator 2w - sum of expected diagonal blocks,
+    over explicit, ascending member lists."""
+    return ScalarSums(blocks(rows, comms, operator.add, 0.0)).q_max()
+
+
+def q_interval_communities(net: IWNetwork, comms: Sequence[Sequence[int]]) -> float:
+    """Interval modularity (adjusted expectations) over explicit, ascending
+    member lists, collapsed by interval summation."""
+    return IntervalSums(blocks(net.rows, comms, pair_sum, (0.0, 0.0), Interval)).q()
+
+
+def q_max_interval_adjusted(net: IWNetwork, p: Partition) -> float:
+    """Interval normalization denominator D([2w_lo, 2w_hi], sum e_rr),
+    evaluated on the aggregated network of the partition."""
+    return IntervalSums(blocks(net.rows, p.communities, pair_sum, (0.0, 0.0), Interval)).q_max()

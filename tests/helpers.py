@@ -54,9 +54,14 @@ def toy_network() -> IWNetwork:
     )
 
 
+def midpoints(net: IWNetwork) -> list[list[float]]:
+    """Dense midpoint matrix of a network (0.0 for absent pairs)."""
+    return [[w.midpoint for w in row] for row in net.weights]
+
+
 def toy_midpoints() -> list[list[float]]:
     """Midpoint projection of the four-vertex network (2w = 14)."""
-    return toy_network().midpoints()
+    return midpoints(toy_network())
 
 
 def scalar_rows(mid: list[list[float]]) -> list[dict[int, float]]:
@@ -136,6 +141,19 @@ def with_isolated_vertices(net: IWNetwork, rng: random.Random, k: int) -> IWNetw
             row.insert(pos, ZERO)
         w.insert(pos, [ZERO] * len(labels))
     return IWNetwork.from_matrix(tuple(labels), tuple(tuple(row) for row in w))
+
+
+def pinned_networks():
+    """(name, network) of the corpus whose traces and JSON are pinned."""
+    rng = random.Random(101)
+    yield "dense12", random_network(rng, 12)
+    yield "sparse60", random_network(rng, 60, density=0.08)
+    yield "sparse200", random_network(rng, 200, density=0.03)
+    yield "degenerate40", random_degenerate_network(rng, 40, density=0.1)
+    yield "zero_lo_isolated30", with_isolated_vertices(
+        with_zero_lower_bounds(random_network(rng, 30, density=0.15), rng, 0.5), rng, 3
+    )
+    yield "all_zero_lo25", with_zero_lower_bounds(random_network(rng, 25, density=0.2), rng, 1.0)
 
 
 def tie_network(rng: random.Random, shape: str, size: int) -> IWNetwork:

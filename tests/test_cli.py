@@ -333,6 +333,33 @@ class TestRunCommand:
         assert doc["final"]["q_norm"] is None
 
     @pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
+    @pytest.mark.parametrize(
+        "records",
+        [
+            ["a,b,{w}"],  # one edge
+            ["a,b,{w}", "b,c,{w}", "c,d,{w}", "d,a,{w}", "a,c,{w}"],  # a 4-cycle with one chord
+        ],
+    )
+    @pytest.mark.parametrize("w", ["0.1844793926425332,1.4280981177310619", "1e-160,1e-160"])
+    def test_one_weighted_row_has_no_q_norm(self, capsys, tmp_path, method, records, w):
+        # each run ends as one community: Q_max is exactly 0, not the rounding
+        # residue that made Q_norm 1.0, and a Q near 0 prints unsigned
+        path = tmp_path / "one.csv"
+        path.write_text("\n".join(["src,dst,lo,hi", *records]).format(w=w) + "\n", encoding="utf-8")
+        argv = ["run", "--input", str(path), "--method", method]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        final = json.loads(out)["final"]
+        assert len(final["communities"]) == 1
+        assert (final["q_max"], final["q_norm"]) == (0.0, None)
+        code, out, _ = run_cli(capsys, *argv, "--trace")
+        assert code == 0
+        assert "Q_max  = 0.000000\nQ_norm = nan\n" in out
+        assert "(Qmax=0.000000)" in out
+        q_lines = [line for line in out.splitlines() if "odularity" in line or line.startswith("Q")]
+        assert not [line for line in q_lines if "-0.000" in line]
+
+    @pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_overflowing_total_exit_2(self, capsys, tmp_path, method, fmt):
         # every weight is finite, but the total weight overflows to inf:

@@ -2,9 +2,9 @@ import gc
 import io
 import math
 import random
+import sys
 import time
 import tracemalloc
-from collections import Counter
 
 import pytest
 
@@ -25,18 +25,23 @@ from iwnet import (
     network_from_csv,
     q_definitional,
     q_interval,
+    q_interval_communities,
     q_max_interval_adjusted,
     q_max_scalar_communities,
+    q_scalar_communities,
     run,
     symmetrize,
 )
-from iwnet import louvain, modularity
+import iwnet
+from iwnet import louvain, network
 from iwnet.errors import EmptyNetwork, ZeroTotalWeight
-from iwnet.modularity import q_interval_communities, q_scalar_communities
 
 from goldens import CL_REFERENCE_TRACE, HL_REFERENCE_TRACE
 from helpers import (
+    CYCLING_CSV,
+    midpoints,
     normalize_lines,
+    pinned_networks,
     random_degenerate_network,
     random_network,
     tie_network,
@@ -340,7 +345,7 @@ class TestDriverBehavior:
                 g[u][v]["weight"] = Interval(lo, hi).midpoint
             net = IWNetwork.from_edges([str(u) for u in g], edges)
             result = run(net, MIDPOINT)
-            two_w = sum(map(sum, net.midpoints()))
+            two_w = sum(map(sum, midpoints(net)))
             ref = nx.community.modularity(
                 g, result.final_partition.communities, weight="weight"
             )
@@ -486,28 +491,27 @@ class TestScalarGainDifferential:
 
 @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
 def test_run_computes_q_once_per_pass(monkeypatch, strategy):
-    """run() reads each pass's Q and Q_max from the sums of its pass states:
-    it collapses no partition and calls no partition-level Q. emit_trace
-    computes the initial Q and one Q per sweep, each one collapse."""
-    calls = Counter()
-    for module, name in (
-        (louvain, "q_interval_communities"), (louvain, "q_scalar_communities"), (modularity, "blocks"),
-    ):
-        original = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda *a, f=original, k=name: calls.update([k]) or f(*a)
-        )
-    q_name = "q_interval_communities" if strategy.interval_gain else "q_scalar_communities"
+    """run() reads each pass's Q and Q_max from the sums of its pass states,
+    so it collapses a partition only to aggregate a changed pass, and
+    emit_trace reads the initial and every sweep's Q from its pass states'
+    ``q()``, so it collapses none. Neither loads the reference module."""
+    calls = []
+    original = network.blocks
+    monkeypatch.setattr(network, "blocks", lambda *a: calls.append(a) or original(*a))
+    # with the module gone, any lookup of an oracle name would import it again
+    monkeypatch.delitem(sys.modules, "iwnet.oracle", raising=False)
+    monkeypatch.delattr(iwnet, "oracle", raising=False)
     # a multi-pass run, and one whose first pass moves nothing (no edge between vertices)
     loops = IWNetwork.from_edges(["a", "b"], [("a", "a", 1, 2), ("b", "b", 1, 2)])
     for net, min_passes in ((random_network(random.Random(55), 40, density=0.15), 3), (loops, 1)):
         calls.clear()
         result = run(net, strategy)
         assert len(result.passes) >= min_passes
-        assert not calls
+        assert len(calls) == sum(rec.changed for rec in result.passes)
+        calls.clear()
         emit_trace(result)
-        sweeps = sum(rec.iterations for rec in result.passes)
-        assert calls == Counter({q_name: sweeps + 1, "blocks": sweeps + 1})
+        assert not calls
+    assert "iwnet.oracle" not in sys.modules
 
 
 def _drift_networks(rng):
@@ -538,6 +542,38 @@ def test_pass_q_matches_public_functions_exactly(strategy):
         assert result.final_q == q_of(final, singles.communities)
         assert result.final_q_max == q_max_of(final, singles)
     assert passes > 100
+
+
+@pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
+def test_trace_q_matches_the_partition_level_reference(strategy):
+    """The Q the trace prints, ``q()`` of each pass state stepped as
+    ``_trace_text`` steps it, after initialization and after every sweep,
+    against the reference partition-level Q of the same member lists: within
+    1e-12 of the total weight, and printed alike by ``format_q``. The small
+    dense networks end as one community, where Q is a rounding residue."""
+    rng = random.Random(91)
+    nets = [net for _, net in pinned_networks()] + _drift_networks(random.Random(58))
+    nets += [tie_network(rng, shape, rng.randrange(3, 13)) for shape in ("ring", "star", "bipartite") * 4]
+    nets.append(network_from_csv(io.StringIO(CYCLING_CSV)))
+    dense = [random_network(rng, rng.randrange(2, 9), density=0.9) for _ in range(60)]
+    single = [net for net in dense if run(net, strategy).final_network.n == 1]
+    assert len(single) >= 10
+    checked = 0
+    for net in nets + single:
+        for rec, state in louvain._pass_states(run(net, strategy)):
+            if strategy.interval_gain:
+                q_of, rows, scale = q_interval_communities, state.net, state.sums.totals[1]
+            else:
+                q_of, rows, scale = q_scalar_communities, state.sums.rows, state.sums.two_w
+            for sweep in range(rec.iterations + 1):
+                if sweep:
+                    for v in range(state.net.n):
+                        state.step(v)
+                got, ref = state.q(), q_of(rows, [m for m in _members(state) if m])
+                assert math.isclose(got, ref, rel_tol=0.0, abs_tol=1e-12 * scale), (got, ref)
+                assert louvain.format_q(got) == louvain.format_q(ref)
+                checked += 1
+    assert checked > 500
 
 
 def test_interval_q_matches_paper_formula():

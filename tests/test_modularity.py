@@ -25,6 +25,7 @@ from iwnet.errors import InvalidInterval, SameCommunity, ZeroTotalWeight
 from iwnet.modularity import IntervalSums, ScalarSums, expected_diag_adjusted
 
 from helpers import (
+    midpoints,
     toy_midpoints,
     toy_network,
     random_degenerate_network,
@@ -56,7 +57,7 @@ class TestExpectedScalar:
         rng = random.Random(11)
         for _ in range(20):
             net = random_network(rng, rng.randrange(3, 8))
-            mid = net.midpoints()
+            mid = midpoints(net)
             table = expected_scalar(mid)
             for i in range(net.n):
                 row_sum = sum(e.midpoint for e in table.e[i])
@@ -213,7 +214,7 @@ class TestScalarModularity:
         rng = random.Random(14)
         for _ in range(60):
             net = random_network(rng, rng.randrange(3, 9))
-            mid = net.midpoints()
+            mid = midpoints(net)
             k = rng.randrange(2, net.n + 1)
             p = Partition(tuple(rng.randrange(k) for _ in range(net.n)))
             if p.n_communities < 2:
@@ -266,7 +267,7 @@ class TestIntervalModularity:
         assert abs(q_interval(o_blocks, e_blocks) - (-7.0)) < 1e-9
 
         mid_blocks = [Interval(m, m) for m in (0, 0, 0, 0)]
-        scalar = expected_scalar(net.midpoints())
+        scalar = expected_scalar(midpoints(net))
         e_mid = [scalar.e[i][i] for i in range(4)]
         assert abs(q_interval(mid_blocks, e_mid) - (-52 / 14)) < 1e-9
 
@@ -321,7 +322,7 @@ class TestIntervalModularity:
             k = rng.randrange(1, net.n + 1)
             comms = Partition(tuple(rng.randrange(k) for _ in range(net.n))).communities
             assert q_interval_communities(net, comms) == q_scalar_communities(
-                scalar_rows(net.midpoints()), comms
+                scalar_rows(midpoints(net)), comms
             )
 
     def test_degenerate_reference_network_matches_scalar(self):

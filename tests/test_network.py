@@ -21,7 +21,7 @@ from iwnet import (
 from iwnet import network
 from iwnet.errors import DuplicateEdge, InvalidInterval, NegativeWeight, ParseError
 
-from helpers import toy_network, random_network
+from helpers import midpoints, toy_network, random_network
 
 
 class TestIWNetwork:
@@ -40,7 +40,7 @@ class TestIWNetwork:
         assert empty.total_weight() == ZERO
 
     def test_total_weight_degenerate(self):
-        mid = toy_network().midpoints()
+        mid = midpoints(toy_network())
         labels = ["v1", "v2", "v3", "v4"]
         net = IWNetwork.from_matrix(
             tuple(labels),
@@ -424,7 +424,7 @@ class TestBlocksMatchDenseLoops:
                 _dense_minmax(net.weights, comms)
             )
             mids = network.blocks(net.midpoint_rows(), comms, operator.add, 0.0)
-            assert _densify(mids, 0.0) == _dense_sum(net.midpoints(), comms, 0.0)
+            assert _densify(mids, 0.0) == _dense_sum(midpoints(net), comms, 0.0)
 
 
 class TestCsv:

@@ -23,25 +23,7 @@ import pytest
 from iwnet import ZERO, Interval, emit_trace, louvain, run
 from iwnet.cli import _run_json
 
-from helpers import (
-    random_degenerate_network,
-    random_network,
-    tie_network,
-    with_isolated_vertices,
-    with_zero_lower_bounds,
-)
-
-
-def _networks():
-    rng = random.Random(101)
-    yield "dense12", random_network(rng, 12)
-    yield "sparse60", random_network(rng, 60, density=0.08)
-    yield "sparse200", random_network(rng, 200, density=0.03)
-    yield "degenerate40", random_degenerate_network(rng, 40, density=0.1)
-    yield "zero_lo_isolated30", with_isolated_vertices(
-        with_zero_lower_bounds(random_network(rng, 30, density=0.15), rng, 0.5), rng, 3
-    )
-    yield "all_zero_lo25", with_zero_lower_bounds(random_network(rng, 25, density=0.2), rng, 1.0)
+from helpers import pinned_networks, random_network, tie_network
 
 
 PINNED = {
@@ -90,7 +72,7 @@ def _sha(text: str) -> str:
 
 @pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
 def test_trace_and_json_bytes_are_pinned(method):
-    for name, net in _networks():
+    for name, net in pinned_networks():
         result = run(net, method)
         got = (_sha(emit_trace(result)), _sha("".join(_run_json(result, method, with_trace=True))))
         assert got == PINNED[name, method], name
@@ -101,7 +83,7 @@ def test_json_edges_rebuild_the_final_matrix(method):
     """Version 2 of the document lists the final network's present entries
     as ``[i, j, lo, hi]``, i <= j in row order: they rebuild
     ``final_network.weights`` exactly."""
-    for name, net in _networks():
+    for name, net in pinned_networks():
         result = run(net, method)
         doc = json.loads("".join(_run_json(result, method, with_trace=False)))
         assert next(iter(doc.items())) == ("format_version", 2)
@@ -136,7 +118,7 @@ def test_derived_decisions_are_those_phase_1_made(monkeypatch, method):
         return d
 
     rng = random.Random(102)
-    nets = [net for _, net in _networks()]
+    nets = [net for _, net in pinned_networks()]
     nets += [tie_network(rng, shape, rng.randrange(3, 13)) for shape in ("ring", "star", "bipartite") * 6]
     checked = 0
     for net in nets:
