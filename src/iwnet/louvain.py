@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyNetwork, InvalidInterval, IterationLimit, ZeroTotalWeight
@@ -138,13 +139,18 @@ class LouvainRun(NamedTuple):
 
     strategy: Strategy
     network: IWNetwork
-    work: IWNetwork  # input of the first pass: ``network``, or its midpoint projection
     passes: tuple[PassRecord, ...]
     final_partition: Partition  # on original vertices
     final_network: IWNetwork
     final_q: float
     final_q_norm: float  # NaN when Q_max is zero
     final_q_max: float
+
+    @property
+    def work(self) -> IWNetwork:
+        """The input of the first pass: ``network``, or for ``midpoint`` its
+        projection, which the run does not keep and this builds again."""
+        return _work(self.network, self.strategy)
 
 
 class _PassState:
@@ -389,12 +395,15 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
     if t_hi <= 0:
         raise ZeroTotalWeight("network has no weight")
     # every track multiplies two strengths, each at most the total: the
-    # scalar gains and Q, and the adjusted expectations of cl
+    # scalar gains and Q, and the adjusted expectations of cl. Below the
+    # normal range such a product loses precision or rounds to 0
     if not math.isfinite(t_hi * t_hi):
         raise InvalidInterval(f"total weight {t_hi!r} overflows when squared")
+    if t_hi * t_hi < sys.float_info.min:
+        raise InvalidInterval(f"total weight {t_hi!r} underflows when squared")
 
     kind = _kind(strategy)
-    cur = work = _work(net, strategy)
+    cur = _work(net, strategy)  # not kept: ``LouvainRun.work`` builds it again
     state = kind(cur)
     passes: list[PassRecord] = []
     while True:
@@ -418,7 +427,7 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
     final_q = passes[-1].modularity
     q_max = state.sums.q_max()
     q_norm = final_q / q_max if q_max != 0.0 else math.nan
-    return LouvainRun(strategy, net, work, tuple(passes), final, cur, final_q, q_norm, q_max)
+    return LouvainRun(strategy, net, tuple(passes), final, cur, final_q, q_norm, q_max)
 
 
 def evaluate_moves(

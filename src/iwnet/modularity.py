@@ -132,8 +132,11 @@ class IntervalSums:
     def q_max(self) -> float:
         """Normalization denominator D([2w_lo, 2w_hi], sum of the expected
         diagonal blocks), with 2w summed flat over the entries; 0.0 when at
-        most one row has a positive upper strength, as ``ScalarSums.q_max``."""
-        if sum(x[5] for x in self.vsum) <= 1:
+        most one row has a positive upper strength, as ``ScalarSums.q_max``,
+        and when T_lo is 0: every lower bound is then 0 and every expected
+        upper block s_hi^2 / (0 - 0 + s_hi) is s_hi, so both differences
+        are 0, where the sums would leave a rounding residue."""
+        if sum(x[5] for x in self.vsum) <= 1 or self.totals[0] == 0.0:
             return 0.0
         entries = [w for row in self.rows for w in row.values()]
         e = [expected_diag_adjusted(x[2], x[3], *self.totals) for x in self.vsum]

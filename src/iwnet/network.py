@@ -14,8 +14,11 @@ larger than O(n + m).
 Input is validated at the boundary (``read_flow_csv``, ``Interval``, the
 public constructor and ``from_matrix`` / ``from_edges``, which reject
 duplicate labels too); the networks the library builds itself skip the
-check. ``symmetrize`` folds each pair's records as (lo, hi) floats and
-makes one ``Interval`` per pair.
+check. Ingest keeps little besides the network it returns:
+``read_flow_csv`` gives the records of a label one shared string, and
+``symmetrize`` folds each pair's records as (lo, hi) floats, with a mask
+of the directions seen for duplicate detection, and makes one
+``Interval`` per pair as it builds the rows once, in key order.
 """
 
 from __future__ import annotations
@@ -169,7 +172,8 @@ class IWNetwork(
                     raise ValueError(f"edge {u}-{v} names unknown label {lab!r}")
             i, j = index[u], index[v]
             rows[i][j] = rows[j][i] = Interval(lo, hi)
-        return cls(tuple(labels), _ascending(rows))
+        # ascending keys, and no [0,0] entry
+        return cls(tuple(labels), tuple({j: r[j] for j in sorted(r) if r[j] != ZERO} for r in rows))
 
     @property
     def n(self) -> int:
@@ -204,11 +208,6 @@ class IWNetwork(
         return sum(1 for _ in self.edges())
 
 
-def _ascending(rows: Sequence[dict[int, Interval]]) -> tuple[dict[int, Interval], ...]:
-    """The maps with ascending keys and without [0,0] entries (both ends 0)."""
-    return tuple({j: row[j] for j in sorted(row) if row[j].lo or row[j].hi} for row in rows)
-
-
 def symmetrize(
     records: Sequence[DirectedFlowRecord],
     threshold: float = 0.0,
@@ -225,31 +224,45 @@ def symmetrize(
     repeated pair is an error. Self-loop records are dropped and counted
     in ``dropped_self_loops``, the other discarded records in
     ``dropped_below_threshold``.
+
+    The fold keeps one entry per pair (i, j), i <= j, that any record
+    names, dropped ones included: [lo, hi, mask], the envelope so far and
+    a bit per direction seen (bit 1 for i -> j, bit 2 for j -> i; bit 1
+    for either when undirected), updated in place. A record whose bit is
+    set already is a duplicate. The rows are built once, in sorted key
+    order, so every map has ascending keys.
     """
     index: dict[str, int] = {}
-    seen: set[tuple[int, int]] = set()
-    fold: dict[tuple[int, int], Pair] = {}  # (i, j) with i < j -> (lo, hi)
+    fold: dict[tuple[int, int], list] = {}
     loops = below = 0
     for src, dst, lo, hi in records:
         i = index.setdefault(src, len(index))
         j = index.setdefault(dst, len(index))
-        key = (i, j) if directed or i <= j else (j, i)
-        if key in seen:
+        if i <= j:
+            key, bit = (i, j), 1
+        else:
+            key, bit = (j, i), 2 if directed else 1
+        entry = fold.get(key)
+        if entry is None:  # an empty envelope, no direction seen
+            entry = fold[key] = [math.inf, -math.inf, 0]
+        elif entry[2] & bit:
             raise DuplicateEdge(f"duplicate record {src}->{dst}")
-        seen.add(key)
+        entry[2] |= bit
         if i == j:
             loops += 1
         elif hi < threshold:
             below += 1
         else:
-            pair = (i, j) if i < j else (j, i)
-            prev = fold.get(pair)
-            fold[pair] = (lo, hi) if prev is None else (min(prev[0], lo), max(prev[1], hi))
+            entry[0], entry[1] = min(entry[0], lo), max(entry[1], hi)
     rows: list[dict[int, Interval]] = [{} for _ in index]
-    for (i, j), (lo, hi) in fold.items():
-        rows[i][j] = rows[j][i] = Interval(lo, hi)
-    del fold, seen  # before the rows are copied in key order
-    return IWNetwork._trusted(tuple(index), _ascending(rows), loops, below)
+    # row j takes its keys i < j in ascending i before its keys above j; an
+    # entry is popped, so it is freed as its Interval is made
+    for key in sorted(fold):
+        lo, hi, _ = fold.pop(key)
+        if hi > 0.0:  # not [0,0], nor a pair of dropped records only
+            i, j = key
+            rows[i][j] = rows[j][i] = Interval(lo, hi)
+    return IWNetwork._trusted(tuple(index), tuple(rows), loops, below)
 
 
 def blocks(
@@ -379,6 +392,7 @@ def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise ParseError(1, f"expected header src,dst,lo,hi, got {','.join(header)}")
     records = []
+    labels: dict[str, str] = {}  # one string object per label, shared by its records
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -400,6 +414,7 @@ def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
             except (InvalidInterval, NegativeWeight) as exc:
                 raise ParseError(lineno, str(exc)) from None
         # every field is checked: build the tuple without the constructor's checks
+        src, dst = labels.setdefault(src, src), labels.setdefault(dst, dst)
         records.append(tuple.__new__(DirectedFlowRecord, (src, dst, lo, hi)))
     return records
 

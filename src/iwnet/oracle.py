@@ -251,9 +251,10 @@ def dq_scalar_reduced(mid: Matrix, p: Partition, r: int, s: int) -> float:
     two_w = seq_sum(strengths)
     if two_w <= 0:
         raise ZeroTotalWeight("total weight is zero")
-    o_rs = seq_sum(mid[i][j] for i in p.communities[r] for j in p.communities[s])
-    s_r = seq_sum(strengths[i] for i in p.communities[r])
-    s_s = seq_sum(strengths[j] for j in p.communities[s])
+    comm_r, comm_s = p.communities[r], p.communities[s]
+    o_rs = seq_sum(mid[i][j] for i in comm_r for j in comm_s)
+    s_r = seq_sum(strengths[i] for i in comm_r)
+    s_s = seq_sum(strengths[j] for j in comm_s)
     return 2.0 * (o_rs - s_r * s_s / two_w)
 
 

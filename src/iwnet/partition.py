@@ -15,11 +15,13 @@ class Partition(Frozen, fields=("assignment", "communities"), compare=("assignme
     Community ids are always normalized to 0..q-1 in order of first
     appearance along the vertex index, so two relabelings of the same
     grouping compare equal and all iteration over communities is
-    deterministic. ``communities`` lists the members of each id.
+    deterministic. ``communities`` lists the members of each id; it is
+    built on each access and not kept, so a partition holds its
+    assignment and ``n_communities`` only.
     """
 
     assignment: tuple[int, ...]
-    communities: tuple[tuple[int, ...], ...]
+    n_communities: int
 
     def __init__(self, assignment: Iterable[int]):
         remap: dict[int, int] = {}
@@ -28,19 +30,20 @@ class Partition(Frozen, fields=("assignment", "communities"), compare=("assignme
             if c not in remap:
                 remap[c] = len(remap)
             normalized.append(remap[c])
-        members: list[list[int]] = [[] for _ in range(len(remap))]
-        for v, c in enumerate(normalized):
-            members[c].append(v)
         object.__setattr__(self, "assignment", tuple(normalized))
-        object.__setattr__(self, "communities", tuple(tuple(m) for m in members))
+        object.__setattr__(self, "n_communities", len(remap))
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
         return cls(tuple(range(n)))
 
     @property
-    def n_communities(self) -> int:
-        return len(self.communities)
+    def communities(self) -> tuple[tuple[int, ...], ...]:
+        """The members of each id, ascending."""
+        members: list[list[int]] = [[] for _ in range(self.n_communities)]
+        for v, c in enumerate(self.assignment):
+            members[c].append(v)
+        return tuple(map(tuple, members))
 
     def compose(self, coarser: Sequence[int]) -> "Partition":
         """Refine through one aggregation level.

@@ -343,10 +343,20 @@ class TestRunCommand:
     @pytest.mark.parametrize("w", ["0.1844793926425332,1.4280981177310619", "1e-160,1e-160"])
     def test_one_weighted_row_has_no_q_norm(self, capsys, tmp_path, method, records, w):
         # each run ends as one community: Q_max is exactly 0, not the rounding
-        # residue that made Q_norm 1.0, and a Q near 0 prints unsigned
+        # residue that made Q_norm 1.0, and a Q near 0 prints unsigned. At
+        # [1e-160,1e-160] the square of the total weight is below the normal
+        # float range, where the products of strengths lose their precision:
+        # every method refuses it
         path = tmp_path / "one.csv"
         path.write_text("\n".join(["src,dst,lo,hi", *records]).format(w=w) + "\n", encoding="utf-8")
         argv = ["run", "--input", str(path), "--method", method]
+        if w.startswith("1e-160"):
+            for fmt in ("text", "json"):
+                code, out, err = run_cli(capsys, *argv, "--format", fmt)
+                assert (code, out) == (2, "")
+                assert err.startswith("error: InvalidInterval: total weight ")
+                assert err.endswith(" underflows when squared\n")
+            return
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         final = json.loads(out)["final"]
@@ -392,17 +402,16 @@ class TestRunCommand:
             "error: InvalidInterval: total weight 4e+155 overflows when squared\n"
         )
 
-    @pytest.mark.parametrize("method, code", [("cl", 0), ("hl", 2), ("midpoint", 2)])
-    def test_subnormal_weights_zero_midpoint_total(self, capsys, tmp_path, method, code):
-        # every midpoint (0 + 5e-324) / 2 rounds to 0.0: the scalar tracks
-        # have no weight, while cl keeps the upper bounds
+    @pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
+    def test_subnormal_weights_exit_2(self, capsys, tmp_path, method):
+        # every midpoint (0 + 5e-324) / 2 rounds to 0.0, so the scalar tracks
+        # have no weight, and cl's upper bounds are a total that squares to 0:
+        # every method refuses the total before it prices a move
         path = tmp_path / "subnormal.csv"
         path.write_text("src,dst,lo,hi\na,b,0,5e-324\nb,c,0,5e-324\n", encoding="utf-8")
         got, out, err = run_cli(capsys, "run", "--input", str(path), "--method", method)
-        assert got == code
-        if code:
-            assert out == ""
-            assert err.startswith("error: ZeroTotalWeight:")
+        assert (got, out) == (2, "")
+        assert err == "error: InvalidInterval: total weight 2e-323 underflows when squared\n"
 
     def test_iteration_limit_exit_2(self, capsys, toy_csv, monkeypatch):
         # pass 1 on the reference network needs two sweeps

@@ -5,6 +5,7 @@ import random
 import sys
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -34,7 +35,7 @@ from iwnet import (
 )
 import iwnet
 from iwnet import louvain, network
-from iwnet.errors import EmptyNetwork, ZeroTotalWeight
+from iwnet.errors import EmptyNetwork, InvalidInterval, ZeroTotalWeight
 
 from goldens import CL_REFERENCE_TRACE, HL_REFERENCE_TRACE
 from helpers import (
@@ -187,14 +188,36 @@ class TestDriverBehavior:
 
     def test_zero_midpoint_total_weight(self):
         # every midpoint (0 + 5e-324) / 2 rounds to 0.0: the scalar gains
-        # would divide by 2w = 0, so each scalar entry point refuses the network
+        # would divide by 2w = 0, so each scalar entry point refuses the network.
+        # run() refuses it first, for every method: its total squares to 0
         net = IWNetwork.from_edges(["a", "b", "c"], [("a", "b", 0, 5e-324), ("b", "c", 0, 5e-324)])
-        assert run(net, CLASSIC_INTERVAL).final_q_max > 0.0
+        assert evaluate_moves(net, Partition.singletons(3), 1, CLASSIC_INTERVAL)
         for strategy in (HYBRID, MIDPOINT):
             with pytest.raises(ZeroTotalWeight):
-                run(net, strategy)
-            with pytest.raises(ZeroTotalWeight):
                 evaluate_moves(net, Partition.singletons(3), 1, strategy)
+        for strategy in (CLASSIC_INTERVAL, HYBRID, MIDPOINT):
+            with pytest.raises(InvalidInterval, match="underflows when squared"):
+                run(net, strategy)
+
+    def test_cl_q_max_is_zero_when_every_lower_bound_is(self):
+        """With T_lo = 0 every expected upper block s_hi^2 / (0 - 0 + s_hi) is
+        s_hi, so cl's Q_max is exactly 0 and Q_norm NaN for any partition.
+        Summed, it left a residue of a few ulps: seeds 61, 295 and 374 ended
+        on two or more weighted rows and reported Q_norm 0.06, 1.0 and 0.5."""
+        weighted = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            labels = [f"v{i}" for i in range(rng.randrange(2, 31))]
+            edges = [
+                (rng.choice(labels), rng.choice(labels), 0.0, rng.uniform(0.1, 10.0))
+                for _ in range(rng.randrange(1, 3 * len(labels)))
+            ]
+            result = run(IWNetwork.from_edges(labels, edges), CLASSIC_INTERVAL)
+            assert result.final_q_max == 0.0, seed
+            assert math.isnan(result.final_q_norm), seed
+            rows = result.final_network.rows
+            weighted += sum(any(w.hi > 0.0 for w in row.values()) for row in rows) >= 2
+        assert weighted > 100  # beyond the rule for at most one weighted row
 
     def test_single_vertex_self_loop(self):
         net = IWNetwork.from_matrix(("a",), ((Interval(1, 2),),))
@@ -653,9 +676,9 @@ def test_run_memory_is_a_few_networks(ring_csv, strategy):
     """run() keeps no per-decision record: on the 20,000-vertex ring, whose
     run is 8 to 14 passes of 2 sweeps, its tracemalloc peak above the
     network it is given stays within a few times the network's own size
-    (about 2.0x-2.1x; 2.8x for midpoint, whose run also holds the midpoint
-    projection, one more network of the same size). A log of every
-    decision took it to 4.8x-5.0x."""
+    (about 1.4x-1.8x; 2.0x-2.1x, and 2.8x for midpoint, while the result
+    held the midpoint projection and the member lists of every partition).
+    A log of every decision took it to 4.8x-5.0x."""
     tracemalloc.start()
     try:
         net = network_from_csv(io.StringIO(ring_csv))
@@ -715,6 +738,26 @@ class TestLazyDecisionLog:
         result = run(net, strategy)
         monkeypatch.undo()
         assert "\tTry " in emit_trace(result)
+
+    def test_run_keeps_no_midpoint_projection(self, monkeypatch):
+        """The projection that midpoint runs on is dropped once pass 1 has
+        aggregated it; ``work`` builds an equal one on each access."""
+        net = random_network(random.Random(55), 40, density=0.15)
+        built, _work = [], louvain._work
+
+        def project(*args):
+            work = _work(*args)
+            built.append(weakref.ref(work))
+            return work
+
+        monkeypatch.setattr(louvain, "_work", project)
+        result = run(net, MIDPOINT)
+        monkeypatch.undo()
+        gc.collect()
+        assert result.passes[0].changed
+        assert len(built) == 1 and built[0]() is None
+        assert result.work == _work(net, MIDPOINT) and result.work is not result.work
+        assert run(net, HYBRID).work is net
 
     @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
     def test_log_holds_one_decision_per_vertex_and_sweep(self, strategy):

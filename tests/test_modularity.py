@@ -350,8 +350,9 @@ class TestIntervalModularity:
         with pytest.raises(ZeroTotalWeight):
             q_max_scalar_communities([{}, {}], [[0], [1]])
         net = IWNetwork.from_edges(["a", "b"], [("a", "b", 0.0, 5e-324)])
-        # the edge's midpoint rounds to 0.0; its upper bound still weighs
-        assert q_max_interval_adjusted(net, Partition.singletons(2)) > 0.0
+        # the edge's midpoint rounds to 0.0; its upper bound still weighs, so
+        # the interval track raises nothing, and with T_lo = 0 its Q_max is 0
+        assert q_max_interval_adjusted(net, Partition.singletons(2)) == 0.0
         with pytest.raises(ZeroTotalWeight):
             q_max_scalar_communities(net.midpoint_rows(), [[0], [1]])
 

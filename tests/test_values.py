@@ -101,6 +101,13 @@ class TestPartition:
         assert Partition((0, 1, 0)) != Partition((0, 0, 1))
         assert Partition((0, 1, 0)).communities == ((0, 2), (1,))
 
+    def test_keeps_no_member_lists(self):
+        # communities is built on each access: the partitions a run records
+        # hold an assignment and a count only
+        p = Partition((1, 1, 0))
+        assert vars(p) == {"assignment": (0, 0, 1), "n_communities": 2}
+        assert p.communities == ((0, 1), (2,)) and p.communities is not p.communities
+
     def test_repr(self):
         assert repr(Partition((1, 1, 0))) == (
             "Partition(assignment=(0, 0, 1), communities=((0, 1), (2,)))"
