@@ -6,13 +6,13 @@ tables, the signed endpoint difference D, and two interval strategies
 (Classic and Hybrid Louvain) next to the degenerate midpoint baseline.
 
 The reference module (``iwnet.oracle``: the brute-force search, the
-paper's pairwise formulas and the partition-level Q and Q_max) is
-imported on first use of one of its names, so importing the package does
-not load it.
+paper's pairwise formulas, D and Hausdorff on ``Interval`` objects among
+them, and the partition-level Q and Q_max) is imported on first use of
+one of its names, so importing the package does not load it.
 """
 
 from . import errors
-from .interval import Interval, ZERO, hausdorff, signed_diff
+from .interval import Interval, ZERO
 from .louvain import (
     CLASSIC_INTERVAL,
     HYBRID,
@@ -38,54 +38,22 @@ from .partition import Partition
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "errors",
-    "Interval",
-    "ZERO",
-    "hausdorff",
-    "signed_diff",
-    "Partition",
-    "DirectedFlowRecord",
-    "IWNetwork",
-    "symmetrize",
-    "aggregate_sum",
-    "aggregate_minmax",
-    "format_matrix",
-    "read_flow_csv",
-    "network_from_csv",
-    "ExpectedTable",
-    "expected_scalar",
-    "expected_interval_adjusted",
-    "adjusted_total_bounds",
-    "q_scalar_communities",
-    "q_max_scalar_communities",
-    "dq_scalar_full",
-    "dq_scalar_reduced",
-    "q_interval",
-    "q_interval_communities",
-    "q_max_interval_adjusted",
-    "Strategy",
-    "CLASSIC_INTERVAL",
-    "HYBRID",
-    "MIDPOINT",
-    "PassRecord",
-    "LouvainRun",
-    "run",
-    "evaluate_moves",
-    "emit_trace",
-    "OracleReport",
-    "partitions",
-    "q_definitional",
-    "enumerate_best",
-    "__version__",
-]
-
-_ORACLE = frozenset({
+# the reference names: resolved from ``iwnet.oracle`` on first use
+_ORACLE = (
     "OracleReport", "partitions", "q_definitional", "enumerate_best", "ExpectedTable",
     "expected_scalar", "expected_interval_adjusted", "adjusted_total_bounds",
     "dq_scalar_full", "dq_scalar_reduced", "q_interval", "q_scalar_communities",
     "q_max_scalar_communities", "q_interval_communities", "q_max_interval_adjusted",
-})
+    "hausdorff", "signed_diff",
+)
+
+__all__ = [
+    "errors", "Interval", "ZERO", "Partition", "DirectedFlowRecord", "IWNetwork",
+    "symmetrize", "aggregate_sum", "aggregate_minmax", "format_matrix", "read_flow_csv",
+    "network_from_csv", "Strategy", "CLASSIC_INTERVAL", "HYBRID", "MIDPOINT",
+    "PassRecord", "LouvainRun", "run", "evaluate_moves", "emit_trace", "__version__",
+    *_ORACLE,
+]
 
 
 def __getattr__(name: str):

@@ -221,10 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         # stdout goes to devnull so the flush at exit finds nothing to report
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ParseError, DuplicateEdge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParseError, DuplicateEdge, OSError) as exc:  # after BrokenPipeError, an OSError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except IWNError as exc:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; ``iwnet.oracle`` defines its own two."""
 
 
 class IWNError(Exception):
@@ -25,20 +25,12 @@ class ZeroTotalWeight(IWNError):
     """Network total weight is zero; expectations are undefined."""
 
 
-class SameCommunity(IWNError):
-    """A merge gain was requested for a community with itself."""
-
-
 class EmptyNetwork(IWNError):
     """Operation requires at least one vertex."""
 
 
 class IterationLimit(IWNError):
     """Optimization sweep cap exceeded (suspected float cycling)."""
-
-
-class TooLarge(IWNError):
-    """Instance exceeds the brute-force size guard."""
 
 
 class ParseError(IWNError):

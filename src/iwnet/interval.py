@@ -1,4 +1,4 @@
-"""Closed bounded real intervals and the point operations built on them.
+"""Closed bounded real intervals and the float helpers built on them.
 
 An ``Interval`` is an immutable value; a degenerate interval [x, x] behaves
 as the real number x. Arithmetic follows the classical endpoint rules
@@ -17,7 +17,7 @@ from typing import Iterable, TypeVar
 from .errors import DivisorContainsZero, InvalidInterval
 from .frozen import Frozen
 
-__all__ = ["Interval", "ZERO", "dominant_diff", "hausdorff", "seq_sum", "signed_diff"]
+__all__ = ["Interval", "ZERO", "dominant_diff", "seq_sum"]
 
 
 class Interval(Frozen, fields=("lo", "hi")):
@@ -76,26 +76,9 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
-def hausdorff(a: Interval, b: Interval) -> float:
-    """Hausdorff distance: max of the absolute endpoint differences."""
-    return max(abs(a.lo - b.lo), abs(a.hi - b.hi))
-
-
-def signed_diff(a: Interval, b: Interval) -> float:
-    """Endpoint difference of largest magnitude, keeping its sign.
-
-    This is the Hausdorff magnitude signed by the dominant endpoint,
-    which is what makes interval modularity gains comparable (a plain
-    distance is never negative). On a magnitude tie the upper-endpoint
-    difference wins, so degenerate intervals collapse to ordinary
-    subtraction. Comparisons are exact: equal intervals yield 0.0.
-    """
-    return dominant_diff(a.lo - b.lo, a.hi - b.hi)
-
-
 def dominant_diff(dl: float, dh: float) -> float:
-    """``signed_diff`` from its endpoint differences dl = a.lo - b.lo and
-    dh = a.hi - b.hi, for callers that keep endpoints as plain floats."""
+    """The signed difference D(a, b) from the endpoint differences
+    dl = a.lo - b.lo and dh = a.hi - b.hi: the larger in magnitude, dh on a tie."""
     return dh if abs(dh) >= abs(dl) else dl
 
 

@@ -90,7 +90,7 @@ BATCH_CHARS = 1 << 16  # the trace is rendered in runs of about this size
 
 
 class Strategy(Frozen, fields=("name",)):
-    """Pairing of a phase-1 gain evaluator with a phase-2 aggregation rule."""
+    """Gain kind and aggregation: cl interval/sum, hl scalar/envelope, midpoint scalar/sum."""
 
     name: str
 
@@ -98,14 +98,6 @@ class Strategy(Frozen, fields=("name",)):
         if name not in NAMES:
             raise ValueError(f"unknown strategy {name!r}")
         object.__setattr__(self, "name", name)
-
-    @property
-    def interval_gain(self) -> bool:
-        return self.name == "cl"
-
-    @property
-    def aggregation(self) -> str:
-        return "minmax" if self.name == "hl" else "sum"
 
 
 CLASSIC_INTERVAL = Strategy("cl")
@@ -375,7 +367,7 @@ def _work(net: IWNetwork, strategy: Strategy) -> IWNetwork:
 
 
 def _kind(strategy: Strategy) -> type[_IntervalPass] | type[_ScalarPass]:
-    return _IntervalPass if strategy.interval_gain else _ScalarPass
+    return _IntervalPass if strategy.name == "cl" else _ScalarPass
 
 
 def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainRun:
@@ -417,7 +409,7 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
         del state  # as large as its network: freed before the aggregate is built
         # a move only joins a neighbour's non-empty community, so the first move
         # empties a singleton for good: the aggregate is smaller and the loop terminates
-        cur = (aggregate_minmax if strategy.aggregation == "minmax" else aggregate_sum)(cur, p)
+        cur = (aggregate_minmax if strategy.name == "hl" else aggregate_sum)(cur, p)
         state = kind(cur)  # the next pass's state: its sums give the aggregate's Q
         passes.append(PassRecord(len(passes) + 1, iterations, p, state.sums.q(), cur, True))
 

@@ -12,8 +12,8 @@ that want the matrix; nothing on the run path builds it.
 larger than O(n + m).
 
 Input is validated at the boundary (``read_flow_csv``, ``Interval``, the
-public constructor and ``from_matrix`` / ``from_edges``, which reject
-duplicate labels too); the networks the library builds itself skip the
+public constructor and ``from_edges``, which reject duplicate labels
+too); the networks the library builds itself skip the
 check. Ingest keeps little besides the network it returns:
 ``read_flow_csv`` gives the records of a label one shared string, and
 ``symmetrize`` folds each pair's records as (lo, hi) floats, with a mask
@@ -144,17 +144,6 @@ class IWNetwork(
             labels=labels, rows=rows, dropped_self_loops=loops, dropped_below_threshold=below
         )
         return net
-
-    @classmethod
-    def from_matrix(
-        cls, labels: Sequence[str], weights: Sequence[Sequence[Interval]]
-    ) -> "IWNetwork":
-        """Build a network from a dense symmetric matrix ([0,0] = no edge)."""
-        n = len(labels)
-        if len(weights) != n or any(len(row) != n for row in weights):
-            raise ValueError("weights matrix shape does not match label count")
-        rows = tuple({j: w for j, w in enumerate(row) if w != ZERO} for row in weights)
-        return cls(tuple(labels), rows)
 
     @classmethod
     def from_edges(
@@ -376,47 +365,65 @@ def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
     """Parse an edge-list CSV with header ``src,dst,lo,hi``.
 
     A UTF-8 byte-order mark before the header (as spreadsheet "CSV UTF-8"
-    exports write) is skipped. Raises ParseError with a 1-based line
-    number on malformed input.
+    exports write) is skipped. Malformed input, a NUL byte and, read from a
+    path, a byte that is not UTF-8 raise ParseError with a 1-based line number.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return read_flow_csv(fh)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(1, "empty file, expected header src,dst,lo,hi") from None
-    if header:
-        header[0] = header[0].removeprefix("\ufeff")
-    if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise ParseError(1, f"expected header src,dst,lo,hi, got {','.join(header)}")
-    records = []
-    labels: dict[str, str] = {}  # one string object per label, shared by its records
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(lineno, f"expected 4 fields, got {len(row)}")
-        src, dst = row[0].strip(), row[1].strip()
-        if not src or not dst:
-            raise ParseError(lineno, "empty vertex label")
-        try:
-            lo = float(row[2])
-            hi = float(row[3])
-        except ValueError:
-            raise ParseError(lineno, f"non-numeric weight in {row[2]!r},{row[3]!r}") from None
-        if not 0.0 <= lo <= hi < math.inf:  # else say which check fails
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ParseError(lineno, f"non-finite weight in {row[2]!r},{row[3]!r}")
             try:
-                DirectedFlowRecord(src, dst, lo, hi)
-            except (InvalidInterval, NegativeWeight) as exc:
-                raise ParseError(lineno, str(exc)) from None
-        # every field is checked: build the tuple without the constructor's checks
-        src, dst = labels.setdefault(src, src), labels.setdefault(dst, dst)
-        records.append(tuple.__new__(DirectedFlowRecord, (src, dst, lo, hi)))
-    return records
+                return read_flow_csv(fh)
+            except UnicodeDecodeError:  # met in a block read ahead: find its line in the bytes
+                with open(source, "rb") as raw:
+                    data = raw.read()
+                try:
+                    data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    line = len((data[: exc.start] + b".").splitlines())
+                    raise ParseError(line, f"not UTF-8: byte 0x{data[exc.start]:02x}") from None
+                raise
+    reader = csv.reader(source)
+    # csv raises "line contains NUL" before Python 3.11 and reads the NUL into a field after
+    try:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(1, "empty file, expected header src,dst,lo,hi") from None
+        if header:
+            header[0] = header[0].removeprefix("\ufeff")
+        if tuple(h.strip() for h in header) != CSV_HEADER:
+            if "\0" in ",".join(header):
+                raise csv.Error("line contains NUL")
+            raise ParseError(1, f"expected header src,dst,lo,hi, got {','.join(header)}")
+        records = []
+        labels: dict[str, str] = {}  # one string object per label, shared by its records
+        for lineno, row in enumerate(reader, start=2):
+            if "\0" in ",".join(row):
+                raise csv.Error("line contains NUL")
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ParseError(lineno, f"expected 4 fields, got {len(row)}")
+            src, dst = row[0].strip(), row[1].strip()
+            if not src or not dst:
+                raise ParseError(lineno, "empty vertex label")
+            try:
+                lo = float(row[2])
+                hi = float(row[3])
+            except ValueError:
+                raise ParseError(lineno, f"non-numeric weight in {row[2]!r},{row[3]!r}") from None
+            if not 0.0 <= lo <= hi < math.inf:  # else say which check fails
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    raise ParseError(lineno, f"non-finite weight in {row[2]!r},{row[3]!r}")
+                try:
+                    DirectedFlowRecord(src, dst, lo, hi)
+                except (InvalidInterval, NegativeWeight) as exc:
+                    raise ParseError(lineno, str(exc)) from None
+            # every field is checked: build the tuple without the constructor's checks
+            src, dst = labels.setdefault(src, src), labels.setdefault(dst, dst)
+            records.append(tuple.__new__(DirectedFlowRecord, (src, dst, lo, hi)))
+        return records
+    except csv.Error as exc:  # a field over csv.field_size_limit(), or a NUL byte
+        raise ParseError(reader.line_num, str(exc)) from None
 
 
 def network_from_csv(

@@ -7,10 +7,10 @@ vertex set, enumerated as restricted growth strings in lexicographic
 order. Bell numbers grow fast; instances are capped at n = 12.
 
 The paper's pairwise formulas, references for the sums ``modularity``
-reads Q from, sit here too: the dense expected tables, the full and the
-reduced gain of merging two scalar communities, and ``q_interval``, the
-sum of D(observed, expected) over ``Interval`` blocks. So do the Q and
-Q_max of a partition on each track, references for a pass state's
+reads Q from, sit here too: D and Hausdorff on ``Interval`` objects, the
+dense expected tables, the full and reduced scalar merge gains, and
+``q_interval``, the sum of D(observed, expected) over blocks. So do the
+Q and Q_max of a partition on each track, references for a pass state's
 ``q()``: they collapse its communities as aggregation does and read the
 ``modularity`` sums of the blocks, so a partition's value equals its
 aggregated network's under singletons.
@@ -21,8 +21,8 @@ from __future__ import annotations
 import operator
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import EmptyNetwork, SameCommunity, TooLarge, ZeroTotalWeight
-from .interval import Interval, ZERO, seq_sum, signed_diff
+from .errors import EmptyNetwork, IWNError, ZeroTotalWeight
+from .interval import Interval, ZERO, dominant_diff, seq_sum
 from .louvain import Strategy
 from .modularity import IntervalSums, Rows, ScalarSums
 from .network import IWNetwork, blocks, pair_sum
@@ -33,9 +33,35 @@ __all__ = [
     "expected_scalar", "expected_interval_adjusted", "adjusted_total_bounds",
     "dq_scalar_full", "dq_scalar_reduced", "q_interval", "q_scalar_communities",
     "q_max_scalar_communities", "q_interval_communities", "q_max_interval_adjusted",
+    "hausdorff", "signed_diff", "SameCommunity", "TooLarge",
 ]
 
 MAX_VERTICES = 12
+
+
+class SameCommunity(IWNError):
+    """A merge gain was requested for a community with itself."""
+
+
+class TooLarge(IWNError):
+    """Instance exceeds the brute-force size guard."""
+
+
+def hausdorff(a: Interval, b: Interval) -> float:
+    """Hausdorff distance: max of the absolute endpoint differences."""
+    return max(abs(a.lo - b.lo), abs(a.hi - b.hi))
+
+
+def signed_diff(a: Interval, b: Interval) -> float:
+    """Endpoint difference of largest magnitude, keeping its sign.
+
+    This is the Hausdorff magnitude signed by the dominant endpoint,
+    which is what makes interval modularity gains comparable (a plain
+    distance is never negative). On a magnitude tie the upper-endpoint
+    difference wins, so degenerate intervals collapse to ordinary
+    subtraction. Comparisons are exact: equal intervals yield 0.0.
+    """
+    return dominant_diff(a.lo - b.lo, a.hi - b.hi)
 
 
 class OracleReport(NamedTuple):

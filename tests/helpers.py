@@ -78,6 +78,13 @@ def triplet_midpoints() -> list[list[float]]:
     ]
 
 
+def from_matrix(labels, weights) -> IWNetwork:
+    """A network from a dense symmetric matrix of intervals ([0,0] is no
+    edge), validated by the public constructor."""
+    rows = tuple({j: w for j, w in enumerate(row) if w != ZERO} for row in weights)
+    return IWNetwork(tuple(labels), rows)
+
+
 def random_network(
     rng: random.Random,
     n: int,
@@ -98,7 +105,7 @@ def random_network(
                     edges += 1
         if edges:
             labels = tuple(f"n{i}" for i in range(n))
-            return IWNetwork.from_matrix(labels, tuple(tuple(row) for row in w))
+            return from_matrix(labels, tuple(tuple(row) for row in w))
 
 
 def random_degenerate_network(
@@ -116,7 +123,7 @@ def random_degenerate_network(
                     edges += 1
         if edges:
             labels = tuple(f"n{i}" for i in range(n))
-            return IWNetwork.from_matrix(labels, tuple(tuple(row) for row in w))
+            return from_matrix(labels, tuple(tuple(row) for row in w))
 
 
 def with_zero_lower_bounds(net: IWNetwork, rng: random.Random, share: float) -> IWNetwork:
@@ -126,7 +133,7 @@ def with_zero_lower_bounds(net: IWNetwork, rng: random.Random, share: float) -> 
         for j in range(i, net.n):
             if w[i][j] != ZERO and rng.random() < share:
                 w[i][j] = w[j][i] = Interval(0.0, w[i][j].hi)
-    return IWNetwork.from_matrix(net.labels, tuple(tuple(row) for row in w))
+    return from_matrix(net.labels, tuple(tuple(row) for row in w))
 
 
 def with_isolated_vertices(net: IWNetwork, rng: random.Random, k: int) -> IWNetwork:
@@ -140,7 +147,7 @@ def with_isolated_vertices(net: IWNetwork, rng: random.Random, k: int) -> IWNetw
         for row in w:
             row.insert(pos, ZERO)
         w.insert(pos, [ZERO] * len(labels))
-    return IWNetwork.from_matrix(tuple(labels), tuple(tuple(row) for row in w))
+    return from_matrix(tuple(labels), tuple(tuple(row) for row in w))
 
 
 def pinned_networks():

@@ -27,6 +27,9 @@ v2,v3,1,1
 v3,v4,3,3
 """
 
+# a header and 1,000 records, 13,794 bytes: beyond the 8 KiB the reader decodes ahead
+HEAD = b"src,dst,lo,hi\n" + b"".join(b"v%d,w%d,1,2\n" % (i, i) for i in range(1000))
+
 ZERO_LOWER_CSV = """src,dst,lo,hi
 a,b,0,5
 b,c,0,4
@@ -249,6 +252,40 @@ class TestRunCommand:
         path.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "run", "--input", str(path), "--method", "cl")
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # a Latin-1 export: the reader decodes 8 KiB ahead, so the error
+            # surfaces while the header is read, and still names line 3
+            (b"src,dst,lo,hi\na,b,1,2\n\xff\xfe,b,1,2\n", "line 3: not UTF-8: byte 0xff"),
+            (HEAD + b"caf\xe9,b,1,2\nc,d,1,2\n", "line 1002: not UTF-8: byte 0xe9"),
+            (HEAD.replace(b"\n", b"\r") + b"caf\xe9,b,1,2\r", "line 1002: not UTF-8: byte 0xe9"),
+            (b"src,dst,lo,hi\na,b,1,2\nc,\xc3", "line 3: not UTF-8: byte 0xc3"),  # cut short
+            ("src,dst,lo,hi\na,b,1,2\n".encode("utf-16"), "line 1: not UTF-8: byte 0xff"),
+            (b"src,dst,lo,hi\na,b,1,2\n" + b"x" * 131_073 + b",b,1,2\n",
+             "line 3: field larger than field limit (131072)"),
+            # Python 3.10's csv refuses a NUL byte, later versions read it into the field
+            (b"src,dst,lo,hi\na,b,1,2\na\x00,b,1,2\n", "line 3: line contains NUL"),
+            (b"src,dst,lo,hi\na,b,1,2\na\x00,b,1\n", "line 3: line contains NUL"),
+            (b"src,dst\x00,lo,hi\na,b,1,2\n", "line 1: line contains NUL"),
+            (HEAD + b"a,b,1,\x002\n", "line 1002: line contains NUL"),
+        ],
+        ids=["latin-1", "latin-1-past-8k", "cr-past-8k", "cut-short", "utf-16", "long-field",
+             "nul-label", "nul-short-row", "nul-header", "nul-weight-past-8k"],
+    )
+    def test_undecodable_or_unreadable_csv_exit_1(self, tmp_path, data, message):
+        """Bytes that are not UTF-8, a field over the csv module's size limit
+        and a NUL byte are malformed input on every Python version: exit 1
+        with the line, and no traceback."""
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        src = str(Path(iwnet.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "iwnet.cli", "run", "--input", str(path), "--method", "cl"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
     def test_blank_line_skipped(self, capsys, tmp_path):
         with_blank = TOY_CSV.replace("\nv1,v3", "\n\nv1,v3")  # between the first two records

@@ -40,6 +40,7 @@ from iwnet.errors import EmptyNetwork, InvalidInterval, ZeroTotalWeight
 from goldens import CL_REFERENCE_TRACE, HL_REFERENCE_TRACE
 from helpers import (
     CYCLING_CSV,
+    from_matrix,
     midpoints,
     normalize_lines,
     pinned_networks,
@@ -76,11 +77,6 @@ class TestStrategy:
     def test_unknown(self):
         with pytest.raises(ValueError):
             Strategy("leiden")
-
-    def test_pairings(self):
-        assert CLASSIC_INTERVAL.interval_gain and CLASSIC_INTERVAL.aggregation == "sum"
-        assert not HYBRID.interval_gain and HYBRID.aggregation == "minmax"
-        assert not MIDPOINT.interval_gain and MIDPOINT.aggregation == "sum"
 
 
 class TestEvaluateMoves:
@@ -182,7 +178,7 @@ class TestDriverBehavior:
             run(IWNetwork((), ()), CLASSIC_INTERVAL)
 
     def test_zero_total_weight(self):
-        net = IWNetwork.from_matrix(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
+        net = from_matrix(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
         with pytest.raises(ZeroTotalWeight):
             run(net, CLASSIC_INTERVAL)
 
@@ -220,7 +216,7 @@ class TestDriverBehavior:
         assert weighted > 100  # beyond the rule for at most one weighted row
 
     def test_single_vertex_self_loop(self):
-        net = IWNetwork.from_matrix(("a",), ((Interval(1, 2),),))
+        net = from_matrix(("a",), ((Interval(1, 2),),))
         result = run(net, CLASSIC_INTERVAL)
         assert len(result.passes) == 1
         assert not result.passes[0].changed
@@ -285,7 +281,7 @@ class TestDriverBehavior:
             for strategy in (CLASSIC_INTERVAL, HYBRID, MIDPOINT):
                 # hybrid's phase-1 gains live in the midpoint metric of the
                 # current network, not in its post-aggregation metric
-                gain_metric = CLASSIC_INTERVAL if strategy.interval_gain else MIDPOINT
+                gain_metric = CLASSIC_INTERVAL if strategy.name == "cl" else MIDPOINT
                 q_before = q_definitional(net, p, gain_metric)
                 for v in range(net.n):
                     own = p.assignment[v]
@@ -548,7 +544,7 @@ def _drift_networks(rng):
 def test_pass_q_matches_public_functions_exactly(strategy):
     """The Q and Q_max that run() reads from its pass states equal, bit for
     bit, the public functions on each pass's network under singletons."""
-    if strategy.interval_gain:
+    if strategy.name == "cl":
         q_of, q_max_of = q_interval_communities, q_max_interval_adjusted
     else:
         q_of = lambda net, comms: q_scalar_communities(net.midpoint_rows(), comms)
@@ -584,7 +580,7 @@ def test_trace_q_matches_the_partition_level_reference(strategy):
     checked = 0
     for net in nets + single:
         for rec, state in louvain._pass_states(run(net, strategy)):
-            if strategy.interval_gain:
+            if strategy.name == "cl":
                 q_of, rows, scale = q_interval_communities, state.net, state.sums.totals[1]
             else:
                 q_of, rows, scale = q_scalar_communities, state.sums.rows, state.sums.two_w

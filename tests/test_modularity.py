@@ -21,10 +21,12 @@ from iwnet import (
     q_max_scalar_communities,
     q_scalar_communities,
 )
-from iwnet.errors import InvalidInterval, SameCommunity, ZeroTotalWeight
+from iwnet.errors import InvalidInterval, ZeroTotalWeight
 from iwnet.modularity import IntervalSums, ScalarSums, expected_diag_adjusted
+from iwnet.oracle import SameCommunity
 
 from helpers import (
+    from_matrix,
     midpoints,
     toy_midpoints,
     toy_network,
@@ -131,11 +133,11 @@ class TestAdjustedExpected:
     def test_zero_adjusted_total(self):
         # an adjusted total vanishes only with its numerator; that 0/0
         # endpoint is 0, and a weightless network has no expectations
-        loop = IWNetwork.from_matrix(("a",), ((Interval(0, 5),),))
+        loop = from_matrix(("a",), ((Interval(0, 5),),))
         assert expected_interval_adjusted(loop).e[0][0] == Interval(0, 5)
         isolated = IWNetwork.from_edges(["a", "b", "c"], [("a", "b", 0, 5)])
         assert expected_interval_adjusted(isolated).e[2][2] == ZERO
-        net = IWNetwork.from_matrix(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
+        net = from_matrix(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
         with pytest.raises(ZeroTotalWeight):
             expected_interval_adjusted(net)
 
@@ -329,7 +331,7 @@ class TestIntervalModularity:
         # the interval machinery on the degenerate projection of the
         # four-vertex fixture reproduces every scalar quantity exactly
         mid = toy_midpoints()
-        net = IWNetwork.from_matrix(
+        net = from_matrix(
             ("v1", "v2", "v3", "v4"),
             tuple(tuple(Interval(m, m) for m in row) for row in mid),
         )

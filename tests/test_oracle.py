@@ -15,9 +15,9 @@ from iwnet import (
     q_definitional,
     run,
 )
-from iwnet.errors import TooLarge
+from iwnet.oracle import TooLarge
 
-from helpers import toy_network, random_network, triplet_midpoints
+from helpers import from_matrix, toy_network, random_network, triplet_midpoints
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -93,7 +93,7 @@ class TestEnumerateBest:
 
     def test_triplet_lower_bound(self):
         mid = triplet_midpoints()
-        net = IWNetwork.from_matrix(
+        net = from_matrix(
             ("v1", "v2", "v3"),
             tuple(
                 tuple(Interval(mid[i][j], mid[i][j]) for j in range(3))
