@@ -8,7 +8,8 @@ tables, the signed endpoint difference D, and two interval strategies
 The reference module (``iwnet.oracle``: the brute-force search, the
 paper's pairwise formulas, D and Hausdorff on ``Interval`` objects among
 them, and the partition-level Q and Q_max) is imported on first use of
-one of its names, so importing the package does not load it.
+one of its names, so importing the package does not load it; so is the
+trace renderer (``iwnet.trace``), from which ``emit_trace`` resolves.
 """
 
 from . import errors
@@ -20,7 +21,6 @@ from .louvain import (
     LouvainRun,
     PassRecord,
     Strategy,
-    emit_trace,
     evaluate_moves,
     run,
 )
@@ -61,4 +61,8 @@ def __getattr__(name: str):
         from . import oracle
 
         return getattr(oracle, name)
+    if name == "emit_trace":
+        from .trace import emit_trace
+
+        return emit_trace
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .errors import DuplicateEdge, IWNError, ParseError
-from .louvain import NAMES, LouvainRun, _chunks, _trace_text, format_q, run as run_louvain
+from .louvain import NAMES, LouvainRun, run as run_louvain
 from .network import IWNetwork, format_matrix, network_from_csv
 
 __all__ = ["main"]
@@ -136,12 +136,16 @@ def _run_json(result: LouvainRun, method: str, with_trace: bool) -> Iterator[str
     head = json.dumps(doc, indent=2, allow_nan=False)
     if not with_trace:
         return iter((head,))
+    from .trace import _chunks, _trace_text  # only a trace needs the renderer
+
     # reopen the document before its closing "\n}" to append the trace member
     trace = (encode_basestring_ascii(chunk)[1:-1] for chunk in _chunks(_trace_text(result)))
     return itertools.chain((head[:-2], ',\n  "trace": "'), trace, ('"\n}',))
 
 
 def _run_text(result: LouvainRun, method: str, with_trace: bool) -> Iterator[str]:
+    from .trace import _chunks, _trace_text, format_q
+
     if with_trace:
         yield from _chunks(_trace_text(result))
         yield "=" * 27 + "\n"

@@ -21,7 +21,9 @@ and, per gain kind, float sums per community, all updated in O(deg) per
 move. The pass state of each gain kind evaluates a vertex in one method,
 ``step``: one pass over its neighbour map gives its links, and one loop
 over the candidates prices them and applies the tie rule, so a sweep is
-O(m) with one call per vertex. Networks of a run are not re-validated;
+O(m) with one call per vertex. ``step`` returns whether the vertex
+moved and leaves its candidates and their gains on the state, so phase 1
+builds no record per vertex. Networks of a run are not re-validated;
 input is checked once, at the boundary. The pass state owns its
 network's modularity: its per-vertex sums (``modularity.ScalarSums`` /
 ``IntervalSums``) give the Q of the network under singletons and its
@@ -31,13 +33,10 @@ next level and Q_max from the last one, and collapses no partition.
 ``run()`` keeps no decision log, so it holds O(n + m) memory. Vertices
 are swept in index order and every decision is deterministic:
 ``decisions(run)`` derives each ``Decision`` again, sweeping each pass's
-input network on a new state, and ``emit_trace`` renders the
-``Try``/``Move``/``Keep`` lines from such live states, so a traced run
-runs phase 1 twice, and reads each sweep's Q from the state's own sums
-(``_PassState.q``). The trace comes in newline-ended chunks of about
-``BATCH_CHARS`` characters, which the CLI writes as they come; a matrix
-is dense up to ``network.DENSE_LIMIT`` vertices and an edge list above
-(``format_matrix``).
+input network on a new state. The text trace (``iwnet.trace``, loaded
+on first use) renders the ``Try``/``Move``/``Keep`` lines from such live
+states, so a traced run runs phase 1 twice, and reads each sweep's Q
+from the state's own sums (``_PassState.q``).
 
 A move must beat returning to the vertex's former community by more
 than a tolerance (``TIE_ULPS`` ulps of the largest operand of the two
@@ -51,15 +50,17 @@ community total after many moves can round by more, and then
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import EmptyNetwork, InvalidInterval, IterationLimit, ZeroTotalWeight
 from .frozen import Frozen
 from .interval import Interval, seq_sum
 from .modularity import IntervalSums, ScalarSums, cl_term
+# format_matrix is not called here: ``iwnet.trace`` looks it up on this module
+# for each matrix it renders, so a wrapper set on this name (bench/harness.py)
+# sees every call
 from .network import IWNetwork, aggregate_minmax, aggregate_sum, format_matrix
 from .partition import Partition
 
@@ -75,7 +76,6 @@ __all__ = [
     "run",
     "evaluate_moves",
     "decisions",
-    "emit_trace",
 ]
 
 SWEEP_LIMIT = 100
@@ -86,7 +86,6 @@ SWEEP_LIMIT = 100
 # half an ulp of s_v), is at most 1.4e-14 of s_v, and changes no pinned trace
 TIE_ULPS = 64
 NAMES = ("cl", "hl", "midpoint")  # the strategy names, as the CLI spells them
-BATCH_CHARS = 1 << 16  # the trace is rendered in runs of about this size
 
 
 class Strategy(Frozen, fields=("name",)):
@@ -151,8 +150,10 @@ class _PassState:
     per gain kind keeps the sums its gains are priced from, as plain
     floats, and evaluates one vertex in ``step(v)``: it isolates v, reads
     v's links from one pass over its row, prices every candidate and
-    applies the tie rule in one loop over them, places v and returns the
-    ``Decision``.
+    applies the tie rule in one loop over them, places v and returns
+    whether v moved. It leaves v's links map in ``links`` (its keys are
+    the candidates, in scan order) and their gains in ``gains``, each
+    replaced by the next step; ``decisions`` reads them.
 
     A move needs a strictly positive gain that beats returning to the
     former community by more than a tolerance of ``TIE_ULPS`` ulps of the
@@ -203,11 +204,11 @@ class _ScalarPass(_PassState):
                     inner[c] += w
         return seq_sum(i - x * x / (t - x + x) for i, x, k in zip(inner, self.tot, self.size) if k)
 
-    def step(self, v: int) -> Decision:
-        """Evaluate and place v. Its links are keyed in first-neighbour
-        (candidate) order, and a self-loop keys ``own`` only; the tolerance
-        is ``TIE_ULPS`` ulps of s_v, since the link weights and
-        s_v Sigma_tot / 2w of both gains are at most s_v."""
+    def step(self, v: int) -> bool:
+        """Evaluate and place v; True if it moved. Its links are keyed in
+        first-neighbour (candidate) order, and a self-loop keys ``own``
+        only; the tolerance is ``TIE_ULPS`` ulps of s_v, since the link
+        weights and s_v Sigma_tot / 2w of both gains are at most s_v."""
         comm_of, tot, size = self.comm_of, self.tot, self.size
         own = comm_of[v]
         size[own] -= 1
@@ -239,7 +240,8 @@ class _ScalarPass(_PassState):
         tot[target] += s_v
         size[target] += 1
         comm_of[v] = target
-        return Decision(v, own, tuple(links), tuple(gains), None if target == own else target)
+        self.links, self.gains = links, gains
+        return target != own
 
 
 class _IntervalPass(_PassState):
@@ -283,7 +285,7 @@ class _IntervalPass(_PassState):
         n_hi[c] += sign * x_nhi
         self.d[c] = cl_term(o_lo[c], o_hi[c], s_lo[c], s_hi[c], n_lo[c], n_hi[c], *self.totals)
 
-    def step(self, v: int) -> Decision:
+    def step(self, v: int) -> bool:
         """As ``_ScalarPass.step``, with lower and upper links; the tolerance
         is ``TIE_ULPS`` ulps of the larger upper strength of the candidate
         and own with v in it, which bounds every observed and expected
@@ -335,19 +337,20 @@ class _IntervalPass(_PassState):
         self._join(v, target, k_lo.get(target, 0.0), k_hi.get(target, 0.0))
         self.size[target] += 1
         comm_of[v] = target
-        return Decision(v, own, tuple(k_lo), tuple(gains), None if target == own else target)
+        self.links, self.gains = k_lo, gains
+        return target != own
 
 
 def _optimize(state: _PassState) -> tuple[int, bool]:
     """Phase 1: greedy sweeps until one completes without a move.
 
-    Returns (sweeps performed, whether any move happened). The decisions
-    are dropped: ``decisions`` derives them again.
+    Returns (sweeps performed, whether any move happened). No decision
+    is kept: ``decisions`` derives them again.
     """
     step, vertices = state.step, range(state.net.n)
     for iterations in range(1, SWEEP_LIMIT + 1):
-        # a list, so all() cannot end the sweep at its first move
-        if all([step(v).target is None for v in vertices]):
+        # a list, so any() cannot end the sweep at its first move
+        if not any([step(v) for v in vertices]):
             return iterations, iterations > 1  # every sweep before this one moved a vertex
     raise IterationLimit(f"no convergence after {SWEEP_LIMIT} sweeps")
 
@@ -441,8 +444,9 @@ def evaluate_moves(
         raise ValueError(f"vertex {vertex} is not in range({net.n})")
     if isinstance(strategy, str):
         strategy = Strategy(strategy)
-    d = _kind(strategy)(net, p).step(vertex)  # on a throwaway state
-    return list(zip(d.candidates, d.gains))
+    state = _kind(strategy)(net, p)  # a throwaway state
+    state.step(vertex)
+    return list(zip(state.links, state.gains))
 
 
 def _pass_states(run: LouvainRun) -> Iterator[tuple[PassRecord, _PassState]]:
@@ -457,6 +461,15 @@ def _pass_states(run: LouvainRun) -> Iterator[tuple[PassRecord, _PassState]]:
         cur = rec.aggregated
 
 
+def _sweep(state: _PassState) -> Iterator[Decision]:
+    """The ``Decision`` of each vertex of one sweep of ``state``, in index order."""
+    step, comm_of = state.step, state.comm_of
+    for v in range(state.net.n):
+        own = comm_of[v]
+        target = comm_of[v] if step(v) else None
+        yield Decision(v, own, tuple(state.links), tuple(state.gains), target)
+
+
 def decisions(run: LouvainRun) -> Iterator[Decision]:
     """The ``Decision`` of every phase-1 evaluation of ``run``, in sweep
     order (``iterations x n`` per pass, in the ids of the pass's network),
@@ -465,108 +478,4 @@ def decisions(run: LouvainRun) -> Iterator[Decision]:
     """
     for rec, state in _pass_states(run):
         for _ in range(rec.iterations):
-            yield from map(state.step, range(state.net.n))
-
-
-class _Replay:
-    """Members and labels of the communities of one pass, from singletons
-    of its input network. ``label[c]`` is that of community id c, or
-    ``None`` from a move that changes c until it is next asked for."""
-
-    def __init__(self, net: IWNetwork):
-        self.names, self.label = net.labels, list(net.labels)
-        self.members = [[v] for v in range(net.n)]
-
-    def render(self, d: Decision) -> str:
-        """The newline-ended Try/Move/Keep lines of d; then d's move is
-        applied. Labels name the communities as they were before v left
-        (only its own contains it). A gain prints as
-        ``gain=<sign><|gain|:.3f> (<mark>)``, the mark ``0`` for a zero
-        gain (-0.0 too, which prints ``gain=+0.000 (0)``).
-        """
-        names, members, label = self.names, self.members, self.label
-        v, own, target = d.vertex, d.own, d.target
-        vlabel = names[v]
-        own_label = label[own]
-        if own_label is None:
-            own_label = label[own] = ",".join([names[u] for u in members[own]])
-        try_v = f"\tTry {vlabel} -> "
-        lines = []
-        for c, g in zip(d.candidates, d.gains):
-            clabel = label[c]
-            if clabel is None:
-                clabel = label[c] = ",".join([names[u] for u in members[c]])
-            lines.append(
-                f"{try_v}{clabel:<15} | gain={'-' if g < 0.0 else '+'}{abs(g):.3f} "
-                f"({'0' if g == 0.0 else '+' if g > 0.0 else '-'})\n"
-            )
-        if target is None:
-            lines.append(f"\tKeep vertex {vlabel} at community {own_label}\n")
-        else:  # the target is a candidate, so its label is set
-            lines.append(f"\tMove {vlabel} -> {label[target]}\n")
-            members[own].remove(v)
-            bisect.insort(members[target], v)
-            label[own] = label[target] = None
-        return "".join(lines)
-
-
-def emit_trace(run: LouvainRun) -> str:
-    """Human-readable log of the whole run (one string, newline-joined)."""
-    return "".join(_trace_text(run))
-
-
-def _chunks(pieces: Iterable[str]) -> Iterator[str]:
-    """Newline-terminated pieces joined into runs of about ``BATCH_CHARS``
-    characters; a longer piece is a run of its own."""
-    batch: list[str] = []
-    size = 0
-    for piece in pieces:
-        if size + len(piece) > BATCH_CHARS and batch:
-            yield "".join(batch)
-            batch, size = [], 0
-        batch.append(piece)
-        size += len(piece)
-    if batch:
-        yield "".join(batch)
-
-
-def format_q(q: float, digits: int = 3) -> str:
-    """q to ``digits`` decimals, a value that rounds to zero as ``0.000``:
-    rounding residues of either sign print alike."""
-    text = f"{q:.{digits}f}"
-    return text[1:] if text == f"-{0.0:.{digits}f}" else text
-
-
-def _trace_text(run: LouvainRun) -> Iterator[str]:
-    """The text of ``emit_trace`` in newline-ended pieces: a line, or the
-    lines of one decision, rendered as ``decisions`` derives it. The initial
-    and each sweep's Q are the pass state's ``q()``; every Q prints through
-    ``format_q``.
-    """
-    for rec, state in _pass_states(run):
-        net, replay = state.net, _Replay(state.net)
-        if rec.number == 1:
-            yield "Initial Interval-Weighted Network:\n"
-            yield from map("{}\n".format, format_matrix(net))
-            yield f"\n* Initial Modularity={format_q(state.q())}\n"
-        yield f"* Begin Pass number {rec.number}\n"
-        for sweep in range(1, rec.iterations + 1):
-            yield from map(replay.render, map(state.step, range(net.n)))
-            yield f"Iteration {sweep} Modularity={format_q(state.q())}\n"
-        if not rec.changed:
-            yield f"* End Pass number {rec.number} -- no change\n"
-            continue
-        yield "\nNew network: ---------------\n"
-        yield from map("{}\n".format, format_matrix(rec.aggregated))
-        q, communities = format_q(rec.modularity), " / ".join(rec.aggregated.labels)
-        yield f"* End Pass number {rec.number} Modularity={q} Communities={communities}\n"
-        yield "---------------------------\n"
-    final = run.final_network
-    prefix = "Hybrid - Before Normalized" if run.strategy.name == "hl" else "Before Normalized"
-    yield f"\n* Final communities: {' / '.join(final.labels)} (n={final.n})\n"
-    yield f"* {prefix}: {format_q(run.final_q)}\n"
-    q_norm, q_max = format_q(run.final_q_norm), format_q(run.final_q_max, 6)
-    yield f"* Normalized modularity: {q_norm} (Qmax={q_max})\n"
-    yield "---------------------------\n"
-    yield "Final Interval-weighted network:\n\n"
-    yield from map("{}\n".format, format_matrix(final))
+            yield from _sweep(state)

@@ -571,25 +571,33 @@ class TestOracleCommand:
 
 
 # Run in a child without ``site`` (-S), so that nothing but the import
-# itself can load a module; PYTHONPATH still applies.
+# itself can load a module; PYTHONPATH still applies. Each line printed
+# is the set of watched modules loaded so far.
 COLD_START = """
 import os
 import sys
 import iwnet.cli
-print(sorted({"dataclasses", "iwnet.oracle"} & set(sys.modules)))
-for method in ("cl", "hl", "midpoint"):
-    argv = ["run", "--input", sys.argv[1], "--method", method, "--trace", "--format", "json"]
-    assert iwnet.cli.main([*argv, "--out", os.devnull]) == 0
-print(sorted({"iwnet.oracle"} & set(sys.modules)))
+
+def run_each(*flags):
+    for method in ("cl", "hl", "midpoint"):
+        argv = ["run", "--input", sys.argv[1], "--method", method, "--format", "json", *flags]
+        assert iwnet.cli.main([*argv, "--out", os.devnull]) == 0
+    print(sorted({"iwnet.oracle", "iwnet.trace"} & set(sys.modules)))
+
+print(sorted({"dataclasses", "iwnet.oracle", "iwnet.trace"} & set(sys.modules)))
+run_each()
+run_each("--trace")
 sys.exit(iwnet.cli.main(["oracle", "--input", sys.argv[1], "--metric", "cl"]))
 """
 
 
 def test_cold_start_loads_only_what_run_needs(tmp_path, capsys):
-    """``import iwnet.cli`` loads neither ``dataclasses`` nor the reference
-    module, no traced run of any strategy loads the reference module (a
-    stray lookup of one of its names on the run path would, silently), and
-    the names the package resolves on first use still resolve."""
+    """``import iwnet.cli`` loads neither ``dataclasses``, nor the reference
+    module, nor the trace renderer; an untraced JSON run of each strategy
+    loads neither module, and a traced run loads the renderer only (a stray
+    lookup of a reference name on the run path would load the reference
+    module, silently). The names the package resolves on first use still
+    resolve."""
     path = tmp_path / "toy.csv"
     path.write_text(TOY_CSV, encoding="utf-8")
     src = str(Path(iwnet.__file__).resolve().parent.parent)
@@ -599,14 +607,47 @@ def test_cold_start_loads_only_what_run_needs(tmp_path, capsys):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded, loaded_by_runs, *report = proc.stdout.splitlines()
+    loaded, loaded_by_runs, loaded_by_traced_runs, *report = proc.stdout.splitlines()
     assert loaded == "[]"
     assert loaded_by_runs == "[]"
+    assert loaded_by_traced_runs == "['iwnet.trace']"
     assert report[-3:] == ["best partition (n=2):", "  C1: v1, v2", "  C2: v3, v4"]
     for name in iwnet.__all__:
         getattr(iwnet, name)
     with pytest.raises(AttributeError):
         iwnet.no_such_name
+
+
+@pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
+def test_traced_run_renders_through_module_names(monkeypatch, tmp_path, method):
+    """The benchmark's spans wrap ``louvain.format_matrix`` and
+    ``cli.run_louvain``: a traced run calls the run once through the CLI
+    module and renders each matrix of its trace (the input, each changed
+    pass's aggregate and the final network) once through the louvain
+    module, both looked up at call time, also with the renderer imported
+    before the wrappers are set."""
+    import iwnet.trace  # loaded first: a name it bound at import would miss the wrappers
+
+    path = tmp_path / "net.csv"
+    net = random_network(random.Random(63), 30, density=0.15)
+    lines = ["src,dst,lo,hi"]
+    lines += [f"{net.labels[i]},{net.labels[j]},{w.lo!r},{w.hi!r}" for i, j, w in net.edges()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    fmt, run_louvain = louvain.format_matrix, iwnet.cli.run_louvain
+    rendered, runs = [], []
+    monkeypatch.setattr(louvain, "format_matrix", lambda m: rendered.append(m) or fmt(m))
+    monkeypatch.setattr(
+        iwnet.cli, "run_louvain", lambda *a: runs.append(run_louvain(*a)) or runs[-1]
+    )
+    out = tmp_path / "out.json"
+    argv = ["run", "--input", str(path), "--method", method, "--trace", "--format", "json"]
+    assert main([*argv, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    (result,) = runs
+    changed = [rec.aggregated for rec in result.passes if rec.changed]
+    assert len(changed) >= 2
+    assert rendered == [result.work, *changed, result.final_network]
+    assert json.loads(out.read_text(encoding="utf-8"))["trace"] == iwnet.emit_trace(result)
 
 
 def test_output_independent_of_hash_seed(tmp_path):

@@ -35,6 +35,7 @@ from iwnet import (
 )
 import iwnet
 from iwnet import louvain, network
+from iwnet import trace as renderer
 from iwnet.errors import EmptyNetwork, InvalidInterval, ZeroTotalWeight
 
 from goldens import CL_REFERENCE_TRACE, HL_REFERENCE_TRACE
@@ -437,10 +438,10 @@ class TestIntervalGainDifferential:
         def step(state, v):
             cids = {state.comm_of[u] for u in state.net.rows[v]}
             ref = _full_difference_gains(state.net, _rest(state, v), v, cids)
-            d = original(state, v)
-            _assert_gains_close(state.net, dict(zip(d.candidates, d.gains)), ref)
+            moved = original(state, v)
+            _assert_gains_close(state.net, dict(zip(state.links, state.gains)), ref)
             checked.append(v)
-            return d
+            return moved
 
         monkeypatch.setattr(louvain._IntervalPass, "step", step)
         rng = random.Random(32)
@@ -493,10 +494,10 @@ class TestScalarGainDifferential:
         def step(state, v):
             cids = {state.comm_of[u] for u in state.net.rows[v]}
             ref = _full_difference_gains(state.net, _rest(state, v), v, cids, _q_midpoints)
-            d = original(state, v)
-            _assert_gains_close(state.net, dict(zip(d.candidates, d.gains)), ref)
+            moved = original(state, v)
+            _assert_gains_close(state.net, dict(zip(state.links, state.gains)), ref)
             checked.append(v)
-            return d
+            return moved
 
         monkeypatch.setattr(louvain._ScalarPass, "step", step)
         rng = random.Random(34)
@@ -566,7 +567,7 @@ def test_pass_q_matches_public_functions_exactly(strategy):
 @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
 def test_trace_q_matches_the_partition_level_reference(strategy):
     """The Q the trace prints, ``q()`` of each pass state stepped as
-    ``_trace_text`` steps it, after initialization and after every sweep,
+    ``trace._trace_text`` steps it, after initialization and after every sweep,
     against the reference partition-level Q of the same member lists: within
     1e-12 of the total weight, and printed alike by ``format_q``. The small
     dense networks end as one community, where Q is a rounding residue."""
@@ -590,7 +591,7 @@ def test_trace_q_matches_the_partition_level_reference(strategy):
                         state.step(v)
                 got, ref = state.q(), q_of(rows, [m for m in _members(state) if m])
                 assert math.isclose(got, ref, rel_tol=0.0, abs_tol=1e-12 * scale), (got, ref)
-                assert louvain.format_q(got) == louvain.format_q(ref)
+                assert renderer.format_q(got) == renderer.format_q(ref)
                 checked += 1
     assert checked > 500
 
@@ -718,20 +719,23 @@ def test_hub_network_scales_linearly(strategy):
 
 
 class TestLazyDecisionLog:
-    """run() keeps no decisions; decisions(run) derives them again, and
-    emit_trace alone turns them into text."""
+    """run() keeps no decisions and builds none; decisions(run) derives
+    them again, and emit_trace alone turns them into text."""
 
     @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
     def test_run_formats_no_gain(self, monkeypatch, strategy):
         net = random_network(random.Random(51), 40, density=0.15)
 
         def refuse(*_):
-            raise AssertionError("run() derived or rendered a decision")
+            raise AssertionError("run() built, derived or rendered a decision")
 
-        for name in ("decisions", "_pass_states", "_trace_text"):
+        for name in ("decisions", "_pass_states", "_sweep"):
             monkeypatch.setattr(louvain, name, refuse)
-        monkeypatch.setattr(louvain._Replay, "render", refuse)
+        monkeypatch.setattr(louvain.Decision, "__new__", refuse)
+        monkeypatch.setattr(renderer, "_trace_text", refuse)
+        monkeypatch.setattr(renderer._Replay, "render", refuse)
         result = run(net, strategy)
+        assert result.passes[0].changed
         monkeypatch.undo()
         assert "\tTry " in emit_trace(result)
 
@@ -782,15 +786,16 @@ class TestLazyDecisionLog:
         def logged_step(state, v):
             # labels as before the decision: v in its own community only
             labels = [",".join(state.net.labels[u] for u in m) for m in _members(state)]
-            d = step(state, v)
+            own = state.comm_of[v]
+            moved = step(state, v)
             vlabel = state.net.labels[v]
-            for c, g in zip(d.candidates, d.gains):
+            for c, g in zip(state.links, state.gains):
                 expected.append(f"\tTry {vlabel} -> {labels[c]:<15} | {_fmt_gain(g)}")
-            if d.target is None:
-                expected.append(f"\tKeep vertex {vlabel} at community {labels[d.own]}")
+            if not moved:
+                expected.append(f"\tKeep vertex {vlabel} at community {labels[own]}")
             else:
-                expected.append(f"\tMove {vlabel} -> {labels[d.target]}")
-            return d
+                expected.append(f"\tMove {vlabel} -> {labels[state.comm_of[v]]}")
+            return moved
 
         rng = random.Random(54)
         for net in [random_network(rng, n, density=0.2) for n in (8, 25, 50)]:
@@ -808,7 +813,7 @@ class TestLazyDecisionLog:
 
 def test_try_lines_sign_and_mark_every_gain():
     net = IWNetwork.from_edges(["a", "b", "c", "d", "e", "f"], [("a", "b", 1, 1)])
-    replay = louvain._Replay(net)
+    replay = renderer._Replay(net)
     d = louvain.Decision(0, 0, (0, 1, 2, 3, 4), (-0.0, 0.0, -1e-9, 2.5, -3.25), None)
     assert replay.render(d).splitlines() == [
         "\tTry a -> a               | gain=+0.000 (0)",
@@ -845,12 +850,13 @@ def test_decisions_follow_the_tie_rule_on_exact_ties(monkeypatch):
     for kind, q in ((louvain._IntervalPass, q_interval_communities), (louvain._ScalarPass, _q_midpoints)):
         def step(state, v, original=kind.step, q=q):
             own, rest = state.comm_of[v], _rest(state, v)
-            d = original(state, v)
-            if own in d.candidates:
-                gain_owns.append(d.gains[d.candidates.index(own)])
+            moved = original(state, v)
+            candidates = list(state.links)
+            if own in candidates:
+                gain_owns.append(state.gains[candidates.index(own)])
             else:  # v has no link into own: its gain from the reference
                 gain_owns.append(_full_difference_gains(state.net, rest, v, [own], q)[own])
-            return d
+            return moved
 
         monkeypatch.setattr(kind, "step", step)
     rng = random.Random(81)

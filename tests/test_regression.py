@@ -105,17 +105,23 @@ def _bits(d):
 
 @pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
 def test_derived_decisions_are_those_phase_1_made(monkeypatch, method):
-    """``decisions(run)`` yields what ``step`` returned during ``run()``, in
-    order, on the pinned corpus and on networks whose moves tie exactly;
-    gains compare by their bits."""
+    """``decisions(run)`` yields what ``step`` decided during ``run()``: the
+    community v left, the candidates and gains it left on the state and
+    where v went, in order, on the pinned corpus and on networks whose
+    moves tie exactly; gains compare by their bits."""
     kind = louvain._kind(louvain.Strategy(method))
     step = kind.step
     made = []
 
     def recording(state, v):
-        d = step(state, v)
-        made.append(d)
-        return d
+        own = state.comm_of[v]
+        moved = step(state, v)
+        target = state.comm_of[v] if moved else None
+        assert moved == (state.comm_of[v] != own)
+        made.append(
+            louvain.Decision(v, own, tuple(state.links), tuple(state.gains), target)
+        )
+        return moved
 
     rng = random.Random(102)
     nets = [net for _, net in pinned_networks()]

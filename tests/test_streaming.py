@@ -1,6 +1,6 @@
 """``iwnet run`` writes its output in chunks as it renders them.
 
-The trace is rendered in chunks of about ``louvain.BATCH_CHARS``
+The trace is rendered in chunks of about ``iwnet.trace.BATCH_CHARS``
 characters. The bytes must be those of rendering the whole document at
 once, writing the trace must add less memory than the trace's size, a
 reader that closes stdout early is not an error, and a failed run writes
@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import iwnet
-from iwnet import emit_trace, louvain, network_from_csv, run
+from iwnet import emit_trace, network_from_csv, run
+from iwnet import trace as renderer
 from iwnet.cli import main
 
 # NUTS 3 regions of the paper's Portuguese commuting network (non-ASCII
@@ -105,15 +106,15 @@ def test_small_batches_give_the_same_bytes(capsys, monkeypatch, labelled_csv, me
     has the bytes of one batch: JSON escapes one character at a time."""
     argv = ["run", "--input", labelled_csv, "--method", method, "--format", fmt, "--trace"]
     whole = _main_stdout(capsys, argv)
-    monkeypatch.setattr(louvain, "BATCH_CHARS", 40)
+    monkeypatch.setattr(renderer, "BATCH_CHARS", 40)
     assert _main_stdout(capsys, argv) == whole
 
 
 def test_batches_are_bounded_and_a_long_line_goes_alone(monkeypatch):
-    monkeypatch.setattr(louvain, "BATCH_CHARS", 100)
+    monkeypatch.setattr(renderer, "BATCH_CHARS", 100)
     lines = ["x" * (i % 37) for i in range(200)]
     lines[50] = "y" * 250
-    batches = list(louvain._chunks(line + "\n" for line in lines))
+    batches = list(renderer._chunks(line + "\n" for line in lines))
     assert "".join(batches) == "".join(line + "\n" for line in lines)
     assert "y" * 250 + "\n" in batches
     assert all(len(b) <= 100 for b in batches if "y" not in b)
@@ -128,8 +129,8 @@ def test_trace_chunks_are_bounded_also_across_a_dense_matrix(monkeypatch):
     edges = [(labels[i], labels[(i + 1) % 200], 1, 2) for i in range(200)]
     edges += [(labels[rng.randrange(200)], labels[rng.randrange(200)], 1.25, 3.5) for _ in range(100)]
     result = run(iwnet.IWNetwork.from_edges(labels, edges), "midpoint")
-    monkeypatch.setattr(louvain, "BATCH_CHARS", 1 << 14)
-    chunks = list(louvain._chunks(louvain._trace_text(result)))
+    monkeypatch.setattr(renderer, "BATCH_CHARS", 1 << 14)
+    chunks = list(renderer._chunks(renderer._trace_text(result)))
     trace = emit_trace(result)
     assert "".join(chunks) == trace
     assert len(trace) > 800_000
