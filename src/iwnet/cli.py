@@ -38,31 +38,29 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="iwnet",
         description="Community detection in interval-weighted networks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run a Louvain strategy on an edge list")
-    run_p.add_argument("--input", required=True, help="edge-list CSV (src,dst,lo,hi)")
-    run_p.add_argument(
+    net_p = argparse.ArgumentParser(add_help=False)  # the input flags of both commands
+    net_p.add_argument("--input", required=True, help="edge-list CSV (src,dst,lo,hi)")
+    net_p.add_argument(
         "--undirected",
         action="store_true",
         help="records are already undirected pairs (duplicates rejected)",
     )
-    run_p.add_argument(
+    net_p.add_argument(
         "--min-weight",
         type=float,
         default=0.0,
         metavar="R",
         help="drop directed records whose upper bound is below R (default 0)",
     )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    run_p = sub.add_parser("run", parents=[net_p], help="run a Louvain strategy on an edge list")
     run_p.add_argument("--method", required=True, choices=NAMES)
     run_p.add_argument("--trace", action="store_true", help="include the full trace")
     run_p.add_argument("--format", choices=("text", "json"), default="text")
     run_p.add_argument("--out", help="write output to this path instead of stdout")
 
-    oracle_p = sub.add_parser("oracle", help="exhaustive search (n <= 12)")
-    oracle_p.add_argument("--input", required=True)
-    oracle_p.add_argument("--undirected", action="store_true")
-    oracle_p.add_argument("--min-weight", type=float, default=0.0, metavar="R")
+    oracle_p = sub.add_parser("oracle", parents=[net_p], help="exhaustive search (n <= 12)")
     oracle_p.add_argument("--metric", required=True, choices=NAMES)
     return parser
 

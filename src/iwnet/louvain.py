@@ -24,11 +24,12 @@ over the candidates prices them and applies the tie rule, so a sweep is
 O(m) with one call per vertex. ``step`` returns whether the vertex
 moved and leaves its candidates and their gains on the state, so phase 1
 builds no record per vertex. Networks of a run are not re-validated;
-input is checked once, at the boundary. The pass state owns its
-network's modularity: its per-vertex sums (``modularity.ScalarSums`` /
-``IntervalSums``) give the Q of the network under singletons and its
-Q_max, so ``run()`` reads each pass's Q from the state it builds for the
-next level and Q_max from the last one, and collapses no partition.
+input is checked once, at the boundary. The pass state is the one owner
+of its level's sums: it builds the per-vertex sums its gains read and
+gives the Q of its membership (``q()``) and the level's Q_max
+(``q_max()``). ``run()`` reads each new level's Q from ``q()`` of the
+fresh (singleton) state it builds for the next pass and Q_max from the
+last state, and collapses no partition.
 
 ``run()`` keeps no decision log, so it holds O(n + m) memory. Vertices
 are swept in index order and every decision is deterministic:
@@ -36,7 +37,7 @@ are swept in index order and every decision is deterministic:
 input network on a new state. The text trace (``iwnet.trace``, loaded
 on first use) renders the ``Try``/``Move``/``Keep`` lines from such live
 states, so a traced run runs phase 1 twice, and reads each sweep's Q
-from the state's own sums (``_PassState.q``).
+from the same ``q()``.
 
 A move must beat returning to the vertex's former community by more
 than a tolerance (``TIE_ULPS`` ulps of the largest operand of the two
@@ -56,8 +57,8 @@ from typing import Iterator, NamedTuple
 
 from .errors import EmptyNetwork, InvalidInterval, IterationLimit, ZeroTotalWeight
 from .frozen import Frozen
-from .interval import Interval, seq_sum
-from .modularity import IntervalSums, ScalarSums, cl_term
+from .interval import Interval, ZERO, dominant_diff, seq_sum
+from .modularity import _check_finite, cl_term, expected_diag_adjusted
 # format_matrix is not called here: ``iwnet.trace`` looks it up on this module
 # for each matrix it renders, so a wrapper set on this name (bench/harness.py)
 # sees every call
@@ -164,10 +165,11 @@ class _PassState:
     Gain ties among candidates go to the smallest community id, and a tie
     with the former community keeps the vertex.
 
-    ``sums`` holds the per-vertex sums of the rows that the gains and the
-    modularity of its kind read, from which the network's Q as singletons
-    (``sums.q()``) and its Q_max are read; ``q()`` is the Q of the current
-    membership, from the per-community sums. The membership starts as
+    The subclass builds the per-vertex sums of its network that its gains
+    read, and refuses a zero total (``ZeroTotalWeight``) or an expected
+    block that overflows (``InvalidInterval``). ``q()`` is the Q of the
+    current membership, from the per-community sums, and ``q_max()`` the
+    network's Q_max, from the per-vertex sums. The membership starts as
     singletons, or as ``partition`` for ``evaluate_moves``.
     """
 
@@ -186,16 +188,21 @@ class _ScalarPass(_PassState):
     pass's network (``hl``, ``midpoint``); ``tot`` holds Sigma_tot."""
 
     def _sums(self, net: IWNetwork, k: int) -> None:
-        mid = net.midpoint_rows()
-        self.sums = ScalarSums(mid)
-        self.neigh, self.s, self.two_w = mid, self.sums.s, self.sums.two_w
+        self.neigh = mid = net.midpoint_rows()
+        self.s = s = [seq_sum(row.values()) for row in mid]
+        self.two_w = t = seq_sum(s)
+        if t <= 0:
+            raise ZeroTotalWeight("total weight is zero")
+        _check_finite(t, (x * x / (t - x + x) for x in s))
         self.tot = [0.0] * k
         for v, c in enumerate(self.comm_of):
-            self.tot[c] += self.s[v]
+            self.tot[c] += s[v]
 
     def q(self) -> float:
-        """Q of the membership: each non-empty community's internal weight, folded
-        in vertex and key order, less Sigma_tot^2 / 2w as ``ScalarSums`` divides."""
+        """Unnormalized Q (no 1/2w factor) of the membership: each non-empty
+        community's internal weight, folded in vertex and key order, less its
+        expected block Sigma_tot^2 / 2w, with 2w taken as (2w - x) + x, as on
+        the interval track."""
         comm_of, inner, t = self.comm_of, [0.0] * len(self.tot), self.two_w
         for v, row in enumerate(self.neigh):
             c = comm_of[v]
@@ -203,6 +210,17 @@ class _ScalarPass(_PassState):
                 if comm_of[u] == c:
                     inner[c] += w
         return seq_sum(i - x * x / (t - x + x) for i, x, k in zip(inner, self.tot, self.size) if k)
+
+    def q_max(self) -> float:
+        """Normalization denominator 2w - sum of the expected diagonal blocks of
+        the vertices, with 2w summed flat over the entries; exactly 0.0 when at
+        most one vertex has weight, where the difference would leave a
+        rounding residue."""
+        s, t = self.s, self.two_w
+        if sum(x > 0.0 for x in s) <= 1:
+            return 0.0
+        flat = seq_sum(x for row in self.neigh for x in row.values())
+        return flat - seq_sum(x * x / (t - x + x) for x in s)
 
     def step(self, v: int) -> bool:
         """Evaluate and place v; True if it moved. Its links are keyed in
@@ -252,12 +270,21 @@ class _IntervalPass(_PassState):
     members have a positive lower / upper strength (the counts make the
     zero tests exact). ``d`` caches each community's ``cl_term``; ``vsum``
     and ``vterm`` hold the same of every vertex as the singleton it would
-    form (``IntervalSums``).
+    form, and ``totals`` is (T_lo, T_hi).
     """
 
     def _sums(self, net: IWNetwork, k: int) -> None:
-        self.sums = IntervalSums(net.rows)
-        self.vsum, self.totals, self.vterm = self.sums.vsum, self.sums.totals, self.sums.vterm
+        self.vsum = []
+        for v, row in enumerate(net.rows):
+            loop = row.get(v, ZERO)
+            s_lo = seq_sum(w.lo for w in row.values())
+            s_hi = seq_sum(w.hi for w in row.values())
+            self.vsum.append((loop.lo, loop.hi, s_lo, s_hi, int(s_lo > 0.0), int(s_hi > 0.0)))
+        self.totals = t_lo, t_hi = tuple(seq_sum(x[j] for x in self.vsum) for j in (2, 3))
+        if t_hi <= 0:
+            raise ZeroTotalWeight("total weight is zero")
+        self.vterm = [cl_term(*x, t_lo, t_hi) for x in self.vsum]
+        _check_finite(t_hi, self.vterm)  # an expected block that overflows makes its term infinite
         self.cols = tuple([0.0] * k for _ in range(6))
         self.d = [0.0] * k
         for v, c in enumerate(self.comm_of):
@@ -272,6 +299,23 @@ class _IntervalPass(_PassState):
         """Q of the membership: the ``cl_term`` of every non-empty
         community, summed in id order."""
         return seq_sum(d for d, k in zip(self.d, self.size) if k)
+
+    def q_max(self) -> float:
+        """Normalization denominator D([2w_lo, 2w_hi], sum of the expected
+        diagonal blocks of the vertices), with 2w summed flat over the entries;
+        0.0 when at most one vertex has a positive upper strength, as on the
+        scalar track, and when T_lo is 0: every lower bound is then 0 and every
+        expected upper block s_hi^2 / (0 - 0 + s_hi) is s_hi, so both
+        differences are 0, where the sums would leave a rounding residue."""
+        t_lo, t_hi = self.totals
+        if sum(x[5] for x in self.vsum) <= 1 or t_lo == 0.0:
+            return 0.0
+        rows = self.net.rows
+        e = [expected_diag_adjusted(x[2], x[3], t_lo, t_hi) for x in self.vsum]
+        return dominant_diff(
+            seq_sum(w.lo for row in rows for w in row.values()) - seq_sum(x[0] for x in e),
+            seq_sum(w.hi for row in rows for w in row.values()) - seq_sum(x[1] for x in e),
+        )
 
     def _join(self, v: int, c: int, k_lo: float, k_hi: float, sign: int = 1) -> None:
         """v, linked to c by [k_lo, k_hi], joins (sign 1) or leaves (sign -1) c."""
@@ -341,17 +385,17 @@ class _IntervalPass(_PassState):
         return target != own
 
 
-def _optimize(state: _PassState) -> tuple[int, bool]:
+def _optimize(state: _PassState) -> int:
     """Phase 1: greedy sweeps until one completes without a move.
 
-    Returns (sweeps performed, whether any move happened). No decision
-    is kept: ``decisions`` derives them again.
+    Returns the sweeps performed; every sweep before the last moved a
+    vertex. No decision is kept: ``decisions`` derives them again.
     """
     step, vertices = state.step, range(state.net.n)
     for iterations in range(1, SWEEP_LIMIT + 1):
         # a list, so any() cannot end the sweep at its first move
         if not any([step(v) for v in vertices]):
-            return iterations, iterations > 1  # every sweep before this one moved a vertex
+            return iterations
     raise IterationLimit(f"no convergence after {SWEEP_LIMIT} sweeps")
 
 
@@ -402,25 +446,25 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
     state = kind(cur)
     passes: list[PassRecord] = []
     while True:
-        iterations, any_move = _optimize(state)
+        iterations = _optimize(state)
         p = Partition(state.comm_of)  # ids renumbered by first appearance; singletons if no move
-        if not any_move:
+        if iterations == 1:  # the first sweep moved nothing: cur stays as singletons
             # Q of cur as singletons: the last aggregate's, or the input's
-            q = passes[-1].modularity if passes else state.sums.q()
+            q = passes[-1].modularity if passes else state.q()
             passes.append(PassRecord(len(passes) + 1, iterations, p, q, cur, False))
             break
         del state  # as large as its network: freed before the aggregate is built
         # a move only joins a neighbour's non-empty community, so the first move
         # empties a singleton for good: the aggregate is smaller and the loop terminates
         cur = (aggregate_minmax if strategy.name == "hl" else aggregate_sum)(cur, p)
-        state = kind(cur)  # the next pass's state: its sums give the aggregate's Q
-        passes.append(PassRecord(len(passes) + 1, iterations, p, state.sums.q(), cur, True))
+        state = kind(cur)  # the next pass's state: as singletons, its Q is the aggregate's
+        passes.append(PassRecord(len(passes) + 1, iterations, p, state.q(), cur, True))
 
     final = passes[0].partition
     for rec in passes[1:]:
         final = final.compose(rec.partition.assignment)
     final_q = passes[-1].modularity
-    q_max = state.sums.q_max()
+    q_max = state.q_max()
     q_norm = final_q / q_max if q_max != 0.0 else math.nan
     return LouvainRun(strategy, net, tuple(passes), final, cur, final_q, q_norm, q_max)
 

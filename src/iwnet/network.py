@@ -366,7 +366,9 @@ def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
 
     A UTF-8 byte-order mark before the header (as spreadsheet "CSV UTF-8"
     exports write) is skipped. Malformed input, a NUL byte and, read from a
-    path, a byte that is not UTF-8 raise ParseError with a 1-based line number.
+    path, a byte that is not UTF-8 raise ParseError with a 1-based physical
+    line number: a record that spans lines (a quoted newline) is reported
+    at its last line.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -396,28 +398,29 @@ def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
             raise ParseError(1, f"expected header src,dst,lo,hi, got {','.join(header)}")
         records = []
         labels: dict[str, str] = {}  # one string object per label, shared by its records
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if "\0" in ",".join(row):
                 raise csv.Error("line contains NUL")
             if not row:
                 continue
             if len(row) != 4:
-                raise ParseError(lineno, f"expected 4 fields, got {len(row)}")
+                raise ParseError(reader.line_num, f"expected 4 fields, got {len(row)}")
             src, dst = row[0].strip(), row[1].strip()
             if not src or not dst:
-                raise ParseError(lineno, "empty vertex label")
+                raise ParseError(reader.line_num, "empty vertex label")
             try:
                 lo = float(row[2])
                 hi = float(row[3])
             except ValueError:
-                raise ParseError(lineno, f"non-numeric weight in {row[2]!r},{row[3]!r}") from None
+                message = f"non-numeric weight in {row[2]!r},{row[3]!r}"
+                raise ParseError(reader.line_num, message) from None
             if not 0.0 <= lo <= hi < math.inf:  # else say which check fails
                 if not (math.isfinite(lo) and math.isfinite(hi)):
-                    raise ParseError(lineno, f"non-finite weight in {row[2]!r},{row[3]!r}")
+                    raise ParseError(reader.line_num, f"non-finite weight in {row[2]!r},{row[3]!r}")
                 try:
                     DirectedFlowRecord(src, dst, lo, hi)
                 except (InvalidInterval, NegativeWeight) as exc:
-                    raise ParseError(lineno, str(exc)) from None
+                    raise ParseError(reader.line_num, str(exc)) from None
             # every field is checked: build the tuple without the constructor's checks
             src, dst = labels.setdefault(src, src), labels.setdefault(dst, dst)
             records.append(tuple.__new__(DirectedFlowRecord, (src, dst, lo, hi)))

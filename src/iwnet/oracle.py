@@ -6,25 +6,28 @@ driver), and ``enumerate_best`` maximizes it over every partition of the
 vertex set, enumerated as restricted growth strings in lexicographic
 order. Bell numbers grow fast; instances are capped at n = 12.
 
-The paper's pairwise formulas, references for the sums ``modularity``
-reads Q from, sit here too: D and Hausdorff on ``Interval`` objects, the
-dense expected tables, the full and reduced scalar merge gains, and
-``q_interval``, the sum of D(observed, expected) over blocks. So do the
-Q and Q_max of a partition on each track, references for a pass state's
-``q()``: they collapse its communities as aggregation does and read the
-``modularity`` sums of the blocks, so a partition's value equals its
-aggregated network's under singletons.
+The paper's pairwise formulas, references for the separable sums the
+Louvain pass states read Q from, sit here too: D and Hausdorff on
+``Interval`` objects, the dense expected tables, the full and reduced
+scalar merge gains, and ``q_interval``, the sum of D(observed, expected)
+over blocks. So do the Q and Q_max of a partition on each track,
+references for a pass state's ``q()``: they collapse its communities as
+aggregation does and evaluate the blocks as singletons, so a partition's
+value equals its aggregated network's under singletons. The interval
+pair reads ``q()`` / ``q_max()`` of a ``louvain._IntervalPass`` on the
+collapsed level; the scalar pair takes float rows, which no pass state
+is built from, and computes the same sums with its own few lines.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyNetwork, IWNError, ZeroTotalWeight
 from .interval import Interval, ZERO, dominant_diff, seq_sum
-from .louvain import Strategy
-from .modularity import IntervalSums, Rows, ScalarSums
+from .louvain import Strategy, _IntervalPass
+from .modularity import _check_finite
 from .network import IWNetwork, blocks, pair_sum
 from .partition import Partition
 
@@ -291,25 +294,54 @@ def q_interval(o_blocks: Sequence[Interval], e_blocks: Sequence[Interval]) -> fl
     return seq_sum(map(signed_diff, o_blocks, e_blocks))
 
 
+Rows = Sequence[Mapping[int, float]]
+
+
+def _scalar_level(
+    rows: Rows, comms: Sequence[Sequence[int]]
+) -> tuple[list[dict[int, float]], list[float], list[float]]:
+    """(blocks, strengths, expected diagonal blocks) of the collapsed scalar
+    rows, summed and checked as ``louvain._ScalarPass`` sums its level."""
+    agg = blocks(rows, comms, operator.add, 0.0)
+    s = [seq_sum(row.values()) for row in agg]
+    t = seq_sum(s)
+    if t <= 0:
+        raise ZeroTotalWeight("total weight is zero")
+    e = [x * x / (t - x + x) for x in s]
+    _check_finite(t, e)
+    return agg, s, e
+
+
 def q_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> float:
     """Unnormalized scalar modularity (no 1/2w factor) of scalar neighbour
     maps over explicit, ascending member lists."""
-    return ScalarSums(blocks(rows, comms, operator.add, 0.0)).q()
+    agg, _, e = _scalar_level(rows, comms)
+    return seq_sum(row.get(r, 0.0) - x for r, (row, x) in enumerate(zip(agg, e)))
 
 
 def q_max_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> float:
     """Scalar normalization denominator 2w - sum of expected diagonal blocks,
-    over explicit, ascending member lists."""
-    return ScalarSums(blocks(rows, comms, operator.add, 0.0)).q_max()
+    over explicit, ascending member lists; 0.0 when at most one block has
+    weight."""
+    agg, s, e = _scalar_level(rows, comms)
+    if sum(x > 0.0 for x in s) <= 1:
+        return 0.0
+    return seq_sum(x for row in agg for x in row.values()) - seq_sum(e)
+
+
+def _interval_level(net: IWNetwork, comms: Sequence[Sequence[int]]) -> _IntervalPass:
+    """A pass state on the level that collapses ``comms`` by interval summation."""
+    rows = tuple(blocks(net.rows, comms, pair_sum, (0.0, 0.0), Interval))
+    return _IntervalPass(IWNetwork._trusted(tuple(map(str, range(len(rows)))), rows))
 
 
 def q_interval_communities(net: IWNetwork, comms: Sequence[Sequence[int]]) -> float:
     """Interval modularity (adjusted expectations) over explicit, ascending
     member lists, collapsed by interval summation."""
-    return IntervalSums(blocks(net.rows, comms, pair_sum, (0.0, 0.0), Interval)).q()
+    return _interval_level(net, comms).q()
 
 
 def q_max_interval_adjusted(net: IWNetwork, p: Partition) -> float:
     """Interval normalization denominator D([2w_lo, 2w_hi], sum e_rr),
     evaluated on the aggregated network of the partition."""
-    return IntervalSums(blocks(net.rows, p.communities, pair_sum, (0.0, 0.0), Interval)).q_max()
+    return _interval_level(net, p.communities).q_max()

@@ -245,6 +245,8 @@ class TestRunCommand:
             ("", "line 1: empty file, expected header src,dst,lo,hi"),
             ("src,dst,lo,hi\na,b,1,2\nb,c,1,1\na,b,1\n", "line 4: expected 4 fields, got 3"),
             ("src,dst,lo,hi\na,b,1,2\n , c,1,2\n", "line 3: empty vertex label"),
+            # a quoted label spans lines 2-3: the bad weight is on physical line 4
+            ('src,dst,lo,hi\n"a\nb",c,1,2\nx,y,oops,2\n', "line 4: non-numeric weight in 'oops','2'"),
         ],
     )
     def test_malformed_csv_exit_1(self, capsys, tmp_path, text, message):

@@ -582,9 +582,9 @@ def test_trace_q_matches_the_partition_level_reference(strategy):
     for net in nets + single:
         for rec, state in louvain._pass_states(run(net, strategy)):
             if strategy.name == "cl":
-                q_of, rows, scale = q_interval_communities, state.net, state.sums.totals[1]
+                q_of, rows, scale = q_interval_communities, state.net, state.totals[1]
             else:
-                q_of, rows, scale = q_scalar_communities, state.sums.rows, state.sums.two_w
+                q_of, rows, scale = q_scalar_communities, state.neigh, state.two_w
             for sweep in range(rec.iterations + 1):
                 if sweep:
                     for v in range(state.net.n):

@@ -22,7 +22,8 @@ from iwnet import (
     q_scalar_communities,
 )
 from iwnet.errors import InvalidInterval, ZeroTotalWeight
-from iwnet.modularity import IntervalSums, ScalarSums, expected_diag_adjusted
+from iwnet.louvain import _IntervalPass, _ScalarPass
+from iwnet.modularity import expected_diag_adjusted
 from iwnet.oracle import SameCommunity
 
 from helpers import (
@@ -142,8 +143,8 @@ class TestAdjustedExpected:
             expected_interval_adjusted(net)
 
     def test_diagonal_matches_pairwise_reference(self):
-        # the O(q) separable diagonal of the sums against the pairwise adjusted
-        # totals, on both tracks, over random partitions and zero lower bounds
+        # the O(q) separable diagonal of the pass states' sums against the pairwise
+        # adjusted totals, on both tracks, over random partitions and zero lower bounds
         rng = random.Random(61)
         nets = [random_network(rng, n, density=0.3) for n in (4, 9, 17, 30)]
         nets += [
@@ -158,17 +159,18 @@ class TestAdjustedExpected:
                 p = Partition(tuple(rng.randrange(k) for _ in range(net.n)))
                 agg = aggregate_sum(net, p)
                 s = [agg.strength(r) for r in range(agg.n)]
-                sums = IntervalSums(agg.rows)
-                for r, x in enumerate(sums.vsum):
-                    e_lo, e_hi = expected_diag_adjusted(x[2], x[3], *sums.totals)
+                state = _IntervalPass(agg)
+                for r, x in enumerate(state.vsum):
+                    e_lo, e_hi = expected_diag_adjusted(x[2], x[3], *state.totals)
                     adj_min, adj_max = adjusted_total_bounds(s, r, r)
                     lo = s[r].lo * s[r].lo / adj_max if adj_max else 0.0
                     hi = s[r].hi * s[r].hi / adj_min if adj_min else 0.0
                     assert math.isclose(e_lo, lo, rel_tol=1e-12)
                     assert math.isclose(e_hi, hi, rel_tol=1e-12)
-                mid = ScalarSums(agg.midpoint_rows())
-                for r, e in enumerate(mid.e):
-                    _, tw = adjusted_total_bounds([Interval(x, x) for x in mid.s], r, r)
+                mid = _ScalarPass(agg)
+                for r, x in enumerate(mid.s):
+                    e = x * x / (mid.two_w - x + x)  # as the scalar q() and q_max() divide
+                    _, tw = adjusted_total_bounds([Interval(y, y) for y in mid.s], r, r)
                     assert math.isclose(e, mid.s[r] * mid.s[r] / tw, rel_tol=1e-12)
 
 
