@@ -11,11 +11,18 @@ small instance.
 Exit codes: 0 success (also when the reader of stdout closes it early),
 1 malformed input (message carries the line number where possible),
 2 algorithm failure.
+
+The program (``main()`` with no arguments: the ``iwnet`` script and
+``python -m iwnet.cli``) freezes the garbage collector at entry, so the
+collections at interpreter exit do not traverse the objects start-up
+created. ``main(argv)`` with a list, as a library or a test calls it,
+leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -210,6 +217,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
+
+    With ``argv`` None this is the program, which exits when it returns:
+    the start-up objects move to the collector's permanent generation,
+    which the collections at exit skip. A call with a list leaves the
+    collector as it was.
+    """
+    if argv is None:
+        gc.freeze()
     args = _build_parser().parse_args(argv)
     if math.isnan(args.min_weight):  # `hi < nan` is never true: the filter would be off
         print("error: --min-weight must be a number, not nan", file=sys.stderr)

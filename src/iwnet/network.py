@@ -27,6 +27,7 @@ import csv
 import functools
 import math
 import operator
+import sys
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .errors import DuplicateEdge, InvalidInterval, NegativeWeight, ParseError
@@ -361,6 +362,30 @@ def format_matrix(net: IWNetwork) -> list[str]:
     return lines
 
 
+def _refuse_bytes(text: str, line: int) -> None:
+    """Raise ParseError for a byte that is not UTF-8, which a path opened
+    with ``errors="surrogateescape"`` reads as a lone surrogate
+    U+DC80-U+DCFF, and then for a NUL byte."""
+    if not text.isascii():
+        bad = next((c for c in text if "\udc80" <= c <= "\udcff"), None)
+        if bad is not None:
+            raise ParseError(line, f"not UTF-8: byte 0x{ord(bad) - 0xDC00:02x}")
+    if "\0" in text:
+        raise ParseError(line, "line contains NUL")
+
+
+def _refuse_nul_lines(lines: Iterable[str]) -> Iterator[str]:
+    """Yield the lines, refusing one that holds a NUL at its number.
+
+    Before Python 3.11 csv refuses a NUL itself, before the row checks
+    could name a byte on the same line that is not UTF-8.
+    """
+    for number, line in enumerate(lines, start=1):
+        if "\0" in line:
+            _refuse_bytes(line, number)
+        yield line
+
+
 def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
     """Parse an edge-list CSV with header ``src,dst,lo,hi``.
 
@@ -368,23 +393,12 @@ def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
     exports write) is skipped. Malformed input, a NUL byte and, read from a
     path, a byte that is not UTF-8 raise ParseError with a 1-based physical
     line number: a record that spans lines (a quoted newline) is reported
-    at its last line.
+    at its last line. The first malformed line in file order is reported.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            try:
-                return read_flow_csv(fh)
-            except UnicodeDecodeError:  # met in a block read ahead: find its line in the bytes
-                with open(source, "rb") as raw:
-                    data = raw.read()
-                try:
-                    data.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    line = len((data[: exc.start] + b".").splitlines())
-                    raise ParseError(line, f"not UTF-8: byte 0x{data[exc.start]:02x}") from None
-                raise
-    reader = csv.reader(source)
-    # csv raises "line contains NUL" before Python 3.11 and reads the NUL into a field after
+        with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            return read_flow_csv(fh)
+    reader = csv.reader(source if sys.version_info >= (3, 11) else _refuse_nul_lines(source))
     try:
         try:
             header = next(reader)
@@ -393,14 +407,14 @@ def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
         if header:
             header[0] = header[0].removeprefix("\ufeff")
         if tuple(h.strip() for h in header) != CSV_HEADER:
-            if "\0" in ",".join(header):
-                raise csv.Error("line contains NUL")
+            _refuse_bytes(",".join(header), reader.line_num)
             raise ParseError(1, f"expected header src,dst,lo,hi, got {','.join(header)}")
         records = []
         labels: dict[str, str] = {}  # one string object per label, shared by its records
         for row in reader:
-            if "\0" in ",".join(row):
-                raise csv.Error("line contains NUL")
+            text = ",".join(row)
+            if not text.isascii() or "\0" in text:
+                _refuse_bytes(text, reader.line_num)
             if not row:
                 continue
             if len(row) != 4:
@@ -425,7 +439,7 @@ def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
             src, dst = labels.setdefault(src, src), labels.setdefault(dst, dst)
             records.append(tuple.__new__(DirectedFlowRecord, (src, dst, lo, hi)))
         return records
-    except csv.Error as exc:  # a field over csv.field_size_limit(), or a NUL byte
+    except csv.Error as exc:  # a field over csv.field_size_limit()
         raise ParseError(reader.line_num, str(exc)) from None
 
 

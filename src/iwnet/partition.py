@@ -9,7 +9,7 @@ from .frozen import Frozen
 __all__ = ["Partition"]
 
 
-class Partition(Frozen, fields=("assignment", "communities"), compare=("assignment",)):
+class Partition(Frozen, fields=("assignment", "n_communities"), compare=("assignment",)):
     """Assignment of every vertex to exactly one community.
 
     Community ids are always normalized to 0..q-1 in order of first

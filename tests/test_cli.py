@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -247,23 +248,31 @@ class TestRunCommand:
             ("src,dst,lo,hi\na,b,1,2\n , c,1,2\n", "line 3: empty vertex label"),
             # a quoted label spans lines 2-3: the bad weight is on physical line 4
             ('src,dst,lo,hi\n"a\nb",c,1,2\nx,y,oops,2\n', "line 4: non-numeric weight in 'oops','2'"),
+            # the first malformed line wins over a byte that is not UTF-8 after it,
+            # whether or not the reader has decoded that far ahead
+            pytest.param(b"src,dst,lo,hi\na,b,oops,2\n\xff,b,1,2\n",
+                         "line 2: non-numeric weight in 'oops','2'", id="bad-weight-then-latin-1"),
+            pytest.param(HEAD.replace(b"\n", b"\na,b,oops,2\n", 1) + b"\xff,b,1,2\n",
+                         "line 2: non-numeric weight in 'oops','2'",
+                         id="bad-weight-then-latin-1-past-8k"),
         ],
     )
     def test_malformed_csv_exit_1(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.csv"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         code, out, err = run_cli(capsys, "run", "--input", str(path), "--method", "cl")
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "data, message",
         [
-            # a Latin-1 export: the reader decodes 8 KiB ahead, so the error
-            # surfaces while the header is read, and still names line 3
+            # a Latin-1 export: the byte is reported at its own line, however
+            # far ahead of the csv reader the file is decoded
             (b"src,dst,lo,hi\na,b,1,2\n\xff\xfe,b,1,2\n", "line 3: not UTF-8: byte 0xff"),
             (HEAD + b"caf\xe9,b,1,2\nc,d,1,2\n", "line 1002: not UTF-8: byte 0xe9"),
             (HEAD.replace(b"\n", b"\r") + b"caf\xe9,b,1,2\r", "line 1002: not UTF-8: byte 0xe9"),
             (b"src,dst,lo,hi\na,b,1,2\nc,\xc3", "line 3: not UTF-8: byte 0xc3"),  # cut short
+            # a UTF-16 header holds a byte that is not UTF-8 and NULs: the byte is named
             ("src,dst,lo,hi\na,b,1,2\n".encode("utf-16"), "line 1: not UTF-8: byte 0xff"),
             (b"src,dst,lo,hi\na,b,1,2\n" + b"x" * 131_073 + b",b,1,2\n",
              "line 3: field larger than field limit (131072)"),
@@ -650,6 +659,72 @@ def test_traced_run_renders_through_module_names(monkeypatch, tmp_path, method):
     assert len(changed) >= 2
     assert rendered == [result.work, *changed, result.final_network]
     assert json.loads(out.read_text(encoding="utf-8"))["trace"] == iwnet.emit_trace(result)
+
+
+# The program entry in a child: sys.argv holds an untraced JSON run, and
+# the line printed says whether main() froze more objects than were
+# frozen before (some Python versions start with a few frozen).
+PROGRAM_ENTRY = """
+import gc
+import os
+import sys
+from iwnet.cli import main
+
+before = gc.get_freeze_count()
+sys.argv = ["iwnet", "run", "--input", sys.argv[1], "--method", "cl", "--format", "json",
+            "--out", os.devnull]
+code = main()
+print(gc.get_freeze_count() > before)
+sys.exit(code)
+"""
+
+# ingest drops one self-loop and one record below --min-weight 1: two warnings
+WARNED_CSV = TOY_CSV + "v1,v1,1,2\nv2,v4,0,0.5\n"
+WARNINGS = (
+    "warning: dropped 1 self-loop record(s)\n"
+    "warning: dropped 1 record(s) below --min-weight 1.0\n"
+)
+
+
+class TestProgramEntry:
+    """``main()`` with no arguments is the program, which exits when it
+    returns: it freezes the garbage collector at entry, so the collections
+    at exit skip the start-up objects. ``main(argv)`` leaves the collector
+    as it was."""
+
+    def test_program_freezes_the_collector(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        path.write_text(TOY_CSV, encoding="utf-8")
+        src = str(Path(iwnet.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", PROGRAM_ENTRY, str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+    def test_call_with_argv_leaves_the_collector(self, capsys, toy_csv):
+        before = gc.get_freeze_count()
+        argv = ["run", "--input", toy_csv, "--method", "cl", "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, gc.get_freeze_count()) == (0, before)
+        assert json.loads(out)["method"] == "cl"
+
+    def test_nothing_written_at_exit_is_lost(self, tmp_path):
+        """Under ``-X dev -W error`` a traced JSON run through the program
+        entry exits 0, its file is whole JSON and stderr holds the ingest
+        warnings only: no warning or "Exception ignored" line at exit."""
+        path, out = tmp_path / "warned.csv", tmp_path / "out.json"
+        path.write_text(WARNED_CSV, encoding="utf-8")
+        src = str(Path(iwnet.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "iwnet.cli", "run",
+             "--input", str(path), "--method", "midpoint", "--min-weight", "1",
+             "--trace", "--format", "json", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", WARNINGS)
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["trace"] and doc["final"]["membership"].keys() == {"v1", "v2", "v3", "v4"}
 
 
 def test_output_independent_of_hash_seed(tmp_path):

@@ -110,7 +110,7 @@ class TestPartition:
 
     def test_repr(self):
         assert repr(Partition((1, 1, 0))) == (
-            "Partition(assignment=(0, 0, 1), communities=((0, 1), (2,)))"
+            "Partition(assignment=(0, 0, 1), n_communities=2)"
         )
 
 
