@@ -13,8 +13,8 @@ Three strategies share one greedy two-phase loop:
   2(k_vC - s_v Sigma_tot / 2w) on the current network's midpoints, and
   communities aggregate by the min-max envelope, after which the
   modularity is recomputed (it may drop);
-* ``midpoint``: the degenerate baseline, scalar gains with sum
-  aggregation on the midpoint projection of the input.
+* ``midpoint``: the degenerate baseline, scalar gains and sum aggregation
+  on the midpoints of each level, the input's included, which is not copied.
 
 Phase 1 keeps a community id per vertex, a member count per community
 and, per gain kind, float sums per community, all updated in O(deg) per
@@ -57,12 +57,12 @@ from typing import Iterator, NamedTuple
 
 from .errors import EmptyNetwork, InvalidInterval, IterationLimit, ZeroTotalWeight
 from .frozen import Frozen
-from .interval import Interval, ZERO, dominant_diff, seq_sum
+from .interval import ZERO, dominant_diff, seq_sum
 from .modularity import _check_finite, cl_term, expected_diag_adjusted
 # format_matrix is not called here: ``iwnet.trace`` looks it up on this module
 # for each matrix it renders, so a wrapper set on this name (bench/harness.py)
 # sees every call
-from .network import IWNetwork, aggregate_minmax, aggregate_sum, format_matrix
+from .network import IWNetwork, _aggregate_midpoints, aggregate_minmax, aggregate_sum, format_matrix
 from .partition import Partition
 
 __all__ = [
@@ -138,12 +138,6 @@ class LouvainRun(NamedTuple):
     final_q_norm: float  # NaN when Q_max is zero
     final_q_max: float
 
-    @property
-    def work(self) -> IWNetwork:
-        """The input of the first pass: ``network``, or for ``midpoint`` its
-        projection, which the run does not keep and this builds again."""
-        return _work(self.network, self.strategy)
-
 
 class _PassState:
     """Membership of one optimization phase: the community id of every vertex
@@ -184,8 +178,8 @@ class _PassState:
 
 
 class _ScalarPass(_PassState):
-    """The scalar gain 2(k_vC - s_v Sigma_tot / 2w) on the midpoints of the
-    pass's network (``hl``, ``midpoint``); ``tot`` holds Sigma_tot."""
+    """The scalar gain 2(k_vC - s_v Sigma_tot / 2w) on the nonzero midpoints
+    of the pass's network (``hl``, ``midpoint``); ``tot`` holds Sigma_tot."""
 
     def _sums(self, net: IWNetwork, k: int) -> None:
         self.neigh = mid = net.midpoint_rows()
@@ -399,20 +393,6 @@ def _optimize(state: _PassState) -> int:
     raise IterationLimit(f"no convergence after {SWEEP_LIMIT} sweeps")
 
 
-def _work(net: IWNetwork, strategy: Strategy) -> IWNetwork:
-    """The input of the first pass: ``net``, or for ``midpoint`` its
-    degenerate projection."""
-    if strategy.name != "midpoint":
-        return net
-    # a midpoint can round to 0.0 only on a subnormal edge, which then drops out;
-    # both rows of an edge hold one Interval, as in ``net``
-    rows: list[dict[int, Interval]] = []
-    for i, row in enumerate(net.rows):
-        mids = ((j, w.midpoint) for j, w in row.items())
-        rows.append({j: rows[j][i] if j < i else Interval(m, m) for j, m in mids if m})
-    return IWNetwork._trusted(net.labels, tuple(rows))
-
-
 def _kind(strategy: Strategy) -> type[_IntervalPass] | type[_ScalarPass]:
     return _IntervalPass if strategy.name == "cl" else _ScalarPass
 
@@ -441,9 +421,10 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
     if t_hi * t_hi < sys.float_info.min:
         raise InvalidInterval(f"total weight {t_hi!r} underflows when squared")
 
-    kind = _kind(strategy)
-    cur = _work(net, strategy)  # not kept: ``LouvainRun.work`` builds it again
-    state = kind(cur)
+    # looked up at each call, so a wrapper set on a name (bench/harness.py) sees every call
+    by_name = {"cl": aggregate_sum, "hl": aggregate_minmax, "midpoint": _aggregate_midpoints}
+    kind, aggregate = _kind(strategy), by_name[strategy.name]
+    cur, state = net, kind(net)
     passes: list[PassRecord] = []
     while True:
         iterations = _optimize(state)
@@ -456,7 +437,7 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
         del state  # as large as its network: freed before the aggregate is built
         # a move only joins a neighbour's non-empty community, so the first move
         # empties a singleton for good: the aggregate is smaller and the loop terminates
-        cur = (aggregate_minmax if strategy.name == "hl" else aggregate_sum)(cur, p)
+        cur = aggregate(cur, p)
         state = kind(cur)  # the next pass's state: as singletons, its Q is the aggregate's
         passes.append(PassRecord(len(passes) + 1, iterations, p, state.q(), cur, True))
 
@@ -496,7 +477,7 @@ def evaluate_moves(
 def _pass_states(run: LouvainRun) -> Iterator[tuple[PassRecord, _PassState]]:
     """(record, new state on the pass's input network) of each pass. The
     caller sweeps the state; the pass must end on its recorded partition."""
-    kind, cur = _kind(run.strategy), run.work
+    kind, cur = _kind(run.strategy), run.network
     for rec in run.passes:
         state = kind(cur)
         yield rec, state

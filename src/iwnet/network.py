@@ -6,7 +6,8 @@ entries of the observed contingency table, row by row). An absent edge
 is exactly [0,0] and has no entry; freshly ingested networks have no
 self-loops, while aggregated networks carry within-community weight as
 interval self-loops. ``IWNetwork.weights`` is a dense view for callers
-that want the matrix; nothing on the run path builds it.
+that want the matrix; nothing on the run path builds it. The scalar track
+reads ``midpoint_rows``, which leaves out a midpoint of 0.0 ([0, 5e-324]).
 ``format_matrix`` renders a network as the dense matrix up to
 ``DENSE_LIMIT`` vertices and as an edge list above, so no rendering is
 larger than O(n + m).
@@ -183,8 +184,8 @@ class IWNetwork(
         return seq_sum((w for row in self.rows for w in row.values()), ZERO)
 
     def midpoint_rows(self) -> list[dict[int, float]]:
-        """Neighbour maps of the edge midpoints."""
-        return [{j: w.midpoint for j, w in row.items()} for row in self.rows]
+        """Neighbour maps of the edge midpoints, without a midpoint of 0.0 ([0, 5e-324])."""
+        return [{j: m for j, w in row.items() if (m := w.midpoint)} for row in self.rows]
 
     def edges(self) -> Iterator[tuple[int, int, Interval]]:
         """(i, j, weight) of every present entry with i <= j, in row order,
@@ -268,7 +269,7 @@ def blocks(
     and c with ``combine``, starting from ``zero``, in row-major
     member-pair order (member lists ascend, as ``Partition`` and the
     driver keep them). Only blocks on or above the diagonal are computed;
-    each is passed to ``finish(*block)`` if given and mirrored, so the
+    each is passed to ``finish(block)`` if given and mirrored, so the
     result is exactly symmetric. Blocks without an entry are absent, and
     every returned map has ascending keys. Interval entries fold as
     (lo, hi) float pairs with ``pair_sum`` or ``envelope``.
@@ -287,7 +288,7 @@ def blocks(
                     upper[c] = combine(upper.get(c, zero), w)
         # rows below r already hold their keys < r in ascending order
         for c in sorted(upper):
-            out[r][c] = out[c][r] = upper[c] if finish is None else finish(*upper[c])
+            out[r][c] = out[c][r] = upper[c] if finish is None else finish(upper[c])
     return out
 
 
@@ -299,10 +300,16 @@ def envelope(acc: Pair | None, w: Interval) -> Pair:
     return (w.lo, w.hi) if acc is None else (min(acc[0], w.lo), max(acc[1], w.hi))
 
 
-def _collapse(net: IWNetwork, p: Partition, combine: Callable, zero: Pair | None) -> IWNetwork:
+def _collapse(net: IWNetwork, p: Partition, rows: Sequence[Mapping[int, Any]],
+              combine: Callable, zero: Any, finish: Callable) -> IWNetwork:
     comms = p.communities
+    rows = tuple(blocks(rows, comms, combine, zero, finish))  # rebinding frees midpoint's maps now
     labels = tuple(",".join(net.labels[v] for v in m) for m in comms)
-    return IWNetwork._trusted(labels, tuple(blocks(net.rows, comms, combine, zero, Interval)))
+    return IWNetwork._trusted(labels, rows)
+
+
+def _pair_interval(pair: Pair) -> Interval:
+    return Interval(*pair)
 
 
 def aggregate_sum(net: IWNetwork, p: Partition) -> IWNetwork:
@@ -311,7 +318,7 @@ def aggregate_sum(net: IWNetwork, p: Partition) -> IWNetwork:
     Block (C, D) sums all ordered member pairs, so the diagonal self-loop
     holds the whole within-community weight and total weight is preserved.
     """
-    return _collapse(net, p, pair_sum, (0.0, 0.0))
+    return _collapse(net, p, net.rows, pair_sum, (0.0, 0.0), _pair_interval)
 
 
 def aggregate_minmax(net: IWNetwork, p: Partition) -> IWNetwork:
@@ -320,7 +327,13 @@ def aggregate_minmax(net: IWNetwork, p: Partition) -> IWNetwork:
     Block (C, D) is [min lo, max hi] over present member edges only;
     blocks without one stay absent, so connectivity is preserved.
     """
-    return _collapse(net, p, envelope, None)
+    return _collapse(net, p, net.rows, envelope, None, _pair_interval)
+
+
+def _aggregate_midpoints(net: IWNetwork, p: Partition) -> IWNetwork:
+    """Collapse communities, summing ``midpoint_rows`` (no 0.0 entries) into
+    degenerate weights, with ``aggregate_sum``'s bits on a degenerate network."""
+    return _collapse(net, p, net.midpoint_rows(), operator.add, 0.0, lambda x: Interval(x, x))
 
 
 def format_matrix(net: IWNetwork) -> list[str]:

@@ -28,7 +28,7 @@ from .errors import EmptyNetwork, IWNError, ZeroTotalWeight
 from .interval import Interval, ZERO, dominant_diff, seq_sum
 from .louvain import Strategy, _IntervalPass
 from .modularity import _check_finite
-from .network import IWNetwork, blocks, pair_sum
+from .network import IWNetwork, _pair_interval, blocks, pair_sum
 from .partition import Partition
 
 __all__ = [
@@ -331,7 +331,7 @@ def q_max_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> floa
 
 def _interval_level(net: IWNetwork, comms: Sequence[Sequence[int]]) -> _IntervalPass:
     """A pass state on the level that collapses ``comms`` by interval summation."""
-    rows = tuple(blocks(net.rows, comms, pair_sum, (0.0, 0.0), Interval))
+    rows = tuple(blocks(net.rows, comms, pair_sum, (0.0, 0.0), _pair_interval))
     return _IntervalPass(IWNetwork._trusted(tuple(map(str, range(len(rows)))), rows))
 
 

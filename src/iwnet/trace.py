@@ -5,7 +5,9 @@ lines of every phase-1 decision, the Q after each sweep, each pass's
 aggregate and the final values. The decisions are derived as
 ``louvain.decisions`` derives them, by sweeping each pass's input network
 again on a new pass state, so rendering runs phase 1 again; each sweep's
-Q is that state's ``q()``. The text comes in newline-ended chunks of about
+Q is that state's ``q()``. ``midpoint``'s input prints as the degenerate
+projection it is priced on, which only the trace builds, by aggregating
+its singletons. The text comes in newline-ended chunks of about
 ``BATCH_CHARS`` characters, which the CLI writes as they come; a matrix
 is dense up to ``network.DENSE_LIMIT`` vertices and an edge list above
 (``format_matrix``).
@@ -21,7 +23,8 @@ from typing import Iterable, Iterator
 
 from . import louvain
 from .louvain import Decision, LouvainRun, _pass_states, _sweep
-from .network import IWNetwork
+from .network import IWNetwork, _aggregate_midpoints
+from .partition import Partition
 
 __all__ = ["emit_trace", "format_q"]
 
@@ -97,7 +100,9 @@ def format_q(q: float, digits: int = 3) -> str:
     return text[1:] if text == f"-{0.0:.{digits}f}" else text
 
 
-def _matrix_lines(net: IWNetwork) -> Iterator[str]:
+def _matrix_lines(run: LouvainRun, net: IWNetwork) -> Iterator[str]:
+    if net is run.network and run.strategy.name == "midpoint":  # the input as midpoint prices it
+        net = _aggregate_midpoints(net, Partition.singletons(net.n))
     # looked up on ``louvain`` at each call, not bound at import (see there)
     return map("{}\n".format, louvain.format_matrix(net))
 
@@ -112,7 +117,7 @@ def _trace_text(run: LouvainRun) -> Iterator[str]:
         net, replay = state.net, _Replay(state.net)
         if rec.number == 1:
             yield "Initial Interval-Weighted Network:\n"
-            yield from _matrix_lines(net)
+            yield from _matrix_lines(run, net)
             yield f"\n* Initial Modularity={format_q(state.q())}\n"
         yield f"* Begin Pass number {rec.number}\n"
         for sweep in range(1, rec.iterations + 1):
@@ -122,7 +127,7 @@ def _trace_text(run: LouvainRun) -> Iterator[str]:
             yield f"* End Pass number {rec.number} -- no change\n"
             continue
         yield "\nNew network: ---------------\n"
-        yield from _matrix_lines(rec.aggregated)
+        yield from _matrix_lines(run, rec.aggregated)
         q, communities = format_q(rec.modularity), " / ".join(rec.aggregated.labels)
         yield f"* End Pass number {rec.number} Modularity={q} Communities={communities}\n"
         yield "---------------------------\n"
@@ -134,4 +139,4 @@ def _trace_text(run: LouvainRun) -> Iterator[str]:
     yield f"* Normalized modularity: {q_norm} (Qmax={q_max})\n"
     yield "---------------------------\n"
     yield "Final Interval-weighted network:\n\n"
-    yield from _matrix_lines(final)
+    yield from _matrix_lines(run, final)

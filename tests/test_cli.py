@@ -636,7 +636,8 @@ def test_traced_run_renders_through_module_names(monkeypatch, tmp_path, method):
     module and renders each matrix of its trace (the input, each changed
     pass's aggregate and the final network) once through the louvain
     module, both looked up at call time, also with the renderer imported
-    before the wrappers are set."""
+    before the wrappers are set. ``midpoint``'s input renders as its
+    degenerate projection, the weights its first pass prices."""
     import iwnet.trace  # loaded first: a name it bound at import would miss the wrappers
 
     path = tmp_path / "net.csv"
@@ -657,7 +658,13 @@ def test_traced_run_renders_through_module_names(monkeypatch, tmp_path, method):
     (result,) = runs
     changed = [rec.aggregated for rec in result.passes if rec.changed]
     assert len(changed) >= 2
-    assert rendered == [result.work, *changed, result.final_network]
+    first = result.network
+    if method == "midpoint":
+        labels = first.labels
+        first = iwnet.IWNetwork.from_edges(
+            labels, [(labels[i], labels[j], w.midpoint, w.midpoint) for i, j, w in first.edges()]
+        )
+    assert rendered == [first, *changed, result.final_network]
     assert json.loads(out.read_text(encoding="utf-8"))["trace"] == iwnet.emit_trace(result)
 
 

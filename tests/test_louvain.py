@@ -5,7 +5,6 @@ import random
 import sys
 import time
 import tracemalloc
-import weakref
 
 import pytest
 
@@ -514,7 +513,9 @@ def test_run_computes_q_once_per_pass(monkeypatch, strategy):
     """run() reads each pass's Q and Q_max from the sums of its pass states,
     so it collapses a partition only to aggregate a changed pass, and
     emit_trace reads the initial and every sweep's Q from its pass states'
-    ``q()``, so it collapses none. Neither loads the reference module."""
+    ``q()``, so it collapses no partition: only the singletons of midpoint's
+    input, to print it as its degenerate projection. Neither loads the
+    reference module."""
     calls = []
     original = network.blocks
     monkeypatch.setattr(network, "blocks", lambda *a: calls.append(a) or original(*a))
@@ -530,7 +531,8 @@ def test_run_computes_q_once_per_pass(monkeypatch, strategy):
         assert len(calls) == sum(rec.changed for rec in result.passes)
         calls.clear()
         emit_trace(result)
-        assert not calls
+        assert bool(calls) == (strategy is MIDPOINT)
+        assert all(a[1] == Partition.singletons(net.n).communities for a in calls)
     assert "iwnet.oracle" not in sys.modules
 
 
@@ -673,7 +675,7 @@ def test_run_memory_is_a_few_networks(ring_csv, strategy):
     """run() keeps no per-decision record: on the 20,000-vertex ring, whose
     run is 8 to 14 passes of 2 sweeps, its tracemalloc peak above the
     network it is given stays within a few times the network's own size
-    (about 1.4x-1.8x; 2.0x-2.1x, and 2.8x for midpoint, while the result
+    (about 1.4x-1.6x; 2.0x-2.1x, and 2.8x for midpoint, while the result
     held the midpoint projection and the member lists of every partition).
     A log of every decision took it to 4.8x-5.0x."""
     tracemalloc.start()
@@ -686,8 +688,7 @@ def test_run_memory_is_a_few_networks(ring_csv, strategy):
     finally:
         tracemalloc.stop()
     assert len(result.passes) >= 8
-    bound = 3.25 if strategy is MIDPOINT else 2.5
-    assert peak < bound * size, f"peak {peak} B above a {size} B network"
+    assert peak < 2.5 * size, f"peak {peak} B above a {size} B network"
 
 
 def _hub_network(leaves):
@@ -739,25 +740,34 @@ class TestLazyDecisionLog:
         monkeypatch.undo()
         assert "\tTry " in emit_trace(result)
 
-    def test_run_keeps_no_midpoint_projection(self, monkeypatch):
-        """The projection that midpoint runs on is dropped once pass 1 has
-        aggregated it; ``work`` builds an equal one on each access."""
+    def test_midpoint_builds_intervals_for_its_aggregates_only(self, monkeypatch):
+        """midpoint prices pass 1 on the input's midpoints: run() constructs no
+        Interval before its first aggregate, then one per i <= j entry of each
+        aggregate, shared by the entry and its mirror."""
         net = random_network(random.Random(55), 40, density=0.15)
-        built, _work = [], louvain._work
+        init, aggregate = Interval.__init__, louvain._aggregate_midpoints
+        constructed, calls = [0], []
 
-        def project(*args):
-            work = _work(*args)
-            built.append(weakref.ref(work))
-            return work
+        def counting(self, *args):
+            constructed[0] += 1
+            init(self, *args)
 
-        monkeypatch.setattr(louvain, "_work", project)
+        def aggregating(cur, p):
+            before = constructed[0]
+            agg = aggregate(cur, p)
+            calls.append((before, constructed[0] - before, agg))
+            return agg
+
+        monkeypatch.setattr(Interval, "__init__", counting)
+        monkeypatch.setattr(louvain, "_aggregate_midpoints", aggregating)
         result = run(net, MIDPOINT)
         monkeypatch.undo()
-        gc.collect()
-        assert result.passes[0].changed
-        assert len(built) == 1 and built[0]() is None
-        assert result.work == _work(net, MIDPOINT) and result.work is not result.work
-        assert run(net, HYBRID).work is net
+        aggregates = [agg for _, _, agg in calls]
+        assert len(calls) >= 2 and calls[0][0] == 0
+        assert aggregates == [rec.aggregated for rec in result.passes if rec.changed]
+        assert [made for _, made, _ in calls] == [agg.edge_count() for agg in aggregates]
+        assert constructed[0] == sum(agg.edge_count() for agg in aggregates)
+        assert all(agg.rows[j][i] is w for agg in aggregates for i, j, w in agg.edges())
 
     @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
     def test_log_holds_one_decision_per_vertex_and_sweep(self, strategy):
@@ -891,9 +901,12 @@ def _records(net, rng):
     return records
 
 
-def test_networks_built_inside_pass_the_public_validator():
-    """symmetrize, the midpoint projection and the aggregates skip the checks
-    of IWNetwork.__init__; rebuilding each through it changes nothing."""
+def test_networks_built_inside_pass_the_public_validator(monkeypatch):
+    """symmetrize, the aggregates and the initial network of each trace (the
+    input, or the midpoint projection the trace builds for midpoint) skip the
+    checks of IWNetwork.__init__; rebuilding each through it changes nothing."""
+    rendered, fmt = [], louvain.format_matrix
+    monkeypatch.setattr(louvain, "format_matrix", lambda m: rendered.append(m) or fmt(m))
     rng = random.Random(82)
     nets = _edge_case_networks(rng, 8, (3, 14))
     nets += [random_degenerate_network(rng, rng.randrange(3, 14), density=0.3) for _ in range(4)]
@@ -907,7 +920,9 @@ def test_networks_built_inside_pass_the_public_validator():
             for strategy in (CLASSIC_INTERVAL, HYBRID, MIDPOINT):
                 result = run(sym, strategy)
                 built += [rec.aggregated for rec in result.passes]
-                built.append(louvain._work(sym, strategy))
+                rendered.clear()
+                emit_trace(result)  # its first matrix: the input, or midpoint's projection
+                built.append(rendered[0])
         for b in built:
             assert IWNetwork(b.labels, b.rows) == b
             checked += 1

@@ -411,10 +411,11 @@ class TestBlocksMatchDenseLoops:
                 _dense_sum(net.weights, comms, ZERO)
             )
             # the float folds of the aggregates, finished as Intervals
+            pair = network._pair_interval
             assert _densify(
-                network.blocks(net.rows, comms, network.pair_sum, (0.0, 0.0), Interval), ZERO
+                network.blocks(net.rows, comms, network.pair_sum, (0.0, 0.0), pair), ZERO
             ) == _dense_sum(net.weights, comms, ZERO)
-            assert _densify(network.blocks(net.rows, comms, network.envelope, None, Interval), ZERO) == (
+            assert _densify(network.blocks(net.rows, comms, network.envelope, None, pair), ZERO) == (
                 _dense_minmax(net.weights, comms)
             )
             mids = network.blocks(net.midpoint_rows(), comms, operator.add, 0.0)
