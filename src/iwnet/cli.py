@@ -3,14 +3,18 @@
 ``iwnet run`` ingests an edge-list CSV (header ``src,dst,lo,hi``), runs
 one of the three Louvain strategies and writes the membership, per-pass
 summary and final aggregated interval matrix as text or as one JSON
-document (``format_version`` 2: the matrix is an edge list), writing it
-as it is rendered, the trace in chunks of about 64 KiB; every output is
-O(n + m). ``iwnet oracle`` brute-forces the optimal partition of a
-small instance.
+document (``format_version`` 2: the matrix is an edge list); every
+output is O(n + m). With ``--trace`` the trace is rendered while the run
+decides, into an anonymous temporary file (the spool), and copied to the
+output in chunks of about 64 KiB once the run has succeeded, so phase 1
+runs once and memory holds one chunk, not the trace. The output is
+opened only after the run, so a failed run writes nothing. ``iwnet
+oracle`` brute-forces the optimal partition of a small instance.
 
 Exit codes: 0 success (also when the reader of stdout closes it early),
-1 malformed input (message carries the line number where possible),
-2 algorithm failure.
+1 malformed input (message carries the line number where possible) or a
+file that cannot be read or written (the spool included), 2 algorithm
+failure.
 
 The program (``main()`` with no arguments: the ``iwnet`` script and
 ``python -m iwnet.cli``) freezes the garbage collector at entry, so the
@@ -28,8 +32,7 @@ import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
-from typing import Iterator
+from typing import Iterable
 
 from .errors import DuplicateEdge, IWNError, ParseError
 from .louvain import NAMES, LouvainRun, run as run_louvain
@@ -100,17 +103,10 @@ def _communities(result: LouvainRun) -> list[list[str]]:
     return [[labels[v] for v in group] for group in result.final_partition.communities]
 
 
-def _run_json(result: LouvainRun, method: str, with_trace: bool) -> Iterator[str]:
-    """Chunks of the JSON document, rendered before the first is returned.
-
-    Everything but ``trace`` is rendered here, so a value JSON cannot
-    spell raises before any output is written. The trace, the last
-    member, follows a chunk at a time: JSON escapes a string
-    character by character, so escaping each chunk gives the bytes of
-    escaping the whole trace at once. ``aggregated_matrix`` lists the
-    present entries of the final network as ``[i, j, lo, hi]`` with
-    i <= j in row order, so the document is O(n + m).
-    """
+def _run_json(result: LouvainRun, method: str) -> str:
+    """The JSON document without ``trace``. ``aggregated_matrix`` lists
+    the present entries of the final network as ``[i, j, lo, hi]`` with
+    i <= j in row order, so the document is O(n + m)."""
     net = result.final_network
     doc = {
         "format_version": FORMAT_VERSION,
@@ -138,22 +134,13 @@ def _run_json(result: LouvainRun, method: str, with_trace: bool) -> Iterator[str
             "edges": [[i, j, w.lo, w.hi] for i, j, w in net.edges()],
         },
     }
-    head = json.dumps(doc, indent=2, allow_nan=False)
-    if not with_trace:
-        return iter((head,))
-    from .trace import _chunks, _trace_text  # only a trace needs the renderer
-
-    # reopen the document before its closing "\n}" to append the trace member
-    trace = (encode_basestring_ascii(chunk)[1:-1] for chunk in _chunks(_trace_text(result)))
-    return itertools.chain((head[:-2], ',\n  "trace": "'), trace, ('"\n}',))
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
-def _run_text(result: LouvainRun, method: str, with_trace: bool) -> Iterator[str]:
-    from .trace import _chunks, _trace_text, format_q
+def _run_text(result: LouvainRun, method: str) -> str:
+    """The text summary."""
+    from .trace import format_q
 
-    if with_trace:
-        yield from _chunks(_trace_text(result))
-        yield "=" * 27 + "\n"
     lines = [
         f"method: {method}",
         f"vertices: {result.network.n}, edges: {result.network.edge_count()}",
@@ -180,22 +167,40 @@ def _run_text(result: LouvainRun, method: str, with_trace: bool) -> Iterator[str
     lines.append("")
     lines.append("final aggregated interval matrix:")
     lines += format_matrix(result.final_network)
-    yield "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _write(path: str | None, chunks: Iterable[str]) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    else:
+        sys.stdout.writelines(chunks)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     net = _load_network(args)
-    result = run_louvain(net, args.method)
-    if args.format == "json":
-        chunks = itertools.chain(_run_json(result, args.method, args.trace), ("\n",))
-    else:
-        chunks = _run_text(result, args.method, args.trace)
-    # written as rendered: the trace never exists as one string
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+    as_json = args.format == "json"
+    if not args.trace:
+        result = run_louvain(net, args.method)
+        text = _run_json(result, args.method) + "\n" if as_json else _run_text(result, args.method)
+        _write(args.out, (text,))
+        return 0
+    from .trace import _json_with_trace, _spool, _spooled, _Trace  # only a trace needs them
+
+    # the trace goes to the spool while the run decides; the output is opened
+    # once the run has succeeded and the rest is rendered
+    with _spool() as spool:
+        trace = _Trace(spool.write, net, args.method)
+        result = run_louvain(net, args.method, trace.sweep)
+        trace.end(result)
+        if as_json:
+            head = _run_json(result, args.method)
+            chunks = itertools.chain(_json_with_trace(head, _spooled(spool)), ("\n",))
+        else:
+            summary = _run_text(result, args.method)
+            chunks = itertools.chain(_spooled(spool), ("=" * 27 + "\n", summary))
+        _write(args.out, chunks)
     return 0
 
 

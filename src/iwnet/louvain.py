@@ -31,13 +31,12 @@ gives the Q of its membership (``q()``) and the level's Q_max
 fresh (singleton) state it builds for the next pass and Q_max from the
 last state, and collapses no partition.
 
-``run()`` keeps no decision log, so it holds O(n + m) memory. Vertices
-are swept in index order and every decision is deterministic:
-``decisions(run)`` derives each ``Decision`` again, sweeping each pass's
-input network on a new state. The text trace (``iwnet.trace``, loaded
-on first use) renders the ``Try``/``Move``/``Keep`` lines from such live
-states, so a traced run runs phase 1 twice, and reads each sweep's Q
-from the same ``q()``.
+``run()`` keeps no decision log, so it holds O(n + m) memory. Its pass
+loop takes an internal sweep hook, which makes each phase-1 sweep on the
+live pass state and reads what each step leaves on it: the text trace
+and the decision log (``decisions``, ``Decision``), both in
+``iwnet.trace``, which this module resolves on first use. Untraced, a
+sweep costs nothing per vertex.
 
 A move must beat returning to the vertex's former community by more
 than a tolerance (``TIE_ULPS`` ulps of the largest operand of the two
@@ -53,7 +52,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import EmptyNetwork, InvalidInterval, IterationLimit, ZeroTotalWeight
 from .frozen import Frozen
@@ -72,7 +71,7 @@ __all__ = [
     "HYBRID",
     "MIDPOINT",
     "PassRecord",
-    "Decision",
+    "Decision",  # resolved from iwnet.trace, as is decisions
     "LouvainRun",
     "run",
     "evaluate_moves",
@@ -116,16 +115,6 @@ class PassRecord(NamedTuple):
     changed: bool
 
 
-class Decision(NamedTuple):
-    """One phase-1 evaluation of a vertex, in the ids of its pass's network."""
-
-    vertex: int
-    own: int  # community of the vertex before the evaluation
-    candidates: tuple[int, ...]  # candidate communities in scan order
-    gains: tuple[float, ...]  # gain of each candidate
-    target: int | None  # community moved to, None for a keep
-
-
 class LouvainRun(NamedTuple):
     """Full hierarchy produced by one driver run."""
 
@@ -148,7 +137,7 @@ class _PassState:
     applies the tie rule in one loop over them, places v and returns
     whether v moved. It leaves v's links map in ``links`` (its keys are
     the candidates, in scan order) and their gains in ``gains``, each
-    replaced by the next step; ``decisions`` reads them.
+    replaced by the next step; a sweep hook reads them.
 
     A move needs a strictly positive gain that beats returning to the
     former community by more than a tolerance of ``TIE_ULPS`` ulps of the
@@ -379,16 +368,19 @@ class _IntervalPass(_PassState):
         return target != own
 
 
-def _optimize(state: _PassState) -> int:
+Sweep = Callable[[_PassState, int], bool]  # the sweep hook of ``run``
+
+
+def _optimize(state: _PassState, sweep: Sweep | None) -> int:
     """Phase 1: greedy sweeps until one completes without a move.
 
     Returns the sweeps performed; every sweep before the last moved a
-    vertex. No decision is kept: ``decisions`` derives them again.
+    vertex. ``sweep``, if given, makes each sweep.
     """
     step, vertices = state.step, range(state.net.n)
     for iterations in range(1, SWEEP_LIMIT + 1):
         # a list, so any() cannot end the sweep at its first move
-        if not any([step(v) for v in vertices]):
+        if not (sweep(state, iterations) if sweep else any([step(v) for v in vertices])):
             return iterations
     raise IterationLimit(f"no convergence after {SWEEP_LIMIT} sweeps")
 
@@ -397,12 +389,17 @@ def _kind(strategy: Strategy) -> type[_IntervalPass] | type[_ScalarPass]:
     return _IntervalPass if strategy.name == "cl" else _ScalarPass
 
 
-def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainRun:
+def run(
+    net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL, sweep: Sweep | None = None
+) -> LouvainRun:
     """Run the Louvain hierarchy to convergence.
 
     One pass = greedy vertex sweeps (phase 1) followed by aggregation
     (phase 2); the run ends when a pass moves nothing. The terminal
     no-change pass is recorded alongside the productive passes.
+    ``sweep`` is internal: ``sweep(state, iteration)`` must step every
+    vertex of ``state`` in index order and return whether one moved
+    (``iteration`` counts from 1 in each pass, on a new state).
     """
     if isinstance(strategy, str):
         strategy = Strategy(strategy)
@@ -427,7 +424,7 @@ def run(net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL) -> LouvainR
     cur, state = net, kind(net)
     passes: list[PassRecord] = []
     while True:
-        iterations = _optimize(state)
+        iterations = _optimize(state, sweep)
         p = Partition(state.comm_of)  # ids renumbered by first appearance; singletons if no move
         if iterations == 1:  # the first sweep moved nothing: cur stays as singletons
             # Q of cur as singletons: the last aggregate's, or the input's
@@ -474,33 +471,9 @@ def evaluate_moves(
     return list(zip(state.links, state.gains))
 
 
-def _pass_states(run: LouvainRun) -> Iterator[tuple[PassRecord, _PassState]]:
-    """(record, new state on the pass's input network) of each pass. The
-    caller sweeps the state; the pass must end on its recorded partition."""
-    kind, cur = _kind(run.strategy), run.network
-    for rec in run.passes:
-        state = kind(cur)
-        yield rec, state
-        if Partition(state.comm_of) != rec.partition:
-            raise RuntimeError(f"pass {rec.number} did not derive its recorded partition")
-        cur = rec.aggregated
+def __getattr__(name: str):
+    if name in ("Decision", "decisions"):  # the decision log is derived on request
+        from . import trace
 
-
-def _sweep(state: _PassState) -> Iterator[Decision]:
-    """The ``Decision`` of each vertex of one sweep of ``state``, in index order."""
-    step, comm_of = state.step, state.comm_of
-    for v in range(state.net.n):
-        own = comm_of[v]
-        target = comm_of[v] if step(v) else None
-        yield Decision(v, own, tuple(state.links), tuple(state.gains), target)
-
-
-def decisions(run: LouvainRun) -> Iterator[Decision]:
-    """The ``Decision`` of every phase-1 evaluation of ``run``, in sweep
-    order (``iterations x n`` per pass, in the ids of the pass's network),
-    derived again by sweeping each pass's input network on a new state. A
-    pass that does not end on its recorded partition raises ``RuntimeError``.
-    """
-    for rec, state in _pass_states(run):
-        for _ in range(rec.iterations):
-            yield from _sweep(state)
+        return getattr(trace, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,96 +1,225 @@
-"""The human-readable trace of a Louvain run.
+"""The human-readable trace of a Louvain run, and its decision log.
 
-``emit_trace`` renders the initial network, the ``Try``/``Move``/``Keep``
+The trace shows the initial network, the ``Try``/``Move``/``Keep``
 lines of every phase-1 decision, the Q after each sweep, each pass's
-aggregate and the final values. The decisions are derived as
-``louvain.decisions`` derives them, by sweeping each pass's input network
-again on a new pass state, so rendering runs phase 1 again; each sweep's
-Q is that state's ``q()``. ``midpoint``'s input prints as the degenerate
-projection it is priced on, which only the trace builds, by aggregating
-its singletons. The text comes in newline-ended chunks of about
-``BATCH_CHARS`` characters, which the CLI writes as they come; a matrix
-is dense up to ``network.DENSE_LIMIT`` vertices and an edge list above
+aggregate and the final values. ``_Trace`` renders it while a run
+decides: its ``sweep`` is the pass loop's sweep hook (see
+``louvain.run``), which steps each vertex of the live pass state and
+renders its lines from the candidates and gains the step left there,
+and each sweep's Q is that state's ``q()``. ``iwnet run --trace`` hands
+it the run it reports, which renders into an anonymous temporary file
+(the spool) that the CLI copies to its output once the run has
+succeeded, so phase 1 runs once. ``emit_trace`` and ``decisions`` drive
+a finished run's input through the pass loop again, ``decisions`` with
+a hook that records a ``Decision`` per step. ``midpoint``'s input
+prints as the degenerate projection it is priced on, which only the
+trace builds, by aggregating its singletons. A matrix is dense up to
+``network.DENSE_LIMIT`` vertices and an edge list above
 (``format_matrix``).
 
 An untraced run never loads this module: the CLI imports it for a trace
-or a text summary, and ``iwnet.emit_trace`` resolves on first use.
+or a text summary, and ``iwnet.emit_trace``, ``louvain.decisions`` and
+``louvain.Decision`` resolve on first use.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator
+import itertools
+from json.encoder import encode_basestring_ascii
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from . import louvain
-from .louvain import Decision, LouvainRun, _pass_states, _sweep
+from .louvain import LouvainRun, _PassState
 from .network import IWNetwork, _aggregate_midpoints
 from .partition import Partition
 
-__all__ = ["emit_trace", "format_q"]
+__all__ = ["emit_trace", "format_q", "Decision", "decisions"]
 
-BATCH_CHARS = 1 << 16  # the trace is rendered in runs of about this size
+BATCH_CHARS = 1 << 16  # a spooled trace is read back in runs of about this size
 
 
-class _Replay:
-    """Members and labels of the communities of one pass, from singletons
-    of its input network. ``label[c]`` is that of community id c, or
-    ``None`` from a move that changes c until it is next asked for."""
+class Decision(NamedTuple):
+    """One phase-1 evaluation of a vertex, in the ids of its pass's network."""
 
-    def __init__(self, net: IWNetwork):
-        self.names, self.label = net.labels, list(net.labels)
+    vertex: int
+    own: int  # community of the vertex before the evaluation
+    candidates: tuple[int, ...]  # candidate communities in scan order
+    gains: tuple[float, ...]  # gain of each candidate
+    target: int | None  # community moved to, None for a keep
+
+
+def _rerun(result: LouvainRun, sweep: louvain.Sweep) -> None:
+    """Run ``result``'s input again with ``sweep`` making each sweep. A
+    pass that does not end on its recorded partition raises
+    ``RuntimeError``."""
+    derived = louvain.run(result.network, result.strategy, sweep).passes
+    for rec in result.passes:
+        if rec.number > len(derived) or derived[rec.number - 1].partition != rec.partition:
+            raise RuntimeError(f"pass {rec.number} did not derive its recorded partition")
+
+
+def decisions(run: LouvainRun) -> Iterator[Decision]:
+    """The ``Decision`` of every phase-1 evaluation of ``run``, in sweep
+    order (``iterations x n`` per pass, in the ids of the pass's network),
+    derived again by driving ``run.network`` through the pass loop, and
+    held until they are yielded. A pass that does not end on its recorded
+    partition raises ``RuntimeError``.
+    """
+    log: list[Decision] = []
+
+    def record(state: _PassState, iteration: int) -> bool:
+        step, comm_of, n = state.step, state.comm_of, state.net.n
+        for v in range(n):
+            own = comm_of[v]
+            target = comm_of[v] if step(v) else None
+            log.append(Decision(v, own, tuple(state.links), tuple(state.gains), target))
+        return any(d.target is not None for d in log[-n:])
+
+    _rerun(run, record)
+    yield from log
+
+
+class _Trace:
+    """Renders the trace of one run of ``net`` by ``method`` into ``write``
+    (newline-ended text): ``sweep`` is the run's sweep hook, and ``end``
+    closes the trace with the finished run.
+
+    A pass's rendering state is the member list of each community, from
+    singletons of its input, and per community its label and the
+    ``"<label:<15> | gain="`` cell of its ``Try`` lines, each ``None`` from
+    a move that changes the community until it is next asked for.
+    """
+
+    def __init__(self, write: Callable[[str], object], net: IWNetwork, method: str):
+        self.write, self.net, self.method = write, net, method
+        self.passes = 0
+
+    def _matrix(self, net: IWNetwork) -> None:
+        if net is self.net and self.method == "midpoint":  # the input as midpoint prices it
+            net = _aggregate_midpoints(net, Partition.singletons(net.n))
+        # looked up on ``louvain`` at each call, not bound at import (see there)
+        for line in louvain.format_matrix(net):
+            self.write(f"{line}\n")
+
+    def _begin(self, state: _PassState) -> None:
+        """The lines before a pass's first sweep: the initial network, or
+        the end of the previous pass, whose aggregate ``state`` is on."""
+        net, write, q = state.net, self.write, format_q(state.q())
+        if self.passes:
+            write("\nNew network: ---------------\n")
+            self._matrix(net)
+            communities = " / ".join(net.labels)
+            write(f"* End Pass number {self.passes} Modularity={q} Communities={communities}\n")
+            write("---------------------------\n")
+        else:
+            write("Initial Interval-Weighted Network:\n")
+            self._matrix(net)
+            write(f"\n* Initial Modularity={q}\n")
+        self.passes += 1
+        write(f"* Begin Pass number {self.passes}\n")
+        self.names = names = net.labels
+        self.tries = [f"\tTry {name} -> " for name in names]
         self.members = [[v] for v in range(net.n)]
+        self.labels = list(names)
+        self.cells: list[str | None] = [None] * net.n
 
-    def render(self, d: Decision) -> str:
-        """The newline-ended Try/Move/Keep lines of d; then d's move is
-        applied. Labels name the communities as they were before v left
-        (only its own contains it). A gain prints as
-        ``gain=<sign><|gain|:.3f> (<mark>)``, the mark ``0`` for a zero
-        gain (-0.0 too, which prints ``gain=+0.000 (0)``).
-        """
-        names, members, label = self.names, self.members, self.label
-        v, own, target = d.vertex, d.own, d.target
-        vlabel = names[v]
-        own_label = label[own]
-        if own_label is None:
-            own_label = label[own] = ",".join([names[u] for u in members[own]])
-        try_v = f"\tTry {vlabel} -> "
-        lines = []
-        for c, g in zip(d.candidates, d.gains):
-            clabel = label[c]
-            if clabel is None:
-                clabel = label[c] = ",".join([names[u] for u in members[c]])
-            lines.append(
-                f"{try_v}{clabel:<15} | gain={'-' if g < 0.0 else '+'}{abs(g):.3f} "
-                f"({'0' if g == 0.0 else '+' if g > 0.0 else '-'})\n"
-            )
-        if target is None:
-            lines.append(f"\tKeep vertex {vlabel} at community {own_label}\n")
-        else:  # the target is a candidate, so its label is set
-            lines.append(f"\tMove {vlabel} -> {label[target]}\n")
-            members[own].remove(v)
-            bisect.insort(members[target], v)
-            label[own] = label[target] = None
-        return "".join(lines)
+    def _label(self, c: int) -> str:
+        label = self.labels[c]
+        if label is None:
+            label = self.labels[c] = ",".join([self.names[u] for u in self.members[c]])
+        return label
+
+    def sweep(self, state: _PassState, iteration: int) -> bool:
+        """Step every vertex of ``state``, writing its lines, then the
+        sweep's Q; True if a vertex moved. Labels name the communities as
+        they were before v left (only its own contains it). A gain prints
+        as ``gain=<sign><|gain|:.3f> (<mark>)``, the mark ``0`` for a zero
+        gain (-0.0 too, which prints ``gain=+0.000 (0)``)."""
+        if iteration == 1:
+            self._begin(state)
+        write, names, tries, members, labels, cells = (
+            self.write, self.names, self.tries, self.members, self.labels, self.cells
+        )
+        step, comm_of, moved_any = state.step, state.comm_of, False
+        for v in range(state.net.n):
+            own = comm_of[v]
+            moved = step(v)
+            try_v, lines = tries[v], []
+            for c, g in zip(state.links, state.gains):
+                cell = cells[c]
+                if cell is None:
+                    cell = cells[c] = f"{self._label(c):<15} | gain="
+                if g > 0.0:
+                    lines.append(f"{try_v}{cell}+{g:.3f} (+)\n")
+                elif g == 0.0:
+                    lines.append(f"{try_v}{cell}+0.000 (0)\n")
+                else:
+                    lines.append(f"{try_v}{cell}{g:+.3f} (-)\n")
+            if moved:
+                target = comm_of[v]
+                lines.append(f"\tMove {names[v]} -> {self._label(target)}\n")
+                members[own].remove(v)
+                bisect.insort(members[target], v)
+                labels[own] = labels[target] = cells[own] = cells[target] = None
+                moved_any = True
+            else:
+                lines.append(f"\tKeep vertex {names[v]} at community {self._label(own)}\n")
+            write("".join(lines))
+        write(f"Iteration {iteration} Modularity={format_q(state.q())}\n")
+        return moved_any
+
+    def end(self, run: LouvainRun) -> None:
+        """The lines after the run's last sweep: its last pass moved nothing."""
+        write, final = self.write, run.final_network
+        write(f"* End Pass number {self.passes} -- no change\n")
+        prefix = "Hybrid - Before Normalized" if self.method == "hl" else "Before Normalized"
+        write(f"\n* Final communities: {' / '.join(final.labels)} (n={final.n})\n")
+        write(f"* {prefix}: {format_q(run.final_q)}\n")
+        q_norm, q_max = format_q(run.final_q_norm), format_q(run.final_q_max, 6)
+        write(f"* Normalized modularity: {q_norm} (Qmax={q_max})\n")
+        write("---------------------------\n")
+        write("Final Interval-weighted network:\n\n")
+        self._matrix(final)
 
 
 def emit_trace(run: LouvainRun) -> str:
-    """Human-readable log of the whole run (one string, newline-joined)."""
-    return "".join(_trace_text(run))
+    """Human-readable log of the whole run (one string, newline-joined),
+    rendered as ``run.network`` is driven through the pass loop again."""
+    parts: list[str] = []
+    trace = _Trace(parts.append, run.network, run.strategy.name)
+    _rerun(run, trace.sweep)
+    trace.end(run)
+    return "".join(parts)
 
 
-def _chunks(pieces: Iterable[str]) -> Iterator[str]:
-    """Newline-terminated pieces joined into runs of about ``BATCH_CHARS``
-    characters; a longer piece is a run of its own."""
-    batch: list[str] = []
-    size = 0
-    for piece in pieces:
-        if size + len(piece) > BATCH_CHARS and batch:
-            yield "".join(batch)
-            batch, size = [], 0
-        batch.append(piece)
-        size += len(piece)
-    if batch:
-        yield "".join(batch)
+def _spool() -> IO[str]:
+    """An anonymous temporary file for a trace, gone once closed. Its text
+    reads back as written (``newline="\\n"``: no newline is translated, and
+    a line ends at ``\\n`` only), though a label may hold a carriage return."""
+    import tempfile  # only a traced CLI run needs it
+
+    return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+
+
+def _spooled(spool: IO[str]) -> Iterator[str]:
+    """The text of ``spool`` from its start, in runs of ``BATCH_CHARS``
+    characters each completed to the end of its last line."""
+    spool.seek(0)
+    while chunk := spool.read(BATCH_CHARS):
+        if not chunk.endswith("\n"):
+            chunk += spool.readline()
+        yield chunk
+
+
+def _json_with_trace(head: str, trace: Iterable[str]) -> Iterator[str]:
+    """Chunks of the JSON document ``head`` with the text of the ``trace``
+    chunks as its last member. JSON escapes a string character by
+    character, so escaping each chunk gives the bytes of escaping the
+    whole trace at once."""
+    escaped = (encode_basestring_ascii(chunk)[1:-1] for chunk in trace)
+    # reopen the document before its closing "\n}" to append the member
+    return itertools.chain((head[:-2], ',\n  "trace": "'), escaped, ('"\n}',))
 
 
 def format_q(q: float, digits: int = 3) -> str:
@@ -98,45 +227,3 @@ def format_q(q: float, digits: int = 3) -> str:
     rounding residues of either sign print alike."""
     text = f"{q:.{digits}f}"
     return text[1:] if text == f"-{0.0:.{digits}f}" else text
-
-
-def _matrix_lines(run: LouvainRun, net: IWNetwork) -> Iterator[str]:
-    if net is run.network and run.strategy.name == "midpoint":  # the input as midpoint prices it
-        net = _aggregate_midpoints(net, Partition.singletons(net.n))
-    # looked up on ``louvain`` at each call, not bound at import (see there)
-    return map("{}\n".format, louvain.format_matrix(net))
-
-
-def _trace_text(run: LouvainRun) -> Iterator[str]:
-    """The text of ``emit_trace`` in newline-ended pieces: a line, or the
-    lines of one decision, rendered as ``decisions`` derives it. The initial
-    and each sweep's Q are the pass state's ``q()``; every Q prints through
-    ``format_q``.
-    """
-    for rec, state in _pass_states(run):
-        net, replay = state.net, _Replay(state.net)
-        if rec.number == 1:
-            yield "Initial Interval-Weighted Network:\n"
-            yield from _matrix_lines(run, net)
-            yield f"\n* Initial Modularity={format_q(state.q())}\n"
-        yield f"* Begin Pass number {rec.number}\n"
-        for sweep in range(1, rec.iterations + 1):
-            yield from map(replay.render, _sweep(state))
-            yield f"Iteration {sweep} Modularity={format_q(state.q())}\n"
-        if not rec.changed:
-            yield f"* End Pass number {rec.number} -- no change\n"
-            continue
-        yield "\nNew network: ---------------\n"
-        yield from _matrix_lines(run, rec.aggregated)
-        q, communities = format_q(rec.modularity), " / ".join(rec.aggregated.labels)
-        yield f"* End Pass number {rec.number} Modularity={q} Communities={communities}\n"
-        yield "---------------------------\n"
-    final = run.final_network
-    prefix = "Hybrid - Before Normalized" if run.strategy.name == "hl" else "Before Normalized"
-    yield f"\n* Final communities: {' / '.join(final.labels)} (n={final.n})\n"
-    yield f"* {prefix}: {format_q(run.final_q)}\n"
-    q_norm, q_max = format_q(run.final_q_norm), format_q(run.final_q_max, 6)
-    yield f"* Normalized modularity: {q_norm} (Qmax={q_max})\n"
-    yield "---------------------------\n"
-    yield "Final Interval-weighted network:\n\n"
-    yield from _matrix_lines(run, final)

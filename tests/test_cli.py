@@ -593,9 +593,9 @@ def run_each(*flags):
     for method in ("cl", "hl", "midpoint"):
         argv = ["run", "--input", sys.argv[1], "--method", method, "--format", "json", *flags]
         assert iwnet.cli.main([*argv, "--out", os.devnull]) == 0
-    print(sorted({"iwnet.oracle", "iwnet.trace"} & set(sys.modules)))
+    print(sorted({"iwnet.oracle", "iwnet.trace", "tempfile"} & set(sys.modules)))
 
-print(sorted({"dataclasses", "iwnet.oracle", "iwnet.trace"} & set(sys.modules)))
+print(sorted({"dataclasses", "iwnet.oracle", "iwnet.trace", "tempfile"} & set(sys.modules)))
 run_each()
 run_each("--trace")
 sys.exit(iwnet.cli.main(["oracle", "--input", sys.argv[1], "--metric", "cl"]))
@@ -604,11 +604,11 @@ sys.exit(iwnet.cli.main(["oracle", "--input", sys.argv[1], "--metric", "cl"]))
 
 def test_cold_start_loads_only_what_run_needs(tmp_path, capsys):
     """``import iwnet.cli`` loads neither ``dataclasses``, nor the reference
-    module, nor the trace renderer; an untraced JSON run of each strategy
-    loads neither module, and a traced run loads the renderer only (a stray
-    lookup of a reference name on the run path would load the reference
-    module, silently). The names the package resolves on first use still
-    resolve."""
+    module, nor the trace renderer, nor ``tempfile``; an untraced JSON run of
+    each strategy loads none of the last three, and a traced run loads the
+    renderer and ``tempfile``, for its spool, only (a stray lookup of a
+    reference name on the run path would load the reference module,
+    silently). The names the package resolves on first use still resolve."""
     path = tmp_path / "toy.csv"
     path.write_text(TOY_CSV, encoding="utf-8")
     src = str(Path(iwnet.__file__).resolve().parent.parent)
@@ -621,7 +621,7 @@ def test_cold_start_loads_only_what_run_needs(tmp_path, capsys):
     loaded, loaded_by_runs, loaded_by_traced_runs, *report = proc.stdout.splitlines()
     assert loaded == "[]"
     assert loaded_by_runs == "[]"
-    assert loaded_by_traced_runs == "['iwnet.trace']"
+    assert loaded_by_traced_runs == "['iwnet.trace', 'tempfile']"
     assert report[-3:] == ["best partition (n=2):", "  C1: v1, v2", "  C2: v3, v4"]
     for name in iwnet.__all__:
         getattr(iwnet, name)

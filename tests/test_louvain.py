@@ -511,11 +511,12 @@ class TestScalarGainDifferential:
 @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
 def test_run_computes_q_once_per_pass(monkeypatch, strategy):
     """run() reads each pass's Q and Q_max from the sums of its pass states,
-    so it collapses a partition only to aggregate a changed pass, and
-    emit_trace reads the initial and every sweep's Q from its pass states'
-    ``q()``, so it collapses no partition: only the singletons of midpoint's
-    input, to print it as its degenerate projection. Neither loads the
-    reference module."""
+    so it collapses a partition only to aggregate a changed pass, and the
+    trace reads the initial and every sweep's Q from its pass states'
+    ``q()``: emit_trace, which drives the input through the pass loop again,
+    collapses each changed pass's partition once more to aggregate it, and
+    otherwise only the singletons of midpoint's input, to print it as its
+    degenerate projection. Neither loads the reference module."""
     calls = []
     original = network.blocks
     monkeypatch.setattr(network, "blocks", lambda *a: calls.append(a) or original(*a))
@@ -528,11 +529,15 @@ def test_run_computes_q_once_per_pass(monkeypatch, strategy):
         calls.clear()
         result = run(net, strategy)
         assert len(result.passes) >= min_passes
-        assert len(calls) == sum(rec.changed for rec in result.passes)
+        changed = [rec.partition.communities for rec in result.passes if rec.changed]
+        assert [a[1] for a in calls] == changed
         calls.clear()
         emit_trace(result)
-        assert bool(calls) == (strategy is MIDPOINT)
-        assert all(a[1] == Partition.singletons(net.n).communities for a in calls)
+        singles = Partition.singletons(net.n).communities
+        projection = [singles] if strategy is MIDPOINT else []
+        # the input prints before the first sweep, and again as the final
+        # network when no pass changed it; each aggregate after its pass
+        assert [a[1] for a in calls] == projection + changed + (projection if not changed else [])
     assert "iwnet.oracle" not in sys.modules
 
 
@@ -568,8 +573,8 @@ def test_pass_q_matches_public_functions_exactly(strategy):
 
 @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
 def test_trace_q_matches_the_partition_level_reference(strategy):
-    """The Q the trace prints, ``q()`` of each pass state stepped as
-    ``trace._trace_text`` steps it, after initialization and after every sweep,
+    """The Q the trace prints, ``q()`` of each pass state of the run, read
+    by a sweep hook before the pass's first sweep and after every sweep,
     against the reference partition-level Q of the same member lists: within
     1e-12 of the total weight, and printed alike by ``format_q``. The small
     dense networks end as one community, where Q is a rounding residue."""
@@ -581,20 +586,27 @@ def test_trace_q_matches_the_partition_level_reference(strategy):
     single = [net for net in dense if run(net, strategy).final_network.n == 1]
     assert len(single) >= 10
     checked = 0
+
+    def check(state):
+        nonlocal checked
+        if strategy.name == "cl":
+            q_of, rows, scale = q_interval_communities, state.net, state.totals[1]
+        else:
+            q_of, rows, scale = q_scalar_communities, state.neigh, state.two_w
+        got, ref = state.q(), q_of(rows, [m for m in _members(state) if m])
+        assert math.isclose(got, ref, rel_tol=0.0, abs_tol=1e-12 * scale), (got, ref)
+        assert renderer.format_q(got) == renderer.format_q(ref)
+        checked += 1
+
+    def sweep(state, iteration):
+        if iteration == 1:
+            check(state)
+        moved = any([state.step(v) for v in range(state.net.n)])
+        check(state)
+        return moved
+
     for net in nets + single:
-        for rec, state in louvain._pass_states(run(net, strategy)):
-            if strategy.name == "cl":
-                q_of, rows, scale = q_interval_communities, state.net, state.totals[1]
-            else:
-                q_of, rows, scale = q_scalar_communities, state.neigh, state.two_w
-            for sweep in range(rec.iterations + 1):
-                if sweep:
-                    for v in range(state.net.n):
-                        state.step(v)
-                got, ref = state.q(), q_of(rows, [m for m in _members(state) if m])
-                assert math.isclose(got, ref, rel_tol=0.0, abs_tol=1e-12 * scale), (got, ref)
-                assert renderer.format_q(got) == renderer.format_q(ref)
-                checked += 1
+        assert run(net, strategy, sweep) == run(net, strategy)
     assert checked > 500
 
 
@@ -720,8 +732,8 @@ def test_hub_network_scales_linearly(strategy):
 
 
 class TestLazyDecisionLog:
-    """run() keeps no decisions and builds none; decisions(run) derives
-    them again, and emit_trace alone turns them into text."""
+    """run() keeps no decisions and builds none; decisions(run) and
+    emit_trace derive them again, driving the input through the pass loop."""
 
     @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
     def test_run_formats_no_gain(self, monkeypatch, strategy):
@@ -730,11 +742,12 @@ class TestLazyDecisionLog:
         def refuse(*_):
             raise AssertionError("run() built, derived or rendered a decision")
 
-        for name in ("decisions", "_pass_states", "_sweep"):
-            monkeypatch.setattr(louvain, name, refuse)
-        monkeypatch.setattr(louvain.Decision, "__new__", refuse)
-        monkeypatch.setattr(renderer, "_trace_text", refuse)
-        monkeypatch.setattr(renderer._Replay, "render", refuse)
+        monkeypatch.setattr(louvain, "format_matrix", refuse)
+        for name in ("decisions", "_rerun", "format_q"):
+            monkeypatch.setattr(renderer, name, refuse)
+        monkeypatch.setattr(renderer.Decision, "__new__", refuse)
+        for name in ("__init__", "sweep", "end"):
+            monkeypatch.setattr(renderer._Trace, name, refuse)
         result = run(net, strategy)
         assert result.passes[0].changed
         monkeypatch.undo()
@@ -821,18 +834,54 @@ class TestLazyDecisionLog:
             assert rendered == expected
 
 
+class _ScriptedState:
+    """A pass state whose steps are given: ``script[v]`` is the candidates,
+    gains and target (None for a keep) of v's step."""
+
+    def __init__(self, net, script):
+        self.net, self.script, self.comm_of = net, script, list(range(net.n))
+
+    def q(self):
+        return 0.0
+
+    def step(self, v):
+        candidates, self.gains, target = self.script.get(v, ((), [], None))
+        self.links = dict.fromkeys(candidates, 0.0)
+        if target is not None:
+            self.comm_of[v] = target
+        return target is not None
+
+
 def test_try_lines_sign_and_mark_every_gain():
+    """The trace's sweep hook renders each step's lines from the links and
+    gains it left: a gain prints its sign, |gain| to 3 places and a mark,
+    0 for -0.0 too; a move relabels the communities it changes."""
     net = IWNetwork.from_edges(["a", "b", "c", "d", "e", "f"], [("a", "b", 1, 1)])
-    replay = renderer._Replay(net)
-    d = louvain.Decision(0, 0, (0, 1, 2, 3, 4), (-0.0, 0.0, -1e-9, 2.5, -3.25), None)
-    assert replay.render(d).splitlines() == [
+    odd = (math.inf, -math.inf, math.nan, 1e-9, -5e-4, 5e-4)
+    state = _ScriptedState(net, {
+        0: ((0, 1, 2, 3, 4), [-0.0, 0.0, -1e-9, 2.5, -3.25], None),
+        1: ((0,), [1.0], 0),
+        2: ((0, 1, 3, 4, 5, 2), [*odd], None),
+    })
+    lines = []
+    assert renderer._Trace(lines.append, net, "cl").sweep(state, 1)
+    decided = [line for line in "".join(lines).splitlines() if line.startswith("\t")]
+    assert decided[:8] == [
         "\tTry a -> a               | gain=+0.000 (0)",
         "\tTry a -> b               | gain=+0.000 (0)",
         "\tTry a -> c               | gain=-0.000 (-)",
         "\tTry a -> d               | gain=+2.500 (+)",
         "\tTry a -> e               | gain=-3.250 (-)",
         "\tKeep vertex a at community a",
+        "\tTry b -> a               | gain=+1.000 (+)",
+        "\tMove b -> a",
     ]
+    labels = ["a,b", "", "c", "d", "e", "f"]
+    assert decided[8:15] == [
+        *(f"\tTry c -> {labels[c]:<15} | {_fmt_gain(g)}" for c, g in zip((0, 1, 3, 4, 5, 2), odd)),
+        "\tKeep vertex c at community c",
+    ]
+    assert decided[15:] == [f"\tKeep vertex {x} at community {x}" for x in "def"]
 
 
 def _fmt_gain(gain):

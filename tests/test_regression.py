@@ -22,6 +22,7 @@ import pytest
 
 from iwnet import ZERO, Interval, emit_trace, louvain, run
 from iwnet.cli import _run_json
+from iwnet.trace import _json_with_trace
 
 from helpers import pinned_networks, random_network, tie_network
 
@@ -74,7 +75,8 @@ def _sha(text: str) -> str:
 def test_trace_and_json_bytes_are_pinned(method):
     for name, net in pinned_networks():
         result = run(net, method)
-        got = (_sha(emit_trace(result)), _sha("".join(_run_json(result, method, with_trace=True))))
+        trace = emit_trace(result)
+        got = (_sha(trace), _sha("".join(_json_with_trace(_run_json(result, method), [trace]))))
         assert got == PINNED[name, method], name
 
 
@@ -85,7 +87,7 @@ def test_json_edges_rebuild_the_final_matrix(method):
     ``final_network.weights`` exactly."""
     for name, net in pinned_networks():
         result = run(net, method)
-        doc = json.loads("".join(_run_json(result, method, with_trace=False)))
+        doc = json.loads(_run_json(result, method))
         assert next(iter(doc.items())) == ("format_version", 2)
         final = result.final_network
         assert doc["aggregated_matrix"]["labels"] == list(final.labels)

@@ -1,10 +1,11 @@
-"""``iwnet run`` writes its output in chunks as it renders them.
+"""``iwnet run --trace`` renders the trace into a spool while the run
+decides, and writes its output once the run has succeeded.
 
-The trace is rendered in chunks of about ``iwnet.trace.BATCH_CHARS``
+The spool is read back in chunks of about ``iwnet.trace.BATCH_CHARS``
 characters. The bytes must be those of rendering the whole document at
-once, writing the trace must add less memory than the trace's size, a
-reader that closes stdout early is not an error, and a failed run writes
-nothing.
+once, writing the trace must add less memory than the trace's size,
+phase 1 runs once, a reader that closes stdout early is not an error,
+and a failed run writes nothing and leaves no spool behind.
 """
 
 import json
@@ -12,13 +13,14 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import iwnet
-from iwnet import emit_trace, network_from_csv, run
+from iwnet import emit_trace, louvain, network_from_csv, run
 from iwnet import trace as renderer
 from iwnet.cli import main
 
@@ -110,39 +112,82 @@ def test_small_batches_give_the_same_bytes(capsys, monkeypatch, labelled_csv, me
     assert _main_stdout(capsys, argv) == whole
 
 
-def test_batches_are_bounded_and_a_long_line_goes_alone(monkeypatch):
+def _spool(text):
+    spool = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+    spool.write(text)
+    return spool
+
+
+def test_spooled_runs_are_bounded_and_end_a_line(monkeypatch):
+    """A spool reads back, unchanged (a carriage return included), in runs
+    of ``BATCH_CHARS`` characters, each completed to the end of its last
+    line: beyond ``BATCH_CHARS`` a run holds the rest of one line only."""
     monkeypatch.setattr(renderer, "BATCH_CHARS", 100)
     lines = ["x" * (i % 37) for i in range(200)]
     lines[50] = "y" * 250
-    batches = list(renderer._chunks(line + "\n" for line in lines))
-    assert "".join(batches) == "".join(line + "\n" for line in lines)
-    assert "y" * 250 + "\n" in batches
-    assert all(len(b) <= 100 for b in batches if "y" not in b)
+    lines[90] = "carriage\rreturn\r"
+    text = "".join(line + "\n" for line in lines)
+    with _spool(text) as spool:
+        batches = list(renderer._spooled(spool))
+    assert "".join(batches) == text
+    assert all(b.endswith("\n") and "\n" not in b[100:-1] for b in batches)
+    assert all(len(b) >= 100 for b in batches[:-1])
     assert len(batches) > 30
 
 
 def test_trace_chunks_are_bounded_also_across_a_dense_matrix(monkeypatch):
-    """A 200-vertex matrix is rendered densely, about 800 KB: its lines
-    count toward the chunk size one by one, and every chunk ends a line."""
+    """A 200-vertex matrix is rendered densely, about 800 KB: its lines are
+    read back from the spool like any other, and every chunk ends a line."""
     rng = random.Random(12)
     labels = [f"v{i}" for i in range(200)]
     edges = [(labels[i], labels[(i + 1) % 200], 1, 2) for i in range(200)]
     edges += [(labels[rng.randrange(200)], labels[rng.randrange(200)], 1.25, 3.5) for _ in range(100)]
     result = run(iwnet.IWNetwork.from_edges(labels, edges), "midpoint")
     monkeypatch.setattr(renderer, "BATCH_CHARS", 1 << 14)
-    chunks = list(renderer._chunks(renderer._trace_text(result)))
     trace = emit_trace(result)
+    with _spool(trace) as spool:
+        chunks = list(renderer._spooled(spool))
     assert "".join(chunks) == trace
     assert len(trace) > 800_000
     assert len(chunks) > 50
-    assert all(c.endswith("\n") and len(c) <= 1 << 14 for c in chunks)
+    assert all(c.endswith("\n") and "\n" not in c[1 << 14 : -1] for c in chunks)
+
+
+@pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_traced_run_runs_phase_1_once(monkeypatch, tmp_path, method, fmt):
+    """A traced run renders the trace while phase 1 decides: it steps each
+    vertex once per sweep of each pass, iterations x n per pass, as an
+    untraced run does (rendering after the run stepped every vertex twice)."""
+    csv = tmp_path / "flows.csv"
+    _flows_csv(csv, n=60)
+    steps = [0]
+    for kind in (louvain._IntervalPass, louvain._ScalarPass):
+        def counting(state, v, step=kind.step):
+            steps[0] += 1
+            return step(state, v)
+
+        monkeypatch.setattr(kind, "step", counting)
+    argv = ["run", "--input", str(csv), "--method", method, "--format", fmt,
+            "--out", str(tmp_path / "out")]
+    counts = []
+    for flags in ([], ["--trace"]):
+        steps[0] = 0
+        assert main([*argv, *flags]) == 0
+        counts.append(steps[0])
+    monkeypatch.undo()
+    result = run(network_from_csv(str(csv)), method)
+    assert len(result.passes) >= 3
+    expected = sum(rec.iterations * len(rec.partition.assignment) for rec in result.passes)
+    assert counts == [expected, expected]
 
 
 def test_trace_run_memory_stays_below_output_size(tmp_path):
     """``iwnet run --trace --format json --out`` on 250 vertices peaks (under
-    tracemalloc) at 1.2x the size of the 1.15 MB file it writes, and writing
+    tracemalloc) at 0.7x the size of the 1.15 MB file it writes, and writing
     the trace raises the peak over the same run without ``--trace`` by about
-    0.4x the trace's size; rendering the trace as one string first raises it
+    0.3x the trace's size (0.9x and 0.5x when the trace was rendered after
+    the run, in chunks); rendering the trace as one string first raises it
     by 2.8x."""
     csv, out = tmp_path / "flows.csv", tmp_path / "out.json"
     _flows_csv(csv)
@@ -210,3 +255,64 @@ def test_failed_run_leaves_existing_out_file_untouched(tmp_path, capsys, csv_tex
     assert main(argv) == code
     assert capsys.readouterr().err.startswith("error: ")
     assert out.read_bytes() == b"earlier results\n"
+
+
+@pytest.fixture
+def spool_dir(monkeypatch, tmp_path):
+    """An empty TMPDIR, which ``tempfile`` reads again, and the spools the
+    CLI makes."""
+    path = tmp_path / "tmp"
+    path.mkdir()
+    monkeypatch.setenv("TMPDIR", str(path))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    spools = []
+    make = tempfile.TemporaryFile
+
+    def recording(*args, **kwargs):
+        spools.append(make(*args, **kwargs))
+        return spools[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    return path, spools
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_traced_run_that_fails_midway_leaves_nothing(tmp_path, capsys, monkeypatch, spool_dir, fmt):
+    """A traced run that raises after its trace has begun (the sweep limit
+    ends pass 1) exits 2, writes nothing to stdout, leaves an existing
+    ``--out`` file as it was, and closes its spool, which leaves nothing in
+    TMPDIR."""
+    path, spools = spool_dir
+    csv, out = tmp_path / "flows.csv", tmp_path / "out"
+    _flows_csv(csv, n=60)
+    out.write_bytes(b"earlier results\n")
+    monkeypatch.setattr(louvain, "SWEEP_LIMIT", 1)
+    argv = ["run", "--input", str(csv), "--method", "cl", "--trace", "--format", fmt]
+    for target in ([], ["--out", str(out)]):
+        assert main([*argv, *target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: IterationLimit: no convergence after 1 sweeps\n")
+        assert out.read_bytes() == b"earlier results\n"
+        assert len(spools) == 1 and spools.pop().closed
+        assert list(path.iterdir()) == []
+
+
+def test_spool_that_cannot_be_made_is_an_input_error(tmp_path, capsys, monkeypatch, spool_dir):
+    """A traced run whose spool cannot be made exits 1 with one error line
+    and no traceback, and writes nothing; an untraced run needs no spool."""
+    csv, out = tmp_path / "toy.csv", tmp_path / "out"
+    csv.write_text("src,dst,lo,hi\nv1,v2,1,3\nv1,v3,1,1\nv2,v3,1,1\nv3,v4,2,4\n", encoding="utf-8")
+    out.write_bytes(b"earlier results\n")
+
+    def refuse(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+    argv = ["run", "--input", str(csv), "--method", "hl", "--format", "json"]
+    for target in ([], ["--out", str(out)]):
+        assert main([*argv, "--trace", *target]) == 1
+        assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+        assert out.read_bytes() == b"earlier results\n"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["method"] == "hl"
