@@ -9,7 +9,18 @@ decides, into an anonymous temporary file (the spool), and copied to the
 output in chunks of about 64 KiB once the run has succeeded, so phase 1
 runs once and memory holds one chunk, not the trace. The output is
 opened only after the run, so a failed run writes nothing. ``iwnet
-oracle`` brute-forces the optimal partition of a small instance.
+oracle`` brute-forces the optimal partition of a small instance: its
+text comes from ``iwnet.oracle``, and a run's text summary from
+``iwnet.trace``, so a JSON run compiles neither.
+
+The two commands and their flags are described once, in a table. An
+argv made only of the documented forms (the command, full flag names,
+``--flag value`` or ``--flag=value`` with a value not starting with
+``-``, valid choices and floats, every required flag) is read straight
+from it. Anything else (help, an abbreviation, a value starting with
+``-``, a usage error) goes to argparse, built from the same table, so
+help, usage errors and their exit code 2 are argparse's, and
+``argparse`` loads only then.
 
 Exit codes: 0 success (also when the reader of stdout closes it early),
 1 malformed input (message carries the line number where possible) or a
@@ -25,57 +36,112 @@ leaves the collector alone.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import itertools
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import Iterable
 
 from .errors import DuplicateEdge, IWNError, ParseError
 from .louvain import NAMES, LouvainRun, run as run_louvain
-from .network import IWNetwork, format_matrix, network_from_csv
+from .network import IWNetwork, network_from_csv
 
 __all__ = ["main"]
 
 FORMAT_VERSION = 2  # of the JSON document; 2 holds aggregated_matrix as an edge list
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="iwnet",
-        description="Community detection in interval-weighted networks.",
-    )
-    net_p = argparse.ArgumentParser(add_help=False)  # the input flags of both commands
-    net_p.add_argument("--input", required=True, help="edge-list CSV (src,dst,lo,hi)")
-    net_p.add_argument(
-        "--undirected",
-        action="store_true",
-        help="records are already undirected pairs (duplicates rejected)",
-    )
-    net_p.add_argument(
-        "--min-weight",
-        type=float,
-        default=0.0,
-        metavar="R",
+# The two commands, described once: each flag with its argparse keywords,
+# the input flags of both commands first. The plain parser reads the
+# documented forms from this table, and argparse is built from it for the
+# rest (help and usage errors)
+INPUT_FLAGS = (
+    ("--input", dict(required=True, help="edge-list CSV (src,dst,lo,hi)")),
+    ("--undirected", dict(
+        action="store_true", help="records are already undirected pairs (duplicates rejected)"
+    )),
+    ("--min-weight", dict(
+        type=float, default=0.0, metavar="R",
         help="drop directed records whose upper bound is below R (default 0)",
+    )),
+)
+COMMANDS = {
+    "run": ("run a Louvain strategy on an edge list", (
+        ("--method", dict(required=True, choices=NAMES)),
+        ("--trace", dict(action="store_true", help="include the full trace")),
+        ("--format", dict(choices=("text", "json"), default="text")),
+        ("--out", dict(help="write output to this path instead of stdout")),
+    )),
+    "oracle": ("exhaustive search (n <= 12)", (
+        ("--metric", dict(required=True, choices=NAMES)),
+    )),
+}
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of an argv made of the documented forms only: a
+    command, then its flags by their full names, each value as ``--flag
+    value`` or ``--flag=value``, not empty and not starting with ``-``, a
+    valid choice or float, and every required flag. None for anything
+    else, which ``_parse`` hands to argparse: help, an abbreviation, a
+    value starting with ``-`` (a negative number among them) and every
+    usage error. Where it returns arguments they are argparse's."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = dict((*INPUT_FLAGS, *COMMANDS[argv[0]][1]))
+    values = {"command": argv[0]}
+    for flag, spec in flags.items():  # a store_true flag (an action) defaults to False
+        values[_dest(flag)] = spec.get("default", False if "action" in spec else None)
+    given, tokens = set(), iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        spec = flags.get(flag)
+        if spec is None:
+            return None
+        if "action" in spec:  # store_true, which takes no value
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, "")
+            if not value or value[0] == "-" or value not in spec.get("choices", (value,)):
+                return None
+            if "type" in spec:
+                try:
+                    value = spec["type"](value)
+                except ValueError:
+                    return None
+        given.add(flag)
+        values[_dest(flag)] = value
+    if any(spec.get("required") and flag not in given for flag, spec in flags.items()):
+        return None
+    return SimpleNamespace(**values)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The arguments of ``argv`` as argparse reads them, which prints help
+    (and exits 0) or a usage error (and exits 2) instead where it must."""
+    import argparse  # only help and usage errors need it
+
+    parser = argparse.ArgumentParser(
+        prog="iwnet", description="Community detection in interval-weighted networks."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", parents=[net_p], help="run a Louvain strategy on an edge list")
-    run_p.add_argument("--method", required=True, choices=NAMES)
-    run_p.add_argument("--trace", action="store_true", help="include the full trace")
-    run_p.add_argument("--format", choices=("text", "json"), default="text")
-    run_p.add_argument("--out", help="write output to this path instead of stdout")
-
-    oracle_p = sub.add_parser("oracle", parents=[net_p], help="exhaustive search (n <= 12)")
-    oracle_p.add_argument("--metric", required=True, choices=NAMES)
-    return parser
+    for command, (help_text, flags) in COMMANDS.items():
+        command_p = sub.add_parser(command, help=help_text)
+        for flag, spec in (*INPUT_FLAGS, *flags):
+            command_p.add_argument(flag, **spec)
+    return SimpleNamespace(**vars(parser.parse_args(argv)))
 
 
-def _load_network(args: argparse.Namespace) -> IWNetwork:
+def _load_network(args: SimpleNamespace) -> IWNetwork:
     net = network_from_csv(
         args.input, directed=not args.undirected, threshold=args.min_weight
     )
@@ -137,39 +203,6 @@ def _run_json(result: LouvainRun, method: str) -> str:
     return json.dumps(doc, indent=2, allow_nan=False)
 
 
-def _run_text(result: LouvainRun, method: str) -> str:
-    """The text summary."""
-    from .trace import format_q
-
-    lines = [
-        f"method: {method}",
-        f"vertices: {result.network.n}, edges: {result.network.edge_count()}",
-        "",
-    ]
-    for rec in result.passes:
-        if rec.changed:
-            lines.append(
-                f"pass {rec.number}: {rec.iterations} iterations, "
-                f"modularity {format_q(rec.modularity)}, "
-                f"{rec.partition.n_communities} communities"
-            )
-        else:
-            lines.append(f"pass {rec.number}: no change")
-    lines.append("")
-    communities = _communities(result)
-    lines.append(f"final communities (n={len(communities)}):")
-    for cid, group in enumerate(communities, start=1):
-        lines.append(f"  C{cid}: {', '.join(group)}")
-    lines.append("")
-    lines.append(f"Q      = {format_q(result.final_q, 6)}")
-    lines.append(f"Q_max  = {format_q(result.final_q_max, 6)}")
-    lines.append(f"Q_norm = {format_q(result.final_q_norm, 6)}")
-    lines.append("")
-    lines.append("final aggregated interval matrix:")
-    lines += format_matrix(result.final_network)
-    return "\n".join(lines) + "\n"
-
-
 def _write(path: str | None, chunks: Iterable[str]) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -178,15 +211,20 @@ def _write(path: str | None, chunks: Iterable[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: SimpleNamespace) -> int:
     net = _load_network(args)
     as_json = args.format == "json"
     if not args.trace:
         result = run_louvain(net, args.method)
-        text = _run_json(result, args.method) + "\n" if as_json else _run_text(result, args.method)
+        if as_json:
+            text = _run_json(result, args.method) + "\n"
+        else:
+            from .trace import _run_text  # only text and a trace need the renderer's module
+
+            text = _run_text(result, args.method)
         _write(args.out, (text,))
         return 0
-    from .trace import _json_with_trace, _spool, _spooled, _Trace  # only a trace needs them
+    from .trace import _json_with_trace, _run_text, _spool, _spooled, _Trace
 
     # the trace goes to the spool while the run decides; the output is opened
     # once the run has succeeded and the rest is rendered
@@ -204,23 +242,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    from .oracle import enumerate_best  # only this command needs the oracle
-
-    net = _load_network(args)
-    report = enumerate_best(net, args.metric)
-    lines = [
-        f"metric: {args.metric}",
-        f"partitions evaluated: {report.partitions_evaluated}",
-        f"best Q = {report.best_q:.6f}",
-        f"best partition (n={report.best_partition.n_communities}):",
-    ]
-    for cid, group in enumerate(report.best_partition.communities, start=1):
-        lines.append(f"  C{cid}: {', '.join(net.labels[v] for v in group)}")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
 
@@ -231,12 +252,18 @@ def main(argv: list[str] | None = None) -> int:
     """
     if argv is None:
         gc.freeze()
-    args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:]
+    args = _parse_plain(argv) or _parse(argv)
     if math.isnan(args.min_weight):  # `hi < nan` is never true: the filter would be off
         print("error: --min-weight must be a number, not nan", file=sys.stderr)
         return 1
     try:
-        code = _cmd_run(args) if args.command == "run" else _cmd_oracle(args)
+        if args.command == "run":
+            code = _cmd_run(args)
+        else:
+            from .oracle import _cmd_oracle  # only this command needs the oracle
+
+            code = _cmd_oracle(_load_network(args), args.metric)
         sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
         return code
     except BrokenPipeError:

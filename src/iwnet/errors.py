@@ -18,7 +18,12 @@ class NegativeWeight(IWNError):
 
 
 class DuplicateEdge(IWNError):
-    """The same directed (or undirected) record appears twice in the input."""
+    """The same directed (or undirected) record appears twice in the input;
+    ``index`` is the position of the second one among the records."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class ZeroTotalWeight(IWNError):

@@ -18,7 +18,11 @@ Three strategies share one greedy two-phase loop:
 
 Phase 1 keeps a community id per vertex, a member count per community
 and, per gain kind, float sums per community, all updated in O(deg) per
-move. The pass state of each gain kind evaluates a vertex in one method,
+move. Each gain kind's pass state lives in its own module, which
+``_kind`` imports on first use, so a run compiles only the kind its
+strategy needs: ``modularity._IntervalPass`` for ``cl`` and
+``scalar._ScalarPass`` for ``hl`` and ``midpoint``; both subclass
+``_PassState`` here. The pass state evaluates a vertex in one method,
 ``step``: one pass over its neighbour map gives its links, and one loop
 over the candidates prices them and applies the tie rule, so a sweep is
 O(m) with one call per vertex. ``step`` returns whether the vertex
@@ -52,12 +56,11 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import EmptyNetwork, InvalidInterval, IterationLimit, ZeroTotalWeight
 from .frozen import Frozen
-from .interval import ZERO, dominant_diff, seq_sum
-from .modularity import _check_finite, cl_term, expected_diag_adjusted
+from .interval import seq_sum
 # format_matrix is not called here: ``iwnet.trace`` looks it up on this module
 # for each matrix it renders, so a wrapper set on this name (bench/harness.py)
 # sees every call
@@ -166,206 +169,10 @@ class _PassState:
         self._sums(net, k)
 
 
-class _ScalarPass(_PassState):
-    """The scalar gain 2(k_vC - s_v Sigma_tot / 2w) on the nonzero midpoints
-    of the pass's network (``hl``, ``midpoint``); ``tot`` holds Sigma_tot."""
-
-    def _sums(self, net: IWNetwork, k: int) -> None:
-        self.neigh = mid = net.midpoint_rows()
-        self.s = s = [seq_sum(row.values()) for row in mid]
-        self.two_w = t = seq_sum(s)
-        if t <= 0:
-            raise ZeroTotalWeight("total weight is zero")
-        _check_finite(t, (x * x / (t - x + x) for x in s))
-        self.tot = [0.0] * k
-        for v, c in enumerate(self.comm_of):
-            self.tot[c] += s[v]
-
-    def q(self) -> float:
-        """Unnormalized Q (no 1/2w factor) of the membership: each non-empty
-        community's internal weight, folded in vertex and key order, less its
-        expected block Sigma_tot^2 / 2w, with 2w taken as (2w - x) + x, as on
-        the interval track."""
-        comm_of, inner, t = self.comm_of, [0.0] * len(self.tot), self.two_w
-        for v, row in enumerate(self.neigh):
-            c = comm_of[v]
-            for u, w in row.items():
-                if comm_of[u] == c:
-                    inner[c] += w
-        return seq_sum(i - x * x / (t - x + x) for i, x, k in zip(inner, self.tot, self.size) if k)
-
-    def q_max(self) -> float:
-        """Normalization denominator 2w - sum of the expected diagonal blocks of
-        the vertices, with 2w summed flat over the entries; exactly 0.0 when at
-        most one vertex has weight, where the difference would leave a
-        rounding residue."""
-        s, t = self.s, self.two_w
-        if sum(x > 0.0 for x in s) <= 1:
-            return 0.0
-        flat = seq_sum(x for row in self.neigh for x in row.values())
-        return flat - seq_sum(x * x / (t - x + x) for x in s)
-
-    def step(self, v: int) -> bool:
-        """Evaluate and place v; True if it moved. Its links are keyed in
-        first-neighbour (candidate) order, and a self-loop keys ``own``
-        only; the tolerance is ``TIE_ULPS`` ulps of s_v, since the link
-        weights and s_v Sigma_tot / 2w of both gains are at most s_v."""
-        comm_of, tot, size = self.comm_of, self.tot, self.size
-        own = comm_of[v]
-        size[own] -= 1
-        links: dict[int, float] = {}
-        for u, w in self.neigh[v].items():
-            if u == v:
-                links.setdefault(own, 0.0)
-            else:
-                c = comm_of[u]
-                links[c] = links.get(c, 0.0) + w
-        s_v, two_w = self.s[v], self.two_w
-        # an emptied community drops the rounding residue of the removals; its
-        # total is then 0.0, so re-entering it gains exactly 0.0
-        tot[own] = tot[own] - s_v if size[own] else 0.0
-        gain_own = 2.0 * (links.get(own, 0.0) - s_v * tot[own] / two_w)
-        gains = []
-        target, best = own, 0.0
-        for c, k in links.items():
-            if c == own:
-                g = gain_own
-            else:
-                g = 2.0 * (k - s_v * tot[c] / two_w)
-                if (
-                    g > 0.0 and g > gain_own and g - gain_own > TIE_ULPS * math.ulp(s_v)
-                    and (target == own or g > best or (g == best and c < target))
-                ):
-                    target, best = c, g
-            gains.append(g)
-        tot[target] += s_v
-        size[target] += 1
-        comm_of[v] = target
-        self.links, self.gains = links, gains
-        return target != own
-
-
-class _IntervalPass(_PassState):
-    """The exact interval gain D(C + v) - D(C) - D({v}) (``cl``).
-
-    ``cols`` holds the flat lists o_lo, o_hi, s_lo, s_hi, n_lo, n_hi of
-    every community: observed diagonal block, strength, and how many
-    members have a positive lower / upper strength (the counts make the
-    zero tests exact). ``d`` caches each community's ``cl_term``; ``vsum``
-    and ``vterm`` hold the same of every vertex as the singleton it would
-    form, and ``totals`` is (T_lo, T_hi).
-    """
-
-    def _sums(self, net: IWNetwork, k: int) -> None:
-        self.vsum = []
-        for v, row in enumerate(net.rows):
-            loop = row.get(v, ZERO)
-            s_lo = seq_sum(w.lo for w in row.values())
-            s_hi = seq_sum(w.hi for w in row.values())
-            self.vsum.append((loop.lo, loop.hi, s_lo, s_hi, int(s_lo > 0.0), int(s_hi > 0.0)))
-        self.totals = t_lo, t_hi = tuple(seq_sum(x[j] for x in self.vsum) for j in (2, 3))
-        if t_hi <= 0:
-            raise ZeroTotalWeight("total weight is zero")
-        self.vterm = [cl_term(*x, t_lo, t_hi) for x in self.vsum]
-        _check_finite(t_hi, self.vterm)  # an expected block that overflows makes its term infinite
-        self.cols = tuple([0.0] * k for _ in range(6))
-        self.d = [0.0] * k
-        for v, c in enumerate(self.comm_of):
-            # v joins c after the vertices before it, so it links to those only
-            k_lo = k_hi = 0.0
-            for u, w in net.rows[v].items():
-                if u < v and self.comm_of[u] == c:
-                    k_lo, k_hi = k_lo + w.lo, k_hi + w.hi
-            self._join(v, c, k_lo, k_hi)
-
-    def q(self) -> float:
-        """Q of the membership: the ``cl_term`` of every non-empty
-        community, summed in id order."""
-        return seq_sum(d for d, k in zip(self.d, self.size) if k)
-
-    def q_max(self) -> float:
-        """Normalization denominator D([2w_lo, 2w_hi], sum of the expected
-        diagonal blocks of the vertices), with 2w summed flat over the entries;
-        0.0 when at most one vertex has a positive upper strength, as on the
-        scalar track, and when T_lo is 0: every lower bound is then 0 and every
-        expected upper block s_hi^2 / (0 - 0 + s_hi) is s_hi, so both
-        differences are 0, where the sums would leave a rounding residue."""
-        t_lo, t_hi = self.totals
-        if sum(x[5] for x in self.vsum) <= 1 or t_lo == 0.0:
-            return 0.0
-        rows = self.net.rows
-        e = [expected_diag_adjusted(x[2], x[3], t_lo, t_hi) for x in self.vsum]
-        return dominant_diff(
-            seq_sum(w.lo for row in rows for w in row.values()) - seq_sum(x[0] for x in e),
-            seq_sum(w.hi for row in rows for w in row.values()) - seq_sum(x[1] for x in e),
-        )
-
-    def _join(self, v: int, c: int, k_lo: float, k_hi: float, sign: int = 1) -> None:
-        """v, linked to c by [k_lo, k_hi], joins (sign 1) or leaves (sign -1) c."""
-        x_olo, x_ohi, x_slo, x_shi, x_nlo, x_nhi = self.vsum[v]
-        o_lo, o_hi, s_lo, s_hi, n_lo, n_hi = self.cols
-        o_lo[c] += sign * (2.0 * k_lo + x_olo)
-        o_hi[c] += sign * (2.0 * k_hi + x_ohi)
-        s_lo[c] += sign * x_slo
-        s_hi[c] += sign * x_shi
-        n_lo[c] += sign * x_nlo
-        n_hi[c] += sign * x_nhi
-        self.d[c] = cl_term(o_lo[c], o_hi[c], s_lo[c], s_hi[c], n_lo[c], n_hi[c], *self.totals)
-
-    def step(self, v: int) -> bool:
-        """As ``_ScalarPass.step``, with lower and upper links; the tolerance
-        is ``TIE_ULPS`` ulps of the larger upper strength of the candidate
-        and own with v in it, which bounds every observed and expected
-        block of both gains."""
-        comm_of, d = self.comm_of, self.d
-        own = comm_of[v]
-        self.size[own] -= 1
-        k_lo: dict[int, float] = {}
-        k_hi: dict[int, float] = {}
-        for u, w in self.net.rows[v].items():
-            if u == v:
-                k_lo.setdefault(own, 0.0)
-                k_hi.setdefault(own, 0.0)
-            else:
-                c = comm_of[u]
-                k_lo[c] = k_lo.get(c, 0.0) + w.lo
-                k_hi[c] = k_hi.get(c, 0.0) + w.hi
-        o_lo, o_hi, s_lo, s_hi, n_lo, n_hi = self.cols
-        x_olo, x_ohi, x_slo, x_shi, x_nlo, x_nhi = self.vsum[v]
-        q_v, (t_lo, t_hi) = self.vterm[v], self.totals
-        if self.size[own]:
-            kl, kh = k_lo.get(own, 0.0), k_hi.get(own, 0.0)
-            self._join(v, own, kl, kh, -1)
-            gain_own = cl_term(
-                o_lo[own] + (2.0 * kl + x_olo), o_hi[own] + (2.0 * kh + x_ohi), s_lo[own] + x_slo,
-                s_hi[own] + x_shi, n_lo[own] + x_nlo, n_hi[own] + x_nhi, t_lo, t_hi,
-            ) - d[own] - q_v
-        else:  # drop the rounding residue of the removals: re-entering is a no-op
-            for col in (*self.cols, d):
-                col[own] = 0.0
-            gain_own = 0.0
-        gains = []
-        target, best = own, 0.0
-        for c, kl in k_lo.items():
-            if c == own:
-                g = gain_own
-            else:
-                g = cl_term(
-                    o_lo[c] + (2.0 * kl + x_olo), o_hi[c] + (2.0 * k_hi[c] + x_ohi), s_lo[c] + x_slo,
-                    s_hi[c] + x_shi, n_lo[c] + x_nlo, n_hi[c] + x_nhi, t_lo, t_hi,
-                ) - d[c] - q_v
-                if (
-                    g > 0.0 and g > gain_own
-                    and g - gain_own > TIE_ULPS * math.ulp(max(s_hi[c], s_hi[own]) + x_shi)
-                    and (target == own or g > best or (g == best and c < target))
-                ):
-                    target, best = c, g
-            gains.append(g)
-        self._join(v, target, k_lo.get(target, 0.0), k_hi.get(target, 0.0))
-        self.size[target] += 1
-        comm_of[v] = target
-        self.links, self.gains = k_lo, gains
-        return target != own
+def _check_finite(total: float, values: Iterable[float]) -> None:
+    """Refuse a total or an expected block that overflows (both kinds' ``_sums``)."""
+    if not (math.isfinite(total) and all(map(math.isfinite, values))):
+        raise InvalidInterval(f"an expected diagonal block overflows at total weight {total!r}")
 
 
 Sweep = Callable[[_PassState, int], bool]  # the sweep hook of ``run``
@@ -385,8 +192,16 @@ def _optimize(state: _PassState, sweep: Sweep | None) -> int:
     raise IterationLimit(f"no convergence after {SWEEP_LIMIT} sweeps")
 
 
-def _kind(strategy: Strategy) -> type[_IntervalPass] | type[_ScalarPass]:
-    return _IntervalPass if strategy.name == "cl" else _ScalarPass
+def _kind(strategy: Strategy) -> type[_PassState]:
+    """The pass state of the strategy's gain kind. Its module is imported
+    here, on first use, so a run compiles its own kind only."""
+    if strategy.name == "cl":
+        from .modularity import _IntervalPass
+
+        return _IntervalPass
+    from .scalar import _ScalarPass
+
+    return _ScalarPass
 
 
 def run(

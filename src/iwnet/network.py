@@ -220,8 +220,9 @@ def symmetrize(
     names, dropped ones included: [lo, hi, mask], the envelope so far and
     a bit per direction seen (bit 1 for i -> j, bit 2 for j -> i; bit 1
     for either when undirected), updated in place. A record whose bit is
-    set already is a duplicate. The rows are built once, in sorted key
-    order, so every map has ascending keys.
+    set already is a duplicate: ``DuplicateEdge`` carries its index among
+    the records (found by a second pass, on that error only). The rows are
+    built once, in sorted key order, so every map has ascending keys.
     """
     index: dict[str, int] = {}
     fold: dict[tuple[int, int], list] = {}
@@ -236,8 +237,11 @@ def symmetrize(
         entry = fold.get(key)
         if entry is None:  # an empty envelope, no direction seen
             entry = fold[key] = [math.inf, -math.inf, 0]
-        elif entry[2] & bit:
-            raise DuplicateEdge(f"duplicate record {src}->{dst}")
+        elif entry[2] & bit:  # found again: the index of the second record of its pair
+            pair = (src, dst) if directed else {src, dst}
+            names = ((r[0], r[1]) if directed else {r[0], r[1]} for r in records)
+            index = [n for n, name in enumerate(names) if name == pair][1]
+            raise DuplicateEdge(f"duplicate record {src}->{dst}", index)
         entry[2] |= bit
         if i == j:
             loops += 1
@@ -462,4 +466,18 @@ def network_from_csv(
     directed: bool = True,
     threshold: float = 0.0,
 ) -> IWNetwork:
-    return symmetrize(read_flow_csv(source), threshold, directed=directed)
+    """``symmetrize(read_flow_csv(source), threshold, directed=directed)``.
+
+    A record given twice raises ``DuplicateEdge``. Read from a path, its
+    message names the last physical line of the second record, found by
+    reading the file again, on this error only; a stream is not read twice.
+    """
+    try:
+        return symmetrize(read_flow_csv(source), threshold, directed=directed)
+    except DuplicateEdge as exc:
+        if not isinstance(source, str):
+            raise
+        with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            reader = csv.reader(fh)
+            ends = [reader.line_num for row in reader if row][1:]  # each record's last line
+        raise DuplicateEdge(f"line {ends[exc.index]}: {exc}", exc.index) from None

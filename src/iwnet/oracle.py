@@ -5,6 +5,7 @@ definitions with its own loops (no aggregation code shared with the
 driver), and ``enumerate_best`` maximizes it over every partition of the
 vertex set, enumerated as restricted growth strings in lexicographic
 order. Bell numbers grow fast; instances are capped at n = 12.
+``_cmd_oracle`` writes the text of ``iwnet oracle`` from its result.
 
 The paper's pairwise formulas, references for the separable sums the
 Louvain pass states read Q from, sit here too: D and Hausdorff on
@@ -14,7 +15,7 @@ over blocks. So do the Q and Q_max of a partition on each track,
 references for a pass state's ``q()``: they collapse its communities as
 aggregation does and evaluate the blocks as singletons, so a partition's
 value equals its aggregated network's under singletons. The interval
-pair reads ``q()`` / ``q_max()`` of a ``louvain._IntervalPass`` on the
+pair reads ``q()`` / ``q_max()`` of a ``modularity._IntervalPass`` on the
 collapsed level; the scalar pair takes float rows, which no pass state
 is built from, and computes the same sums with its own few lines.
 """
@@ -22,12 +23,13 @@ is built from, and computes the same sums with its own few lines.
 from __future__ import annotations
 
 import operator
+import sys
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyNetwork, IWNError, ZeroTotalWeight
 from .interval import Interval, ZERO, dominant_diff, seq_sum
-from .louvain import Strategy, _IntervalPass
-from .modularity import _check_finite
+from .louvain import Strategy, _check_finite
+from .modularity import _IntervalPass
 from .network import IWNetwork, _pair_interval, blocks, pair_sum
 from .partition import Partition
 
@@ -197,6 +199,22 @@ def enumerate_best(net: IWNetwork, strategy: Strategy | str) -> OracleReport:
     return OracleReport(best_partition=best, best_q=best_q, partitions_evaluated=count)
 
 
+def _cmd_oracle(net: IWNetwork, metric: str) -> int:
+    """``iwnet oracle``: the best partition of ``net`` under ``metric``,
+    written to stdout as text."""
+    report = enumerate_best(net, metric)
+    lines = [
+        f"metric: {metric}",
+        f"partitions evaluated: {report.partitions_evaluated}",
+        f"best Q = {report.best_q:.6f}",
+        f"best partition (n={report.best_partition.n_communities}):",
+    ]
+    for cid, group in enumerate(report.best_partition.communities, start=1):
+        lines.append(f"  C{cid}: {', '.join(net.labels[v] for v in group)}")
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 0
+
+
 Matrix = Sequence[Sequence[float]]
 
 
@@ -301,7 +319,7 @@ def _scalar_level(
     rows: Rows, comms: Sequence[Sequence[int]]
 ) -> tuple[list[dict[int, float]], list[float], list[float]]:
     """(blocks, strengths, expected diagonal blocks) of the collapsed scalar
-    rows, summed and checked as ``louvain._ScalarPass`` sums its level."""
+    rows, summed and checked as ``scalar._ScalarPass`` sums its level."""
     agg = blocks(rows, comms, operator.add, 0.0)
     s = [seq_sum(row.values()) for row in agg]
     t = seq_sum(s)

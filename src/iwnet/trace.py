@@ -17,9 +17,10 @@ trace builds, by aggregating its singletons. A matrix is dense up to
 ``network.DENSE_LIMIT`` vertices and an edge list above
 (``format_matrix``).
 
-An untraced run never loads this module: the CLI imports it for a trace
-or a text summary, and ``iwnet.emit_trace``, ``louvain.decisions`` and
-``louvain.Decision`` resolve on first use.
+The text summary of ``iwnet run`` (``_run_text``) is here too. An
+untraced JSON run never loads this module: the CLI imports it for a
+trace or a text summary, and ``iwnet.emit_trace``, ``louvain.decisions``
+and ``louvain.Decision`` resolve on first use.
 """
 
 from __future__ import annotations
@@ -227,3 +228,35 @@ def format_q(q: float, digits: int = 3) -> str:
     rounding residues of either sign print alike."""
     text = f"{q:.{digits}f}"
     return text[1:] if text == f"-{0.0:.{digits}f}" else text
+
+
+def _run_text(result: LouvainRun, method: str) -> str:
+    """The text summary of ``iwnet run``."""
+    labels = result.network.labels
+    lines = [
+        f"method: {method}",
+        f"vertices: {result.network.n}, edges: {result.network.edge_count()}",
+        "",
+    ]
+    for rec in result.passes:
+        if rec.changed:
+            lines.append(
+                f"pass {rec.number}: {rec.iterations} iterations, "
+                f"modularity {format_q(rec.modularity)}, "
+                f"{rec.partition.n_communities} communities"
+            )
+        else:
+            lines.append(f"pass {rec.number}: no change")
+    lines.append("")
+    communities = result.final_partition.communities
+    lines.append(f"final communities (n={len(communities)}):")
+    for cid, group in enumerate(communities, start=1):
+        lines.append(f"  C{cid}: {', '.join(labels[v] for v in group)}")
+    lines.append("")
+    lines.append(f"Q      = {format_q(result.final_q, 6)}")
+    lines.append(f"Q_max  = {format_q(result.final_q_max, 6)}")
+    lines.append(f"Q_norm = {format_q(result.final_q_norm, 6)}")
+    lines.append("")
+    lines.append("final aggregated interval matrix:")
+    lines += louvain.format_matrix(result.final_network)
+    return "\n".join(lines) + "\n"

@@ -1,4 +1,8 @@
+import argparse
+import ast
+import contextlib
 import gc
+import io
 import json
 import os
 import random
@@ -7,9 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iwnet
-from iwnet import louvain, network
+from iwnet import cli, louvain, network
 from iwnet.cli import main
 
 from helpers import CYCLING_CSV, normalize_lines, random_network
@@ -585,44 +591,71 @@ class TestOracleCommand:
 # itself can load a module; PYTHONPATH still applies. Each line printed
 # is the set of watched modules loaded so far.
 COLD_START = """
+import contextlib
+import io
 import os
 import sys
 import iwnet.cli
 
-def run_each(*flags):
-    for method in ("cl", "hl", "midpoint"):
-        argv = ["run", "--input", sys.argv[1], "--method", method, "--format", "json", *flags]
-        assert iwnet.cli.main([*argv, "--out", os.devnull]) == 0
-    print(sorted({"iwnet.oracle", "iwnet.trace", "tempfile"} & set(sys.modules)))
+WATCHED = {"argparse", "gettext", "dataclasses", "iwnet.oracle", "iwnet.trace", "tempfile",
+           "iwnet.modularity", "iwnet.scalar"}
+path, method, *last = sys.argv[1:]
+argv = ["run", "--input", path, "--method", method, "--format", "json", "--out", os.devnull]
 
-print(sorted({"dataclasses", "iwnet.oracle", "iwnet.trace", "tempfile"} & set(sys.modules)))
-run_each()
-run_each("--trace")
-sys.exit(iwnet.cli.main(["oracle", "--input", sys.argv[1], "--metric", "cl"]))
+def loaded():
+    print(sorted(WATCHED & set(sys.modules)), flush=True)
+
+loaded()
+assert iwnet.cli.main(argv) == 0
+loaded()
+assert iwnet.cli.main([*argv, "--trace"]) == 0
+loaded()
+assert iwnet.cli.main(["oracle", f"--input={path}", "--metric", method]) == 0
+loaded()
+try:  # help or a usage error: argparse answers and exits
+    with contextlib.redirect_stdout(io.StringIO()):
+        iwnet.cli.main([*argv, *last])
+except SystemExit as exc:
+    loaded()
+    print(exc.code)
 """
 
 
-def test_cold_start_loads_only_what_run_needs(tmp_path, capsys):
-    """``import iwnet.cli`` loads neither ``dataclasses``, nor the reference
-    module, nor the trace renderer, nor ``tempfile``; an untraced JSON run of
-    each strategy loads none of the last three, and a traced run loads the
+def test_cold_start_loads_only_what_run_needs(tmp_path):
+    """``import iwnet.cli`` loads neither ``argparse`` nor ``gettext``, nor
+    ``dataclasses``, the reference module, the trace renderer or
+    ``tempfile``. In a fresh process, an untraced JSON run of each strategy
+    loads only its own gain kind's module (``iwnet.modularity`` for ``cl``,
+    ``iwnet.scalar`` for ``hl`` and ``midpoint``), and a traced run adds the
     renderer and ``tempfile``, for its spool, only (a stray lookup of a
     reference name on the run path would load the reference module,
-    silently). The names the package resolves on first use still resolve."""
+    silently). The oracle loads the reference module, and a usage error
+    argparse. The names the package resolves on first use still resolve."""
     path = tmp_path / "toy.csv"
     path.write_text(TOY_CSV, encoding="utf-8")
     src = str(Path(iwnet.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", COLD_START, str(path)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded, loaded_by_runs, loaded_by_traced_runs, *report = proc.stdout.splitlines()
-    assert loaded == "[]"
-    assert loaded_by_runs == "[]"
-    assert loaded_by_traced_runs == "['iwnet.trace', 'tempfile']"
-    assert report[-3:] == ["best partition (n=2):", "  C1: v1, v2", "  C2: v3, v4"]
+    runs = [
+        ("cl", "iwnet.modularity", ["--help"], 0),
+        ("hl", "iwnet.scalar", ["--min-weight", "-1e3"], 2),
+        ("midpoint", "iwnet.scalar", ["--format", "xml"], 2),
+    ]
+    for method, kind, last, code in runs:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", COLD_START, str(path), method, *last],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, by_run, by_traced_run, *report, by_oracle, by_argparse, exit_code = (
+            proc.stdout.splitlines()
+        )
+        assert loaded == "[]"
+        assert by_run == str([kind])
+        assert by_traced_run == str(sorted([kind, "iwnet.trace", "tempfile"]))
+        assert report[-3:] == ["best partition (n=2):", "  C1: v1, v2", "  C2: v3, v4"]
+        assert "iwnet.oracle" in by_oracle and "argparse" not in by_oracle
+        assert {"argparse", "gettext"} <= set(ast.literal_eval(by_argparse))
+        assert int(exit_code) == code
     for name in iwnet.__all__:
         getattr(iwnet, name)
     with pytest.raises(AttributeError):
@@ -762,3 +795,148 @@ def test_output_independent_of_hash_seed(tmp_path):
         doc = json.loads(outs[0])
         assert len(doc["final"]["membership"]) >= 50 and doc["passes"][0]["changed"]
         assert outs[0] == outs[1], method
+
+
+def _reference_parser():
+    """The argparse parser ``iwnet`` had before it read plain argvs itself,
+    built as it was then: the reference for both of today's parsers."""
+    parser = argparse.ArgumentParser(
+        prog="iwnet",
+        description="Community detection in interval-weighted networks.",
+    )
+    net_p = argparse.ArgumentParser(add_help=False)
+    net_p.add_argument("--input", required=True, help="edge-list CSV (src,dst,lo,hi)")
+    net_p.add_argument(
+        "--undirected",
+        action="store_true",
+        help="records are already undirected pairs (duplicates rejected)",
+    )
+    net_p.add_argument(
+        "--min-weight",
+        type=float,
+        default=0.0,
+        metavar="R",
+        help="drop directed records whose upper bound is below R (default 0)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    run_p = sub.add_parser("run", parents=[net_p], help="run a Louvain strategy on an edge list")
+    run_p.add_argument("--method", required=True, choices=louvain.NAMES)
+    run_p.add_argument("--trace", action="store_true", help="include the full trace")
+    run_p.add_argument("--format", choices=("text", "json"), default="text")
+    run_p.add_argument("--out", help="write output to this path instead of stdout")
+    oracle_p = sub.add_parser("oracle", parents=[net_p], help="exhaustive search (n <= 12)")
+    oracle_p.add_argument("--metric", required=True, choices=louvain.NAMES)
+    return parser
+
+
+def _answer(parse, argv):
+    """(exit code or None, stdout, stderr, result) of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    code = result = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), result
+
+
+def _values(args):
+    """The arguments of a namespace, each value as its repr: nan equals nan,
+    and 1 differs from 1.0."""
+    return None if args is None else {key: repr(value) for key, value in vars(args).items()}
+
+
+FLAG_NAMES = [flag for flag, _ in cli.INPUT_FLAGS]
+FLAG_NAMES += [flag for _, flags in cli.COMMANDS.values() for flag, _ in flags]
+# abbreviations (one of them ambiguous under run), help, the end of options, unknown flags
+ODD_FLAGS = ["--inp", "--meth", "--m", "--f", "--tr", "--u", "-h", "--help", "--", "--nope", "-x"]
+# a bad choice, nan, negatives, an empty value, and values that equal a flag or a command
+ODD_VALUES = ["CL", "xml", "nan", "-5", "-1e3", "-.5", "", "--input", "--trace", "-h", "oracle"]
+FORMS = ["alone", "next", "="]  # no value, the value as the next token, or after "="
+
+
+def _good_values(spec):
+    if "action" in spec:
+        return [None]
+    if "choices" in spec:
+        return list(spec["choices"])
+    if "type" in spec:
+        return ["0", "2.5", "1e3", " 1", "1_0", "inf"]
+    return ["in.csv", "out.json", "a=b", "run"]
+
+
+def _tokens(flag, form, value):
+    if value is None or form == "alone":
+        return [flag]
+    return [flag, value] if form == "next" else [f"{flag}={value}"]
+
+
+def _command_argvs(command):
+    """Argvs of ``command``: its required flags first in three argvs of
+    four, then items that are one of its flags with a good value (one in
+    two), one of its flags with an awkward value or none, or an awkward
+    flag."""
+    specs = dict((*cli.INPUT_FLAGS, *cli.COMMANDS[command][1]))
+    flags = list(specs)
+
+    def good(flag):
+        values = _good_values(specs[flag])
+        return st.tuples(st.just(flag), st.sampled_from(FORMS[1:]), st.sampled_from(values))
+
+    item = st.one_of(
+        st.sampled_from(flags).flatmap(good),
+        st.sampled_from(flags).flatmap(good),
+        st.tuples(st.sampled_from(flags), st.sampled_from(FORMS), st.sampled_from(ODD_VALUES)),
+        st.tuples(
+            st.sampled_from(FLAG_NAMES + ODD_FLAGS),
+            st.sampled_from(FORMS),
+            st.sampled_from(ODD_VALUES + _good_values(specs["--input"])),
+        ),
+    )
+    required = [flag for flag in flags if specs[flag].get("required")]
+    start = st.permutations(required).flatmap(lambda order: st.tuples(*map(good, order)))
+    return st.tuples(st.one_of(st.just(()), start, start, start), st.lists(item, max_size=5)).map(
+        lambda t: [command, *(token for item in (*t[0], *t[1]) for token in _tokens(*item))]
+    )
+
+
+_argvs = st.one_of(
+    _command_argvs("run"),
+    _command_argvs("oracle"),
+    st.sampled_from([[], ["bogus"], ["-h"], ["ru"], ["--input", "in.csv"]]),
+)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(_argvs)
+def test_plain_argv_parser_agrees_with_argparse(argv):
+    """The plain parser reads an argv exactly as argparse does, or leaves it
+    to argparse (None); and the argparse built from the flag table answers
+    every argv, help and usage errors included, as the reference does."""
+    code, out, err, args = _answer(_reference_parser().parse_args, argv)
+    plain = cli._parse_plain(argv)
+    if plain is not None:
+        assert code is None
+        assert _values(plain) == _values(args)
+    got_code, got_out, got_err, got_args = _answer(cli._parse, argv)
+    assert (got_code, got_out, got_err, _values(got_args)) == (code, out, err, _values(args))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["run", "-h"],
+        ["oracle", "-h"],
+        ["run", "--input", "flows.csv", "--method", "cl", "--min-weight", "-1e3"],
+    ],
+)
+def test_help_and_usage_errors_are_argparse_output(argv):
+    """``main`` answers help and the README's unattached negative value with
+    the reference parser's exit code, stdout and stderr."""
+    expected = _answer(_reference_parser().parse_args, argv)
+    assert expected[0] == (2 if "-1e3" in argv else 0)
+    assert _answer(main, argv)[:3] == expected[:3]
+    if "-1e3" in argv:
+        assert expected[2].endswith("error: argument --min-weight: expected one argument\n")

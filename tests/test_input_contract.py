@@ -3,7 +3,8 @@
 Every generated input either gives a result or the documented error with
 the documented exit code, and never a traceback: 1 for malformed input,
 reported at the first malformed physical line (or, for a record given
-twice, with the record), 2 for what the algorithm refuses. A run that
+twice, at the last physical line of the second one), 2 for what the
+algorithm refuses. A run that
 succeeds lists every label once and reports a Q that the reference
 evaluation of its partition gives. ``--trace`` is among the generated
 flags, so the trace's spool is exercised too.
@@ -83,7 +84,8 @@ def _row(src, dst, bounds):
 
 def _csv(layout, records, huge, malformed, blanks, repeat):
     """The file's bytes, its first malformed physical line (None if none)
-    and the (src, dst) labels of its records, in order. ``layout`` is the
+    and the (src, dst) labels of its records with the last physical line
+    of each, in order. ``layout`` is the
     line end (a quoted newline is ``\\n`` whatever it is) and whether a
     byte-order mark leads."""
     if huge < len(records):
@@ -107,16 +109,16 @@ def _csv(layout, records, huge, malformed, blanks, repeat):
         if pair is None and bad is None:
             bad = line
         elif pair:
-            pairs.append(pair)
+            pairs.append((pair, line))
     return (end.join(lines) + end).encode("utf-8", "surrogateescape"), bad, pairs
 
 
 def _first_repeat(pairs, undirected):
     seen = set()
-    for s, d in pairs:
+    for (s, d), line in pairs:
         key = frozenset((s, d)) if undirected else (s, d)
         if key in seen:
-            return s, d
+            return line, s, d
         seen.add(key)
     return None
 
@@ -155,7 +157,7 @@ def test_every_input_gives_a_result_or_its_documented_error(
             return
         repeated = _first_repeat(pairs, undirected)
         if repeated is not None:
-            assert (code, err) == (1, "error: duplicate record {}->{}\n".format(*repeated))
+            assert (code, err) == (1, "error: line {}: duplicate record {}->{}\n".format(*repeated))
             return
         net = network_from_csv(path, directed=not undirected, threshold=float(min_weight))
         total = math.fsum(w.hi for row in net.rows for w in row.values())
@@ -171,7 +173,7 @@ def test_every_input_gives_a_result_or_its_documented_error(
         assert output.startswith(first)
         return
     doc = json.loads(output)
-    labels = {label for pair in pairs for label in pair}
+    labels = {label for pair, _ in pairs for label in pair}
     membership = doc["final"]["membership"]
     assert set(membership) == labels == set(net.labels)
     members = [label for group in doc["final"]["communities"] for label in group]

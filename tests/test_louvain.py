@@ -34,6 +34,8 @@ from iwnet import (
 )
 import iwnet
 from iwnet import louvain, network
+from iwnet.modularity import _IntervalPass
+from iwnet.scalar import _ScalarPass
 from iwnet import trace as renderer
 from iwnet.errors import EmptyNetwork, InvalidInterval, ZeroTotalWeight
 
@@ -432,7 +434,7 @@ class TestIntervalGainDifferential:
         # every evaluation of a whole run, after many incremental updates,
         # agrees with the reference, also where an adjusted total is 0/0
         checked = []
-        original = louvain._IntervalPass.step
+        original = _IntervalPass.step
 
         def step(state, v):
             cids = {state.comm_of[u] for u in state.net.rows[v]}
@@ -442,7 +444,7 @@ class TestIntervalGainDifferential:
             checked.append(v)
             return moved
 
-        monkeypatch.setattr(louvain._IntervalPass, "step", step)
+        monkeypatch.setattr(_IntervalPass, "step", step)
         rng = random.Random(32)
         nets = [random_network(rng, rng.randrange(4, 17), density=0.4) for _ in range(8)]
         nets += [random_degenerate_network(rng, rng.randrange(4, 17)) for _ in range(4)]
@@ -488,7 +490,7 @@ class TestScalarGainDifferential:
         # every evaluation of a whole run, after many updates of the
         # strength totals, agrees with the reference
         checked = []
-        original = louvain._ScalarPass.step
+        original = _ScalarPass.step
 
         def step(state, v):
             cids = {state.comm_of[u] for u in state.net.rows[v]}
@@ -498,7 +500,7 @@ class TestScalarGainDifferential:
             checked.append(v)
             return moved
 
-        monkeypatch.setattr(louvain._ScalarPass, "step", step)
+        monkeypatch.setattr(_ScalarPass, "step", step)
         rng = random.Random(34)
         nets = [random_network(rng, rng.randrange(10, 40), density=0.2) for _ in range(8)]
         nets += [random_degenerate_network(rng, rng.randrange(4, 17)) for _ in range(4)]
@@ -906,7 +908,7 @@ def _reference_target(own, candidates, gains, gain_own):
 
 def test_decisions_follow_the_tie_rule_on_exact_ties(monkeypatch):
     gain_owns = []
-    for kind, q in ((louvain._IntervalPass, q_interval_communities), (louvain._ScalarPass, _q_midpoints)):
+    for kind, q in ((_IntervalPass, q_interval_communities), (_ScalarPass, _q_midpoints)):
         def step(state, v, original=kind.step, q=q):
             own, rest = state.comm_of[v], _rest(state, v)
             moved = original(state, v)

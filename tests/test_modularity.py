@@ -22,8 +22,8 @@ from iwnet import (
     q_scalar_communities,
 )
 from iwnet.errors import InvalidInterval, ZeroTotalWeight
-from iwnet.louvain import _IntervalPass, _ScalarPass
-from iwnet.modularity import expected_diag_adjusted
+from iwnet.modularity import _IntervalPass, expected_diag_adjusted
+from iwnet.scalar import _ScalarPass
 from iwnet.oracle import SameCommunity
 
 from helpers import (

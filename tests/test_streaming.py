@@ -22,6 +22,8 @@ import pytest
 import iwnet
 from iwnet import emit_trace, louvain, network_from_csv, run
 from iwnet import trace as renderer
+from iwnet.modularity import _IntervalPass
+from iwnet.scalar import _ScalarPass
 from iwnet.cli import main
 
 # NUTS 3 regions of the paper's Portuguese commuting network (non-ASCII
@@ -162,7 +164,7 @@ def test_traced_run_runs_phase_1_once(monkeypatch, tmp_path, method, fmt):
     csv = tmp_path / "flows.csv"
     _flows_csv(csv, n=60)
     steps = [0]
-    for kind in (louvain._IntervalPass, louvain._ScalarPass):
+    for kind in (_IntervalPass, _ScalarPass):
         def counting(state, v, step=kind.step):
             steps[0] += 1
             return step(state, v)
