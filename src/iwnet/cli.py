@@ -6,9 +6,9 @@ summary and final aggregated interval matrix as text or as one JSON
 document (``format_version`` 2: the matrix is an edge list); every
 output is O(n + m). With ``--trace`` the trace is rendered while the run
 decides, into an anonymous temporary file (the spool), and copied to the
-output in chunks of about 64 KiB once the run has succeeded, so phase 1
-runs once and memory holds one chunk, not the trace. The output is
-opened only after the run, so a failed run writes nothing. ``iwnet
+output in chunks of 64 Ki characters once the run has succeeded, so
+phase 1 runs once and memory holds one chunk, not the trace. The output
+is opened only after the run, so a failed run writes nothing. ``iwnet
 oracle`` brute-forces the optimal partition of a small instance: its
 text comes from ``iwnet.oracle``, and a run's text summary from
 ``iwnet.trace``, so a JSON run compiles neither.
@@ -169,14 +169,14 @@ def _communities(result: LouvainRun) -> list[list[str]]:
     return [[labels[v] for v in group] for group in result.final_partition.communities]
 
 
-def _run_json(result: LouvainRun, method: str) -> str:
+def _run_json(result: LouvainRun) -> str:
     """The JSON document without ``trace``. ``aggregated_matrix`` lists
     the present entries of the final network as ``[i, j, lo, hi]`` with
     i <= j in row order, so the document is O(n + m)."""
     net = result.final_network
     doc = {
         "format_version": FORMAT_VERSION,
-        "method": method,
+        "method": result.strategy.name,
         "passes": [
             {
                 "pass": rec.number,
@@ -217,11 +217,11 @@ def _cmd_run(args: SimpleNamespace) -> int:
     if not args.trace:
         result = run_louvain(net, args.method)
         if as_json:
-            text = _run_json(result, args.method) + "\n"
+            text = _run_json(result) + "\n"
         else:
             from .trace import _run_text  # only text and a trace need the renderer's module
 
-            text = _run_text(result, args.method)
+            text = _run_text(result)
         _write(args.out, (text,))
         return 0
     from .trace import _json_with_trace, _run_text, _spool, _spooled, _Trace
@@ -233,10 +233,10 @@ def _cmd_run(args: SimpleNamespace) -> int:
         result = run_louvain(net, args.method, trace.sweep)
         trace.end(result)
         if as_json:
-            head = _run_json(result, args.method)
+            head = _run_json(result)
             chunks = itertools.chain(_json_with_trace(head, _spooled(spool)), ("\n",))
         else:
-            summary = _run_text(result, args.method)
+            summary = _run_text(result)
             chunks = itertools.chain(_spooled(spool), ("=" * 27 + "\n", summary))
         _write(args.out, chunks)
     return 0

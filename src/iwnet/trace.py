@@ -37,7 +37,7 @@ from .partition import Partition
 
 __all__ = ["emit_trace", "format_q", "Decision", "decisions"]
 
-BATCH_CHARS = 1 << 16  # a spooled trace is read back in runs of about this size
+BATCH_CHARS = 1 << 16  # a spooled trace is read back in runs of this many characters
 
 
 class Decision(NamedTuple):
@@ -205,11 +205,9 @@ def _spool() -> IO[str]:
 
 def _spooled(spool: IO[str]) -> Iterator[str]:
     """The text of ``spool`` from its start, in runs of ``BATCH_CHARS``
-    characters each completed to the end of its last line."""
+    characters (the last run may hold fewer)."""
     spool.seek(0)
     while chunk := spool.read(BATCH_CHARS):
-        if not chunk.endswith("\n"):
-            chunk += spool.readline()
         yield chunk
 
 
@@ -230,11 +228,11 @@ def format_q(q: float, digits: int = 3) -> str:
     return text[1:] if text == f"-{0.0:.{digits}f}" else text
 
 
-def _run_text(result: LouvainRun, method: str) -> str:
+def _run_text(result: LouvainRun) -> str:
     """The text summary of ``iwnet run``."""
     labels = result.network.labels
     lines = [
-        f"method: {method}",
+        f"method: {result.strategy.name}",
         f"vertices: {result.network.n}, edges: {result.network.edge_count()}",
         "",
     ]

@@ -175,11 +175,10 @@ class TestRunCommand:
     def test_undirected_flag(self, capsys, tmp_path):
         path = tmp_path / "undir.csv"
         path.write_text("src,dst,lo,hi\na,b,1,2\nb,a,3,4\n", encoding="utf-8")
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "run", "--input", str(path), "--undirected", "--method", "cl"
         )
-        assert code == 1
-        assert "duplicate" in err.lower()
+        assert (code, out, err) == (1, "", "error: line 3: duplicate record b->a\n")
 
     def test_self_loop_warning(self, capsys, tmp_path):
         path = tmp_path / "loop.csv"
@@ -294,12 +293,13 @@ class TestRunCommand:
     def test_undecodable_or_unreadable_csv_exit_1(self, tmp_path, data, message):
         """Bytes that are not UTF-8, a field over the csv module's size limit
         and a NUL byte are malformed input on every Python version: exit 1
-        with the line, and no traceback."""
+        with the line, and no traceback or warning under ``-X dev -W error``."""
         path = tmp_path / "bad.csv"
         path.write_bytes(data)
         src = str(Path(iwnet.__file__).resolve().parent.parent)
         proc = subprocess.run(
-            [sys.executable, "-m", "iwnet.cli", "run", "--input", str(path), "--method", "cl"],
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "iwnet.cli", "run",
+             "--input", str(path), "--method", "cl"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
@@ -724,6 +724,31 @@ WARNINGS = (
     "warning: dropped 1 self-loop record(s)\n"
     "warning: dropped 1 record(s) below --min-weight 1.0\n"
 )
+# an edge [0, 5e-324] has the midpoint 0.0, which the scalar track leaves out
+ZERO_MIDPOINT_CSV = "src,dst,lo,hi\nv1,v2,1,3\nv2,v3,0,5e-324\nv1,v3,1,1\nv3,v4,2,4\n"
+
+
+def _entry_runs():
+    """The runs of ``test_nothing_written_at_exit_is_lost``: the CSV, the
+    command and its flags but ``--input``, whether the output goes to
+    ``--out``, the exit code and stderr."""
+    traced = ["--trace", "--format", "json"]
+    for method in louvain.NAMES:
+        for pairs in ([], ["--undirected"]):
+            for to_file in (False, True):
+                argv = ["run", "--method", method, *pairs, "--min-weight", "1", *traced]
+                name = "-".join([method, *(p[2:] for p in pairs), *["out"] * to_file])
+                yield pytest.param(WARNED_CSV, argv, to_file, 0, WARNINGS, id=name)
+        argv = ["run", "--method", method, *traced]
+        yield pytest.param(ZERO_MIDPOINT_CSV, argv, False, 0, "", id=f"{method}-zero-midpoint")
+    # 2,000 vertices: the matrices of the trace are edge lists (see TestOutputSize)
+    pairs = "src,dst,lo,hi\n" + "".join(f"a{i},b{i},1,2\n" for i in range(1000))
+    yield pytest.param(pairs, ["run", "--method", "cl", *traced], False, 0, "", id="cl-edge-list")
+    yield pytest.param(TOY_CSV, ["oracle", "--metric", "cl"], False, 0, "", id="oracle")
+    # with --undirected, a pair given in both directions is malformed input
+    reversed_pair = "src,dst,lo,hi\nv1,v2,1,3\nv2,v1,1,1\n"
+    yield pytest.param(reversed_pair, ["run", "--method", "cl", "--undirected"], False, 1,
+                       "error: line 3: duplicate record v2->v1\n", id="reversed-pair")
 
 
 class TestProgramEntry:
@@ -749,22 +774,34 @@ class TestProgramEntry:
         assert (code, gc.get_freeze_count()) == (0, before)
         assert json.loads(out)["method"] == "cl"
 
-    def test_nothing_written_at_exit_is_lost(self, tmp_path):
-        """Under ``-X dev -W error`` a traced JSON run through the program
-        entry exits 0, its file is whole JSON and stderr holds the ingest
-        warnings only: no warning or "Exception ignored" line at exit."""
-        path, out = tmp_path / "warned.csv", tmp_path / "out.json"
-        path.write_text(WARNED_CSV, encoding="utf-8")
+    @pytest.mark.parametrize("csv, argv, to_file, code, err", _entry_runs())
+    def test_nothing_written_at_exit_is_lost(self, tmp_path, csv, argv, to_file, code, err):
+        """Under ``-X dev -W error`` each run through the program entry exits
+        with its code, and stderr holds its own lines only: no warning, the
+        package's or one at exit, and no "Exception ignored" line. A traced
+        JSON run writes whole JSON, to stdout or to ``--out``."""
+        path, out = tmp_path / "in.csv", tmp_path / "out.json"
+        path.write_text(csv, encoding="utf-8")
+        command, *flags = argv
         src = str(Path(iwnet.__file__).resolve().parent.parent)
         proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-m", "iwnet.cli", "run",
-             "--input", str(path), "--method", "midpoint", "--min-weight", "1",
-             "--trace", "--format", "json", "--out", str(out)],
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "iwnet.cli", command,
+             "--input", str(path), *flags, *["--out", str(out)] * to_file],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", WARNINGS)
-        doc = json.loads(out.read_text(encoding="utf-8"))
-        assert doc["trace"] and doc["final"]["membership"].keys() == {"v1", "v2", "v3", "v4"}
+        assert (proc.returncode, proc.stderr) == (code, err)
+        if to_file:
+            assert proc.stdout == ""
+        text = out.read_text(encoding="utf-8") if to_file else proc.stdout
+        if "--trace" in flags:
+            doc = json.loads(text)
+            labels = {label for line in csv.splitlines()[1:] for label in line.split(",")[:2]}
+            assert doc["method"] == flags[1]
+            assert doc["trace"] and doc["final"]["membership"].keys() == labels
+        elif command == "oracle":
+            assert text.endswith("best partition (n=2):\n  C1: v1, v2\n  C2: v3, v4\n")
+        else:
+            assert text == ""
 
 
 def test_output_independent_of_hash_seed(tmp_path):

@@ -1,7 +1,7 @@
 """``iwnet run --trace`` renders the trace into a spool while the run
 decides, and writes its output once the run has succeeded.
 
-The spool is read back in chunks of about ``iwnet.trace.BATCH_CHARS``
+The spool is read back in chunks of ``iwnet.trace.BATCH_CHARS``
 characters. The bytes must be those of rendering the whole document at
 once, writing the trace must add less memory than the trace's size,
 phase 1 runs once, a reader that closes stdout early is not an error,
@@ -120,26 +120,28 @@ def _spool(text):
     return spool
 
 
-def test_spooled_runs_are_bounded_and_end_a_line(monkeypatch):
-    """A spool reads back, unchanged (a carriage return included), in runs
-    of ``BATCH_CHARS`` characters, each completed to the end of its last
-    line: beyond ``BATCH_CHARS`` a run holds the rest of one line only."""
+def test_spooled_runs_hold_batch_chars_each(monkeypatch):
+    """A spool reads back, unchanged (a carriage return and a letter of
+    two UTF-8 bytes included), in runs of exactly ``BATCH_CHARS``
+    characters, the last run of at most as many."""
     monkeypatch.setattr(renderer, "BATCH_CHARS", 100)
     lines = ["x" * (i % 37) for i in range(200)]
     lines[50] = "y" * 250
     lines[90] = "carriage\rreturn\r"
+    lines[120] = "Região " * 20
     text = "".join(line + "\n" for line in lines)
     with _spool(text) as spool:
         batches = list(renderer._spooled(spool))
     assert "".join(batches) == text
-    assert all(b.endswith("\n") and "\n" not in b[100:-1] for b in batches)
-    assert all(len(b) >= 100 for b in batches[:-1])
+    assert all(len(b) == 100 for b in batches[:-1])
+    assert 0 < len(batches[-1]) <= 100
     assert len(batches) > 30
 
 
 def test_trace_chunks_are_bounded_also_across_a_dense_matrix(monkeypatch):
-    """A 200-vertex matrix is rendered densely, about 800 KB: its lines are
-    read back from the spool like any other, and every chunk ends a line."""
+    """A 200-vertex matrix is rendered densely, about 800 KB: it is read
+    back from the spool like any other text, in chunks of exactly
+    ``BATCH_CHARS`` characters but the last."""
     rng = random.Random(12)
     labels = [f"v{i}" for i in range(200)]
     edges = [(labels[i], labels[(i + 1) % 200], 1, 2) for i in range(200)]
@@ -152,7 +154,8 @@ def test_trace_chunks_are_bounded_also_across_a_dense_matrix(monkeypatch):
     assert "".join(chunks) == trace
     assert len(trace) > 800_000
     assert len(chunks) > 50
-    assert all(c.endswith("\n") and "\n" not in c[1 << 14 : -1] for c in chunks)
+    assert all(len(c) == 1 << 14 for c in chunks[:-1])
+    assert 0 < len(chunks[-1]) <= 1 << 14
 
 
 @pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
@@ -217,14 +220,16 @@ def test_trace_run_memory_stays_below_output_size(tmp_path):
     assert traced - base < 0.75 * trace, f"peak {base} B -> {traced} B for a {trace} B trace"
 
 
-def test_reader_closing_stdout_early_is_not_an_error(tmp_path):
-    """``iwnet run --trace | head -n 1``: the run exits 0 and stderr holds
-    nothing but the ingest warnings."""
+@pytest.mark.parametrize("method", ["cl", "midpoint"])
+def test_reader_closing_stdout_early_is_not_an_error(tmp_path, method):
+    """``iwnet run --trace | head -n 1`` under ``-X dev -W error``: the run
+    exits 0 and stderr holds nothing but the ingest warnings (no warning,
+    an unclosed file's among them, and no "Exception ignored" line)."""
     csv = tmp_path / "flows.csv"
     _flows_csv(csv)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "iwnet.cli", "run", "--input", str(csv),
-         "--method", "midpoint", "--trace"],
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "iwnet.cli", "run",
+         "--input", str(csv), "--method", method, "--trace"],
         env=dict(os.environ, PYTHONPATH=SRC),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
