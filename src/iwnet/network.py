@@ -28,7 +28,6 @@ import csv
 import functools
 import math
 import operator
-import sys
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .errors import DuplicateEdge, InvalidInterval, NegativeWeight, ParseError
@@ -221,13 +220,16 @@ def symmetrize(
     a bit per direction seen (bit 1 for i -> j, bit 2 for j -> i; bit 1
     for either when undirected), updated in place. A record whose bit is
     set already is a duplicate: ``DuplicateEdge`` carries its index among
-    the records (found by a second pass, on that error only). The rows are
-    built once, in sorted key order, so every map has ascending keys.
+    the records. The rows are built once, in sorted key order, so every
+    map has ascending keys. A NaN ``threshold`` raises ``ValueError``: no
+    ``hi`` compares below it, so it would keep every record.
     """
+    if math.isnan(threshold):
+        raise ValueError("threshold must be a number, not nan")
     index: dict[str, int] = {}
     fold: dict[tuple[int, int], list] = {}
     loops = below = 0
-    for src, dst, lo, hi in records:
+    for n, (src, dst, lo, hi) in enumerate(records):
         i = index.setdefault(src, len(index))
         j = index.setdefault(dst, len(index))
         if i <= j:
@@ -237,11 +239,8 @@ def symmetrize(
         entry = fold.get(key)
         if entry is None:  # an empty envelope, no direction seen
             entry = fold[key] = [math.inf, -math.inf, 0]
-        elif entry[2] & bit:  # found again: the index of the second record of its pair
-            pair = (src, dst) if directed else {src, dst}
-            names = ((r[0], r[1]) if directed else {r[0], r[1]} for r in records)
-            index = [n for n, name in enumerate(names) if name == pair][1]
-            raise DuplicateEdge(f"duplicate record {src}->{dst}", index)
+        elif entry[2] & bit:  # found again: this is the second record of its pair
+            raise DuplicateEdge(f"duplicate record {src}->{dst}", n)
         entry[2] |= bit
         if i == j:
             loops += 1
@@ -379,27 +378,19 @@ def format_matrix(net: IWNetwork) -> list[str]:
     return lines
 
 
-def _refuse_bytes(text: str, line: int) -> None:
-    """Raise ParseError for a byte that is not UTF-8, which a path opened
-    with ``errors="surrogateescape"`` reads as a lone surrogate
-    U+DC80-U+DCFF, and then for a NUL byte."""
-    if not text.isascii():
-        bad = next((c for c in text if "\udc80" <= c <= "\udcff"), None)
-        if bad is not None:
-            raise ParseError(line, f"not UTF-8: byte 0x{ord(bad) - 0xDC00:02x}")
-    if "\0" in text:
-        raise ParseError(line, "line contains NUL")
-
-
-def _refuse_nul_lines(lines: Iterable[str]) -> Iterator[str]:
-    """Yield the lines, refusing one that holds a NUL at its number.
-
-    Before Python 3.11 csv refuses a NUL itself, before the row checks
-    could name a byte on the same line that is not UTF-8.
-    """
+def _checked_lines(lines: Iterable[str]) -> Iterator[str]:
+    """Yield the physical lines, refusing with ParseError at its number a
+    line that holds a byte that is not UTF-8 (which a path opened with
+    ``errors="surrogateescape"`` reads as a lone surrogate U+DC80-U+DCFF),
+    and then one that holds a NUL. csv never sees either, so the check is
+    the same on every Python version."""
     for number, line in enumerate(lines, start=1):
+        if not line.isascii():
+            bad = next((c for c in line if "\udc80" <= c <= "\udcff"), None)
+            if bad is not None:
+                raise ParseError(number, f"not UTF-8: byte 0x{ord(bad) - 0xDC00:02x}")
         if "\0" in line:
-            _refuse_bytes(line, number)
+            raise ParseError(number, "line contains NUL")
         yield line
 
 
@@ -407,15 +398,17 @@ def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
     """Parse an edge-list CSV with header ``src,dst,lo,hi``.
 
     A UTF-8 byte-order mark before the header (as spreadsheet "CSV UTF-8"
-    exports write) is skipped. Malformed input, a NUL byte and, read from a
-    path, a byte that is not UTF-8 raise ParseError with a 1-based physical
-    line number: a record that spans lines (a quoted newline) is reported
-    at its last line. The first malformed line in file order is reported.
+    exports write) is skipped. Malformed input raises ParseError with a
+    1-based physical line number. A NUL byte and, read from a path, a byte
+    that is not UTF-8 are reported at the line that holds them, also inside
+    a record that spans lines (a quoted newline); any other malformed
+    record at its last line. The first malformed line in file order is
+    reported.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             return read_flow_csv(fh)
-    reader = csv.reader(source if sys.version_info >= (3, 11) else _refuse_nul_lines(source))
+    reader = csv.reader(_checked_lines(source))
     try:
         try:
             header = next(reader)
@@ -424,14 +417,10 @@ def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
         if header:
             header[0] = header[0].removeprefix("\ufeff")
         if tuple(h.strip() for h in header) != CSV_HEADER:
-            _refuse_bytes(",".join(header), reader.line_num)
             raise ParseError(1, f"expected header src,dst,lo,hi, got {','.join(header)}")
         records = []
         labels: dict[str, str] = {}  # one string object per label, shared by its records
         for row in reader:
-            text = ",".join(row)
-            if not text.isascii() or "\0" in text:
-                _refuse_bytes(text, reader.line_num)
             if not row:
                 continue
             if len(row) != 4:

@@ -181,9 +181,3 @@ def tie_network(rng: random.Random, shape: str, size: int) -> IWNetwork:
     labels = [f"t{v}" for v in order]
     x = float(rng.randrange(1, 4))
     return IWNetwork.from_edges(labels, [(f"t{i}", f"t{j}", x, x) for i, j in pairs])
-
-
-def random_interval(rng: random.Random, span: float = 10.0) -> Interval:
-    a = rng.uniform(-span, span)
-    b = rng.uniform(-span, span)
-    return Interval(min(a, b), max(a, b))

@@ -281,14 +281,17 @@ class TestRunCommand:
             ("src,dst,lo,hi\na,b,1,2\n".encode("utf-16"), "line 1: not UTF-8: byte 0xff"),
             (b"src,dst,lo,hi\na,b,1,2\n" + b"x" * 131_073 + b",b,1,2\n",
              "line 3: field larger than field limit (131072)"),
-            # Python 3.10's csv refuses a NUL byte, later versions read it into the field
             (b"src,dst,lo,hi\na,b,1,2\na\x00,b,1,2\n", "line 3: line contains NUL"),
             (b"src,dst,lo,hi\na,b,1,2\na\x00,b,1\n", "line 3: line contains NUL"),
             (b"src,dst\x00,lo,hi\na,b,1,2\n", "line 1: line contains NUL"),
             (HEAD + b"a,b,1,\x002\n", "line 1002: line contains NUL"),
+            # a quoted label spans lines 2-3: the byte is reported at the line that holds it
+            (b'src,dst,lo,hi\n"a\x00\nb",c,1,2\n', "line 2: line contains NUL"),
+            (b'src,dst,lo,hi\n"a\xff\nb",c,1,2\n', "line 2: not UTF-8: byte 0xff"),
         ],
         ids=["latin-1", "latin-1-past-8k", "cr-past-8k", "cut-short", "utf-16", "long-field",
-             "nul-label", "nul-short-row", "nul-header", "nul-weight-past-8k"],
+             "nul-label", "nul-short-row", "nul-header", "nul-weight-past-8k",
+             "nul-in-multiline-record", "latin-1-in-multiline-record"],
     )
     def test_undecodable_or_unreadable_csv_exit_1(self, tmp_path, data, message):
         """Bytes that are not UTF-8, a field over the csv module's size limit

@@ -20,6 +20,7 @@ from iwnet import (
     ZERO,
     aggregate_sum,
     emit_trace,
+    enumerate_best,
     evaluate_moves,
     expected_interval_adjusted,
     network_from_csv,
@@ -178,11 +179,18 @@ class TestDriverBehavior:
     def test_empty_network(self):
         with pytest.raises(EmptyNetwork):
             run(IWNetwork((), ()), CLASSIC_INTERVAL)
+        with pytest.raises(EmptyNetwork):  # the oracle refuses it as well
+            enumerate_best(IWNetwork((), ()), CLASSIC_INTERVAL)
 
     def test_zero_total_weight(self):
         net = from_matrix(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
         with pytest.raises(ZeroTotalWeight):
             run(net, CLASSIC_INTERVAL)
+        # the interval pass state refuses it too, built outside run()
+        with pytest.raises(ZeroTotalWeight):
+            evaluate_moves(net, Partition.singletons(2), 0, CLASSIC_INTERVAL)
+        with pytest.raises(ZeroTotalWeight):
+            q_interval_communities(net, [[0], [1]])
 
     def test_zero_midpoint_total_weight(self):
         # every midpoint (0 + 5e-324) / 2 rounds to 0.0: the scalar gains
@@ -237,6 +245,8 @@ class TestDriverBehavior:
         for rec in result.passes[1:]:
             composed = composed.compose(rec.partition.assignment)
         assert composed == result.final_partition
+        with pytest.raises(ValueError, match="1 entries for 2 communities"):
+            composed.compose([0])
 
     def test_string_strategy_accepted(self):
         assert run(toy_network(), "cl").final_partition == Partition((0, 0, 1, 1))

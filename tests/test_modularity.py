@@ -278,6 +278,8 @@ class TestIntervalModularity:
     def test_equal_blocks_zero(self):
         blocks = [Interval(1, 2), Interval(3, 5)]
         assert q_interval(blocks, list(blocks)) == 0.0
+        with pytest.raises(ValueError, match="block counts differ"):
+            q_interval(blocks, blocks[:1])
 
     def test_partition_values(self):
         net = toy_network()
@@ -353,6 +355,8 @@ class TestIntervalModularity:
             q_scalar_communities([{}, {}], [[0], [1]])
         with pytest.raises(ZeroTotalWeight):
             q_max_scalar_communities([{}, {}], [[0], [1]])
+        with pytest.raises(ZeroTotalWeight):
+            dq_scalar_reduced([[0.0, 0.0], [0.0, 0.0]], Partition.singletons(2), 0, 1)
         net = IWNetwork.from_edges(["a", "b"], [("a", "b", 0.0, 5e-324)])
         # the edge's midpoint rounds to 0.0; its upper bound still weighs, so
         # the interval track raises nothing, and with T_lo = 0 its Q_max is 0

@@ -204,6 +204,13 @@ class TestSymmetrize:
         # the counts describe ingestion, not the network
         assert net == IWNetwork(net.labels, net.rows)
 
+    def test_nan_threshold_refused(self):
+        # no `hi < nan` holds, so a NaN threshold would keep every record
+        with pytest.raises(ValueError, match="nan"):
+            symmetrize([DirectedFlowRecord("A", "B", 1, 2)], math.nan)
+        with pytest.raises(ValueError, match="nan"):
+            network_from_csv(io.StringIO("src,dst,lo,hi\nA,B,1,2\n"), threshold=math.nan)
+
     def test_duplicate_directed_record_rejected(self):
         records = [
             DirectedFlowRecord("A", "B", 1, 2),

@@ -51,6 +51,12 @@ class TestDefinitional:
         p = Partition((0, 0, 0, 0))
         assert abs(q_definitional(net, p, MIDPOINT)) < 1e-9
 
+    @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
+    def test_edgeless_is_zero(self, strategy):
+        # a zero total makes every definition 0.0, where the library raises
+        net = IWNetwork.from_edges(["a", "b"], [])
+        assert q_definitional(net, Partition.singletons(2), strategy) == 0.0
+
     def test_matches_library_path(self):
         from iwnet import q_interval_communities, q_scalar_communities
 
