@@ -28,6 +28,7 @@ import csv
 import functools
 import math
 import operator
+import os
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .errors import DuplicateEdge, InvalidInterval, NegativeWeight, ParseError
@@ -457,14 +458,16 @@ def network_from_csv(
 ) -> IWNetwork:
     """``symmetrize(read_flow_csv(source), threshold, directed=directed)``.
 
-    A record given twice raises ``DuplicateEdge``. Read from a path, its
-    message names the last physical line of the second record, found by
-    reading the file again, on this error only; a stream is not read twice.
+    A record given twice raises ``DuplicateEdge``. Read from the path of a
+    regular file, its message names the last physical line of the second
+    record, found by reading the file again, on this error only. A stream,
+    or a path that is not a regular file (a pipe or a FIFO), is not read
+    twice, and the message carries no line.
     """
     try:
         return symmetrize(read_flow_csv(source), threshold, directed=directed)
     except DuplicateEdge as exc:
-        if not isinstance(source, str):
+        if not (isinstance(source, str) and os.path.isfile(source)):
             raise
         with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             reader = csv.reader(fh)

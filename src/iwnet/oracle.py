@@ -26,6 +26,7 @@ import operator
 import sys
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
+from . import _ORACLE
 from .errors import EmptyNetwork, IWNError, ZeroTotalWeight
 from .interval import Interval, ZERO, dominant_diff, seq_sum
 from .louvain import Strategy, _check_finite
@@ -33,13 +34,7 @@ from .modularity import _IntervalPass
 from .network import IWNetwork, _pair_interval, blocks, pair_sum
 from .partition import Partition
 
-__all__ = [
-    "OracleReport", "partitions", "q_definitional", "enumerate_best", "ExpectedTable",
-    "expected_scalar", "expected_interval_adjusted", "adjusted_total_bounds",
-    "dq_scalar_full", "dq_scalar_reduced", "q_interval", "q_scalar_communities",
-    "q_max_scalar_communities", "q_interval_communities", "q_max_interval_adjusted",
-    "hausdorff", "signed_diff", "SameCommunity", "TooLarge",
-]
+__all__ = [*_ORACLE, "SameCommunity", "TooLarge"]
 
 MAX_VERTICES = 12
 
@@ -80,10 +75,9 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
 
     a[0] == 0 and a[i] <= 1 + max(a[:i]); successive strings are produced
     in ascending lexicographic order, starting from the all-in-one
-    partition (all zeros).
+    partition (all zeros). ``n == 0`` yields the one partition of the
+    empty set, ``()``: there are B(n) strings, B(0) = 1.
     """
-    if n == 0:
-        return
     a = [0] * n
     prefix_max = [0] * n
     while True:
@@ -92,7 +86,7 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
         i = n - 1
         while i > 0 and a[i] > prefix_max[i - 1]:
             i -= 1
-        if i == 0:
+        if i <= 0:
             return
         a[i] += 1
         prefix_max[i] = max(prefix_max[i - 1], a[i])

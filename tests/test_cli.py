@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,39 @@ class TestRunCommand:
             capsys, "run", "--input", str(path), "--undirected", "--method", "cl"
         )
         assert (code, out, err) == (1, "", "error: line 3: duplicate record b->a\n")
+
+    def test_duplicate_from_a_pipe_has_no_line(self, capsys):
+        """A path that is not a regular file is read once, so a repeat read
+        from it carries no line (a second read of the pipe finds no records)."""
+        read, write = os.pipe()
+        os.write(write, b"src,dst,lo,hi\na,b,1,2\na,b,1,2\n")
+        os.close(write)
+        try:
+            code, out, err = run_cli(capsys, "run", "--input", f"/dev/fd/{read}", "--method", "cl")
+        finally:
+            os.close(read)
+        assert (code, out, err) == (1, "", "error: duplicate record a->b\n")
+
+    def test_duplicate_from_a_fifo_has_no_line(self, tmp_path):
+        """A FIFO is opened once: a second open() waited for a writer that
+        never came. The timeout turns such a wait into a failure."""
+        fifo = tmp_path / "in.csv"
+        os.mkfifo(fifo)
+
+        def feed():  # open() returns once the run opens the FIFO to read it
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write("src,dst,lo,hi\na,b,1,2\na,b,1,2\n")
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        src = str(Path(iwnet.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "iwnet.cli", "run", "--input", str(fifo), "--method", "cl"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=20,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: duplicate record a->b\n")
+        writer.join(timeout=5)
+        assert not writer.is_alive()
 
     def test_self_loop_warning(self, capsys, tmp_path):
         path = tmp_path / "loop.csv"

@@ -1,10 +1,13 @@
 import gc
 import io
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -694,14 +697,36 @@ def ring_csv():
     return "src,dst,lo,hi\n" + "".join(f"r{i},r{(i + 1) % n},1,2\n" for i in range(n))
 
 
+# Run in a child, one per method, as the peak RSS only rises: prints how
+# many kB ingesting the ring at argv[1] raised VmHWM, then how many run() did.
+PEAK_RSS = """
+import sys
+from iwnet import network_from_csv, run
+
+def peak_kb():
+    with open('/proc/self/status', encoding='ascii') as status:
+        return next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))
+
+start = peak_kb()
+net = network_from_csv(sys.argv[1])
+ingest = peak_kb()
+run(net, sys.argv[2])
+print(ingest - start, peak_kb() - ingest)
+"""
+
+
 @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
-def test_run_memory_is_a_few_networks(ring_csv, strategy):
+def test_run_memory_is_a_few_networks(ring_csv, strategy, tmp_path):
     """run() keeps no per-decision record: on the 20,000-vertex ring, whose
     run is 8 to 14 passes of 2 sweeps, its tracemalloc peak above the
     network it is given stays within a few times the network's own size
     (about 1.4x-1.6x; 2.0x-2.1x, and 2.8x for midpoint, while the result
     held the midpoint projection and the member lists of every partition).
-    A log of every decision took it to 4.8x-5.0x."""
+    A log of every decision took it to 4.8x-5.0x.
+
+    In a fresh process, where the peak RSS (VmHWM) is read, run() raises it
+    by less than ingesting the ring from a file did (a decision log took the
+    run to about twice the ingest). That half needs ``/proc/self/status``."""
     tracemalloc.start()
     try:
         net = network_from_csv(io.StringIO(ring_csv))
@@ -713,6 +738,19 @@ def test_run_memory_is_a_few_networks(ring_csv, strategy):
         tracemalloc.stop()
     assert len(result.passes) >= 8
     assert peak < 2.5 * size, f"peak {peak} B above a {size} B network"
+
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read the peak RSS from")
+    path = tmp_path / "ring.csv"
+    path.write_text(ring_csv, encoding="utf-8")
+    src = str(Path(iwnet.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, str(path), strategy.name],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ingest, grown = map(int, proc.stdout.split())
+    assert grown < ingest, f"run() raised the peak RSS by {grown} kB, ingest by {ingest} kB"
 
 
 def _hub_network(leaves):
