@@ -13,6 +13,12 @@ oracle`` brute-forces the optimal partition of a small instance: its
 text comes from ``iwnet.oracle``, and a run's text summary from
 ``iwnet.trace``, so a JSON run compiles neither.
 
+The JSON document is written here, by ``_dumps``, which returns the
+string of ``json.dumps(doc, indent=2, allow_nan=False)``. Its strings,
+and the trace appended to it, are escaped by the C function that
+``json.encoder`` uses, imported from ``_json``, so no run loads the
+``json`` package.
+
 The two commands and their flags are described once, in a table. An
 argv made only of the documented forms (the command, full flag names,
 ``--flag value`` or ``--flag=value`` with a value not starting with
@@ -23,9 +29,10 @@ help, usage errors and their exit code 2 are argparse's, and
 ``argparse`` loads only then.
 
 Exit codes: 0 success (also when the reader of stdout closes it early),
-1 malformed input (message carries the line number where possible) or a
-file that cannot be read or written (the spool included), 2 algorithm
-failure.
+1 malformed input (message carries the line number where possible), a
+file that cannot be read or written (the spool included) or a stdout
+whose encoding cannot hold the text (which may already hold the trace
+chunks written before the one that failed), 2 algorithm failure.
 
 The program (``main()`` with no arguments: the ``iwnet`` script and
 ``python -m iwnet.cli``) freezes the garbage collector at entry, so the
@@ -38,12 +45,13 @@ from __future__ import annotations
 
 import gc
 import itertools
-import json
 import math
 import os
 import sys
 from types import SimpleNamespace
-from typing import Iterable
+from typing import Iterable, Iterator
+
+from _json import encode_basestring_ascii as _escape  # json.encoder's C escaper
 
 from .errors import DuplicateEdge, IWNError, ParseError
 from .louvain import NAMES, LouvainRun, run as run_louvain
@@ -200,7 +208,44 @@ def _run_json(result: LouvainRun) -> str:
             "edges": [[i, j, w.lo, w.hi] for i, j, w in net.edges()],
         },
     }
-    return json.dumps(doc, indent=2, allow_nan=False)
+    return _dumps(doc, "\n")
+
+
+def _dumps(value: object, nl: str) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)`` for the values a
+    document holds: ``nl`` is the newline and indent of ``value``'s line,
+    and each item of a container goes on a line of its own, two spaces in.
+    A non-finite float raises ``ValueError``, as there."""
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON compliant")
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = nl + "  "
+    if isinstance(value, dict):
+        items = [f"{_escape(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}" if items else "{}"
+    if isinstance(value, list):
+        items = [_dumps(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{nl}]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_with_trace(head: str, trace: Iterable[str]) -> Iterator[str]:
+    """Chunks of the JSON document ``head`` with the text of the ``trace``
+    chunks as its last member. JSON escapes a string character by
+    character, so escaping each chunk gives the bytes of escaping the
+    whole trace at once."""
+    escaped = (_escape(chunk)[1:-1] for chunk in trace)
+    # reopen the document before its closing "\n}" to append the member
+    return itertools.chain((head[:-2], ',\n  "trace": "'), escaped, ('"\n}',))
 
 
 def _write(path: str | None, chunks: Iterable[str]) -> None:
@@ -224,7 +269,7 @@ def _cmd_run(args: SimpleNamespace) -> int:
             text = _run_text(result)
         _write(args.out, (text,))
         return 0
-    from .trace import _json_with_trace, _run_text, _spool, _spooled, _Trace
+    from .trace import _run_text, _spool, _spooled, _Trace
 
     # the trace goes to the spool while the run decides; the output is opened
     # once the run has succeeded and the rest is rendered
@@ -271,7 +316,9 @@ def main(argv: list[str] | None = None) -> int:
         # stdout goes to devnull so the flush at exit finds nothing to report
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ParseError, DuplicateEdge, OSError) as exc:  # after BrokenPipeError, an OSError too
+    # after BrokenPipeError, an OSError too; UnicodeEncodeError: a label that
+    # stdout's encoding cannot hold
+    except (ParseError, DuplicateEdge, OSError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except IWNError as exc:

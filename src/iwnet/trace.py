@@ -17,18 +17,18 @@ trace builds, by aggregating its singletons. A matrix is dense up to
 ``network.DENSE_LIMIT`` vertices and an edge list above
 (``format_matrix``).
 
-The text summary of ``iwnet run`` (``_run_text``) is here too. An
-untraced JSON run never loads this module: the CLI imports it for a
-trace or a text summary, and ``iwnet.emit_trace``, ``louvain.decisions``
-and ``louvain.Decision`` resolve on first use.
+The text summary of ``iwnet run`` (``_run_text``) is here too. The JSON
+document, and the escaping that makes a spooled trace its last member,
+are ``iwnet.cli``'s, so this module imports no JSON code. An untraced
+JSON run never loads this module: the CLI imports it for a trace or a
+text summary, and ``iwnet.emit_trace``, ``louvain.decisions`` and
+``louvain.Decision`` resolve on first use.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
-from json.encoder import encode_basestring_ascii
-from typing import IO, Callable, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterator, NamedTuple
 
 from . import louvain
 from .louvain import LouvainRun, _PassState
@@ -209,16 +209,6 @@ def _spooled(spool: IO[str]) -> Iterator[str]:
     spool.seek(0)
     while chunk := spool.read(BATCH_CHARS):
         yield chunk
-
-
-def _json_with_trace(head: str, trace: Iterable[str]) -> Iterator[str]:
-    """Chunks of the JSON document ``head`` with the text of the ``trace``
-    chunks as its last member. JSON escapes a string character by
-    character, so escaping each chunk gives the bytes of escaping the
-    whole trace at once."""
-    escaped = (encode_basestring_ascii(chunk)[1:-1] for chunk in trace)
-    # reopen the document before its closing "\n}" to append the member
-    return itertools.chain((head[:-2], ',\n  "trace": "'), escaped, ('"\n}',))
 
 
 def format_q(q: float, digits: int = 3) -> str:

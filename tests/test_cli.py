@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -12,7 +13,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import iwnet
@@ -635,7 +636,7 @@ import sys
 import iwnet.cli
 
 WATCHED = {"argparse", "gettext", "dataclasses", "iwnet.oracle", "iwnet.trace", "tempfile",
-           "iwnet.modularity", "iwnet.scalar"}
+           "iwnet.modularity", "iwnet.scalar", "json"}
 path, method, *last = sys.argv[1:]
 argv = ["run", "--input", path, "--method", method, "--format", "json", "--out", os.devnull]
 
@@ -660,8 +661,9 @@ except SystemExit as exc:
 
 def test_cold_start_loads_only_what_run_needs(tmp_path):
     """``import iwnet.cli`` loads neither ``argparse`` nor ``gettext``, nor
-    ``dataclasses``, the reference module, the trace renderer or
-    ``tempfile``. In a fresh process, an untraced JSON run of each strategy
+    ``dataclasses``, the reference module, the trace renderer,
+    ``tempfile`` or ``json``; no run and no oracle loads ``json`` either.
+    In a fresh process, an untraced JSON run of each strategy
     loads only its own gain kind's module (``iwnet.modularity`` for ``cl``,
     ``iwnet.scalar`` for ``hl`` and ``midpoint``), and a traced run adds the
     renderer and ``tempfile``, for its spool, only (a stray lookup of a
@@ -690,8 +692,9 @@ def test_cold_start_loads_only_what_run_needs(tmp_path):
         assert by_run == str([kind])
         assert by_traced_run == str(sorted([kind, "iwnet.trace", "tempfile"]))
         assert report[-3:] == ["best partition (n=2):", "  C1: v1, v2", "  C2: v3, v4"]
-        assert "iwnet.oracle" in by_oracle and "argparse" not in by_oracle
-        assert {"argparse", "gettext"} <= set(ast.literal_eval(by_argparse))
+        oracle_loaded, argparse_loaded = map(ast.literal_eval, (by_oracle, by_argparse))
+        assert "iwnet.oracle" in oracle_loaded and not {"argparse", "json"} & set(oracle_loaded)
+        assert {"argparse", "gettext"} <= set(argparse_loaded) and "json" not in argparse_loaded
         assert int(exit_code) == code
     for name in iwnet.__all__:
         getattr(iwnet, name)
@@ -869,6 +872,84 @@ def test_output_independent_of_hash_seed(tmp_path):
         doc = json.loads(outs[0])
         assert len(doc["final"]["membership"]) >= 50 and doc["passes"][0]["changed"]
         assert outs[0] == outs[1], method
+
+
+# a label that an ASCII stdout cannot hold
+UNENCODABLE_CSV = TOY_CSV.replace("v2", "\u00e9")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run", "--method", "cl"], id="text"),
+    pytest.param(["run", "--method", "cl", "--trace"], id="trace"),
+    pytest.param(["oracle", "--metric", "cl"], id="oracle"),
+])
+def test_unencodable_stdout_exit_1(tmp_path, argv):
+    """Under ``-X dev -W error``, a stdout whose encoding cannot hold a
+    label ends the program with exit code 1 and one ``error:`` line, no
+    traceback. The JSON document is ASCII, so the same run with
+    ``--format json`` writes it to that stdout."""
+    path = tmp_path / "in.csv"
+    path.write_text(UNENCODABLE_CSV, encoding="utf-8")
+    src = str(Path(iwnet.__file__).resolve().parent.parent)
+    command, *flags = argv
+
+    def child(*more):
+        return subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "iwnet.cli", command,
+             "--input", str(path), *flags, *more],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii"),
+            capture_output=True, text=True, encoding="ascii", timeout=60,
+        )
+
+    proc = child()
+    assert proc.returncode == 1
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: 'ascii' codec can't encode character '\\xe9'")
+    assert "Traceback" not in proc.stderr
+    if command == "run":
+        proc = child("--format", "json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "\u00e9" in json.loads(proc.stdout)["final"]["membership"]
+
+
+# strings with the characters JSON escapes or spells as they are
+_texts = st.text(st.one_of(
+    st.characters(),
+    st.sampled_from(['"', "\\", "\x7f", "\x00", "\x1f", "\n", "\u2028", "\ud800", "\U0001f600"]),
+))
+_documents = st.recursive(
+    st.one_of(
+        _texts,
+        st.integers(),
+        st.integers(min_value=-(2**200), max_value=2**200),
+        st.booleans(),
+        st.none(),
+        st.floats(),
+        st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
+    ),
+    lambda items: st.one_of(
+        st.lists(items),
+        st.dictionaries(_texts, items),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_documents)
+@example(float("inf"))
+@example([{"q": -math.inf}])
+@example({"a": [[], {}, [[]], float("nan")]})
+def test_writer_is_json_dumps(value):
+    """``cli._dumps(value, "\\n")`` is ``json.dumps(value, indent=2,
+    allow_nan=False)``, and both raise ``ValueError`` on a non-finite float."""
+    try:
+        expected = json.dumps(value, indent=2, allow_nan=False)
+    except ValueError:
+        with pytest.raises(ValueError):
+            cli._dumps(value, "\n")
+    else:
+        assert cli._dumps(value, "\n") == expected
 
 
 def _reference_parser():

@@ -21,8 +21,7 @@ import random
 import pytest
 
 from iwnet import ZERO, Interval, emit_trace, louvain, run
-from iwnet.cli import _run_json
-from iwnet.trace import _json_with_trace
+from iwnet.cli import _json_with_trace, _run_json
 
 from helpers import pinned_networks, random_network, tie_network
 
