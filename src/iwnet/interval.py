@@ -64,7 +64,8 @@ class Interval(Frozen, fields=("lo", "hi")):
         return (self.lo + self.hi) / 2.0
 
     def __str__(self) -> str:
-        return f"[{_fmt(self.lo)},{_fmt(self.hi)}]"
+        lo = _fmt(self.lo)  # once if degenerate: 0.0 and -0.0 print alike
+        return f"[{lo},{lo if self.lo == self.hi else _fmt(self.hi)}]"
 
 
 ZERO = Interval(0.0, 0.0)

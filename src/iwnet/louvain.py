@@ -56,7 +56,8 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Iterable, NamedTuple
+from collections import namedtuple
+from typing import Callable, Iterable
 
 from .errors import EmptyNetwork, InvalidInterval, IterationLimit, ZeroTotalWeight
 from .frozen import Frozen
@@ -107,28 +108,28 @@ HYBRID = Strategy("hl")
 MIDPOINT = Strategy("midpoint")
 
 
-class PassRecord(NamedTuple):
-    """Outcome of one optimization+aggregation pass."""
+# the records are plain named tuples: typing.NamedTuple would compile a
+# typing.ForwardRef per annotated field at import
+PassRecord = namedtuple(
+    "PassRecord", ["number", "iterations", "partition", "modularity", "aggregated", "changed"]
+)
+PassRecord.__doc__ = """Outcome of one optimization+aggregation pass: its ``number``,
+the sweeps of its phase 1 (``iterations``), the ``Partition`` of its input
+network, the ``modularity`` reported at pass end (post-aggregation for
+hybrid), the ``aggregated`` ``IWNetwork`` (the input itself for a no-change
+pass) and whether the pass ``changed`` it."""
 
-    number: int
-    iterations: int
-    partition: Partition  # partition of the pass's input network
-    modularity: float  # reported at pass end (post-aggregation for hybrid)
-    aggregated: IWNetwork  # input network itself for a no-change pass
-    changed: bool
-
-
-class LouvainRun(NamedTuple):
-    """Full hierarchy produced by one driver run."""
-
-    strategy: Strategy
-    network: IWNetwork
-    passes: tuple[PassRecord, ...]
-    final_partition: Partition  # on original vertices
-    final_network: IWNetwork
-    final_q: float
-    final_q_norm: float  # NaN when Q_max is zero
-    final_q_max: float
+LouvainRun = namedtuple(
+    "LouvainRun",
+    [
+        "strategy", "network", "passes", "final_partition", "final_network",
+        "final_q", "final_q_norm", "final_q_max",
+    ],
+)
+LouvainRun.__doc__ = """Full hierarchy produced by one driver run: the ``Strategy``,
+the input ``network``, the tuple of ``PassRecord``s, the ``final_partition``
+of the original vertices, the ``final_network``, and the final Q, Q_norm
+(NaN when Q_max is zero) and Q_max."""
 
 
 class _PassState:

@@ -17,9 +17,8 @@ public constructor and ``from_edges``, which reject duplicate labels
 too); the networks the library builds itself skip the
 check. Ingest keeps little besides the network it returns:
 ``read_flow_csv`` gives the records of a label one shared string, and
-``symmetrize`` folds each pair's records as (lo, hi) floats, with a mask
-of the directions seen for duplicate detection, and makes one
-``Interval`` per pair as it builds the rows once, in key order.
+``symmetrize`` folds each pair's records as (lo, hi) floats and makes one
+``Interval`` per pair.
 """
 
 from __future__ import annotations
@@ -185,7 +184,7 @@ class IWNetwork(
 
     def midpoint_rows(self) -> list[dict[int, float]]:
         """Neighbour maps of the edge midpoints, without a midpoint of 0.0 ([0, 5e-324])."""
-        return [{j: m for j, w in row.items() if (m := w.midpoint)} for row in self.rows]
+        return [{j: m for j, w in row.items() if (m := (w.lo + w.hi) / 2.0)} for row in self.rows]
 
     def edges(self) -> Iterator[tuple[int, int, Interval]]:
         """(i, j, weight) of every present entry with i <= j, in row order,
@@ -210,20 +209,20 @@ def symmetrize(
     A record is discarded when its hi is below ``threshold`` (existence
     filter, applied before symmetrization). For each unordered pair the
     weight is the envelope [min lo, max hi] of the surviving records in
-    the two directions, folded as (lo, hi) floats in record order; with
-    ``directed=False`` records are taken as already-undirected pairs and a
-    repeated pair is an error. Self-loop records are dropped and counted
-    in ``dropped_self_loops``, the other discarded records in
-    ``dropped_below_threshold``.
+    the two directions, folded as (lo, hi) floats in record order (a tie
+    of -0.0 and 0.0 keeps the first); with ``directed=False`` records are
+    taken as already-undirected pairs and a repeated pair is an error.
+    Self-loop records are dropped and counted in ``dropped_self_loops``,
+    the other discarded records in ``dropped_below_threshold``.
 
     The fold keeps one entry per pair (i, j), i <= j, that any record
     names, dropped ones included: [lo, hi, mask], the envelope so far and
     a bit per direction seen (bit 1 for i -> j, bit 2 for j -> i; bit 1
-    for either when undirected), updated in place. A record whose bit is
-    set already is a duplicate: ``DuplicateEdge`` carries its index among
-    the records. The rows are built once, in sorted key order, so every
-    map has ascending keys. A NaN ``threshold`` raises ``ValueError``: no
-    ``hi`` compares below it, so it would keep every record.
+    for either when undirected). A record whose bit is set already is a
+    duplicate: ``DuplicateEdge`` carries its index among the records.
+    The rows are built once, in key order, so every map has ascending
+    keys. A NaN ``threshold`` raises ``ValueError``: no ``hi`` compares
+    below it, so it would keep every record.
     """
     if math.isnan(threshold):
         raise ValueError("threshold must be a number, not nan")
@@ -231,16 +230,15 @@ def symmetrize(
     fold: dict[tuple[int, int], list] = {}
     loops = below = 0
     for n, (src, dst, lo, hi) in enumerate(records):
-        i = index.setdefault(src, len(index))
-        j = index.setdefault(dst, len(index))
-        if i <= j:
-            key, bit = (i, j), 1
-        else:
-            key, bit = (j, i), 2 if directed else 1
+        i, j = index.get(src), index.get(dst)
+        if i is None or j is None:
+            i, j = index.setdefault(src, len(index)), index.setdefault(dst, len(index))
+        key = (i, j) if i <= j else (j, i)
+        bit = 2 if directed and i > j else 1
         entry = fold.get(key)
         if entry is None:  # an empty envelope, no direction seen
             entry = fold[key] = [math.inf, -math.inf, 0]
-        elif entry[2] & bit:  # found again: this is the second record of its pair
+        elif entry[2] & bit:
             raise DuplicateEdge(f"duplicate record {src}->{dst}", n)
         entry[2] |= bit
         if i == j:
@@ -248,7 +246,8 @@ def symmetrize(
         elif hi < threshold:
             below += 1
         else:
-            entry[0], entry[1] = min(entry[0], lo), max(entry[1], hi)
+            entry[0] = lo if lo < entry[0] else entry[0]
+            entry[1] = hi if hi > entry[1] else entry[1]
     rows: list[dict[int, Interval]] = [{} for _ in index]
     # row j takes its keys i < j in ascending i before its keys above j; an
     # entry is popped, so it is freed as its Interval is made

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import operator
 import sys
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Iterator, Mapping, Sequence
 
 from . import _ORACLE
 from .errors import EmptyNetwork, IWNError, ZeroTotalWeight
@@ -64,10 +65,7 @@ def signed_diff(a: Interval, b: Interval) -> float:
     return dominant_diff(a.lo - b.lo, a.hi - b.hi)
 
 
-class OracleReport(NamedTuple):
-    best_partition: Partition
-    best_q: float
-    partitions_evaluated: int
+OracleReport = namedtuple("OracleReport", ["best_partition", "best_q", "partitions_evaluated"])
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -212,16 +210,13 @@ def _cmd_oracle(net: IWNetwork, metric: str) -> int:
 Matrix = Sequence[Sequence[float]]
 
 
-class ExpectedTable(NamedTuple):
-    """Symmetric table of expected weights under row-column independence.
+ExpectedTable = namedtuple("ExpectedTable", ["mode", "e"])
+ExpectedTable.__doc__ = """Symmetric table ``e`` of expected weights (a tuple of rows
+of ``Interval``s) under row-column independence.
 
-    ``mode`` is "scalar" (degenerate entries e_ij = s_i s_j / 2w) or
-    "interval-adjusted" (pairwise-adjusted interval quotients). The
-    adjusted table has no meaningful marginal totals.
-    """
-
-    mode: str
-    e: tuple[tuple[Interval, ...], ...]
+``mode`` is "scalar" (degenerate entries e_ij = s_i s_j / 2w) or
+"interval-adjusted" (pairwise-adjusted interval quotients). The adjusted
+table has no meaningful marginal totals."""
 
 
 def expected_scalar(mid: Matrix) -> ExpectedTable:

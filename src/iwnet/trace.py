@@ -13,7 +13,9 @@ succeeded, so phase 1 runs once. ``emit_trace`` and ``decisions`` drive
 a finished run's input through the pass loop again, ``decisions`` with
 a hook that records a ``Decision`` per step. ``midpoint``'s input
 prints as the degenerate projection it is priced on, which only the
-trace builds, by aggregating its singletons. A matrix is dense up to
+trace builds (``_projection``): straight from ``midpoint_rows``, one
+``Interval(m, m)`` per entry with i <= j, shared with its mirror, as
+aggregating its singletons would give. A matrix is dense up to
 ``network.DENSE_LIMIT`` vertices and an edge list above
 (``format_matrix``).
 
@@ -28,26 +30,24 @@ text summary, and ``iwnet.emit_trace``, ``louvain.decisions`` and
 from __future__ import annotations
 
 import bisect
-from typing import IO, Callable, Iterator, NamedTuple
+from collections import namedtuple
+from typing import IO, Callable, Iterator
 
 from . import louvain
+from .interval import Interval
 from .louvain import LouvainRun, _PassState
-from .network import IWNetwork, _aggregate_midpoints
-from .partition import Partition
+from .network import IWNetwork
 
 __all__ = ["emit_trace", "format_q", "Decision", "decisions"]
 
 BATCH_CHARS = 1 << 16  # a spooled trace is read back in runs of this many characters
 
 
-class Decision(NamedTuple):
-    """One phase-1 evaluation of a vertex, in the ids of its pass's network."""
-
-    vertex: int
-    own: int  # community of the vertex before the evaluation
-    candidates: tuple[int, ...]  # candidate communities in scan order
-    gains: tuple[float, ...]  # gain of each candidate
-    target: int | None  # community moved to, None for a keep
+Decision = namedtuple("Decision", ["vertex", "own", "candidates", "gains", "target"])
+Decision.__doc__ = """One phase-1 evaluation of a vertex, in the ids of its pass's
+network: the ``vertex``, its community before the evaluation (``own``), the
+candidate communities in scan order, the gain of each, and the ``target``
+community moved to, None for a keep."""
 
 
 def _rerun(result: LouvainRun, sweep: louvain.Sweep) -> None:
@@ -81,6 +81,17 @@ def decisions(run: LouvainRun) -> Iterator[Decision]:
     yield from log
 
 
+def _projection(net: IWNetwork) -> IWNetwork:
+    """``net``'s midpoints as degenerate weights, its labels kept: what
+    ``_aggregate_midpoints`` gives over singletons, without the blocks pass."""
+    rows: list[dict[int, Interval]] = [{} for _ in range(net.n)]
+    for i, row in enumerate(net.midpoint_rows()):
+        for j, m in row.items():
+            if j >= i:  # row j takes its keys in ascending order
+                rows[i][j] = rows[j][i] = Interval(m, m)
+    return IWNetwork._trusted(net.labels, tuple(rows))
+
+
 class _Trace:
     """Renders the trace of one run of ``net`` by ``method`` into ``write``
     (newline-ended text): ``sweep`` is the run's sweep hook, and ``end``
@@ -98,7 +109,7 @@ class _Trace:
 
     def _matrix(self, net: IWNetwork) -> None:
         if net is self.net and self.method == "midpoint":  # the input as midpoint prices it
-            net = _aggregate_midpoints(net, Partition.singletons(net.n))
+            net = _projection(net)
         # looked up on ``louvain`` at each call, not bound at import (see there)
         for line in louvain.format_matrix(net):
             self.write(f"{line}\n")

@@ -1,0 +1,27 @@
+"""The benchmark's ``--workload all`` entry, spawned as a user runs it."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bench_all_workloads_smoke():
+    """``bench/run.py --workload all --smoke`` runs every workload of
+    ``BENCHMARK.json`` end to end and per layer in one process, and its last
+    line reports each run under ``<workload>/<mode>``, all correct."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "all", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["correct"] is True
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in spec["workloads"]]
+    assert len(names) == 3
+    keys = {f"{name}/{mode}" for name in names for mode in ("end_to_end", "per_layer")}
+    assert set(doc["runs"]) == keys
+    assert all(run["correct"] and run["failed"] == 0 for run in doc["runs"].values())

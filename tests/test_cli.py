@@ -627,12 +627,25 @@ class TestOracleCommand:
 
 # Run in a child without ``site`` (-S), so that nothing but the import
 # itself can load a module; PYTHONPATH still applies. Each line printed
-# is the set of watched modules loaded so far.
+# is the set of watched modules loaded so far, or, after the import and
+# each run, how many typing.ForwardRef objects have been made (each one
+# compiles its annotation string; typing.NamedTuple makes one per field).
 COLD_START = """
 import contextlib
 import io
 import os
 import sys
+import typing
+
+forward_refs = 0
+make_forward_ref = typing.ForwardRef.__init__
+
+def counting(self, *args, **kwargs):
+    global forward_refs
+    forward_refs += 1
+    make_forward_ref(self, *args, **kwargs)
+
+typing.ForwardRef.__init__ = counting
 import iwnet.cli
 
 WATCHED = {"argparse", "gettext", "dataclasses", "iwnet.oracle", "iwnet.trace", "tempfile",
@@ -642,6 +655,7 @@ argv = ["run", "--input", path, "--method", method, "--format", "json", "--out",
 
 def loaded():
     print(sorted(WATCHED & set(sys.modules)), flush=True)
+    print(f"ForwardRefs: {forward_refs}", flush=True)
 
 loaded()
 assert iwnet.cli.main(argv) == 0
@@ -669,7 +683,8 @@ def test_cold_start_loads_only_what_run_needs(tmp_path):
     renderer and ``tempfile``, for its spool, only (a stray lookup of a
     reference name on the run path would load the reference module,
     silently). The oracle loads the reference module, and a usage error
-    argparse. The names the package resolves on first use still resolve."""
+    argparse. None of them makes a ``typing.ForwardRef``. The names the
+    package resolves on first use still resolve."""
     path = tmp_path / "toy.csv"
     path.write_text(TOY_CSV, encoding="utf-8")
     src = str(Path(iwnet.__file__).resolve().parent.parent)
@@ -685,9 +700,10 @@ def test_cold_start_loads_only_what_run_needs(tmp_path):
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        loaded, by_run, by_traced_run, *report, by_oracle, by_argparse, exit_code = (
-            proc.stdout.splitlines()
-        )
+        (loaded, refs, by_run, run_refs, by_traced_run, traced_refs, *report,
+         by_oracle, oracle_refs, by_argparse, _, exit_code) = proc.stdout.splitlines()
+        # the package's records are plain named tuples: no annotation is compiled
+        assert refs == run_refs == traced_refs == oracle_refs == "ForwardRefs: 0"
         assert loaded == "[]"
         assert by_run == str([kind])
         assert by_traced_run == str(sorted([kind, "iwnet.trace", "tempfile"]))

@@ -2,12 +2,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iwnet import Interval, ZERO, hausdorff, signed_diff
 from iwnet.errors import DivisorContainsZero, InvalidInterval
-from iwnet.interval import seq_sum
+from iwnet.interval import _fmt, seq_sum
 
 
 def brute_interval_op(a, b, op, samples=200, seed=0):
@@ -111,6 +111,29 @@ class TestPointOperations:
         assert seq_sum([1e16, 1.0, -1e16]) == 0.0
         assert seq_sum([Interval(1e16, 1e16), Interval(1, 1), Interval(-1e16, -1e16)], ZERO) == ZERO
         assert seq_sum([]) == 0.0
+
+
+# endpoints that print differently: signed zeros, the smallest subnormal,
+# a huge integral float, integral and fractional values
+endpoints = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 2.0, 0.5]),
+    st.integers(-10**6, 10**6).map(float),
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(endpoints, endpoints, st.booleans())
+@example(0.0, -0.0, False)
+@example(-0.0, 0.0, False)
+@example(5e-324, 5e-324, True)
+@example(1e300, 1e300, True)
+@example(3.0, 3.0, True)
+def test_str_formats_each_endpoint(a, b, degenerate):
+    """A degenerate interval formats its endpoint once; the text is the same
+    as formatting each endpoint, [0.0,-0.0] and [-0.0,0.0] included."""
+    lo, hi = (a, a) if degenerate else sorted((a, b))
+    assert str(Interval(lo, hi)) == f"[{_fmt(lo)},{_fmt(hi)}]"
 
 
 class TestProperties:

@@ -530,8 +530,8 @@ def test_run_computes_q_once_per_pass(monkeypatch, strategy):
     trace reads the initial and every sweep's Q from its pass states'
     ``q()``: emit_trace, which drives the input through the pass loop again,
     collapses each changed pass's partition once more to aggregate it, and
-    otherwise only the singletons of midpoint's input, to print it as its
-    degenerate projection. Neither loads the reference module."""
+    nothing else (midpoint's input prints as its degenerate projection,
+    built without a collapse). Neither loads the reference module."""
     calls = []
     original = network.blocks
     monkeypatch.setattr(network, "blocks", lambda *a: calls.append(a) or original(*a))
@@ -548,12 +548,40 @@ def test_run_computes_q_once_per_pass(monkeypatch, strategy):
         assert [a[1] for a in calls] == changed
         calls.clear()
         emit_trace(result)
-        singles = Partition.singletons(net.n).communities
-        projection = [singles] if strategy is MIDPOINT else []
-        # the input prints before the first sweep, and again as the final
-        # network when no pass changed it; each aggregate after its pass
-        assert [a[1] for a in calls] == projection + changed + (projection if not changed else [])
+        assert [a[1] for a in calls] == changed
     assert "iwnet.oracle" not in sys.modules
+
+
+def _projection_networks(rng):
+    """Seeded networks, self-loops, a [0, 5e-324] edge (its midpoint is 0.0),
+    -0.0 lower bounds and an isolated vertex."""
+    nets = [random_network(rng, rng.randrange(2, 40), density=rng.choice((0.1, 0.4))) for _ in range(12)]
+    nets += _edge_case_networks(rng, 6, (2, 12))
+    labels = ["a", "b", "c", "d", "e"]
+    nets.append(IWNetwork.from_edges(labels, [
+        ("a", "a", 1, 3), ("a", "b", 0, 5e-324), ("b", "c", -0.0, 2.5), ("c", "c", -0.0, 4),
+        ("a", "c", 0.5, 0.5), ("d", "d", 5e-324, 5e-324), ("b", "d", -0.0, 1e-300),
+    ]))
+    nets.append(IWNetwork.from_edges(["x", "y", "z"], [("x", "x", 2, 2), ("z", "z", 0, 1)]))
+    return nets
+
+
+def test_midpoint_projection_equals_singleton_aggregate():
+    """The trace prints midpoint's input as ``_projection`` builds it, which
+    is the aggregate of its singletons: the same labels, ascending keys, the
+    bits of every endpoint and one Interval per entry, shared with its mirror."""
+    nets = _projection_networks(random.Random(57))
+    for net in nets:
+        got = renderer._projection(net)
+        ref = louvain._aggregate_midpoints(net, Partition.singletons(net.n))
+        assert got.labels == ref.labels == net.labels
+        assert [list(row) for row in got.rows] == [list(row) for row in ref.rows]
+        assert all(list(row) == sorted(row) for row in got.rows)
+        bits = [{j: (w.lo.hex(), w.hi.hex()) for j, w in row.items()} for row in got.rows]
+        assert bits == [{j: (w.lo.hex(), w.hi.hex()) for j, w in row.items()} for row in ref.rows]
+        assert all(got.rows[j][i] is w for i, j, w in got.edges())
+    tiny = nets[-2]  # a-b is [0, 5e-324], whose midpoint is 0.0: no entry
+    assert 1 in tiny.rows[0] and 1 not in renderer._projection(tiny).rows[0]
 
 
 def _drift_networks(rng):

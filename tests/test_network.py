@@ -429,6 +429,21 @@ class TestBlocksMatchDenseLoops:
             assert _densify(mids, 0.0) == _dense_sum(midpoints(net), comms, 0.0)
 
 
+def test_midpoint_rows_are_the_midpoints_bit_for_bit():
+    """``midpoint_rows`` computes ``Interval.midpoint`` inline: the same
+    bits, the same key order, and a midpoint of 0.0 left out."""
+    rng = random.Random(58)
+    nets = [random_network(rng, rng.randrange(2, 30), density=0.3) for _ in range(10)]
+    nets.append(IWNetwork.from_edges(["a", "b", "c", "d"], [
+        ("a", "a", 1, 3), ("a", "b", 0, 5e-324), ("b", "c", -0.0, 2.5),
+        ("c", "c", 5e-324, 5e-324), ("a", "c", 1e300, 1e300), ("c", "d", 0.1, 0.7),
+    ]))
+    for net in nets:
+        expected = [[(j, w.midpoint.hex()) for j, w in row.items() if w.midpoint != 0.0] for row in net.rows]
+        assert [[(j, m.hex()) for j, m in row.items()] for row in net.midpoint_rows()] == expected
+    assert nets[-1].midpoint_rows()[0] == {0: 2.0, 2: 1e300}  # a-b is [0, 5e-324]
+
+
 class TestCsv:
     def test_roundtrip(self):
         text = "src,dst,lo,hi\nA,B,1,3\nB,C,2,2\n"
