@@ -5,9 +5,12 @@ one of the three Louvain strategies and writes the membership, per-pass
 summary and final aggregated interval matrix as text or as one JSON
 document (``format_version`` 2: the matrix is an edge list); every
 output is O(n + m). With ``--trace`` the trace is rendered while the run
-decides, into an anonymous temporary file (the spool), and copied to the
-output in chunks of 64 Ki characters once the run has succeeded, so
-phase 1 runs once and memory holds one chunk, not the trace. The output
+decides, into an anonymous temporary file (the spool) written in batches
+of about 64 Ki characters, and copied to the output in chunks of 64 Ki
+characters once the run has succeeded, so phase 1 runs once and memory
+holds one batch or chunk, not the trace. For JSON the spool holds the
+trace already spelled as the document's string member (``_spelled``),
+so the chunks are spliced in without a second pass. The output
 is opened only after the run, so a failed run writes nothing. ``iwnet
 oracle`` brute-forces the optimal partition of a small instance: its
 text comes from ``iwnet.oracle``, and a run's text summary from
@@ -15,9 +18,9 @@ text comes from ``iwnet.oracle``, and a run's text summary from
 
 The JSON document is written here, by ``_dumps``, which returns the
 string of ``json.dumps(doc, indent=2, allow_nan=False)``. Its strings,
-and the trace appended to it, are escaped by the C function that
-``json.encoder`` uses, imported from ``_json``, so no run loads the
-``json`` package.
+and the pieces of the trace appended to it, are escaped by the C
+function that ``json.encoder`` uses, imported from ``_json``, so no run
+loads the ``json`` package.
 
 The two commands and their flags are described once, in a table. An
 argv made only of the documented forms (the command, full flag names,
@@ -37,8 +40,10 @@ chunks written before the one that failed), 2 algorithm failure.
 The program (``main()`` with no arguments: the ``iwnet`` script and
 ``python -m iwnet.cli``) freezes the garbage collector at entry, so the
 collections at interpreter exit do not traverse the objects start-up
-created. ``main(argv)`` with a list, as a library or a test calls it,
-leaves the collector alone.
+created, and then disables it: a run makes no reference cycle, so the
+collections its allocations would trigger (most of them during ingest)
+find nothing to free. ``main(argv)`` with a list, as a library or a test
+calls it, leaves the collector alone.
 """
 
 from __future__ import annotations
@@ -239,13 +244,17 @@ def _dumps(value: object, nl: str) -> str:
 
 
 def _json_with_trace(head: str, trace: Iterable[str]) -> Iterator[str]:
-    """Chunks of the JSON document ``head`` with the text of the ``trace``
-    chunks as its last member. JSON escapes a string character by
-    character, so escaping each chunk gives the bytes of escaping the
-    whole trace at once."""
-    escaped = (_escape(chunk)[1:-1] for chunk in trace)
+    """Chunks of the JSON document ``head`` with the trace as its last
+    member. The ``trace`` chunks are already in JSON's spelling (escaped,
+    without the quotes: ``_spelled``), and are spliced in as they are."""
     # reopen the document before its closing "\n}" to append the member
-    return itertools.chain((head[:-2], ',\n  "trace": "'), escaped, ('"\n}',))
+    return itertools.chain((head[:-2], ',\n  "trace": "'), trace, ('"\n}',))
+
+
+def _spelled(text: str) -> str:
+    """``text`` as a JSON string spells it, without the quotes. JSON escapes
+    one character at a time, so spelled pieces join to the spelled whole."""
+    return _escape(text)[1:-1]
 
 
 def _write(path: str | None, chunks: Iterable[str]) -> None:
@@ -274,7 +283,7 @@ def _cmd_run(args: SimpleNamespace) -> int:
     # the trace goes to the spool while the run decides; the output is opened
     # once the run has succeeded and the rest is rendered
     with _spool() as spool:
-        trace = _Trace(spool.write, net, args.method)
+        trace = _Trace(spool.write, net, args.method, _spelled if as_json else None)
         result = run_louvain(net, args.method, trace.sweep)
         trace.end(result)
         if as_json:
@@ -292,11 +301,13 @@ def main(argv: list[str] | None = None) -> int:
 
     With ``argv`` None this is the program, which exits when it returns:
     the start-up objects move to the collector's permanent generation,
-    which the collections at exit skip. A call with a list leaves the
-    collector as it was.
+    which the collections at exit skip, and the collector is disabled for
+    the run, which leaves no cycle to collect. A call with a list leaves
+    the collector as it was.
     """
     if argv is None:
         gc.freeze()
+        gc.disable()
         argv = sys.argv[1:]
     args = _parse_plain(argv) or _parse(argv)
     if math.isnan(args.min_weight):  # `hi < nan` is never true: the filter would be off

@@ -23,12 +23,13 @@ check. Ingest keeps little besides the network it returns:
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import operator
 import os
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
+
+import _csv  # the C reader that csv.reader is: no run loads csv.py
 
 from .errors import DuplicateEdge, InvalidInterval, NegativeWeight, ParseError
 from .frozen import Frozen
@@ -408,7 +409,7 @@ def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             return read_flow_csv(fh)
-    reader = csv.reader(_checked_lines(source))
+    reader = _csv.reader(_checked_lines(source))
     try:
         try:
             header = next(reader)
@@ -445,7 +446,7 @@ def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
             src, dst = labels.setdefault(src, src), labels.setdefault(dst, dst)
             records.append(tuple.__new__(DirectedFlowRecord, (src, dst, lo, hi)))
         return records
-    except csv.Error as exc:  # a field over csv.field_size_limit()
+    except _csv.Error as exc:  # a field over _csv.field_size_limit()
         raise ParseError(reader.line_num, str(exc)) from None
 
 
@@ -469,6 +470,6 @@ def network_from_csv(
         if not (isinstance(source, str) and os.path.isfile(source)):
             raise
         with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            reader = csv.reader(fh)
+            reader = _csv.reader(fh)
             ends = [reader.line_num for row in reader if row][1:]  # each record's last line
         raise DuplicateEdge(f"line {ends[exc.index]}: {exc}", exc.index) from None

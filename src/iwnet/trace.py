@@ -9,19 +9,20 @@ renders its lines from the candidates and gains the step left there,
 and each sweep's Q is that state's ``q()``. ``iwnet run --trace`` hands
 it the run it reports, which renders into an anonymous temporary file
 (the spool) that the CLI copies to its output once the run has
-succeeded, so phase 1 runs once. ``emit_trace`` and ``decisions`` drive
-a finished run's input through the pass loop again, ``decisions`` with
-a hook that records a ``Decision`` per step. ``midpoint``'s input
-prints as the degenerate projection it is priced on, which only the
-trace builds (``_projection``): straight from ``midpoint_rows``, one
-``Interval(m, m)`` per entry with i <= j, shared with its mirror, as
-aggregating its singletons would give. A matrix is dense up to
-``network.DENSE_LIMIT`` vertices and an edge list above
-(``format_matrix``).
+succeeded, so phase 1 runs once; for a JSON document the spool holds
+the trace already spelled as the string member. ``emit_trace`` and
+``decisions`` drive a finished run's input through the pass loop again,
+``decisions`` with a hook that records a ``Decision`` per step.
+``midpoint``'s input prints as the degenerate projection it is priced
+on, which only the trace builds (``_projection``): from the midpoints
+the first pass's state read, one ``Interval(m, m)`` per entry with
+i <= j, shared with its mirror, as aggregating its singletons would
+give. A matrix is dense up to ``network.DENSE_LIMIT`` vertices and an
+edge list above (``format_matrix``).
 
 The text summary of ``iwnet run`` (``_run_text``) is here too. The JSON
-document, and the escaping that makes a spooled trace its last member,
-are ``iwnet.cli``'s, so this module imports no JSON code. An untraced
+document, and the escape that spells a trace as its last member, are
+``iwnet.cli``'s, so this module imports no JSON code. An untraced
 JSON run never loads this module: the CLI imports it for a trace or a
 text summary, and ``iwnet.emit_trace``, ``louvain.decisions`` and
 ``louvain.Decision`` resolve on first use.
@@ -40,7 +41,9 @@ from .network import IWNetwork
 
 __all__ = ["emit_trace", "format_q", "Decision", "decisions"]
 
-BATCH_CHARS = 1 << 16  # a spooled trace is read back in runs of this many characters
+# a trace is written to its spool in batches of about this many characters,
+# and read back in runs of exactly as many
+BATCH_CHARS = 1 << 16
 
 
 Decision = namedtuple("Decision", ["vertex", "own", "candidates", "gains", "target"])
@@ -81,11 +84,12 @@ def decisions(run: LouvainRun) -> Iterator[Decision]:
     yield from log
 
 
-def _projection(net: IWNetwork) -> IWNetwork:
-    """``net``'s midpoints as degenerate weights, its labels kept: what
-    ``_aggregate_midpoints`` gives over singletons, without the blocks pass."""
+def _projection(net: IWNetwork, mid: list[dict[int, float]]) -> IWNetwork:
+    """``net``'s midpoints ``mid`` (its ``midpoint_rows()``) as degenerate
+    weights, its labels kept: what ``_aggregate_midpoints`` gives over
+    singletons, without the blocks pass."""
     rows: list[dict[int, Interval]] = [{} for _ in range(net.n)]
-    for i, row in enumerate(net.midpoint_rows()):
+    for i, row in enumerate(mid):
         for j, m in row.items():
             if j >= i:  # row j takes its keys in ascending order
                 rows[i][j] = rows[j][i] = Interval(m, m)
@@ -94,66 +98,110 @@ def _projection(net: IWNetwork) -> IWNetwork:
 
 class _Trace:
     """Renders the trace of one run of ``net`` by ``method`` into ``write``
-    (newline-ended text): ``sweep`` is the run's sweep hook, and ``end``
-    closes the trace with the finished run.
+    (newline-ended text) in the spelling ``escape`` gives, the text as it
+    is by default (the CLI passes JSON's, without the quotes). ``escape``
+    must work one character at a time, as JSON's does, so that each piece
+    is spelled on its own: the fixed parts of a pass's lines once per pass,
+    a community's label and ``Try`` cell once per change. ``sweep`` is the
+    run's sweep hook, and ``end`` closes the trace with the finished run.
+
+    Pieces (a vertex's lines, a matrix line, a header line) are queued and
+    written in batches: once the queue holds ``BATCH_CHARS`` characters,
+    and at the end of each sweep and of the trace, so the queue holds at
+    most one batch and one piece.
 
     A pass's rendering state is the member list of each community, from
     singletons of its input, and per community its label and the
-    ``"<label:<15> | gain="`` cell of its ``Try`` lines, each ``None`` from
-    a move that changes the community until it is next asked for.
+    ``"<label:<15> | gain="`` cell of its ``Try`` lines (padded on the
+    label as it is, then spelled), each ``None`` until it is asked for,
+    and again after a move changes the community.
     """
 
-    def __init__(self, write: Callable[[str], object], net: IWNetwork, method: str):
+    def __init__(
+        self,
+        write: Callable[[str], object],
+        net: IWNetwork,
+        method: str,
+        escape: Callable[[str], str] | None = None,
+    ):
         self.write, self.net, self.method = write, net, method
+        self.escape = esc = escape or str
         self.passes = 0
+        self.pending: list[str] = []
+        self.size = 0  # characters in pending
+        self.nl = esc("\n")
+        self.plus, self.zero, self.minus = esc(" (+)\n"), esc("+0.000 (0)\n"), esc(" (-)\n")
+
+    def _put(self, piece: str) -> None:
+        """Queue ``piece`` (already spelled), writing the queue once it holds
+        ``BATCH_CHARS`` characters."""
+        self.pending.append(piece)
+        self.size += len(piece)
+        if self.size >= BATCH_CHARS:
+            self._flush()
+
+    def _flush(self) -> None:
+        self.write("".join(self.pending))
+        self.pending.clear()
+        self.size = 0
+
+    def _text(self, text: str) -> None:
+        self._put(self.escape(text))
 
     def _matrix(self, net: IWNetwork) -> None:
-        if net is self.net and self.method == "midpoint":  # the input as midpoint prices it
-            net = _projection(net)
+        put, esc = self._put, self.escape
         # looked up on ``louvain`` at each call, not bound at import (see there)
         for line in louvain.format_matrix(net):
-            self.write(f"{line}\n")
+            put(esc(f"{line}\n"))
 
     def _begin(self, state: _PassState) -> None:
         """The lines before a pass's first sweep: the initial network, or
         the end of the previous pass, whose aggregate ``state`` is on."""
-        net, write, q = state.net, self.write, format_q(state.q())
+        net, text, q = state.net, self._text, format_q(state.q())
         if self.passes:
-            write("\nNew network: ---------------\n")
+            text("\nNew network: ---------------\n")
             self._matrix(net)
             communities = " / ".join(net.labels)
-            write(f"* End Pass number {self.passes} Modularity={q} Communities={communities}\n")
-            write("---------------------------\n")
+            text(f"* End Pass number {self.passes} Modularity={q} Communities={communities}\n")
+            text("---------------------------\n")
         else:
-            write("Initial Interval-Weighted Network:\n")
-            self._matrix(net)
-            write(f"\n* Initial Modularity={q}\n")
+            text("Initial Interval-Weighted Network:\n")
+            # midpoint's input as it is priced: the midpoints its first pass reads
+            self._matrix(_projection(net, state.neigh) if self.method == "midpoint" else net)
+            text(f"\n* Initial Modularity={q}\n")
         self.passes += 1
-        write(f"* Begin Pass number {self.passes}\n")
+        text(f"* Begin Pass number {self.passes}\n")
+        esc = self.escape
         self.names = names = net.labels
-        self.tries = [f"\tTry {name} -> " for name in names]
+        self.tries = [esc(f"\tTry {name} -> ") for name in names]
+        self.moves = [esc(f"\tMove {name} -> ") for name in names]
+        self.keeps = [esc(f"\tKeep vertex {name} at community ") for name in names]
         self.members = [[v] for v in range(net.n)]
-        self.labels = list(names)
+        self.labels: list[str | None] = [None] * net.n
         self.cells: list[str | None] = [None] * net.n
 
     def _label(self, c: int) -> str:
+        """Community ``c``'s spelled label, made with its ``Try`` cell."""
         label = self.labels[c]
         if label is None:
-            label = self.labels[c] = ",".join([self.names[u] for u in self.members[c]])
+            raw = ",".join([self.names[u] for u in self.members[c]])
+            label = self.labels[c] = self.escape(raw)
+            self.cells[c] = self.escape(f"{raw:<15} | gain=")
         return label
 
     def sweep(self, state: _PassState, iteration: int) -> bool:
-        """Step every vertex of ``state``, writing its lines, then the
-        sweep's Q; True if a vertex moved. Labels name the communities as
-        they were before v left (only its own contains it). A gain prints
-        as ``gain=<sign><|gain|:.3f> (<mark>)``, the mark ``0`` for a zero
-        gain (-0.0 too, which prints ``gain=+0.000 (0)``)."""
+        """Step every vertex of ``state``, rendering its lines, then the
+        sweep's Q, and write them; True if a vertex moved. Labels name the
+        communities as they were before v left (only its own contains it).
+        A gain prints as ``gain=<sign><|gain|:.3f> (<mark>)``, the mark
+        ``0`` for a zero gain (-0.0 too, which prints ``gain=+0.000 (0)``)."""
         if iteration == 1:
             self._begin(state)
-        write, names, tries, members, labels, cells = (
-            self.write, self.names, self.tries, self.members, self.labels, self.cells
+        pending, tries, moves, keeps, members, labels, cells = (
+            self.pending, self.tries, self.moves, self.keeps, self.members, self.labels, self.cells
         )
-        step, comm_of, moved_any = state.step, state.comm_of, False
+        nl, plus, zero, minus = self.nl, self.plus, self.zero, self.minus
+        step, comm_of, moved_any, size = state.step, state.comm_of, False, self.size
         for v in range(state.net.n):
             own = comm_of[v]
             moved = step(v)
@@ -161,38 +209,50 @@ class _Trace:
             for c, g in zip(state.links, state.gains):
                 cell = cells[c]
                 if cell is None:
-                    cell = cells[c] = f"{self._label(c):<15} | gain="
+                    self._label(c)
+                    cell = cells[c]
                 if g > 0.0:
-                    lines.append(f"{try_v}{cell}+{g:.3f} (+)\n")
+                    lines.append(f"{try_v}{cell}+{g:.3f}{plus}")
                 elif g == 0.0:
-                    lines.append(f"{try_v}{cell}+0.000 (0)\n")
+                    lines.append(f"{try_v}{cell}{zero}")
                 else:
-                    lines.append(f"{try_v}{cell}{g:+.3f} (-)\n")
+                    lines.append(f"{try_v}{cell}{g:+.3f}{minus}")
             if moved:
                 target = comm_of[v]
-                lines.append(f"\tMove {names[v]} -> {self._label(target)}\n")
+                lines.append(f"{moves[v]}{self._label(target)}{nl}")
                 members[own].remove(v)
                 bisect.insort(members[target], v)
                 labels[own] = labels[target] = cells[own] = cells[target] = None
                 moved_any = True
             else:
-                lines.append(f"\tKeep vertex {names[v]} at community {self._label(own)}\n")
-            write("".join(lines))
-        write(f"Iteration {iteration} Modularity={format_q(state.q())}\n")
+                lines.append(f"{keeps[v]}{self._label(own)}{nl}")
+            piece = "".join(lines)  # _put, inlined: the loop's one queued piece per vertex
+            pending.append(piece)
+            size += len(piece)
+            if size >= BATCH_CHARS:
+                self._flush()
+                size = 0
+        self.size = size
+        self._text(f"Iteration {iteration} Modularity={format_q(state.q())}\n")
+        self._flush()
         return moved_any
 
     def end(self, run: LouvainRun) -> None:
-        """The lines after the run's last sweep: its last pass moved nothing."""
-        write, final = self.write, run.final_network
-        write(f"* End Pass number {self.passes} -- no change\n")
+        """The lines after the run's last sweep (its last pass moved
+        nothing), and the last write."""
+        text, final = self._text, run.final_network
+        text(f"* End Pass number {self.passes} -- no change\n")
         prefix = "Hybrid - Before Normalized" if self.method == "hl" else "Before Normalized"
-        write(f"\n* Final communities: {' / '.join(final.labels)} (n={final.n})\n")
-        write(f"* {prefix}: {format_q(run.final_q)}\n")
+        text(f"\n* Final communities: {' / '.join(final.labels)} (n={final.n})\n")
+        text(f"* {prefix}: {format_q(run.final_q)}\n")
         q_norm, q_max = format_q(run.final_q_norm), format_q(run.final_q_max, 6)
-        write(f"* Normalized modularity: {q_norm} (Qmax={q_max})\n")
-        write("---------------------------\n")
-        write("Final Interval-weighted network:\n\n")
+        text(f"* Normalized modularity: {q_norm} (Qmax={q_max})\n")
+        text("---------------------------\n")
+        text("Final Interval-weighted network:\n\n")
+        if final is self.net and self.method == "midpoint":  # nothing moved: the input again
+            final = _projection(final, final.midpoint_rows())
         self._matrix(final)
+        self._flush()
 
 
 def emit_trace(run: LouvainRun) -> str:

@@ -7,11 +7,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the bench's spans on names ``src/`` no longer has: each reads zero, and the
+# bench notes it on stderr. A rename in ``src/`` that blinds another span
+# adds a name here; the next change to the benchmark re-targets these four
+STALE_SPANS = {
+    "iwnet.louvain.q_interval_communities",
+    "iwnet.louvain.q_max_interval_adjusted",
+    "iwnet.louvain.q_max_scalar",
+    "iwnet.louvain.q_scalar_communities",
+}
+
 
 def test_bench_all_workloads_smoke():
     """``bench/run.py --workload all --smoke`` runs every workload of
     ``BENCHMARK.json`` end to end and per layer in one process, and its last
-    line reports each run under ``<workload>/<mode>``, all correct."""
+    line reports each run under ``<workload>/<mode>``, all correct. The
+    only spans it reports blind (``note: <name> not found, not traced``) are
+    the known stale ones."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", "all", "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
@@ -25,3 +37,5 @@ def test_bench_all_workloads_smoke():
     keys = {f"{name}/{mode}" for name in names for mode in ("end_to_end", "per_layer")}
     assert set(doc["runs"]) == keys
     assert all(run["correct"] and run["failed"] == 0 for run in doc["runs"].values())
+    notes = {line for line in proc.stderr.splitlines() if line.startswith("note: ")}
+    assert notes == {f"note: {name} not found, not traced" for name in STALE_SPANS}

@@ -649,7 +649,7 @@ typing.ForwardRef.__init__ = counting
 import iwnet.cli
 
 WATCHED = {"argparse", "gettext", "dataclasses", "iwnet.oracle", "iwnet.trace", "tempfile",
-           "iwnet.modularity", "iwnet.scalar", "json"}
+           "iwnet.modularity", "iwnet.scalar", "json", "csv"}
 path, method, *last = sys.argv[1:]
 argv = ["run", "--input", path, "--method", method, "--format", "json", "--out", os.devnull]
 
@@ -676,7 +676,8 @@ except SystemExit as exc:
 def test_cold_start_loads_only_what_run_needs(tmp_path):
     """``import iwnet.cli`` loads neither ``argparse`` nor ``gettext``, nor
     ``dataclasses``, the reference module, the trace renderer,
-    ``tempfile`` or ``json``; no run and no oracle loads ``json`` either.
+    ``tempfile``, ``json`` or ``csv``; no run and no oracle loads ``json``
+    or ``csv`` either (ingest reads through ``_csv``, the C reader).
     In a fresh process, an untraced JSON run of each strategy
     loads only its own gain kind's module (``iwnet.modularity`` for ``cl``,
     ``iwnet.scalar`` for ``hl`` and ``midpoint``), and a traced run adds the
@@ -709,8 +710,10 @@ def test_cold_start_loads_only_what_run_needs(tmp_path):
         assert by_traced_run == str(sorted([kind, "iwnet.trace", "tempfile"]))
         assert report[-3:] == ["best partition (n=2):", "  C1: v1, v2", "  C2: v3, v4"]
         oracle_loaded, argparse_loaded = map(ast.literal_eval, (by_oracle, by_argparse))
-        assert "iwnet.oracle" in oracle_loaded and not {"argparse", "json"} & set(oracle_loaded)
-        assert {"argparse", "gettext"} <= set(argparse_loaded) and "json" not in argparse_loaded
+        assert "iwnet.oracle" in oracle_loaded
+        assert not {"argparse", "json", "csv"} & set(oracle_loaded)
+        assert {"argparse", "gettext"} <= set(argparse_loaded)
+        assert not {"json", "csv"} & set(argparse_loaded)
         assert int(exit_code) == code
     for name in iwnet.__all__:
         getattr(iwnet, name)
@@ -757,9 +760,10 @@ def test_traced_run_renders_through_module_names(monkeypatch, tmp_path, method):
     assert json.loads(out.read_text(encoding="utf-8"))["trace"] == iwnet.emit_trace(result)
 
 
-# The program entry in a child: sys.argv holds an untraced JSON run, and
-# the line printed says whether main() froze more objects than were
-# frozen before (some Python versions start with a few frozen).
+# The program entry in a child: sys.argv holds an untraced JSON run. The
+# lines printed say whether main() froze more objects than were frozen
+# before (some Python versions start with a few frozen), and whether the
+# collector is still enabled after it.
 PROGRAM_ENTRY = """
 import gc
 import os
@@ -771,6 +775,7 @@ sys.argv = ["iwnet", "run", "--input", sys.argv[1], "--method", "cl", "--format"
             "--out", os.devnull]
 code = main()
 print(gc.get_freeze_count() > before)
+print(gc.isenabled())
 sys.exit(code)
 """
 
@@ -810,8 +815,8 @@ def _entry_runs():
 class TestProgramEntry:
     """``main()`` with no arguments is the program, which exits when it
     returns: it freezes the garbage collector at entry, so the collections
-    at exit skip the start-up objects. ``main(argv)`` leaves the collector
-    as it was."""
+    at exit skip the start-up objects, and disables it for the run.
+    ``main(argv)`` leaves the collector as it was."""
 
     def test_program_freezes_the_collector(self, tmp_path):
         path = tmp_path / "toy.csv"
@@ -821,13 +826,13 @@ class TestProgramEntry:
             [sys.executable, "-c", PROGRAM_ENTRY, str(path)],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\nFalse\n", "")
 
     def test_call_with_argv_leaves_the_collector(self, capsys, toy_csv):
-        before = gc.get_freeze_count()
+        before = gc.get_freeze_count(), gc.isenabled()
         argv = ["run", "--input", toy_csv, "--method", "cl", "--format", "json"]
         code, out, _ = run_cli(capsys, *argv)
-        assert (code, gc.get_freeze_count()) == (0, before)
+        assert (code, (gc.get_freeze_count(), gc.isenabled())) == (0, before)
         assert json.loads(out)["method"] == "cl"
 
     @pytest.mark.parametrize("csv, argv, to_file, code, err", _entry_runs())

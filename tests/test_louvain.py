@@ -572,7 +572,7 @@ def test_midpoint_projection_equals_singleton_aggregate():
     bits of every endpoint and one Interval per entry, shared with its mirror."""
     nets = _projection_networks(random.Random(57))
     for net in nets:
-        got = renderer._projection(net)
+        got = renderer._projection(net, net.midpoint_rows())
         ref = louvain._aggregate_midpoints(net, Partition.singletons(net.n))
         assert got.labels == ref.labels == net.labels
         assert [list(row) for row in got.rows] == [list(row) for row in ref.rows]
@@ -581,7 +581,21 @@ def test_midpoint_projection_equals_singleton_aggregate():
         assert bits == [{j: (w.lo.hex(), w.hi.hex()) for j, w in row.items()} for row in ref.rows]
         assert all(got.rows[j][i] is w for i, j, w in got.edges())
     tiny = nets[-2]  # a-b is [0, 5e-324], whose midpoint is 0.0: no entry
-    assert 1 in tiny.rows[0] and 1 not in renderer._projection(tiny).rows[0]
+    assert 1 in tiny.rows[0] and 1 not in renderer._projection(tiny, tiny.midpoint_rows()).rows[0]
+
+
+def test_midpoint_input_prints_as_its_projection_at_both_ends():
+    """A midpoint run whose first pass moves nothing ends on its input: the
+    trace prints that network as the projection it is priced on, as the
+    initial network and as the final one."""
+    net = IWNetwork.from_edges(["x", "y", "z"], [("x", "x", 2, 2), ("z", "z", 0, 1)])
+    result = run(net, "midpoint")
+    assert result.final_network is net and len(result.passes) == 1
+    matrix = "\n".join(louvain.format_matrix(renderer._projection(net, net.midpoint_rows()))) + "\n"
+    assert "[0.5,0.5]" in matrix and "[0,1]" not in matrix
+    trace = emit_trace(result)
+    assert trace.split("Initial Interval-Weighted Network:\n")[1].startswith(matrix)
+    assert trace.endswith("Final Interval-weighted network:\n\n" + matrix)
 
 
 def _drift_networks(rng):

@@ -8,6 +8,7 @@ phase 1 runs once, a reader that closes stdout early is not an error,
 and a failed run writes nothing and leaves no spool behind.
 """
 
+import importlib.util
 import json
 import os
 import random
@@ -24,7 +25,7 @@ from iwnet import emit_trace, louvain, network_from_csv, run
 from iwnet import trace as renderer
 from iwnet.modularity import _IntervalPass
 from iwnet.scalar import _ScalarPass
-from iwnet.cli import main
+from iwnet.cli import _escape, _spelled, main
 
 # NUTS 3 regions of the paper's Portuguese commuting network (non-ASCII
 # letters), a quoted label holding `"` and `\`, and a character outside the
@@ -39,6 +40,15 @@ LABELS = [
 ]
 
 SRC = str(Path(iwnet.__file__).resolve().parent.parent)
+ROOT = Path(__file__).resolve().parent.parent
+
+# labels JSON spells with escapes: a quote, a backslash, a tab, a newline, a
+# carriage return, DEL and a character outside the BMP; a label of 10
+# characters that its escapes take past 15, and one of 15 or more
+SPELLED_LABELS = [
+    'say "hi"', "back\\slash", "tab\there", "new\nline", "cr\rhere", "del\x7f",
+    "grape \U0001F347", "\u00e9" * 10, "fifteen characters or more",
+]
 
 
 def _quote(label: str) -> str:
@@ -112,6 +122,105 @@ def test_small_batches_give_the_same_bytes(capsys, monkeypatch, labelled_csv, me
     whole = _main_stdout(capsys, argv)
     monkeypatch.setattr(renderer, "BATCH_CHARS", 40)
     assert _main_stdout(capsys, argv) == whole
+
+
+def _spelled_network():
+    """Two clusters of ``SPELLED_LABELS`` joined by a weak edge: phase 1
+    moves, so the aggregates' labels join the labels."""
+    a, b, c, d, e, f, g, h, i = SPELLED_LABELS
+    edges = [(a, b, 3, 5), (b, c, 2, 4), (a, c, 1, 3), (c, d, 2, 3), (e, f, 3, 4),
+             (f, g, 2, 6), (e, g, 1, 2), (g, h, 3, 3), (h, i, 2, 5), (d, e, 0, 1)]
+    return iwnet.IWNetwork.from_edges(SPELLED_LABELS, edges)
+
+
+def _render(result, escape):
+    """The writes of ``result``'s trace rendered in the spelling of ``escape``."""
+    writes = []
+    trace = renderer._Trace(writes.append, result.network, result.strategy.name, escape)
+    renderer._rerun(result, trace.sweep)
+    trace.end(result)
+    return writes
+
+
+@pytest.mark.parametrize("batch", [None, 40])
+@pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
+def test_trace_rendered_in_json_spelling_is_the_escaped_trace(monkeypatch, method, batch):
+    """Rendered in JSON's spelling, piece by piece, the trace is the text
+    trace escaped as a whole, in batches of any size: a ``Try`` cell is
+    padded to 15 characters on the label as it is, not as it is spelled."""
+    if batch:
+        monkeypatch.setattr(renderer, "BATCH_CHARS", batch)
+    result = run(_spelled_network(), method)
+    assert result.passes[0].changed
+    text = emit_trace(result)
+    writes = _render(result, _spelled)
+    assert "".join(writes) == _escape(text)[1:-1]
+    assert "".join(_render(result, None)) == text
+    assert len(writes) > 40 if batch else len(writes) >= len(result.passes)
+    for label in SPELLED_LABELS:
+        assert f"\tTry {label} -> " in text
+    assert f" -> {'é' * 10}      | gain=" in text
+    assert f" -> {SPELLED_LABELS[-1]} | gain=" in text
+    assert any("," in label for label in result.passes[0].aggregated.labels)
+
+
+def _bench_input(tmp_path, name, seed, index):
+    """Input ``index`` of the benchmark's workload ``name`` for ``seed``,
+    generated as the benchmark does, and the workload."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks its module up there
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    workload, path = workloads.WORKLOADS[name], tmp_path / f"{name}.csv"
+    workloads.generate(workload, seed, index, path)
+    return workload, path
+
+
+def _pieces(trace):
+    """The pieces the renderer queues, at their smallest: a vertex's ``Try``
+    lines with its ``Move`` or ``Keep`` line, and each other line."""
+    pieces, vertex = [], []
+    for line in trace.splitlines(keepends=True):
+        if line.startswith("\t"):
+            vertex.append(line)
+            if line.startswith(("\tMove ", "\tKeep ")):
+                pieces.append("".join(vertex))
+                vertex = []
+        else:
+            pieces.append(line)
+    return pieces
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_spool_is_written_in_batches(monkeypatch, tmp_path, fmt):
+    """A traced run writes its spool in batches, not a vertex at a time: no
+    write holds more than ``BATCH_CHARS`` characters plus the largest piece
+    queued, and the benchmark's ``midpoint_flows_trace`` seed 1 input 0
+    takes at most 40 writes (one write per vertex took 2,840)."""
+    workload, path = _bench_input(tmp_path, "midpoint_flows_trace", 1, 0)
+    writes = []
+    make = renderer._spool
+
+    def recording_spool():
+        spool = make()
+        write = spool.write
+        spool.write = lambda text: writes.append(len(text)) or write(text)
+        return spool
+
+    monkeypatch.setattr(renderer, "_spool", recording_spool)
+    out = tmp_path / "out"
+    argv = [*workload.cli_args(str(path), str(out)), "--format", fmt]
+    assert "--trace" in argv
+    assert main(argv) == 0
+    monkeypatch.undo()
+    trace = emit_trace(run(network_from_csv(str(path), threshold=workload.min_weight), "midpoint"))
+    spell = _spelled if fmt == "json" else str
+    assert sum(writes) == len(spell(trace)) > 1_000_000
+    assert 10 < len(writes) <= 40, len(writes)
+    assert max(writes) <= renderer.BATCH_CHARS + max(len(spell(p)) for p in _pieces(trace))
 
 
 def _spool(text):
