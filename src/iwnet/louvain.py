@@ -39,7 +39,7 @@ last state, and collapses no partition.
 loop takes an internal sweep hook, which makes each phase-1 sweep on the
 live pass state and reads what each step leaves on it: the text trace
 and the decision log (``decisions``, ``Decision``), both in
-``iwnet.trace``, which this module resolves on first use. Untraced, a
+``iwnet.trace``, which this module does not import. Untraced, a
 sweep costs nothing per vertex.
 
 A move must beat returning to the vertex's former community by more
@@ -75,11 +75,9 @@ __all__ = [
     "HYBRID",
     "MIDPOINT",
     "PassRecord",
-    "Decision",  # resolved from iwnet.trace, as is decisions
     "LouvainRun",
     "run",
     "evaluate_moves",
-    "decisions",
 ]
 
 SWEEP_LIMIT = 100
@@ -205,6 +203,18 @@ def _kind(strategy: Strategy) -> type[_PassState]:
     return _ScalarPass
 
 
+def _total_hi(net: IWNetwork) -> float:
+    """The total of ``net``'s upper weights; ``InvalidInterval`` if it or its
+    square overflows: every track multiplies two strengths, each at most the
+    total (the scalar gains and Q, cl's adjusted expectations, the oracle's Q)."""
+    t_hi = seq_sum(w.hi for row in net.rows for w in row.values())
+    if not math.isfinite(t_hi):
+        net.total_weight()  # raises InvalidInterval at the first partial sum that overflows
+    if not math.isfinite(t_hi * t_hi):
+        raise InvalidInterval(f"total weight {t_hi!r} overflows when squared")
+    return t_hi
+
+
 def run(
     net: IWNetwork, strategy: Strategy | str = CLASSIC_INTERVAL, sweep: Sweep | None = None
 ) -> LouvainRun:
@@ -221,16 +231,10 @@ def run(
         strategy = Strategy(strategy)
     if net.n == 0:
         raise EmptyNetwork("cannot run on an empty network")
-    t_hi = seq_sum(w.hi for row in net.rows for w in row.values())
-    if not math.isfinite(t_hi):
-        net.total_weight()  # raises InvalidInterval at the first partial sum that overflows
+    t_hi = _total_hi(net)
     if t_hi <= 0:
         raise ZeroTotalWeight("network has no weight")
-    # every track multiplies two strengths, each at most the total: the
-    # scalar gains and Q, and the adjusted expectations of cl. Below the
-    # normal range such a product loses precision or rounds to 0
-    if not math.isfinite(t_hi * t_hi):
-        raise InvalidInterval(f"total weight {t_hi!r} overflows when squared")
+    # below the normal range a product of two strengths loses precision or rounds to 0
     if t_hi * t_hi < sys.float_info.min:
         raise InvalidInterval(f"total weight {t_hi!r} underflows when squared")
 
@@ -286,10 +290,3 @@ def evaluate_moves(
     state.step(vertex)
     return list(zip(state.links, state.gains))
 
-
-def __getattr__(name: str):
-    if name in ("Decision", "decisions"):  # the decision log is derived on request
-        from . import trace
-
-        return getattr(trace, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,8 +4,9 @@
 definitions with its own loops (no aggregation code shared with the
 driver), and ``enumerate_best`` maximizes it over every partition of the
 vertex set, enumerated as restricted growth strings in lexicographic
-order. Bell numbers grow fast; instances are capped at n = 12.
-``_cmd_oracle`` writes the text of ``iwnet oracle`` from its result.
+order. Bell numbers grow fast; instances are capped at n = 12, and a
+total weight that overflows is refused as ``run()`` refuses it.
+``_cmd_oracle`` writes ``iwnet oracle``'s text, its Q by ``format_q``.
 
 The paper's pairwise formulas, references for the separable sums the
 Louvain pass states read Q from, sit here too: D and Hausdorff on
@@ -30,7 +31,7 @@ from typing import Iterator, Mapping, Sequence
 from . import _ORACLE
 from .errors import EmptyNetwork, IWNError, ZeroTotalWeight
 from .interval import Interval, ZERO, dominant_diff, seq_sum
-from .louvain import Strategy, _check_finite
+from .louvain import Strategy, _check_finite, _total_hi
 from .modularity import _IntervalPass
 from .network import IWNetwork, _pair_interval, blocks, pair_sum
 from .partition import Partition
@@ -178,6 +179,7 @@ def enumerate_best(net: IWNetwork, strategy: Strategy | str) -> OracleReport:
         raise EmptyNetwork("network has no vertices")
     if net.n > MAX_VERTICES:
         raise TooLarge(f"{net.n} vertices exceeds the n <= {MAX_VERTICES} guard")
+    _total_hi(net)  # run()'s refusal of an overflowing total, and its message
     best_q = None
     best = None
     count = 0
@@ -193,12 +195,14 @@ def enumerate_best(net: IWNetwork, strategy: Strategy | str) -> OracleReport:
 
 def _cmd_oracle(net: IWNetwork, metric: str) -> int:
     """``iwnet oracle``: the best partition of ``net`` under ``metric``,
-    written to stdout as text."""
+    written to stdout as text, its Q spelled as ``iwnet run`` spells it."""
+    from .trace import format_q
+
     report = enumerate_best(net, metric)
     lines = [
         f"metric: {metric}",
         f"partitions evaluated: {report.partitions_evaluated}",
-        f"best Q = {report.best_q:.6f}",
+        f"best Q = {format_q(report.best_q, 6)}",
         f"best partition (n={report.best_partition.n_communities}):",
     ]
     for cid, group in enumerate(report.best_partition.communities, start=1):

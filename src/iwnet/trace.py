@@ -24,8 +24,8 @@ The text summary of ``iwnet run`` (``_run_text``) is here too. The JSON
 document, and the escape that spells a trace as its last member, are
 ``iwnet.cli``'s, so this module imports no JSON code. An untraced
 JSON run never loads this module: the CLI imports it for a trace or a
-text summary, and ``iwnet.emit_trace``, ``louvain.decisions`` and
-``louvain.Decision`` resolve on first use.
+text summary, ``iwnet oracle`` for ``format_q``, and
+``iwnet.emit_trace`` resolves on first use.
 """
 
 from __future__ import annotations
@@ -197,11 +197,11 @@ class _Trace:
         ``0`` for a zero gain (-0.0 too, which prints ``gain=+0.000 (0)``)."""
         if iteration == 1:
             self._begin(state)
-        pending, tries, moves, keeps, members, labels, cells = (
-            self.pending, self.tries, self.moves, self.keeps, self.members, self.labels, self.cells
+        put, tries, moves, keeps, members, labels, cells = (
+            self._put, self.tries, self.moves, self.keeps, self.members, self.labels, self.cells
         )
         nl, plus, zero, minus = self.nl, self.plus, self.zero, self.minus
-        step, comm_of, moved_any, size = state.step, state.comm_of, False, self.size
+        step, comm_of, moved_any = state.step, state.comm_of, False
         for v in range(state.net.n):
             own = comm_of[v]
             moved = step(v)
@@ -226,13 +226,7 @@ class _Trace:
                 moved_any = True
             else:
                 lines.append(f"{keeps[v]}{self._label(own)}{nl}")
-            piece = "".join(lines)  # _put, inlined: the loop's one queued piece per vertex
-            pending.append(piece)
-            size += len(piece)
-            if size >= BATCH_CHARS:
-                self._flush()
-                size = 0
-        self.size = size
+            put("".join(lines))
         self._text(f"Iteration {iteration} Modularity={format_q(state.q())}\n")
         self._flush()
         return moved_any

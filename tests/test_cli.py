@@ -2,10 +2,12 @@ import argparse
 import ast
 import contextlib
 import gc
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -432,10 +434,13 @@ class TestRunCommand:
             ["a,b,{w}", "b,c,{w}", "c,d,{w}", "d,a,{w}", "a,c,{w}"],  # a 4-cycle with one chord
         ],
     )
-    @pytest.mark.parametrize("w", ["0.1844793926425332,1.4280981177310619", "1e-160,1e-160"])
+    @pytest.mark.parametrize(
+        "w", ["0.1844793926425332,1.4280981177310619", "0.1,0.1", "1e-160,1e-160"]
+    )
     def test_one_weighted_row_has_no_q_norm(self, capsys, tmp_path, method, records, w):
         # each run ends as one community: Q_max is exactly 0, not the rounding
-        # residue that made Q_norm 1.0, and a Q near 0 prints unsigned. At
+        # residue that made Q_norm 1.0, and a Q near 0 prints unsigned, as
+        # the oracle's best Q of the same partition does. At
         # [1e-160,1e-160] the square of the total weight is below the normal
         # float range, where the products of strengths lose their precision:
         # every method refuses it
@@ -460,39 +465,48 @@ class TestRunCommand:
         assert "(Qmax=0.000000)" in out
         q_lines = [line for line in out.splitlines() if "odularity" in line or line.startswith("Q")]
         assert not [line for line in q_lines if "-0.000" in line]
+        code, out, _ = run_cli(capsys, "oracle", "--input", str(path), "--metric", method)
+        assert code == 0
+        assert "\nbest Q = 0.000000\nbest partition (n=1):\n" in out
 
     @pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_overflowing_total_exit_2(self, capsys, tmp_path, method, fmt):
         # every weight is finite, but the total weight overflows to inf:
-        # an error, never a silent inf or nan in the output
+        # an error, never a silent inf or nan in the output; the oracle
+        # refuses it alike, where it printed best Q = -inf or nan
         path = tmp_path / "overflow.csv"
         path.write_text(
             "src,dst,lo,hi\na,b,1e308,1.5e308\nb,c,1e308,1.5e308\nc,d,1,1\n", encoding="utf-8"
         )
-        code, out, err = run_cli(
-            capsys, "run", "--input", str(path), "--method", method, "--format", fmt
-        )
-        assert code == 2
-        assert out == ""
-        assert err == "error: InvalidInterval: non-finite endpoint in [inf, inf]\n"
+        for argv in (
+            ["run", "--input", str(path), "--method", method, "--format", fmt],
+            ["oracle", "--input", str(path), "--metric", method],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err == "error: InvalidInterval: non-finite endpoint in [inf, inf]\n"
 
     @pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_overflowing_squared_total_exit_2(self, capsys, tmp_path, method, fmt):
         # the total weight is finite but its square is not, which every
         # track's products of strengths would reach: no Q = -inf or gain=-inf
-        # in the text, no traceback from the JSON encoder
+        # in the text, no traceback from the JSON encoder; nor a best Q = -inf
+        # from the oracle
         path = tmp_path / "overflow.csv"
         path.write_text("src,dst,lo,hi\na,b,1e155,2e155\nb,c,1,1\n", encoding="utf-8")
-        code, out, err = run_cli(
-            capsys, "run", "--input", str(path), "--method", method, "--format", fmt
-        )
-        assert code == 2
-        assert out == ""
-        assert err == (
-            "error: InvalidInterval: total weight 4e+155 overflows when squared\n"
-        )
+        for argv in (
+            ["run", "--input", str(path), "--method", method, "--format", fmt],
+            ["oracle", "--input", str(path), "--metric", method],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err == (
+                "error: InvalidInterval: total weight 4e+155 overflows when squared\n"
+            )
 
     @pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
     def test_subnormal_weights_exit_2(self, capsys, tmp_path, method):
@@ -684,8 +698,10 @@ def test_cold_start_loads_only_what_run_needs(tmp_path):
     renderer and ``tempfile``, for its spool, only (a stray lookup of a
     reference name on the run path would load the reference module,
     silently). The oracle loads the reference module, and a usage error
-    argparse. None of them makes a ``typing.ForwardRef``. The names the
-    package resolves on first use still resolve."""
+    argparse. None of them makes a ``typing.ForwardRef``. Every name in the
+    ``__all__`` of the package and of each of its modules resolves, the
+    ones the package resolves on first use too, and the decision log is
+    ``iwnet.trace``'s alone."""
     path = tmp_path / "toy.csv"
     path.write_text(TOY_CSV, encoding="utf-8")
     src = str(Path(iwnet.__file__).resolve().parent.parent)
@@ -715,10 +731,16 @@ def test_cold_start_loads_only_what_run_needs(tmp_path):
         assert {"argparse", "gettext"} <= set(argparse_loaded)
         assert not {"json", "csv"} & set(argparse_loaded)
         assert int(exit_code) == code
-    for name in iwnet.__all__:
-        getattr(iwnet, name)
+    # every exported name resolves, the package's and each module's: a stale
+    # export fails here
+    names = [m.name for m in pkgutil.iter_modules(iwnet.__path__)]
+    for module in [iwnet, *(importlib.import_module(f"iwnet.{name}") for name in names)]:
+        for name in getattr(module, "__all__", ()):
+            getattr(module, name)
     with pytest.raises(AttributeError):
         iwnet.no_such_name
+    # the decision log has one home, iwnet.trace
+    assert not hasattr(louvain, "decisions") and not hasattr(louvain, "Decision")
 
 
 @pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])

@@ -1,6 +1,6 @@
 """Every accepted phase-1 move beats going home in exact arithmetic.
 
-Each run's decisions, derived again by ``louvain.decisions``, are replayed
+Each run's decisions, derived again by ``iwnet.trace.decisions``, are replayed
 from singletons on each pass's network (the first the run's input, whose
 midpoints the scalar tracks price, then the previous pass's aggregate).
 For every decision, the gain of each candidate and, for an accepted move,
@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from iwnet import IWNetwork, Partition, louvain, network_from_csv, run
+from iwnet import trace as renderer
 from iwnet.errors import InvalidInterval
 
 from helpers import CYCLING_CSV, tie_network
@@ -124,7 +125,7 @@ class _Exact:
 def _check_run(net, strategy):
     """(accepted moves, priced candidates) of one run, asserting each."""
     result = run(net, strategy)
-    decisions = louvain.decisions(result)
+    decisions = renderer.decisions(result)
     cur = net
     moves = priced = 0
     for rec in result.passes:
@@ -188,7 +189,7 @@ def test_decisions_match_evaluate_moves_with_zero_midpoints(strategy):
             result = run(net, strategy)
         except InvalidInterval:  # every weight subnormal: refused for every method
             continue
-        decisions = louvain.decisions(result)
+        decisions = renderer.decisions(result)
         cur = net
         for rec in result.passes:
             comm_of = list(range(cur.n))

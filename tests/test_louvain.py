@@ -877,18 +877,18 @@ class TestLazyDecisionLog:
     @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
     def test_log_holds_one_decision_per_vertex_and_sweep(self, strategy):
         result = run(random_network(random.Random(52), 60, density=0.1), strategy)
-        log = list(louvain.decisions(result))
-        assert all(isinstance(item, louvain.Decision) for item in log)
+        log = list(renderer.decisions(result))
+        assert all(isinstance(item, renderer.Decision) for item in log)
         assert len(log) == sum(
             rec.iterations * len(rec.partition.assignment) for rec in result.passes
         )
 
     def test_replay_leaves_the_run_unchanged(self):
         result = run(random_network(random.Random(53), 30, density=0.2), HYBRID)
-        log = list(louvain.decisions(result))
+        log = list(renderer.decisions(result))
         first = emit_trace(result)
         assert emit_trace(result) == first
-        assert list(louvain.decisions(result)) == log
+        assert list(renderer.decisions(result)) == log
 
     @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
     def test_replay_matches_live_membership(self, monkeypatch, strategy):
@@ -1017,7 +1017,7 @@ def test_decisions_follow_the_tie_rule_on_exact_ties(monkeypatch):
         for strategy in (CLASSIC_INTERVAL, HYBRID, MIDPOINT):
             result = run(net, strategy)
             gain_owns.clear()  # keep those of the decisions derived again
-            decisions = list(louvain.decisions(result))
+            decisions = list(renderer.decisions(result))
             assert len(decisions) == len(gain_owns)
             for d, gain_own in zip(decisions, gain_owns):
                 assert d.target == _reference_target(d.own, d.candidates, d.gains, gain_own)

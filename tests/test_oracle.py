@@ -15,6 +15,7 @@ from iwnet import (
     q_definitional,
     run,
 )
+from iwnet.errors import InvalidInterval
 from iwnet.oracle import TooLarge
 
 from helpers import from_matrix, toy_network, random_network, triplet_midpoints
@@ -56,6 +57,7 @@ class TestDefinitional:
         # a zero total makes every definition 0.0, where the library raises
         net = IWNetwork.from_edges(["a", "b"], [])
         assert q_definitional(net, Partition.singletons(2), strategy) == 0.0
+        assert enumerate_best(net, strategy).best_q == 0.0  # no weight is no overflow
 
     def test_matches_library_path(self):
         from iwnet import q_interval_communities, q_scalar_communities
@@ -114,6 +116,28 @@ class TestEnumerateBest:
         net = random_network(rng, 13, density=0.3)
         with pytest.raises(TooLarge):
             enumerate_best(net, MIDPOINT)
+
+    @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (
+                [("a", "b", 1e308, 1.5e308), ("b", "c", 1e308, 1.5e308), ("c", "d", 1, 1)],
+                "non-finite endpoint in [inf, inf]",
+            ),
+            (
+                [("a", "b", 1e155, 2e155), ("b", "c", 1, 1)],
+                "total weight 4e+155 overflows when squared",
+            ),
+        ],
+        ids=["total", "squared"],
+    )
+    def test_overflowing_total_is_refused_as_run_refuses_it(self, strategy, edges, message):
+        net = IWNetwork.from_edges(sorted({v for e in edges for v in e[:2]}), edges)
+        for search in (enumerate_best, run):
+            with pytest.raises(InvalidInterval) as caught:
+                search(net, strategy)
+            assert str(caught.value) == message
 
     def test_beats_or_ties_driver(self):
         rng = random.Random(34)

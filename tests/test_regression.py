@@ -1,7 +1,7 @@
 """Byte-identity pins: the decision log and the JSON document of fixed runs.
 
 ``run()`` keeps no decision log; the trace derives the decisions again
-(``louvain.decisions``), so a differential checks that they are, bit for
+(``iwnet.trace.decisions``), so a differential checks that they are, bit for
 bit, the decisions phase 1 made during the run.
 
 The SHA-256 values of the traces were recorded from the implementation
@@ -21,6 +21,7 @@ import random
 import pytest
 
 from iwnet import ZERO, Interval, emit_trace, louvain, run
+from iwnet import trace as renderer
 from iwnet.cli import _escape, _json_with_trace, _run_json
 
 from helpers import pinned_networks, random_network, tie_network
@@ -121,7 +122,7 @@ def test_derived_decisions_are_those_phase_1_made(monkeypatch, method):
         target = state.comm_of[v] if moved else None
         assert moved == (state.comm_of[v] != own)
         made.append(
-            louvain.Decision(v, own, tuple(state.links), tuple(state.gains), target)
+            renderer.Decision(v, own, tuple(state.links), tuple(state.gains), target)
         )
         return moved
 
@@ -134,7 +135,7 @@ def test_derived_decisions_are_those_phase_1_made(monkeypatch, method):
         monkeypatch.setattr(kind, "step", recording)
         result = run(net, method)
         monkeypatch.setattr(kind, "step", step)
-        derived = list(louvain.decisions(result))
+        derived = list(renderer.decisions(result))
         assert list(map(_bits, derived)) == list(map(_bits, made))
         checked += len(made)
     assert checked > 2000, checked
@@ -148,4 +149,4 @@ def test_decisions_refuse_a_pass_that_ends_elsewhere():
     wrong = first._replace(partition=first.partition.singletons(len(first.partition.assignment)))
     tampered = result._replace(passes=(wrong, *result.passes[1:]))
     with pytest.raises(RuntimeError, match="pass 1 did not derive its recorded partition"):
-        list(louvain.decisions(tampered))
+        list(renderer.decisions(tampered))

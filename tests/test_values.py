@@ -4,7 +4,8 @@
 ``DirectedFlowRecord`` build on ``iwnet.frozen.Frozen``: positional and
 keyword construction, refused assignment, ``==`` and ``hash`` on the
 compared fields only, a ``Name(field=value, ...)`` repr, and copies
-that survive ``copy`` and ``pickle``.
+that survive ``copy`` and ``pickle``. So does a ``LouvainRun``, a named
+tuple of them.
 """
 
 import copy
@@ -12,8 +13,12 @@ import pickle
 
 import pytest
 
-from iwnet import DirectedFlowRecord, Interval, IWNetwork, Partition, Strategy, symmetrize
+from iwnet import (
+    DirectedFlowRecord, Interval, IWNetwork, Partition, Strategy, emit_trace, run, symmetrize
+)
 from iwnet.errors import InvalidInterval, NegativeWeight
+
+from helpers import toy_network
 
 EDGE = Interval(1, 2)
 ROWS = ({1: EDGE}, {0: EDGE})
@@ -187,3 +192,15 @@ class TestDirectedFlowRecord:
     def test_unpacks_as_its_fields(self):
         src, dst, lo, hi = DirectedFlowRecord("a", "b", 1.0, 2.0)
         assert (src, dst, lo, hi) == ("a", "b", 1.0, 2.0)
+
+
+@pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
+def test_run_copies(method):
+    """A run's copies equal it and render its trace: the input that a pass
+    left unchanged is still the object that pass reports."""
+    result = run(toy_network(), method)
+    for clone in (copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+        assert clone == result
+        assert repr(clone) == repr(result)
+        assert clone.passes[-1].aggregated is clone.final_network
+        assert emit_trace(clone) == emit_trace(result)
