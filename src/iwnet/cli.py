@@ -283,7 +283,7 @@ def _cmd_run(args: SimpleNamespace) -> int:
     # the trace goes to the spool while the run decides; the output is opened
     # once the run has succeeded and the rest is rendered
     with _spool() as spool:
-        trace = _Trace(spool.write, net, args.method, _spelled if as_json else None)
+        trace = _Trace(spool.write, args.method, _spelled if as_json else None)
         result = run_louvain(net, args.method, trace.sweep)
         trace.end(result)
         if as_json:

@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import EmptyNetwork, InvalidInterval, IterationLimit, ZeroTotalWeight
 from .frozen import Frozen
@@ -151,11 +151,12 @@ class _PassState:
     with the former community keeps the vertex.
 
     The subclass builds the per-vertex sums of its network that its gains
-    read, and refuses a zero total (``ZeroTotalWeight``) or an expected
-    block that overflows (``InvalidInterval``). ``q()`` is the Q of the
-    current membership, from the per-community sums, and ``q_max()`` the
-    network's Q_max, from the per-vertex sums. The membership starts as
-    singletons, or as ``partition`` for ``evaluate_moves``.
+    read, trusting the network its entry point checked but for one O(1)
+    check: that its own total, summed in another order, still squares to a
+    finite value (``_priced``). ``q()`` is the Q of the current membership,
+    from the per-community sums, and ``q_max()`` the network's Q_max, from
+    the per-vertex sums. The membership starts as singletons, or as
+    ``partition`` for ``evaluate_moves``.
     """
 
     def __init__(self, net: IWNetwork, partition: Partition | None = None):
@@ -166,12 +167,6 @@ class _PassState:
         for c in self.comm_of:
             self.size[c] += 1
         self._sums(net, k)
-
-
-def _check_finite(total: float, values: Iterable[float]) -> None:
-    """Refuse a total or an expected block that overflows (both kinds' ``_sums``)."""
-    if not (math.isfinite(total) and all(map(math.isfinite, values))):
-        raise InvalidInterval(f"an expected diagonal block overflows at total weight {total!r}")
 
 
 Sweep = Callable[[_PassState, int], bool]  # the sweep hook of ``run``
@@ -203,16 +198,25 @@ def _kind(strategy: Strategy) -> type[_PassState]:
     return _ScalarPass
 
 
+def _priced(total: float) -> float:
+    """``total``, if every track can price a network of that total weight (the
+    one owner of this rule): each multiplies two strengths of at most the
+    total, so it must be positive and its square a finite, normal float."""
+    if total <= 0:
+        raise ZeroTotalWeight("network has no weight")
+    if not math.isfinite(total * total):
+        raise InvalidInterval(f"total weight {total!r} overflows when squared")
+    if total * total < sys.float_info.min:
+        raise InvalidInterval(f"total weight {total!r} underflows when squared")
+    return total
+
+
 def _total_hi(net: IWNetwork) -> float:
-    """The total of ``net``'s upper weights; ``InvalidInterval`` if it or its
-    square overflows: every track multiplies two strengths, each at most the
-    total (the scalar gains and Q, cl's adjusted expectations, the oracle's Q)."""
+    """The total of ``net``'s upper weights, refused unless ``_priced``."""
     t_hi = seq_sum(w.hi for row in net.rows for w in row.values())
     if not math.isfinite(t_hi):
         net.total_weight()  # raises InvalidInterval at the first partial sum that overflows
-    if not math.isfinite(t_hi * t_hi):
-        raise InvalidInterval(f"total weight {t_hi!r} overflows when squared")
-    return t_hi
+    return _priced(t_hi)
 
 
 def run(
@@ -231,12 +235,7 @@ def run(
         strategy = Strategy(strategy)
     if net.n == 0:
         raise EmptyNetwork("cannot run on an empty network")
-    t_hi = _total_hi(net)
-    if t_hi <= 0:
-        raise ZeroTotalWeight("network has no weight")
-    # below the normal range a product of two strengths loses precision or rounds to 0
-    if t_hi * t_hi < sys.float_info.min:
-        raise InvalidInterval(f"total weight {t_hi!r} underflows when squared")
+    _total_hi(net)
 
     # looked up at each call, so a wrapper set on a name (bench/harness.py) sees every call
     by_name = {"cl": aggregate_sum, "hl": aggregate_minmax, "midpoint": _aggregate_midpoints}
@@ -286,6 +285,7 @@ def evaluate_moves(
         raise ValueError(f"vertex {vertex} is not in range({net.n})")
     if isinstance(strategy, str):
         strategy = Strategy(strategy)
+    _total_hi(net)
     state = _kind(strategy)(net, p)  # a throwaway state
     state.step(vertex)
     return list(zip(state.links, state.gains))

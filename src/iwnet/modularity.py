@@ -16,17 +16,16 @@ Expected diagonal blocks divide by the separable total (T - s) + s, or
 T_hi - s_hi + s_lo and T_lo - s_lo + s_hi, so the interval track
 degenerates bit for bit to the scalar track on degenerate networks. An
 adjusted total vanishes only with its numerator; that 0/0 endpoint is 0.
-On both tracks a zero total raises ``ZeroTotalWeight``, and a total or an
-expected block that overflows raises ``InvalidInterval``. Q_norm is
-Q / Q_max."""
+The entry point checks the network's total (``louvain._priced``), and
+``_IntervalPass`` only that its own level's total squares finitely.
+Q_norm is Q / Q_max."""
 
 from __future__ import annotations
 
 import math
 
-from .errors import ZeroTotalWeight
 from .interval import ZERO, dominant_diff, seq_sum
-from .louvain import TIE_ULPS, _check_finite, _PassState
+from .louvain import TIE_ULPS, _PassState, _priced
 from .network import IWNetwork
 
 __all__ = ["expected_diag_adjusted", "cl_term"]
@@ -76,10 +75,9 @@ class _IntervalPass(_PassState):
             s_hi = seq_sum(w.hi for w in row.values())
             self.vsum.append((loop.lo, loop.hi, s_lo, s_hi, int(s_lo > 0.0), int(s_hi > 0.0)))
         self.totals = t_lo, t_hi = tuple(seq_sum(x[j] for x in self.vsum) for j in (2, 3))
-        if t_hi <= 0:
-            raise ZeroTotalWeight("total weight is zero")
+        if not math.isfinite(t_hi * t_hi):  # an aggregate's total rounded past the input's
+            _priced(t_hi)
         self.vterm = [cl_term(*x, t_lo, t_hi) for x in self.vsum]
-        _check_finite(t_hi, self.vterm)  # an expected block that overflows makes its term infinite
         self.cols = tuple([0.0] * k for _ in range(6))
         self.d = [0.0] * k
         for v, c in enumerate(self.comm_of):

@@ -459,17 +459,21 @@ def network_from_csv(
     """``symmetrize(read_flow_csv(source), threshold, directed=directed)``.
 
     A record given twice raises ``DuplicateEdge``. Read from the path of a
-    regular file, its message names the last physical line of the second
-    record, found by reading the file again, on this error only. A stream,
-    or a path that is not a regular file (a pipe or a FIFO), is not read
-    twice, and the message carries no line.
+    regular file that still holds it there, its message names the last
+    physical line of the second record, found by reading the file again, on
+    this error only; from a stream, a pipe or a FIFO, it carries no line.
     """
+    records = read_flow_csv(source)
     try:
-        return symmetrize(read_flow_csv(source), threshold, directed=directed)
+        return symmetrize(records, threshold, directed=directed)
     except DuplicateEdge as exc:
         if not (isinstance(source, str) and os.path.isfile(source)):
             raise
         with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             reader = _csv.reader(fh)
-            ends = [reader.line_num for row in reader if row][1:]  # each record's last line
-        raise DuplicateEdge(f"line {ends[exc.index]}: {exc}", exc.index) from None
+            # each record's last line and labels, after the header
+            ends = [(reader.line_num, tuple(map(str.strip, row[:2]))) for row in reader if row][1:]
+        for line, pair in ends[exc.index : exc.index + 1]:
+            if pair == records[exc.index][:2]:  # the file still holds the record there
+                raise DuplicateEdge(f"line {line}: {exc}", exc.index) from None
+        raise

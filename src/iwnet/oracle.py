@@ -4,8 +4,11 @@
 definitions with its own loops (no aggregation code shared with the
 driver), and ``enumerate_best`` maximizes it over every partition of the
 vertex set, enumerated as restricted growth strings in lexicographic
-order. Bell numbers grow fast; instances are capped at n = 12, and a
-total weight that overflows is refused as ``run()`` refuses it.
+order. Bell numbers grow fast; instances are capped at n = 12. It and
+the interval pair below refuse a network as ``run()`` does
+(``louvain._total_hi``), the scalar pair its float total by the same
+rule (``louvain._priced``); ``q_definitional`` keeps Q = 0 without
+weight, and the pairwise formulas refuse only a zero total.
 ``_cmd_oracle`` writes ``iwnet oracle``'s text, its Q by ``format_q``.
 
 The paper's pairwise formulas, references for the separable sums the
@@ -31,7 +34,7 @@ from typing import Iterator, Mapping, Sequence
 from . import _ORACLE
 from .errors import EmptyNetwork, IWNError, ZeroTotalWeight
 from .interval import Interval, ZERO, dominant_diff, seq_sum
-from .louvain import Strategy, _check_finite, _total_hi
+from .louvain import Strategy, _priced, _total_hi
 from .modularity import _IntervalPass
 from .network import IWNetwork, _pair_interval, blocks, pair_sum
 from .partition import Partition
@@ -179,7 +182,7 @@ def enumerate_best(net: IWNetwork, strategy: Strategy | str) -> OracleReport:
         raise EmptyNetwork("network has no vertices")
     if net.n > MAX_VERTICES:
         raise TooLarge(f"{net.n} vertices exceeds the n <= {MAX_VERTICES} guard")
-    _total_hi(net)  # run()'s refusal of an overflowing total, and its message
+    _total_hi(net)
     best_q = None
     best = None
     count = 0
@@ -312,15 +315,12 @@ def _scalar_level(
     rows: Rows, comms: Sequence[Sequence[int]]
 ) -> tuple[list[dict[int, float]], list[float], list[float]]:
     """(blocks, strengths, expected diagonal blocks) of the collapsed scalar
-    rows, summed and checked as ``scalar._ScalarPass`` sums its level."""
+    rows, summed as ``scalar._ScalarPass`` sums its level, their total
+    refused unless ``_priced``."""
     agg = blocks(rows, comms, operator.add, 0.0)
     s = [seq_sum(row.values()) for row in agg]
-    t = seq_sum(s)
-    if t <= 0:
-        raise ZeroTotalWeight("total weight is zero")
-    e = [x * x / (t - x + x) for x in s]
-    _check_finite(t, e)
-    return agg, s, e
+    t = _priced(seq_sum(s))
+    return agg, s, [x * x / (t - x + x) for x in s]
 
 
 def q_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> float:
@@ -341,7 +341,9 @@ def q_max_scalar_communities(rows: Rows, comms: Sequence[Sequence[int]]) -> floa
 
 
 def _interval_level(net: IWNetwork, comms: Sequence[Sequence[int]]) -> _IntervalPass:
-    """A pass state on the level that collapses ``comms`` by interval summation."""
+    """A pass state on the level that collapses ``comms`` by interval
+    summation, of a network refused unless ``_total_hi`` accepts it."""
+    _total_hi(net)
     rows = tuple(blocks(net.rows, comms, pair_sum, (0.0, 0.0), _pair_interval))
     return _IntervalPass(IWNetwork._trusted(tuple(map(str, range(len(rows)))), rows))
 

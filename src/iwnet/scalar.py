@@ -4,16 +4,16 @@
 midpoints of its level's network and keeps Sigma_tot per community, as
 plain floats. ``louvain.run`` imports this module only for a strategy
 that needs it, so a ``cl`` run never compiles it; the interval kind is
-``modularity._IntervalPass``.
+``modularity._IntervalPass``. ``_ScalarPass`` checks only that its
+level's total squares finitely; the entry point checked the rest.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import ZeroTotalWeight
 from .interval import seq_sum
-from .louvain import TIE_ULPS, _check_finite, _PassState
+from .louvain import TIE_ULPS, _PassState, _priced
 from .network import IWNetwork
 
 
@@ -25,9 +25,8 @@ class _ScalarPass(_PassState):
         self.neigh = mid = net.midpoint_rows()
         self.s = s = [seq_sum(row.values()) for row in mid]
         self.two_w = t = seq_sum(s)
-        if t <= 0:
-            raise ZeroTotalWeight("total weight is zero")
-        _check_finite(t, (x * x / (t - x + x) for x in s))
+        if not math.isfinite(t * t):  # an aggregate's total rounded past the input's
+            _priced(t)
         self.tot = [0.0] * k
         for v, c in enumerate(self.comm_of):
             self.tot[c] += s[v]

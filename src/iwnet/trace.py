@@ -97,7 +97,7 @@ def _projection(net: IWNetwork, mid: list[dict[int, float]]) -> IWNetwork:
 
 
 class _Trace:
-    """Renders the trace of one run of ``net`` by ``method`` into ``write``
+    """Renders the trace of one run by ``method`` into ``write``
     (newline-ended text) in the spelling ``escape`` gives, the text as it
     is by default (the CLI passes JSON's, without the quotes). ``escape``
     must work one character at a time, as JSON's does, so that each piece
@@ -118,13 +118,9 @@ class _Trace:
     """
 
     def __init__(
-        self,
-        write: Callable[[str], object],
-        net: IWNetwork,
-        method: str,
-        escape: Callable[[str], str] | None = None,
+        self, write: Callable[[str], object], method: str, escape: Callable[[str], str] | None = None
     ):
-        self.write, self.net, self.method = write, net, method
+        self.write, self.method = write, method
         self.escape = esc = escape or str
         self.passes = 0
         self.pending: list[str] = []
@@ -243,7 +239,7 @@ class _Trace:
         text(f"* Normalized modularity: {q_norm} (Qmax={q_max})\n")
         text("---------------------------\n")
         text("Final Interval-weighted network:\n\n")
-        if final is self.net and self.method == "midpoint":  # nothing moved: the input again
+        if final is run.network and self.method == "midpoint":  # nothing moved: the input again
             final = _projection(final, final.midpoint_rows())
         self._matrix(final)
         self._flush()
@@ -253,7 +249,7 @@ def emit_trace(run: LouvainRun) -> str:
     """Human-readable log of the whole run (one string, newline-joined),
     rendered as ``run.network`` is driven through the pass loop again."""
     parts: list[str] = []
-    trace = _Trace(parts.append, run.network, run.strategy.name)
+    trace = _Trace(parts.append, run.strategy.name)
     _rerun(run, trace.sweep)
     trace.end(run)
     return "".join(parts)

@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import gc
+import hashlib
 import importlib
 import io
 import json
@@ -216,6 +217,26 @@ class TestRunCommand:
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: duplicate record a->b\n")
         writer.join(timeout=5)
         assert not writer.is_alive()
+
+    @pytest.mark.parametrize("rewritten", ["a,b,1,2\n", "b,c,1,2\na,b,1,2\nc,d,1,2\n"])
+    def test_duplicate_in_a_file_changed_after_the_parse_has_no_line(
+        self, capsys, tmp_path, monkeypatch, rewritten
+    ):
+        """The second read names a line only where it finds the repeated
+        record again: a file rewritten after the parse (shorter, or
+        reordered) is reported as a pipe is, without a line."""
+        path = tmp_path / "dup.csv"
+        path.write_text("src,dst,lo,hi\na,b,1,2\nb,c,1,2\na,b,1,2\n", encoding="utf-8")
+        parse = network.read_flow_csv
+
+        def parse_then_rewrite(source):
+            records = parse(source)
+            path.write_text("src,dst,lo,hi\n" + rewritten, encoding="utf-8")
+            return records
+
+        monkeypatch.setattr(network, "read_flow_csv", parse_then_rewrite)
+        code, out, err = run_cli(capsys, "run", "--input", str(path), "--method", "cl")
+        assert (code, out, err) == (1, "", "error: duplicate record a->b\n")
 
     def test_self_loop_warning(self, capsys, tmp_path):
         path = tmp_path / "loop.csv"
@@ -508,6 +529,34 @@ class TestRunCommand:
                 "error: InvalidInterval: total weight 4e+155 overflows when squared\n"
             )
 
+    def test_aggregate_total_squared_past_the_largest_float_exit_2(self, capsys, tmp_path):
+        # from a seeded search: the input's total 1.3407807929942594e+154
+        # squares to a finite value, but cl's first aggregate sums it in
+        # another order, to a total whose square overflows. Its pass state
+        # refuses it with the input check's message. hl and midpoint sum
+        # smaller totals and keep their output
+        weights = [
+            (0, 1, 9.04479902653535e152), (0, 3, 1.1279179124960882e153),
+            (0, 4, 1.2520255869425055e152), (0, 5, 2.3085633414916643e152),
+            (1, 2, 6.786310729726847e152), (1, 4, 2.176404445225176e152),
+            (1, 5, 3.1422836394930374e152), (2, 3, 2.7367420349524968e152),
+            (2, 4, 1.5291558749785731e153), (3, 5, 8.256822130754916e152),
+            (4, 5, 4.7643508398443655e152),
+        ]
+        path = tmp_path / "level.csv"
+        rows = [f"v{s},v{d},0.0,{hi!r}" for s, d, hi in weights]
+        path.write_text("\n".join(["src,dst,lo,hi", *rows]) + "\n", encoding="utf-8")
+        argv = ["run", "--input", str(path), "--undirected", "--method"]
+        assert run_cli(capsys, *argv, "cl") == (2, "", (
+            "error: InvalidInterval: total weight 1.3407807929942597e+154 overflows when squared\n"
+        ))
+        for method, digest in (
+            ("hl", "0d512cd6019e77601f60907657a59b27430fec93f9b5e17e9e9d3b7f0b326697"),
+            ("midpoint", "155905cfda836c03f149d814cb7bb42549691d0d9a3c6c293899799e9b2de484"),
+        ):
+            code, out, err = run_cli(capsys, *argv, method)
+            assert (code, err, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (0, "", digest)
+
     @pytest.mark.parametrize("method", ["cl", "hl", "midpoint"])
     def test_subnormal_weights_exit_2(self, capsys, tmp_path, method):
         # every midpoint (0 + 5e-324) / 2 rounds to 0.0, so the scalar tracks
@@ -610,13 +659,15 @@ class TestOracleCommand:
         assert "C1: a, b, c, d" in out
 
     def test_single_vertex(self, capsys, tmp_path):
+        # ingest drops the self-loop, so the one vertex has no weight: the
+        # oracle refuses it as run does
         path = tmp_path / "one.csv"
         path.write_text("src,dst,lo,hi\na,a,1,2\n", encoding="utf-8")
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "oracle", "--input", str(path), "--metric", "midpoint"
         )
-        assert code == 0
-        assert "partitions evaluated: 1" in out
+        assert (code, out) == (2, "")
+        assert err.endswith("error: ZeroTotalWeight: network has no weight\n")
 
     def test_bell_five(self, capsys, tmp_path):
         path = tmp_path / "five.csv"

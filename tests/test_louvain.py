@@ -197,16 +197,38 @@ class TestDriverBehavior:
 
     def test_zero_midpoint_total_weight(self):
         # every midpoint (0 + 5e-324) / 2 rounds to 0.0: the scalar gains
-        # would divide by 2w = 0, so each scalar entry point refuses the network.
-        # run() refuses it first, for every method: its total squares to 0
+        # would divide by 2w = 0. Both entry points refuse the network first,
+        # for every method: its total squares to 0
         net = IWNetwork.from_edges(["a", "b", "c"], [("a", "b", 0, 5e-324), ("b", "c", 0, 5e-324)])
-        assert evaluate_moves(net, Partition.singletons(3), 1, CLASSIC_INTERVAL)
-        for strategy in (HYBRID, MIDPOINT):
-            with pytest.raises(ZeroTotalWeight):
-                evaluate_moves(net, Partition.singletons(3), 1, strategy)
         for strategy in (CLASSIC_INTERVAL, HYBRID, MIDPOINT):
             with pytest.raises(InvalidInterval, match="underflows when squared"):
+                evaluate_moves(net, Partition.singletons(3), 1, strategy)
+            with pytest.raises(InvalidInterval, match="underflows when squared"):
                 run(net, strategy)
+
+    def test_pass_state_refuses_its_own_total_squared_past_the_largest_float(self):
+        # from a seeded search: the upper weights total 1.3407807929942596e+154,
+        # which squares to a finite value, but a pass state sums its total per
+        # vertex first and rounds past it. Each state refuses that total; the
+        # scalar one unchecked gave hl and midpoint a Q of 0.0
+        edges = [
+            ("v0", "v2", 1.744322622630283e153, 1.744322622630283e153),
+            ("v0", "v3", 3.206671437059094e153, 3.206671437059094e153),
+            ("v1", "v3", 9.437223982095716e152, 9.437223982095716e152),
+            ("v2", "v3", 8.091875070723492e152, 8.091875070723492e152),
+        ]
+        net = IWNetwork.from_edges(["v0", "v1", "v2", "v3"], edges)
+        assert louvain._total_hi(net) == 1.3407807929942596e154
+        singletons = Partition.singletons(4)
+        for strategy in (CLASSIC_INTERVAL, HYBRID, MIDPOINT):
+            for call in (
+                lambda: run(net, strategy), lambda: evaluate_moves(net, singletons, 0, strategy)
+            ):
+                with pytest.raises(InvalidInterval) as caught:
+                    call()
+                assert str(caught.value) == (
+                    "total weight 1.3407807929942597e+154 overflows when squared"
+                )
 
     def test_cl_q_max_is_zero_when_every_lower_bound_is(self):
         """With T_lo = 0 every expected upper block s_hi^2 / (0 - 0 + s_hi) is
@@ -956,7 +978,7 @@ def test_try_lines_sign_and_mark_every_gain():
         2: ((0, 1, 3, 4, 5, 2), [*odd], None),
     })
     lines = []
-    assert renderer._Trace(lines.append, net, "cl").sweep(state, 1)
+    assert renderer._Trace(lines.append, "cl").sweep(state, 1)
     decided = [line for line in "".join(lines).splitlines() if line.startswith("\t")]
     assert decided[:8] == [
         "\tTry a -> a               | gain=+0.000 (0)",

@@ -358,16 +358,17 @@ class TestIntervalModularity:
         with pytest.raises(ZeroTotalWeight):
             dq_scalar_reduced([[0.0, 0.0], [0.0, 0.0]], Partition.singletons(2), 0, 1)
         net = IWNetwork.from_edges(["a", "b"], [("a", "b", 0.0, 5e-324)])
-        # the edge's midpoint rounds to 0.0; its upper bound still weighs, so
-        # the interval track raises nothing, and with T_lo = 0 its Q_max is 0
-        assert q_max_interval_adjusted(net, Partition.singletons(2)) == 0.0
+        # the edge's midpoint rounds to 0.0; its upper bound still weighs, but
+        # squares to 0, so the interval track refuses it as run() does
+        with pytest.raises(InvalidInterval, match="underflows when squared"):
+            q_max_interval_adjusted(net, Partition.singletons(2))
         with pytest.raises(ZeroTotalWeight):
             q_max_scalar_communities(net.midpoint_rows(), [[0], [1]])
 
     @pytest.mark.parametrize("assignment", [(0, 1), (0, 0)])
     def test_expected_diagonal_overflow(self, assignment):
         # a strength of 2e155 squares past the largest float: both tracks
-        # refuse the expected block, rather than return -inf
+        # refuse their total, rather than return -inf
         net = IWNetwork.from_edges(["a", "b"], [("a", "b", 1e155, 2e155)])
         p = Partition(assignment)
         rows = net.midpoint_rows()
@@ -377,5 +378,5 @@ class TestIntervalModularity:
             lambda: q_scalar_communities(rows, p.communities),
             lambda: q_max_scalar_communities(rows, p.communities),
         ):
-            with pytest.raises(InvalidInterval, match="expected diagonal block overflows"):
+            with pytest.raises(InvalidInterval, match="overflows when squared"):
                 call()

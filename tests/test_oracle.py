@@ -11,11 +11,18 @@ from iwnet import (
     MIDPOINT,
     Partition,
     enumerate_best,
+    evaluate_moves,
     partitions,
     q_definitional,
+    q_interval_communities,
+    q_max_interval_adjusted,
+    q_max_scalar_communities,
+    q_scalar_communities,
     run,
 )
-from iwnet.errors import InvalidInterval
+from iwnet.cli import main
+from iwnet.errors import InvalidInterval, IWNError, ZeroTotalWeight
+from iwnet.louvain import NAMES
 from iwnet.oracle import TooLarge
 
 from helpers import from_matrix, toy_network, random_network, triplet_midpoints
@@ -54,10 +61,12 @@ class TestDefinitional:
 
     @pytest.mark.parametrize("strategy", [CLASSIC_INTERVAL, HYBRID, MIDPOINT])
     def test_edgeless_is_zero(self, strategy):
-        # a zero total makes every definition 0.0, where the library raises
+        # a zero total makes every definition 0.0, where the library raises;
+        # the search refuses the network as run() does
         net = IWNetwork.from_edges(["a", "b"], [])
         assert q_definitional(net, Partition.singletons(2), strategy) == 0.0
-        assert enumerate_best(net, strategy).best_q == 0.0  # no weight is no overflow
+        with pytest.raises(ZeroTotalWeight, match="^network has no weight$"):
+            enumerate_best(net, strategy)
 
     def test_matches_library_path(self):
         from iwnet import q_interval_communities, q_scalar_communities
@@ -147,3 +156,65 @@ class TestEnumerateBest:
                 best = enumerate_best(net, strategy).best_q
                 heuristic = run(net, strategy).final_q
                 assert best >= heuristic - 1e-9
+
+
+@pytest.mark.parametrize(
+    "edges, refusal",
+    [
+        ([("a", "b", 0.0, 0.0)], (ZeroTotalWeight, "network has no weight")),
+        (
+            [("a", "b", 0.0, 5e-324), ("b", "c", 0.0, 5e-324)],
+            (InvalidInterval, "total weight 2e-323 underflows when squared"),
+        ),
+        (
+            [("a", "b", 1e-160, 1e-160), ("b", "c", 1e-160, 1e-160)],
+            (InvalidInterval, "total weight 4e-160 underflows when squared"),
+        ),
+        (
+            [("a", "b", 1e155, 2e155), ("b", "c", 1.0, 1.0)],
+            (InvalidInterval, "total weight 4e+155 overflows when squared"),
+        ),
+        (
+            [("a", "b", 1e308, 1.5e308), ("b", "c", 1e308, 1.5e308), ("c", "d", 1.0, 1.0)],
+            (InvalidInterval, "non-finite endpoint in [inf, inf]"),
+        ),
+    ],
+    ids=["edgeless", "subnormal", "square-underflows", "square-overflows", "total-overflows"],
+)
+def test_every_entry_point_refuses_alike(capsys, tmp_path, edges, refusal):
+    """A network no track can price is refused by one rule, with one
+    message, at every entry point that takes a network; the scalar pair
+    refuses its midpoint total by the same rule, and ``iwnet oracle``
+    prints what ``iwnet run`` prints."""
+    net = IWNetwork.from_edges(sorted({v for e in edges for v in e[:2]}), edges)
+    one, singletons = Partition([0] * net.n), Partition.singletons(net.n)
+    calls = []
+    for p in (one, singletons):
+        calls += [
+            lambda p=p: q_interval_communities(net, p.communities),
+            lambda p=p: q_max_interval_adjusted(net, p),
+        ]
+    for name in NAMES:
+        calls += [
+            lambda s=name: run(net, s),
+            lambda s=name: evaluate_moves(net, singletons, 0, s),
+            lambda s=name: enumerate_best(net, s),
+        ]
+    for call in calls:
+        with pytest.raises(IWNError) as caught:
+            call()
+        assert (type(caught.value), str(caught.value)) == refusal
+    rows = net.midpoint_rows()  # [0, 5e-324] has a midpoint of 0.0: no scalar weight
+    for call in (q_scalar_communities, q_max_scalar_communities):
+        for p in (one, singletons):
+            with pytest.raises(InvalidInterval if any(rows) else ZeroTotalWeight):
+                call(rows, p.communities)
+    path = tmp_path / "refused.csv"
+    records = "".join(f"{s},{d},{lo!r},{hi!r}\n" for s, d, lo, hi in edges)
+    path.write_text("src,dst,lo,hi\n" + records, encoding="utf-8")
+    for name in NAMES:
+        printed = []
+        for argv in (["run", "--method", name], ["oracle", "--metric", name]):
+            code = main([*argv, "--input", str(path)])
+            printed.append((code, *capsys.readouterr()))
+        assert printed == [(2, "", f"error: {refusal[0].__name__}: {refusal[1]}\n")] * 2

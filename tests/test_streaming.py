@@ -136,7 +136,7 @@ def _spelled_network():
 def _render(result, escape):
     """The writes of ``result``'s trace rendered in the spelling of ``escape``."""
     writes = []
-    trace = renderer._Trace(writes.append, result.network, result.strategy.name, escape)
+    trace = renderer._Trace(writes.append, result.strategy.name, escape)
     renderer._rerun(result, trace.sweep)
     trace.end(result)
     return writes
