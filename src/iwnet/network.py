@@ -14,8 +14,9 @@ larger than O(n + m).
 
 Input is validated at the boundary (``read_flow_csv``, ``Interval``, the
 public constructor and ``from_edges``, which reject duplicate labels
-too); the networks the library builds itself skip the
-check. Ingest keeps little besides the network it returns:
+too). One constructor, ``IWNetwork._built``, lays out every network from
+its entries with i <= j; only ``from_edges`` checks what it built. Ingest
+keeps little besides the network it returns:
 ``read_flow_csv`` gives the records of a label one shared string, and
 ``symmetrize`` folds each pair's records as (lo, hi) floats and makes one
 ``Interval`` per pair.
@@ -139,12 +140,16 @@ class IWNetwork(
                     )
 
     @classmethod
-    def _trusted(cls, labels, rows, loops=0, below=0) -> "IWNetwork":
-        """A network from maps built by the library, without the checks of ``__init__``."""
+    def _built(cls, labels, upper, loops=0, below=0) -> "IWNetwork":
+        """The network whose ``edges()`` are ``upper``, entries (i, j, w) with
+        i <= j in ascending order, unchecked: each w is stored under (i, j)
+        and (j, i), one object for both, so every map's keys ascend."""
+        rows: list[dict] = [{} for _ in labels]
+        for i, j, w in upper:
+            rows[i][j] = rows[j][i] = w
         net = object.__new__(cls)
-        net.__dict__.update(
-            labels=labels, rows=rows, dropped_self_loops=loops, dropped_below_threshold=below
-        )
+        net.__dict__.update(labels=labels, rows=tuple(rows), dropped_self_loops=loops,
+                            dropped_below_threshold=below)
         return net
 
     @classmethod
@@ -156,15 +161,14 @@ class IWNetwork(
         """Build a network from undirected (u, v, lo, hi) tuples: a later
         duplicate wins, u == v is a self-loop and [0,0] is no edge."""
         index = {lab: i for i, lab in enumerate(labels)}
-        rows: list[dict[int, Interval]] = [{} for _ in labels]
+        pairs: dict[tuple[int, int], Interval] = {}
         for u, v, lo, hi in edges:
             for lab in (u, v):
                 if lab not in index:
                     raise ValueError(f"edge {u}-{v} names unknown label {lab!r}")
-            i, j = index[u], index[v]
-            rows[i][j] = rows[j][i] = Interval(lo, hi)
-        # ascending keys, and no [0,0] entry
-        return cls(tuple(labels), tuple({j: r[j] for j in sorted(r) if r[j] != ZERO} for r in rows))
+            pairs[tuple(sorted((index[u], index[v])))] = Interval(lo, hi)
+        upper = ((i, j, w) for (i, j), w in sorted(pairs.items()) if w != ZERO)
+        return cls(tuple(labels), cls._built(labels, upper).rows)  # validated as any input
 
     @property
     def n(self) -> int:
@@ -221,9 +225,8 @@ def symmetrize(
     a bit per direction seen (bit 1 for i -> j, bit 2 for j -> i; bit 1
     for either when undirected). A record whose bit is set already is a
     duplicate: ``DuplicateEdge`` carries its index among the records.
-    The rows are built once, in key order, so every map has ascending
-    keys. A NaN ``threshold`` raises ``ValueError``: no ``hi`` compares
-    below it, so it would keep every record.
+    A NaN ``threshold`` raises ``ValueError``: no ``hi`` compares below
+    it, so it would keep every record.
     """
     if math.isnan(threshold):
         raise ValueError("threshold must be a number, not nan")
@@ -249,15 +252,14 @@ def symmetrize(
         else:
             entry[0] = lo if lo < entry[0] else entry[0]
             entry[1] = hi if hi > entry[1] else entry[1]
-    rows: list[dict[int, Interval]] = [{} for _ in index]
-    # row j takes its keys i < j in ascending i before its keys above j; an
-    # entry is popped, so it is freed as its Interval is made
-    for key in sorted(fold):
-        lo, hi, _ = fold.pop(key)
-        if hi > 0.0:  # not [0,0], nor a pair of dropped records only
-            i, j = key
-            rows[i][j] = rows[j][i] = Interval(lo, hi)
-    return IWNetwork._trusted(tuple(index), tuple(rows), loops, below)
+
+    def upper() -> Iterator[tuple[int, int, Interval]]:
+        for i, j in sorted(fold):  # popped, so each entry is freed as its Interval is made
+            lo, hi, _ = fold.pop((i, j))
+            if hi > 0.0:  # not [0,0], nor a pair of dropped records only
+                yield i, j, Interval(lo, hi)
+
+    return IWNetwork._built(tuple(index), upper(), loops, below)
 
 
 def blocks(
@@ -265,24 +267,20 @@ def blocks(
     comms: Sequence[Sequence[int]],
     combine: Callable[[Any, W], Any],
     zero: Any,
-    finish: Callable[..., Any] | None = None,
-) -> list[dict[int, Any]]:
+) -> Iterator[tuple[int, int, Any]]:
     """Collapse communities to super-vertices in one pass over the edges.
 
-    Block (r, c) folds the entries between the members of communities r
-    and c with ``combine``, starting from ``zero``, in row-major
-    member-pair order (member lists ascend, as ``Partition`` and the
-    driver keep them). Only blocks on or above the diagonal are computed;
-    each is passed to ``finish(block)`` if given and mirrored, so the
-    result is exactly symmetric. Blocks without an entry are absent, and
-    every returned map has ascending keys. Interval entries fold as
-    (lo, hi) float pairs with ``pair_sum`` or ``envelope``.
+    Yields the upper blocks (r, c, folded) that hold an entry, r <= c, in
+    ascending order, as ``IWNetwork._built`` takes them. Block (r, c) folds
+    the entries between communities r and c with ``combine`` from ``zero``,
+    in row-major member-pair order (member lists ascend, as ``Partition``
+    and the driver keep them); Interval entries fold as (lo, hi) float
+    pairs with ``pair_sum`` or ``envelope``.
     """
     comm_of = [-1] * len(rows)
     for r, members in enumerate(comms):
         for i in members:
             comm_of[i] = r
-    out: list[dict[int, Any]] = [{} for _ in comms]
     for r, members in enumerate(comms):
         upper: dict[int, Any] = {}
         for i in members:
@@ -290,10 +288,8 @@ def blocks(
                 c = comm_of[j]
                 if c >= r:
                     upper[c] = combine(upper.get(c, zero), w)
-        # rows below r already hold their keys < r in ascending order
         for c in sorted(upper):
-            out[r][c] = out[c][r] = upper[c] if finish is None else finish(upper[c])
-    return out
+            yield r, c, upper[c]
 
 
 def pair_sum(acc: Pair, w: Interval) -> Pair:
@@ -306,14 +302,11 @@ def envelope(acc: Pair | None, w: Interval) -> Pair:
 
 def _collapse(net: IWNetwork, p: Partition, rows: Sequence[Mapping[int, Any]],
               combine: Callable, zero: Any, finish: Callable) -> IWNetwork:
+    """``p``'s communities as vertices: each of ``blocks`` made a weight by ``finish``."""
     comms = p.communities
-    rows = tuple(blocks(rows, comms, combine, zero, finish))  # rebinding frees midpoint's maps now
     labels = tuple(",".join(net.labels[v] for v in m) for m in comms)
-    return IWNetwork._trusted(labels, rows)
-
-
-def _pair_interval(pair: Pair) -> Interval:
-    return Interval(*pair)
+    upper = blocks(rows, comms, combine, zero)
+    return IWNetwork._built(labels, ((r, c, finish(b)) for r, c, b in upper))
 
 
 def aggregate_sum(net: IWNetwork, p: Partition) -> IWNetwork:
@@ -322,7 +315,7 @@ def aggregate_sum(net: IWNetwork, p: Partition) -> IWNetwork:
     Block (C, D) sums all ordered member pairs, so the diagonal self-loop
     holds the whole within-community weight and total weight is preserved.
     """
-    return _collapse(net, p, net.rows, pair_sum, (0.0, 0.0), _pair_interval)
+    return _collapse(net, p, net.rows, pair_sum, (0.0, 0.0), lambda b: Interval(*b))
 
 
 def aggregate_minmax(net: IWNetwork, p: Partition) -> IWNetwork:
@@ -331,13 +324,21 @@ def aggregate_minmax(net: IWNetwork, p: Partition) -> IWNetwork:
     Block (C, D) is [min lo, max hi] over present member edges only;
     blocks without one stay absent, so connectivity is preserved.
     """
-    return _collapse(net, p, net.rows, envelope, None, _pair_interval)
+    return _collapse(net, p, net.rows, envelope, None, lambda b: Interval(*b))
 
 
 def _aggregate_midpoints(net: IWNetwork, p: Partition) -> IWNetwork:
     """Collapse communities, summing ``midpoint_rows`` (no 0.0 entries) into
     degenerate weights, with ``aggregate_sum``'s bits on a degenerate network."""
     return _collapse(net, p, net.midpoint_rows(), operator.add, 0.0, lambda x: Interval(x, x))
+
+
+def _midpoint_projection(net: IWNetwork, mid: Sequence[Mapping[int, float]]) -> IWNetwork:
+    """``net``'s midpoints ``mid`` (its ``midpoint_rows()``) as degenerate
+    weights, its labels kept: what ``_aggregate_midpoints`` gives over
+    singletons, without the blocks pass."""
+    upper = ((i, j, Interval(m, m)) for i, row in enumerate(mid) for j, m in row.items() if j >= i)
+    return IWNetwork._built(net.labels, upper)
 
 
 def format_matrix(net: IWNetwork) -> list[str]:
@@ -395,6 +396,11 @@ def _checked_lines(lines: Iterable[str]) -> Iterator[str]:
         yield line
 
 
+def _open_csv(path: str) -> TextIO:
+    """``path`` opened as every read of a CSV path opens it."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
+
+
 def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
     """Parse an edge-list CSV with header ``src,dst,lo,hi``.
 
@@ -407,7 +413,7 @@ def read_flow_csv(source: str | TextIO) -> list[DirectedFlowRecord]:
     reported.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        with _open_csv(source) as fh:
             return read_flow_csv(fh)
     reader = _csv.reader(_checked_lines(source))
     try:
@@ -469,7 +475,7 @@ def network_from_csv(
     except DuplicateEdge as exc:
         if not (isinstance(source, str) and os.path.isfile(source)):
             raise
-        with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        with _open_csv(source) as fh:  # as read_flow_csv read it, so the records line up
             reader = _csv.reader(fh)
             # each record's last line and labels, after the header
             ends = [(reader.line_num, tuple(map(str.strip, row[:2]))) for row in reader if row][1:]

@@ -36,7 +36,7 @@ from .errors import EmptyNetwork, IWNError, ZeroTotalWeight
 from .interval import Interval, ZERO, dominant_diff, seq_sum
 from .louvain import Strategy, _priced, _total_hi
 from .modularity import _IntervalPass
-from .network import IWNetwork, _pair_interval, blocks, pair_sum
+from .network import IWNetwork, blocks, pair_sum
 from .partition import Partition
 
 __all__ = [*_ORACLE, "SameCommunity", "TooLarge"]
@@ -311,13 +311,21 @@ def q_interval(o_blocks: Sequence[Interval], e_blocks: Sequence[Interval]) -> fl
 Rows = Sequence[Mapping[int, float]]
 
 
+def _members(n: int, comms: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+    """``comms``, refused unless each of the n vertices is in exactly one."""
+    if sorted(v for members in comms for v in members) != list(range(n)):
+        raise ValueError(f"member lists do not partition the {n} vertices: each must be in one")
+    return comms
+
+
 def _scalar_level(
     rows: Rows, comms: Sequence[Sequence[int]]
-) -> tuple[list[dict[int, float]], list[float], list[float]]:
+) -> tuple[tuple[dict[int, float], ...], list[float], list[float]]:
     """(blocks, strengths, expected diagonal blocks) of the collapsed scalar
     rows, summed as ``scalar._ScalarPass`` sums its level, their total
     refused unless ``_priced``."""
-    agg = blocks(rows, comms, operator.add, 0.0)
+    upper = blocks(rows, _members(len(rows), comms), operator.add, 0.0)
+    agg = IWNetwork._built(tuple(map(str, range(len(comms)))), upper).rows
     s = [seq_sum(row.values()) for row in agg]
     t = _priced(seq_sum(s))
     return agg, s, [x * x / (t - x + x) for x in s]
@@ -344,8 +352,9 @@ def _interval_level(net: IWNetwork, comms: Sequence[Sequence[int]]) -> _Interval
     """A pass state on the level that collapses ``comms`` by interval
     summation, of a network refused unless ``_total_hi`` accepts it."""
     _total_hi(net)
-    rows = tuple(blocks(net.rows, comms, pair_sum, (0.0, 0.0), _pair_interval))
-    return _IntervalPass(IWNetwork._trusted(tuple(map(str, range(len(rows)))), rows))
+    upper = blocks(net.rows, _members(net.n, comms), pair_sum, (0.0, 0.0))
+    names = tuple(map(str, range(len(comms))))
+    return _IntervalPass(IWNetwork._built(names, ((r, c, Interval(*b)) for r, c, b in upper)))
 
 
 def q_interval_communities(net: IWNetwork, comms: Sequence[Sequence[int]]) -> float:

@@ -13,12 +13,9 @@ succeeded, so phase 1 runs once; for a JSON document the spool holds
 the trace already spelled as the string member. ``emit_trace`` and
 ``decisions`` drive a finished run's input through the pass loop again,
 ``decisions`` with a hook that records a ``Decision`` per step.
-``midpoint``'s input prints as the degenerate projection it is priced
-on, which only the trace builds (``_projection``): from the midpoints
-the first pass's state read, one ``Interval(m, m)`` per entry with
-i <= j, shared with its mirror, as aggregating its singletons would
-give. A matrix is dense up to ``network.DENSE_LIMIT`` vertices and an
-edge list above (``format_matrix``).
+``midpoint``'s input prints as it is priced, ``network._midpoint_projection``
+of the midpoints its first pass read. A matrix is dense up to
+``network.DENSE_LIMIT`` vertices and an edge list above (``format_matrix``).
 
 The text summary of ``iwnet run`` (``_run_text``) is here too. The JSON
 document, and the escape that spells a trace as its last member, are
@@ -35,9 +32,8 @@ from collections import namedtuple
 from typing import IO, Callable, Iterator
 
 from . import louvain
-from .interval import Interval
 from .louvain import LouvainRun, _PassState
-from .network import IWNetwork
+from .network import IWNetwork, _midpoint_projection
 
 __all__ = ["emit_trace", "format_q", "Decision", "decisions"]
 
@@ -82,18 +78,6 @@ def decisions(run: LouvainRun) -> Iterator[Decision]:
 
     _rerun(run, record)
     yield from log
-
-
-def _projection(net: IWNetwork, mid: list[dict[int, float]]) -> IWNetwork:
-    """``net``'s midpoints ``mid`` (its ``midpoint_rows()``) as degenerate
-    weights, its labels kept: what ``_aggregate_midpoints`` gives over
-    singletons, without the blocks pass."""
-    rows: list[dict[int, Interval]] = [{} for _ in range(net.n)]
-    for i, row in enumerate(mid):
-        for j, m in row.items():
-            if j >= i:  # row j takes its keys in ascending order
-                rows[i][j] = rows[j][i] = Interval(m, m)
-    return IWNetwork._trusted(net.labels, tuple(rows))
 
 
 class _Trace:
@@ -162,8 +146,8 @@ class _Trace:
             text("---------------------------\n")
         else:
             text("Initial Interval-Weighted Network:\n")
-            # midpoint's input as it is priced: the midpoints its first pass reads
-            self._matrix(_projection(net, state.neigh) if self.method == "midpoint" else net)
+            mid = self.method == "midpoint"  # priced on the midpoints its first pass reads
+            self._matrix(_midpoint_projection(net, state.neigh) if mid else net)
             text(f"\n* Initial Modularity={q}\n")
         self.passes += 1
         text(f"* Begin Pass number {self.passes}\n")
@@ -240,7 +224,7 @@ class _Trace:
         text("---------------------------\n")
         text("Final Interval-weighted network:\n\n")
         if final is run.network and self.method == "midpoint":  # nothing moved: the input again
-            final = _projection(final, final.midpoint_rows())
+            final = _midpoint_projection(final, final.midpoint_rows())
         self._matrix(final)
         self._flush()
 

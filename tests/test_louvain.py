@@ -589,12 +589,13 @@ def _projection_networks(rng):
 
 
 def test_midpoint_projection_equals_singleton_aggregate():
-    """The trace prints midpoint's input as ``_projection`` builds it, which
-    is the aggregate of its singletons: the same labels, ascending keys, the
-    bits of every endpoint and one Interval per entry, shared with its mirror."""
+    """The trace prints midpoint's input as ``network._midpoint_projection``
+    builds it, which is the aggregate of its singletons: the same labels,
+    ascending keys, the bits of every endpoint and one Interval per entry,
+    shared with its mirror."""
     nets = _projection_networks(random.Random(57))
     for net in nets:
-        got = renderer._projection(net, net.midpoint_rows())
+        got = network._midpoint_projection(net, net.midpoint_rows())
         ref = louvain._aggregate_midpoints(net, Partition.singletons(net.n))
         assert got.labels == ref.labels == net.labels
         assert [list(row) for row in got.rows] == [list(row) for row in ref.rows]
@@ -603,7 +604,8 @@ def test_midpoint_projection_equals_singleton_aggregate():
         assert bits == [{j: (w.lo.hex(), w.hi.hex()) for j, w in row.items()} for row in ref.rows]
         assert all(got.rows[j][i] is w for i, j, w in got.edges())
     tiny = nets[-2]  # a-b is [0, 5e-324], whose midpoint is 0.0: no entry
-    assert 1 in tiny.rows[0] and 1 not in renderer._projection(tiny, tiny.midpoint_rows()).rows[0]
+    projected = network._midpoint_projection(tiny, tiny.midpoint_rows())
+    assert 1 in tiny.rows[0] and 1 not in projected.rows[0]
 
 
 def test_midpoint_input_prints_as_its_projection_at_both_ends():
@@ -613,7 +615,8 @@ def test_midpoint_input_prints_as_its_projection_at_both_ends():
     net = IWNetwork.from_edges(["x", "y", "z"], [("x", "x", 2, 2), ("z", "z", 0, 1)])
     result = run(net, "midpoint")
     assert result.final_network is net and len(result.passes) == 1
-    matrix = "\n".join(louvain.format_matrix(renderer._projection(net, net.midpoint_rows()))) + "\n"
+    projected = network._midpoint_projection(net, net.midpoint_rows())
+    matrix = "\n".join(louvain.format_matrix(projected)) + "\n"
     assert "[0.5,0.5]" in matrix and "[0,1]" not in matrix
     trace = emit_trace(result)
     assert trace.split("Initial Interval-Weighted Network:\n")[1].startswith(matrix)
@@ -1064,10 +1067,28 @@ def _records(net, rng):
     return records
 
 
+def test_built_is_the_inverse_of_edges():
+    """``IWNetwork._built`` lays a network out again from its ``edges()``:
+    the same maps, keys ascending, one weight object under (i, j) and (j, i)."""
+    nets = [net for _, net in pinned_networks()] + _edge_case_networks(random.Random(83), 8, (2, 14))
+    nets.append(IWNetwork((), ()))
+    for net in nets:
+        built = IWNetwork._built(net.labels, net.edges())
+        assert built == net
+        assert [list(row) for row in built.rows] == [list(row) for row in net.rows]
+        assert all(built.rows[j][i] is built.rows[i][j] is w for i, j, w in net.edges())
+    counted = IWNetwork._built(("a",), (), 3, 7)
+    assert (counted.rows, counted.dropped_self_loops, counted.dropped_below_threshold) == (({},), 3, 7)
+
+
 def test_networks_built_inside_pass_the_public_validator(monkeypatch):
-    """symmetrize, the aggregates and the initial network of each trace (the
-    input, or the midpoint projection the trace builds for midpoint) skip the
-    checks of IWNetwork.__init__; rebuilding each through it changes nothing."""
+    """symmetrize, the aggregates, the initial network of each trace (the
+    input, or midpoint's projection), the oracle's interval level and
+    from_edges all lay their networks out with IWNetwork._built, which
+    skips the checks of IWNetwork.__init__; rebuilding each through it
+    changes nothing."""
+    from iwnet import oracle
+
     rendered, fmt = [], louvain.format_matrix
     monkeypatch.setattr(louvain, "format_matrix", lambda m: rendered.append(m) or fmt(m))
     rng = random.Random(82)
@@ -1086,6 +1107,13 @@ def test_networks_built_inside_pass_the_public_validator(monkeypatch):
                 rendered.clear()
                 emit_trace(result)  # its first matrix: the input, or midpoint's projection
                 built.append(rendered[0])
+                built.append(oracle._interval_level(sym, result.final_partition.communities).net)
+            # the same edges in another order, named either way round
+            edges = [(sym.labels[i], sym.labels[j], w.lo, w.hi) for i, j, w in sym.edges()]
+            rng.shuffle(edges)
+            edges = [(v, u, lo, hi) if rng.random() < 0.5 else (u, v, lo, hi) for u, v, lo, hi in edges]
+            built.append(IWNetwork.from_edges(sym.labels, edges))
+            assert built[-1] == sym
         for b in built:
             assert IWNetwork(b.labels, b.rows) == b
             checked += 1

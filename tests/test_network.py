@@ -382,9 +382,18 @@ def _dense_minmax(weights, comms):
     return out
 
 
-def _densify(rows, zero):
+def _densify(upper, k, zero, finish=lambda b: b):
+    """The dense k x k matrix of the upper blocks ``upper``, each made an
+    entry by ``finish``, after checking that they come as
+    ``IWNetwork._built`` takes them and that it lays them out in
+    ascending, symmetric maps."""
+    upper = [(r, c, finish(b)) for r, c, b in upper]
+    assert all(r <= c for r, c, _ in upper)
+    assert [b[:2] for b in upper] == sorted(b[:2] for b in upper)
+    rows = IWNetwork._built(tuple(map(str, range(k))), upper).rows
     assert all(list(row) == sorted(row) for row in rows)
-    return [[row.get(c, zero) for c in range(len(rows))] for row in rows]
+    assert all(rows[c][r] is rows[r][c] for r, c, _ in upper)
+    return [[row.get(c, zero) for c in range(k)] for row in rows]
 
 
 class TestBlocksMatchDenseLoops:
@@ -414,19 +423,20 @@ class TestBlocksMatchDenseLoops:
             # community order as the driver lists them, not first appearance
             comms = list(p.communities)
             rng.shuffle(comms)
-            assert _densify(network.blocks(net.rows, comms, operator.add, ZERO), ZERO) == (
+            k = len(comms)
+            assert _densify(network.blocks(net.rows, comms, operator.add, ZERO), k, ZERO) == (
                 _dense_sum(net.weights, comms, ZERO)
             )
             # the float folds of the aggregates, finished as Intervals
-            pair = network._pair_interval
+            pair = lambda b: Interval(*b)  # noqa: E731
             assert _densify(
-                network.blocks(net.rows, comms, network.pair_sum, (0.0, 0.0), pair), ZERO
+                network.blocks(net.rows, comms, network.pair_sum, (0.0, 0.0)), k, ZERO, pair
             ) == _dense_sum(net.weights, comms, ZERO)
-            assert _densify(network.blocks(net.rows, comms, network.envelope, None, pair), ZERO) == (
+            assert _densify(network.blocks(net.rows, comms, network.envelope, None), k, ZERO, pair) == (
                 _dense_minmax(net.weights, comms)
             )
             mids = network.blocks(net.midpoint_rows(), comms, operator.add, 0.0)
-            assert _densify(mids, 0.0) == _dense_sum(midpoints(net), comms, 0.0)
+            assert _densify(mids, k, 0.0) == _dense_sum(midpoints(net), comms, 0.0)
 
 
 def test_midpoint_rows_are_the_midpoints_bit_for_bit():

@@ -218,3 +218,36 @@ def test_every_entry_point_refuses_alike(capsys, tmp_path, edges, refusal):
             code = main([*argv, "--input", str(path)])
             printed.append((code, *capsys.readouterr()))
         assert printed == [(2, "", f"error: {refusal[0].__name__}: {refusal[1]}\n")] * 2
+
+
+class TestMemberListsMustPartition:
+    """The partition-level Q functions refuse member lists in which a vertex
+    of the network is missing, repeated or out of range, as evaluate_moves
+    refuses a partition of the wrong size, instead of pricing them."""
+
+    NOT_PARTITIONS = [
+        [[0, 1], [2]],  # 3 missing
+        [[0, 1], [1, 2, 3]],  # 1 repeated
+        [[0, 1], [2, 5]],  # 5 out of range
+        [[0, 1], [2, 3, -1]],  # -1 out of range
+        [[0, 1], [2, 3], [4]],  # n + 1 vertices
+    ]
+
+    @pytest.mark.parametrize("comms", NOT_PARTITIONS)
+    def test_member_lists(self, comms):
+        net = toy_network()
+        with pytest.raises(ValueError, match="do not partition the 4 vertices"):
+            q_interval_communities(net, comms)
+        for q in (q_scalar_communities, q_max_scalar_communities):
+            with pytest.raises(ValueError, match="do not partition the 4 vertices"):
+                q(net.midpoint_rows(), comms)
+
+    @pytest.mark.parametrize("assignment", [(0, 0, 1), (0, 0, 1, 1, 2)])
+    def test_partition_of_another_size(self, assignment):
+        with pytest.raises(ValueError, match="do not partition the 4 vertices"):
+            q_max_interval_adjusted(toy_network(), Partition(assignment))
+
+    def test_a_partition_is_priced(self):
+        net, comms = toy_network(), [[0, 1], [2, 3]]
+        assert q_interval_communities(net, comms) == run(net, "cl").final_q
+        assert q_interval_communities(net, [[2, 3], [0, 1]]) == pytest.approx(20 / 7)
